@@ -7,7 +7,6 @@ nearest-neighbor graphs, curriculum schedules, clustering metrics, a
 synthetic training harness, and slow independent verification oracles.
 """
 
-from ._backend import active_backend, available_backends
 from .curriculum import Schedule, default_hyperparameters, rho_at
 from .graph import (
     FeatureSet,
@@ -51,8 +50,6 @@ __all__ = [
     "SemanticGraph",
     "Sp2otProblem",
     "TransportPlan",
-    "active_backend",
-    "available_backends",
     "benchmark_p2ot",
     "build_knn_graph",
     "cosine_similarity",

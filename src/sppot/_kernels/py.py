@@ -1,12 +1,15 @@
-"""Pure-NumPy scaling kernels (fallback backend).
+"""NumPy scaling kernels, the only implementation of the two hot loops.
 
-Two hot loops live here: the stabilized row-equality / column-exponent
-scaling recursion (used by the balanced, KL-penalized and virtual-column
-solvers) and the generalized scaling baseline that enforces the total-mass
-constraint through an extra scalar rescale each sweep.
+The stabilized row-equality / column-exponent scaling recursion runs every
+balanced, unbalanced, partial and P2OT solve, through
+`ot_core._solve_row_eq`. The generalized scaling baseline enforces the
+total-mass constraint through an extra scalar rescale each sweep and serves
+`p2ot.solve_p2ot_gsa` only. Each sweep is two (baseline: three) BLAS
+mat-vecs over the N x K kernel.
 
-The compiled backend in `_fast.pyx` mirrors these functions exactly; both
-must stay semantically in sync.
+Callers look these functions up on the module (`kernels.scaling_weighted_kl`)
+at call time, never through a name bound at import, so a wrapper installed
+on this module (the perfbench tracer) sees every call.
 """
 
 import numpy as np

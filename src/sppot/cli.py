@@ -1,9 +1,10 @@
 """Command-line entry point: solver runs, graph building, benchmarks,
 clustering experiments, metric evaluation, and oracle cross-checks.
 
-Exit codes: 0 success, 1 validation/input error, 2 solver non-convergence
-under --strict. All artifacts are written atomically; every output JSON
-embeds the resolved configuration and seed.
+Exit codes: 0 success, 1 validation/input error or a non-finite plan
+(NumericalOverflowError), 2 solver non-convergence under --strict. All
+artifacts are written atomically; every output JSON embeds the resolved
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import bench as bench_mod
 from . import io as io_mod
 from . import metrics as metrics_mod
 from . import ot_core, oracle, p2ot, sp2ot
-from ._backend import active_backend
 from .curriculum import Schedule, rho_at
 from .graph import FeatureSet, SemanticGraph, build_knn_graph, cosine_similarity, gaussian_similarity, median_bandwidth
 
@@ -62,7 +62,6 @@ def _summary(payload: dict, config: dict, seed) -> dict:
         "schema_version": SCHEMA_VERSION,
         "config": config,
         "seed": seed,
-        "backend": active_backend(),
         **payload,
     }
 
@@ -95,9 +94,9 @@ def p2ot_solve(pred_path, rho, lam, eps, tol, max_iter, out_path, strict):
         P = io_mod.read_matrix(pred_path)
         cfg = ot_core.ScalingConfig(epsilon=eps, tol=tol, max_iter=max_iter)
         problem = p2ot.P2otProblem(P, rho, lam, cfg)
-    except (io_mod.FormatError, ValueError, ot_core.DimensionMismatchError) as exc:
+        plan = p2ot.solve_p2ot_fast(problem)
+    except (io_mod.FormatError, ValueError, ot_core.DimensionMismatchError, ot_core.NumericalOverflowError) as exc:
         raise click.ClickException(str(exc)) from exc
-    plan = p2ot.solve_p2ot_fast(problem)
     if strict and not plan.converged:
         raise NonConvergenceError(f"solver stopped after {plan.iterations} iterations without converging")
     out_path = _out_dir(out_path)
@@ -146,7 +145,6 @@ BENCH_SCHEMA = {
         "tol": {"type": "number", "exclusiveMinimum": 0},
         "max_iter": {"type": "integer", "minimum": 1},
         "repeats": {"type": "integer", "minimum": 1},
-        "backends": {"type": "array", "items": {"type": "string", "enum": ["python", "compiled"]}},
     },
 }
 
@@ -166,7 +164,6 @@ def p2ot_bench(config_path, out_path):
         tol=cfg.get("tol", 1e-6),
         max_iter=cfg.get("max_iter", 1000),
         repeats=cfg.get("repeats", 1),
-        backends=cfg.get("backends"),
     )
     io_mod.write_csv_rows(_out_dir(out_path), report.to_csv_rows())
     click.echo(f"median wall-time ratio baseline/fast = {report.speedup():.2f}")
@@ -196,9 +193,10 @@ def sp2ot_solve(pred_path, graph_path, lambda1, lambda2, rho, eps, out_path, str
         rows, cols, vals = io_mod.read_triplets_csv(graph_path)
         A = SemanticGraph(rows, cols, vals, n=P.shape[0], k=0, kernel="file").to_dense()
         problem = sp2ot.Sp2otProblem(P, A, lambda1, lambda2, rho, eps)
-    except (io_mod.FormatError, ValueError, IndexError, ot_core.DimensionMismatchError) as exc:
+        plan, trace = sp2ot.solve_sp2ot(problem)
+    except (io_mod.FormatError, ValueError, IndexError, ot_core.DimensionMismatchError,
+            ot_core.NumericalOverflowError) as exc:
         raise click.ClickException(str(exc)) from exc
-    plan, trace = sp2ot.solve_sp2ot(problem)
     if strict and not plan.converged:
         raise NonConvergenceError("inner solver did not converge at the final outer iteration")
     out_path = _out_dir(out_path)
@@ -464,9 +462,9 @@ def oracle_check(pred_path, rho, lam, eps, tol):
     try:
         P = io_mod.read_matrix(pred_path)
         problem = p2ot.P2otProblem(P, rho, lam, ot_core.ScalingConfig(epsilon=eps, tol=1e-10, max_iter=100000))
-    except (io_mod.FormatError, ValueError, ot_core.DimensionMismatchError) as exc:
+        plan = p2ot.solve_p2ot_fast(problem)
+    except (io_mod.FormatError, ValueError, ot_core.DimensionMismatchError, ot_core.NumericalOverflowError) as exc:
         raise click.ClickException(str(exc)) from exc
-    plan = p2ot.solve_p2ot_fast(problem)
     n, k = P.shape
     cost = -np.log(ot_core.clamp_probabilities(P))
     caps = np.full(n, 1.0 / n)

@@ -3,8 +3,18 @@
 Implements the generic scaling loop (alternating KL-proximal updates of the
 row/column scaling vectors) together with the solver variants used for
 pseudo-label generation: balanced OT, unbalanced OT with a KL penalty on
-cluster sizes, partial OT with a hard total-mass constraint, and the
-upper-bounded relaxation (SLA).
+cluster sizes, partial OT with a hard total-mass constraint, the partial
+solver with a KL penalty on cluster sizes (P2OT), and the upper-bounded
+relaxation (SLA).
+
+Balanced, unbalanced, partial and P2OT are one solve, `solve_virtual`,
+with two parameters: the selected mass rho and the column penalty weight
+lam (np.inf is the sentinel for a hard column). It appends a zero-cost
+virtual column that absorbs the unselected 1-rho mass, runs the
+row-equality scaling kernel once on the extended plan, and drops the
+virtual column again. Balanced OT is (1, inf), unbalanced OT (1, lam),
+partial OT (rho, inf) and P2OT (rho, lam). SLA's upper-bounded columns
+need the generic loop.
 
 All solvers work on Q = diag(a) * M * diag(b) with M = exp(-C/eps) and
 support log-domain absorption of the scaling vectors to avoid overflow.
@@ -16,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._backend import scaling_weighted_kl
+from ._kernels import py as kernels
 
 PROB_FLOOR = 1e-8
 KERNEL_FLOOR = 1e-300
@@ -240,10 +250,9 @@ def scaling_solve(
 
     Fast path: when the row constraint is a hard equality and the column
     constraint is expressible through Hadamard exponents (equality / KL /
-    weighted KL), the update collapses to b <- w * (target/(M^T a))^f and is
-    dispatched to the active backend kernel. The fully generic path (needed
-    for inequality constraints) runs in NumPy with the same log-domain
-    absorption.
+    weighted KL), the update collapses to b <- w * (target/(M^T a))^f and
+    runs in the row-equality kernel. The fully generic path (needed for
+    inequality constraints) uses the same log-domain absorption.
     """
     C = cost.values if isinstance(cost, CostMatrix) else CostMatrix(cost).values
     m, n = C.shape
@@ -266,7 +275,8 @@ def _solve_row_eq(C, alpha, beta, f, cfg) -> tuple:
 
     Columns with zero target mass carry zero in any feasible plan; they are
     removed up front so logs and divisions stay clean, and reinserted as
-    zero columns at the end.
+    zero columns at the end. Raises NumericalOverflowError rather than
+    return a plan with a non-finite entry.
     """
     active = beta > 0
     if not np.all(active):
@@ -274,7 +284,7 @@ def _solve_row_eq(C, alpha, beta, f, cfg) -> tuple:
         Q = np.zeros_like(C)
         Q[:, active] = Qa
         return Q, iters, conv, errs
-    return scaling_weighted_kl(
+    Q, iters, conv, errs = kernels.scaling_weighted_kl(
         np.ascontiguousarray(C, dtype=np.float64),
         np.ascontiguousarray(alpha, dtype=np.float64),
         np.ascontiguousarray(beta, dtype=np.float64),
@@ -284,6 +294,12 @@ def _solve_row_eq(C, alpha, beta, f, cfg) -> tuple:
         cfg.max_iter,
         cfg.stabilization_threshold,
     )
+    if not np.all(np.isfinite(Q)):
+        raise NumericalOverflowError(
+            f"non-finite plan after {iters} iterations at epsilon={cfg.epsilon}; "
+            "the kernel exp(-C/epsilon) under- or overflows at this scale"
+        )
+    return Q, iters, conv, errs
 
 
 def _solve_generic(C, row, col, cfg):
@@ -400,48 +416,64 @@ def clamp_probabilities(pred: np.ndarray) -> np.ndarray:
     return np.maximum(P, PROB_FLOOR)
 
 
+@dataclass(frozen=True)
+class ExtendedProblem:
+    cost_ext: np.ndarray  # N x (K+1), last column identically zero; N x K at rho = 1
+    beta: np.ndarray  # [rho/K * 1_K ; 1-rho]
+    weights: np.ndarray  # [lam, ..., lam, inf]
+    alpha: np.ndarray  # (1/N) * 1_N
+
+
+def extend_virtual(C0: np.ndarray, rho: float, lam: float) -> ExtendedProblem:
+    """Append the zero-cost virtual column and build the extended marginals.
+
+    The virtual column absorbs the unselected 1-rho mass under a hard
+    (sentinel-weight) equality. At rho = 1 its target is 0, so it is left out.
+    """
+    if not 0 < rho <= 1:
+        raise ValueError("rho must be in (0, 1]")
+    C = CostMatrix(C0).values
+    N, K = C.shape
+    beta = np.full(K, rho / K)
+    weights = np.full(K, float(lam))
+    if rho < 1:
+        C = np.hstack([C, np.zeros((N, 1))])
+        beta = np.append(beta, 1.0 - rho)
+        weights = np.append(weights, np.inf)
+    return ExtendedProblem(C, beta, weights, np.full(N, 1.0 / N))
+
+
+def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig) -> TransportPlan:
+    """Rows <= 1/N (= 1/N at rho = 1), total mass rho, KL(column marginal,
+    rho/K) with weight lam (np.inf: hard columns).
+
+    One kernel solve on the virtual-column extension; returns the plan with
+    the virtual column dropped and the objective of that plan.
+    """
+    ext = extend_virtual(C0, rho, lam)
+    f = MarginalConstraint.weighted_kl(ext.beta, ext.weights).exponents(cfg.epsilon)
+    Q, iters, converged, errs = _solve_row_eq(ext.cost_ext, ext.alpha, ext.beta, f, cfg)
+    K = np.shape(C0)[1]
+    if Q.shape[1] > K:
+        Q = Q[:, :K].copy()
+    penalties = [(1, ext.beta[:K], ext.weights[:K])]
+    obj = entropic_objective(Q, ext.cost_ext[:, :K], penalties, cfg.epsilon)
+    return TransportPlan(Q, obj, iters, converged, np.asarray(errs))
+
+
 def solve_balanced_ot(pred: np.ndarray, cfg: ScalingConfig) -> TransportPlan:
     """Balanced OT pseudo-labels: uniform row mass 1/N, uniform columns 1/K."""
-    P = clamp_probabilities(pred)
-    N, K = P.shape
-    C = -np.log(P)
-    row = MarginalConstraint.equality(np.full(N, 1.0 / N))
-    col = MarginalConstraint.equality(np.full(K, 1.0 / K))
-    return scaling_solve(CostMatrix(C), row, col, cfg)
+    return solve_virtual(-np.log(clamp_probabilities(pred)), 1.0, np.inf, cfg)
 
 
 def solve_uot(pred: np.ndarray, lam: float, cfg: ScalingConfig) -> TransportPlan:
     """Unbalanced OT: hard uniform rows, KL(column marginal, 1/K) with weight lam."""
-    P = clamp_probabilities(pred)
-    N, K = P.shape
-    C = -np.log(P)
-    row = MarginalConstraint.equality(np.full(N, 1.0 / N))
-    col = MarginalConstraint.kl(np.full(K, 1.0 / K), lam)
-    return scaling_solve(CostMatrix(C), row, col, cfg)
+    return solve_virtual(-np.log(clamp_probabilities(pred)), 1.0, lam, cfg)
 
 
 def solve_pot(pred: np.ndarray, rho: float, cfg: ScalingConfig) -> TransportPlan:
-    """Partial OT: row sums <= 1/N, column sums = rho/K, total mass rho.
-
-    Solved via the virtual-column extension with hard equality on every
-    column (all Hadamard exponents 1), then dropping the virtual column.
-    """
-    if not 0 < rho <= 1:
-        raise ValueError("rho must be in (0, 1]")
-    P = clamp_probabilities(pred)
-    N, K = P.shape
-    C = np.hstack([-np.log(P), np.zeros((N, 1))])
-    beta = np.append(np.full(K, rho / K), 1.0 - rho)
-    row = MarginalConstraint.equality(np.full(N, 1.0 / N))
-    col = MarginalConstraint.equality(beta)
-    ext = scaling_solve(CostMatrix(C), row, col, cfg)
-    return TransportPlan(
-        ext.coupling[:, :K].copy(),
-        entropic_objective(ext.coupling[:, :K], -np.log(P), [], cfg.epsilon),
-        ext.iterations,
-        ext.converged,
-        ext.b_change,
-    )
+    """Partial OT: row sums <= 1/N, column sums = rho/K, total mass rho."""
+    return solve_virtual(-np.log(clamp_probabilities(pred)), rho, np.inf, cfg)
 
 
 def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) -> TransportPlan:

@@ -1,10 +1,12 @@
 """Partial transport with a KL cluster-size penalty and progressive mass.
 
-The fast solver appends a zero-cost virtual column that absorbs the 1-rho
-unselected mass, turns the total-mass constraint into a column marginal with
-a per-column weighted KL penalty (sentinel weight on the virtual column),
-and runs the stabilized scaling recursion. Its entropy covers the virtual
-column too, i.e. the row slack 1/N - Q 1 of the selected plan.
+The fast solver is `ot_core.solve_virtual` at (rho, lam): it appends a
+zero-cost virtual column that absorbs the 1-rho unselected mass, turns the
+total-mass constraint into a column marginal with a per-column weighted KL
+penalty (sentinel weight on the virtual column), and runs the stabilized
+scaling recursion, the same solve as balanced, unbalanced and partial OT.
+Its entropy covers the virtual column too, i.e. the row slack 1/N - Q 1 of
+the selected plan.
 
 The generalized scaling baseline, kept for cross-checks and benchmarking,
 minimizes the same program on the unextended plan Q = s diag(a) M diag(b):
@@ -25,12 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _backend
+from ._kernels import py as kernels
 from .ot_core import (
+    DimensionMismatchError,
     ScalingConfig,
     TransportPlan,
     clamp_probabilities,
     entropic_objective,
+    solve_virtual,
 )
 
 
@@ -54,94 +58,20 @@ class P2otProblem:
         object.__setattr__(self, "pred", P)
 
 
-@dataclass(frozen=True)
-class ExtendedProblem:
-    cost_ext: np.ndarray  # N x (K+1), last column identically zero
-    beta: np.ndarray  # [rho/K * 1_K ; 1-rho]
-    weights: np.ndarray  # [lam, ..., lam, inf]
-    alpha: np.ndarray  # (1/N) * 1_N
-
-
-def extend_virtual(problem: P2otProblem, cost: np.ndarray | None = None) -> ExtendedProblem:
-    """Append the zero-cost virtual column and build the extended marginals.
+def solve_p2ot_fast(problem: P2otProblem, cost: np.ndarray | None = None) -> TransportPlan:
+    """Virtual-column solver; returns the plan with the virtual column dropped.
 
     `cost` overrides the default -log P (used when the cost is a linearized
     gradient rather than the raw prediction cost).
     """
-    P = clamp_probabilities(problem.pred)
-    N, K = P.shape
-    C0 = -np.log(P) if cost is None else np.asarray(cost, dtype=float)
-    cost_ext = np.hstack([C0, np.zeros((N, 1))])
-    beta = np.append(np.full(K, problem.rho / K), 1.0 - problem.rho)
-    weights = np.append(np.full(K, float(problem.lam)), np.inf)
-    alpha = np.full(N, 1.0 / N)
-    return ExtendedProblem(cost_ext, beta, weights, alpha)
+    if cost is None:
+        cost = -np.log(clamp_probabilities(problem.pred))
+    elif np.shape(cost) != problem.pred.shape:
+        raise DimensionMismatchError(f"cost shape {np.shape(cost)} differs from pred {problem.pred.shape}")
+    return solve_virtual(cost, problem.rho, problem.lam, problem.cfg)
 
 
-def _exponents(weights: np.ndarray, epsilon: float) -> np.ndarray:
-    f = np.empty_like(weights)
-    inf = np.isinf(weights)
-    f[inf] = 1.0
-    f[~inf] = weights[~inf] / (weights[~inf] + epsilon)
-    return f
-
-
-def _objective(Q: np.ndarray, C0: np.ndarray, rho: float, lam: float, epsilon: float) -> float:
-    K = C0.shape[1]
-    penalties = [(1, np.full(K, rho / K), np.full(K, lam))]
-    return entropic_objective(Q, C0, penalties, epsilon)
-
-
-def solve_p2ot_fast(problem: P2otProblem, cost: np.ndarray | None = None, backend: str | None = None) -> TransportPlan:
-    """Virtual-column solver; returns the plan with the virtual column dropped."""
-    ext = extend_virtual(problem, cost)
-    cfg = problem.cfg
-    eps = cfg.epsilon
-    f = _exponents(ext.weights, eps)
-    active = ext.beta > 0
-    kern = _backend.get_kernels(backend)
-    Qa, iters, converged, errs = kern.scaling_weighted_kl(
-        np.ascontiguousarray(ext.cost_ext[:, active]),
-        ext.alpha,
-        np.ascontiguousarray(ext.beta[active]),
-        np.ascontiguousarray(f[active]),
-        eps,
-        cfg.tol,
-        cfg.max_iter,
-        cfg.stabilization_threshold,
-    )
-    Q_ext = np.zeros_like(ext.cost_ext)
-    Q_ext[:, active] = Qa
-    K = ext.cost_ext.shape[1] - 1
-    Q = Q_ext[:, :K].copy()
-    C0 = ext.cost_ext[:, :K]
-    obj = _objective(Q, C0, problem.rho, problem.lam, eps)
-    return TransportPlan(Q, obj, iters, converged, np.asarray(errs))
-
-
-def virtual_column_mass(problem: P2otProblem, cost: np.ndarray | None = None, backend: str | None = None) -> float:
-    """Mass on the virtual column before it is dropped (should be 1-rho)."""
-    ext = extend_virtual(problem, cost)
-    cfg = problem.cfg
-    f = _exponents(ext.weights, cfg.epsilon)
-    active = ext.beta > 0
-    kern = _backend.get_kernels(backend)
-    Qa, *_ = kern.scaling_weighted_kl(
-        np.ascontiguousarray(ext.cost_ext[:, active]),
-        ext.alpha,
-        np.ascontiguousarray(ext.beta[active]),
-        np.ascontiguousarray(f[active]),
-        cfg.epsilon,
-        cfg.tol,
-        cfg.max_iter,
-        cfg.stabilization_threshold,
-    )
-    if active[-1]:
-        return float(Qa[:, -1].sum())
-    return 0.0
-
-
-def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None, backend: str | None = None) -> TransportPlan:
+def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None) -> TransportPlan:
     """Generalized scaling baseline on the unextended problem."""
     P = clamp_probabilities(problem.pred)
     N, K = P.shape
@@ -151,11 +81,10 @@ def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None, backend
     alpha = np.full(N, 1.0 / N)
     beta = np.full(K, problem.rho / K)
     f = np.full(K, problem.lam / (problem.lam + eps))
-    kern = _backend.get_kernels(backend)
-    Q, iters, converged, errs = kern.gsa_total_mass(
+    Q, iters, converged, errs = kernels.gsa_total_mass(
         np.ascontiguousarray(C), alpha, beta, f, problem.rho, eps, cfg.tol, cfg.max_iter
     )
-    obj = _objective(Q, C, problem.rho, problem.lam, eps)
+    obj = entropic_objective(Q, C, [(1, beta, np.full(K, problem.lam))], eps)
     return TransportPlan(Q, obj, iters, converged, np.asarray(errs))
 
 
@@ -174,7 +103,6 @@ def random_problem(n: int, k: int, rho: float, seed: int, lam: float = 1.0, epsi
 @dataclass
 class BenchmarkRow:
     solver: str
-    backend: str
     n: int
     k: int
     rho: float
@@ -189,14 +117,14 @@ class BenchmarkReport:
     rows: list[BenchmarkRow] = field(default_factory=list)
 
     def to_csv_rows(self):
-        header = ["schema_version", "solver", "backend", "N", "K", "rho", "seed", "wall_ms", "iters", "objective"]
+        header = ["schema_version", "solver", "N", "K", "rho", "seed", "wall_ms", "iters", "objective"]
         out = [header]
         for r in self.rows:
-            out.append(["1", r.solver, r.backend, str(r.n), str(r.k), repr(float(r.rho)), str(r.seed),
+            out.append(["2", r.solver, str(r.n), str(r.k), repr(float(r.rho)), str(r.seed),
                         f"{r.wall_ms:.3f}", str(r.iters), repr(float(r.objective))])
         return out
 
-    def speedup(self, n=None, k=None, rho=None, seed=None, backend=None) -> float:
+    def speedup(self, n=None, k=None, rho=None, seed=None) -> float:
         """wall(gsa) / wall(fast), median over the matching rows.
 
         With no arguments this is the overall median ratio across the sweep.
@@ -208,8 +136,7 @@ class BenchmarkReport:
                     and (n is None or r.n == n)
                     and (k is None or r.k == k)
                     and (rho is None or r.rho == rho)
-                    and (seed is None or r.seed == seed)
-                    and (backend is None or r.backend == backend)]
+                    and (seed is None or r.seed == seed)]
             if not vals:
                 raise ValueError("no benchmark rows match the requested configuration")
             return float(np.median(vals))
@@ -218,31 +145,25 @@ class BenchmarkReport:
 
 
 def benchmark_p2ot(sizes, rhos, seeds, lam: float = 1.0, epsilon: float = 0.1,
-                   tol: float = 1e-6, max_iter: int = 1000, repeats: int = 1,
-                   backends: list[str] | None = None) -> BenchmarkReport:
+                   tol: float = 1e-6, max_iter: int = 1000, repeats: int = 1) -> BenchmarkReport:
     """Time the fast solver against the generalized-scaling baseline.
 
     Timing covers the solve call including kernel exponentiation; instance
     generation is excluded. Runs are sequential to keep timings honest.
     """
-    if backends is None:
-        backends = [_backend.active_backend()]
     report = BenchmarkReport()
     for n, k in sizes:
         for rho in rhos:
             for seed in seeds:
                 problem = random_problem(n, k, rho, seed, lam=lam, epsilon=epsilon,
                                          cfg=ScalingConfig(epsilon=epsilon, tol=tol, max_iter=max_iter))
-                for be in backends:
-                    for _ in range(repeats):
-                        t0 = time.perf_counter()
-                        plan = solve_p2ot_fast(problem, backend=be)
-                        dt = (time.perf_counter() - t0) * 1e3
-                        report.rows.append(BenchmarkRow("fast", be, n, k, rho, seed, dt,
-                                                        plan.iterations, plan.objective))
-                        t0 = time.perf_counter()
-                        plan = solve_p2ot_gsa(problem, backend=be)
-                        dt = (time.perf_counter() - t0) * 1e3
-                        report.rows.append(BenchmarkRow("gsa", be, n, k, rho, seed, dt,
-                                                        plan.iterations, plan.objective))
+                for _ in range(repeats):
+                    t0 = time.perf_counter()
+                    plan = solve_p2ot_fast(problem)
+                    dt = (time.perf_counter() - t0) * 1e3
+                    report.rows.append(BenchmarkRow("fast", n, k, rho, seed, dt, plan.iterations, plan.objective))
+                    t0 = time.perf_counter()
+                    plan = solve_p2ot_gsa(problem)
+                    dt = (time.perf_counter() - t0) * 1e3
+                    report.rows.append(BenchmarkRow("gsa", n, k, rho, seed, dt, plan.iterations, plan.objective))
     return report

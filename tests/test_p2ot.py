@@ -3,18 +3,26 @@ import numpy.testing as npt
 import pytest
 
 from conftest import random_pred
+import sppot
 from sppot import oracle, p2ot
-from sppot.ot_core import ScalingConfig, clamp_probabilities, solve_pot, solve_uot
+from sppot.ot_core import (
+    NumericalOverflowError,
+    ScalingConfig,
+    clamp_probabilities,
+    extend_virtual,
+    solve_balanced_ot,
+    solve_pot,
+    solve_uot,
+    solve_virtual,
+)
 from sppot.p2ot import (
     BenchmarkReport,
     BenchmarkRow,
     P2otProblem,
     benchmark_p2ot,
-    extend_virtual,
     random_problem,
     solve_p2ot_fast,
     solve_p2ot_gsa,
-    virtual_column_mass,
 )
 
 
@@ -40,23 +48,46 @@ class TestValidation:
 
 class TestExtension:
     def test_extended_shapes_and_values(self):
-        prob = make_problem(6, 3, 0.4, seed=1, lam=2.0)
-        ext = extend_virtual(prob)
+        C0 = np.arange(18.0).reshape(6, 3)
+        ext = extend_virtual(C0, 0.4, 2.0)
         assert ext.cost_ext.shape == (6, 4)
+        npt.assert_array_equal(ext.cost_ext[:, :3], C0)
         npt.assert_array_equal(ext.cost_ext[:, 3], np.zeros(6))
         npt.assert_allclose(ext.beta, [0.4 / 3] * 3 + [0.6])
         npt.assert_array_equal(ext.weights, [2.0, 2.0, 2.0, np.inf])
         npt.assert_allclose(ext.alpha, np.full(6, 1 / 6))
 
+    def test_full_mass_has_no_virtual_column(self):
+        # at rho = 1 the virtual column's target is 0, so it is left out
+        C0 = np.arange(8.0).reshape(4, 2)
+        ext = extend_virtual(C0, 1.0, 3.0)
+        npt.assert_array_equal(ext.cost_ext, C0)
+        npt.assert_allclose(ext.beta, [0.5, 0.5])
+        npt.assert_array_equal(ext.weights, [3.0, 3.0])
+
     def test_cost_override(self):
         prob = make_problem(4, 2, 0.5, seed=2)
         C = np.arange(8.0).reshape(4, 2)
-        ext = extend_virtual(prob, cost=C)
-        npt.assert_array_equal(ext.cost_ext[:, :2], C)
+        plan = solve_p2ot_fast(prob, cost=C)
+        ref = solve_virtual(C, 0.5, prob.lam, prob.cfg)
+        assert np.array_equal(plan.coupling, ref.coupling)
+        assert plan.objective == ref.objective
+        with pytest.raises(ValueError):
+            solve_p2ot_fast(prob, cost=np.zeros((4, 3)))
 
     def test_virtual_column_absorbs_unselected_mass(self):
         prob = make_problem(10, 4, 0.3, seed=3)
-        npt.assert_allclose(virtual_column_mass(prob), 0.7, atol=1e-6)
+        npt.assert_allclose(1.0 - solve_p2ot_fast(prob).total_mass(), 0.7, atol=1e-6)
+
+    def test_pot_is_p2ot_with_hard_columns(self):
+        # partial OT is the virtual-column solve at lam = inf: same plan and
+        # objective to the bit
+        P = random_pred(30, 5, seed=12)
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
+        pot = solve_pot(P, 0.6, cfg)
+        fast = solve_p2ot_fast(P2otProblem(P, 0.6, np.inf, cfg))
+        assert np.array_equal(pot.coupling, fast.coupling)
+        assert pot.objective == fast.objective
 
 
 class TestFastSolver:
@@ -95,6 +126,15 @@ class TestFastSolver:
         plan = solve_p2ot_fast(prob)
         assert plan.converged
         assert abs(plan.total_mass() - 0.1) <= tol
+
+    def test_non_finite_plan_raises(self):
+        # at eps = 1e-3 the kernel exp(-C/eps) underflows and the plan turns
+        # NaN; the solvers raise instead of returning it
+        prob = random_problem(512, 10, 1.0, seed=0, epsilon=1e-3)
+        with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
+            solve_p2ot_fast(prob)
+        with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
+            solve_balanced_ot(prob.pred, prob.cfg)
 
     def test_rho_one_equals_unbalanced(self):
         P = random_pred(24, 4, seed=8)
@@ -174,16 +214,17 @@ class TestBenchmark:
         assert len(report.rows) == 4  # 2 solvers x 2 repeats
         rows = report.to_csv_rows()
         assert rows[0] == [
-            "schema_version", "solver", "backend", "N", "K", "rho", "seed", "wall_ms", "iters", "objective",
+            "schema_version", "solver", "N", "K", "rho", "seed", "wall_ms", "iters", "objective",
         ]
+        assert {r[0] for r in rows[1:]} == {"2"}
         assert len(rows) == 5
         assert {r[1] for r in rows[1:]} == {"fast", "gsa"}
 
     def test_speedup_filters(self):
         report = BenchmarkReport(
             rows=[
-                BenchmarkRow("fast", "python", 8, 2, 0.5, 0, 1.0, 10, -1.0),
-                BenchmarkRow("gsa", "python", 8, 2, 0.5, 0, 3.0, 30, -1.0),
+                BenchmarkRow("fast", 8, 2, 0.5, 0, 1.0, 10, -1.0),
+                BenchmarkRow("gsa", 8, 2, 0.5, 0, 3.0, 30, -1.0),
             ]
         )
         assert report.speedup() == 3.0
@@ -194,3 +235,8 @@ class TestBenchmark:
     def test_objectives_recorded_finite(self):
         report = benchmark_p2ot(sizes=[(12, 3)], rhos=[1.0], seeds=[1], max_iter=2000)
         assert all(np.isfinite(r.objective) for r in report.rows)
+
+
+def test_public_exports_resolve():
+    for name in sppot.__all__:
+        assert hasattr(sppot, name), name
