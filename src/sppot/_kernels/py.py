@@ -12,6 +12,8 @@ at call time, never through a name bound at import, so a wrapper installed
 on this module (the perfbench tracer) sees every call.
 """
 
+import math
+
 import numpy as np
 
 KERNEL_FLOOR = 1e-300
@@ -30,7 +32,10 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold):
     1 +- tol of its target, so the L1 row-marginal error is at most
     tol * sum(alpha), and hard columns (f == 1) are exact after their own
     update. For the virtual-column extension, `converged` therefore means
-    that the selected mass is within tol * sum(alpha) of its target.
+    that the selected mass is within tol * sum(alpha) of its target. The
+    loop also stops at the first sweep whose change is not finite, so a
+    plan that has turned NaN is returned (not converged) without running on
+    to `max_iter`.
 
     Returns (Q, iterations, converged, b_change_history), where the history
     holds the relative change of every sweep.
@@ -54,6 +59,8 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold):
         b = b_new
         if err < tol:
             converged = True
+            break
+        if not math.isfinite(err):  # the scalings have under- or overflowed
             break
         if max(a.max(), b.max()) > threshold:
             u += epsilon * np.log(a)

@@ -9,6 +9,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from . import metrics as metrics_mod
 from . import ot_core, p2ot, sp2ot
@@ -219,6 +220,13 @@ class RunHistory:
         return self.epochs[-1]
 
 
+def buffer_adjacency(A: sparse.csr_array, idx: np.ndarray) -> sparse.csr_array:
+    """Rows and columns `idx` of A (indices may repeat), with the diagonal zeroed."""
+    A_sub = A[idx][:, idx]
+    A_sub.setdiag(0.0)
+    return A_sub
+
+
 def _solve_pseudo_labels(choice, P, rho, lam1, cfg: TrainConfig, A_sub, scfg) -> np.ndarray:
     if choice == "OT":
         return ot_core.solve_balanced_ot(P, scfg).coupling
@@ -255,9 +263,11 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
     X = dataset.features
     feat_std = X.std(axis=0)
 
-    # adjacency frozen from the raw features, built once up front
-    feats = FeatureSet(X)
-    A_dense = build_knn_graph(gaussian_similarity(feats, median_bandwidth(feats)), cfg.knn_k).to_dense()
+    # adjacency frozen from the raw features, built once up front; only SP2OT reads it
+    A = None
+    if solver_choice == "SP2OT":
+        feats = FeatureSet(X)
+        A = build_knn_graph(gaussian_similarity(feats, median_bandwidth(feats)), cfg.knn_k).to_csr()
 
     model = PrototypeModel(
         prototypes=rng.normal(scale=0.1, size=(K, D)),
@@ -286,8 +296,7 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
             P2 = predict_probs(model, X2)
             M1, M2, idx = buffer.concat(P1, P2, batch)
             assert idx.shape[0] == M1.shape[0] == M2.shape[0]
-            A_sub = A_dense[np.ix_(idx, idx)]
-            np.fill_diagonal(A_sub, 0.0)
+            A_sub = None if A is None else buffer_adjacency(A, idx)
             try:
                 Q1 = _solve_pseudo_labels(solver_choice, M1, rho, lam1, cfg, A_sub, scfg)
                 Q2 = _solve_pseudo_labels(solver_choice, M2, rho, lam1, cfg, A_sub, scfg)
@@ -313,7 +322,7 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
         record = metrics_mod.evaluate(predicted, dataset.labels)
         rho_epoch = rho_at(schedule, min(step, schedule.total_steps))
         lam1_epoch = sp2ot.lambda1_decayed(cfg.lambda1_0, rho_epoch) if solver_choice == "SP2OT" else 0.0
-        Q_full = _solve_pseudo_labels(solver_choice, P_full, rho_epoch, lam1_epoch, cfg, A_dense, scfg)
+        Q_full = _solve_pseudo_labels(solver_choice, P_full, rho_epoch, lam1_epoch, cfg, A, scfg)
         quality = pseudo_label_quality(Q_full, dataset.labels)
         record.update(
             epoch=epoch,

@@ -191,10 +191,10 @@ def sp2ot_solve(pred_path, graph_path, lambda1, lambda2, rho, eps, out_path, str
     try:
         P = io_mod.read_matrix(pred_path)
         rows, cols, vals = io_mod.read_triplets_csv(graph_path)
-        A = SemanticGraph(rows, cols, vals, n=P.shape[0], k=0, kernel="file").to_dense()
+        A = SemanticGraph(rows, cols, vals, n=P.shape[0], k=0, kernel="file").to_csr()
         problem = sp2ot.Sp2otProblem(P, A, lambda1, lambda2, rho, eps)
         plan, trace = sp2ot.solve_sp2ot(problem)
-    except (io_mod.FormatError, ValueError, IndexError, ot_core.DimensionMismatchError,
+    except (io_mod.FormatError, ValueError, ot_core.DimensionMismatchError,
             ot_core.NumericalOverflowError) as exc:
         raise click.ClickException(str(exc)) from exc
     if strict and not plan.converged:

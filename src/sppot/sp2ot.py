@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .ot_core import ScalingConfig, TransportPlan, clamp_probabilities, weighted_kl_value, xlogx
 from .p2ot import P2otProblem, solve_p2ot_fast
@@ -23,7 +24,9 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class Sp2otProblem:
     pred: np.ndarray
-    adjacency: np.ndarray  # dense N x N, nonnegative, zero diagonal
+    # N x N nonnegative weights, dense ndarray or scipy sparse; stored as CSR without explicit
+    # zeros. Any nonnegative matrix is accepted: diagonal and asymmetric entries are kept.
+    adjacency: sparse.csr_array
     lambda1: float
     lambda2: float
     rho: float
@@ -34,10 +37,11 @@ class Sp2otProblem:
 
     def __post_init__(self):
         P = np.asarray(self.pred, dtype=float)
-        A = np.asarray(self.adjacency, dtype=float)
+        A = sparse.csr_array(self.adjacency, dtype=float, copy=True)  # never alias the caller's arrays
+        A.eliminate_zeros()
         if A.shape != (P.shape[0], P.shape[0]):
             raise ValueError("adjacency must be N x N for N samples")
-        if np.any(A < 0):
+        if np.any(A.data < 0):
             raise ValueError("adjacency entries must be nonnegative")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
@@ -54,14 +58,18 @@ class PmdTrace:
     frobenius_changes: list[float] = field(default_factory=list)
 
 
-def sp2ot_gradient(cost0: np.ndarray, adjacency: np.ndarray, lambda1: float, plan: np.ndarray) -> np.ndarray:
-    """Gradient of the smooth part: C0 - lambda1 (A + A^T) Q."""
+def sp2ot_gradient(cost0: np.ndarray, adjacency, lambda1: float, plan: np.ndarray) -> np.ndarray:
+    """Gradient of the smooth part: C0 - lambda1 (A Q + A^T Q).
+
+    `adjacency` is a dense ndarray or a scipy sparse matrix; the products cost
+    O(nnz K) on CSR input.
+    """
     C0 = np.asarray(cost0, dtype=float)
-    A = np.asarray(adjacency, dtype=float)
+    A = sparse.csr_array(adjacency, dtype=float)
     Q = np.asarray(plan, dtype=float)
-    if lambda1 == 0 or not A.any():
+    if lambda1 == 0 or A.count_nonzero() == 0:
         return C0.copy()
-    return C0 - lambda1 * ((A + A.T) @ Q)
+    return C0 - lambda1 * (A @ Q + A.T @ Q)
 
 
 def sp2ot_objective(plan, pred, adjacency, lambda1, lambda2, rho, epsilon) -> float:
@@ -71,14 +79,17 @@ def sp2ot_objective(plan, pred, adjacency, lambda1, lambda2, rho, epsilon) -> fl
     matching the program the inner virtual-column solver minimizes; dropping
     the slack term would break the monotone-descent guarantee of the outer
     loop by exactly its variation between iterates.
+
+    `adjacency` is a dense ndarray or a scipy sparse matrix; the semantic
+    term <A, Q Q^T> = sum(Q * (A Q)) costs O(nnz K) on CSR input.
     """
     Q = np.asarray(plan, dtype=float)
     P = clamp_probabilities(pred)
-    A = np.asarray(adjacency, dtype=float)
     N, K = Q.shape
     val = float(np.sum(Q * -np.log(P)))
     if lambda1 != 0:
-        val -= lambda1 * float(np.sum(A * (Q @ Q.T)))
+        A = sparse.csr_array(adjacency, dtype=float)
+        val -= lambda1 * float(np.sum(Q * (A @ Q)))
     col = Q.sum(axis=0)
     val += weighted_kl_value(col, np.full(K, rho / K), np.full(K, lambda2))
     val += epsilon * float(np.sum(xlogx(Q)))
@@ -111,7 +122,7 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
     inner_problem = P2otProblem(problem.pred, problem.rho, problem.lambda2, problem.inner)
     trace = PmdTrace()
     plan = None
-    semantic_on = problem.lambda1 != 0 and problem.adjacency.any()
+    semantic_on = problem.lambda1 != 0 and problem.adjacency.nnz > 0
     prev_obj = np.inf
     for _ in range(problem.outer_max_iter):
         C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)

@@ -1,12 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
+from sppot import bench
 from sppot.bench import (
     MemoryBuffer,
     PrototypeModel,
     PseudoLabelQuality,
     TrainConfig,
+    buffer_adjacency,
     generate_imbalanced_mixture,
     geometric_class_counts,
     predict_probs,
@@ -209,6 +212,27 @@ class TestTrain:
         )
         history = train(tiny_dataset, "SP2OT", cfg)
         assert len(history.epochs) == 1
+
+    @pytest.mark.parametrize("solver", ["OT", "UOT", "POT", "SLA", "P2OT"])
+    def test_non_semantic_solvers_build_no_graph(self, tiny_dataset, solver, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kNN graph is built for a solver that never reads it")
+
+        monkeypatch.setattr(bench, "build_knn_graph", refuse)
+        cfg = TrainConfig.from_defaults(solver=solver, epochs=1, batch_size=30, buffer_size=60, knn_k=5, seed=1)
+        assert len(train(tiny_dataset, solver, cfg).epochs) == 1
+
+    def test_buffer_adjacency_matches_dense_slice(self):
+        rng = np.random.default_rng(12)
+        A = sparse.random_array((20, 20), density=0.3, format="csr", rng=rng)
+        A.setdiag(rng.uniform(0.5, 1.0, size=20))  # self-loops, so zeroing the diagonal matters
+        idx = np.concatenate([rng.permutation(20)[:8], rng.integers(0, 20, size=12)])
+        assert np.unique(idx).size < idx.size
+        dense = A.toarray()[np.ix_(idx, idx)]
+        np.fill_diagonal(dense, 0.0)
+        sub = buffer_adjacency(A, idx)
+        assert sparse.issparse(sub)
+        npt.assert_array_equal(sub.toarray(), dense)
 
     def test_rho_follows_schedule(self, tiny_dataset):
         cfg = TrainConfig.from_defaults(

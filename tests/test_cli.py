@@ -172,6 +172,25 @@ class TestSp2otSolve:
         summary = json.loads(out.with_suffix(".json").read_text())
         assert len(summary["outer_objectives"]) >= 1
 
+    def test_repeated_edge_keeps_last_value(self, runner, tmp_path):
+        # (0, 1) and (2, 3) appear twice: the file means the value written last
+        pred = write_pred(tmp_path / "pred.csv", n=6, k=2, seed=4)
+        graphs = {
+            "repeated": ([0, 1, 2, 3, 4, 5, 0, 2], [1, 2, 3, 4, 5, 0, 1, 3],
+                         [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.1, 0.2]),
+            "last": ([0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0], [0.1, 0.8, 0.2, 0.6, 0.5, 0.4]),
+        }
+        plans = []
+        for name, (rows, cols, vals) in graphs.items():
+            gpath = tmp_path / f"{name}.csv"
+            io_mod.write_triplets_csv(gpath, rows, cols, vals)
+            out = tmp_path / f"{name}_plan.csv"
+            result = runner.invoke(cli, ["sp2ot", "solve", "--pred", str(pred), "--graph", str(gpath),
+                                         "--lambda1", "5.0", "--rho", "0.5", "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            plans.append(io_mod.read_matrix(out))
+        assert np.array_equal(plans[0], plans[1])
+
     def test_out_of_range_edge_exits_1(self, tmp_path):
         pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)
         gpath = tmp_path / "graph.csv"

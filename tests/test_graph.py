@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sppot import graph
 from sppot.graph import (
     FeatureSet,
     SemanticGraph,
@@ -122,6 +123,91 @@ class TestKnnGraph:
         f = features(9, 3, seed=6)
         A = build_knn_graph(gaussian_similarity(f, 1.0), k=3).to_dense()
         npt.assert_array_equal(np.diag(A), np.zeros(9))
+
+
+def knn_reference(gram, k):
+    """Row-by-row top-k by a stable argsort: the selection rule spelled out."""
+    S = np.asarray(gram, dtype=float)
+    n = S.shape[0]
+    kk = min(k, n - 1)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        row = S[i].copy()
+        row[i] = -np.inf
+        order = np.sort(np.argsort(-row, kind="stable")[:kk])
+        rows.extend([i] * kk)
+        cols.extend(order.tolist())
+        vals.extend(np.maximum(row[order], 0.0).tolist())
+    return np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=float)
+
+
+def tie_heavy_gram(n, seed):
+    f = features(n, 3, seed=seed)
+    return np.round(gaussian_similarity(f, median_bandwidth(f)), 1)
+
+
+def cosine_gram(n, seed):
+    return cosine_similarity(features(n, 3, seed=seed))  # entries down to about -1
+
+
+class TestKnnSelectionMatchesReference:
+    @pytest.mark.parametrize("make_gram", [tie_heavy_gram, cosine_gram])
+    @pytest.mark.parametrize("n, k", [(40, 1), (40, 5), (40, 39), (40, 60), (2, 1), (2, 3)])
+    def test_array_equal_to_stable_argsort(self, make_gram, n, k):
+        S = make_gram(n, seed=n + k)
+        g = build_knn_graph(S, k)
+        for got, want in zip((g.rows, g.cols, g.values), knn_reference(S, k)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [1, 7, 40 * 3 + 1])
+    def test_blocks_do_not_change_the_graph(self, monkeypatch, block):
+        # a block holds max(1, block // n) rows; 121 // 40 = 3 leaves a partial last block
+        monkeypatch.setattr(graph, "KNN_BLOCK_ENTRIES", block)
+        S = tie_heavy_gram(40, seed=3)
+        g = build_knn_graph(S, 6)
+        for got, want in zip((g.rows, g.cols, g.values), knn_reference(S, 6)):
+            assert np.array_equal(got, want)
+
+    def test_all_ties_take_the_lowest_columns(self):
+        g = build_knn_graph(np.ones((5, 5)), k=2)
+        assert g.cols.tolist() == [1, 2, 0, 2, 0, 1, 0, 1, 0, 1]
+
+    def test_single_node_has_no_edges(self):
+        g = build_knn_graph(np.ones((1, 1)), k=3)
+        assert g.rows.size == g.cols.size == g.values.size == 0
+
+    def test_rejects_nan_similarity(self):
+        S = np.ones((4, 4))
+        S[2, 1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            build_knn_graph(S, k=2)
+
+
+class TestToCsr:
+    def test_matches_dense(self):
+        f = features(15, 3, seed=9)
+        g = build_knn_graph(gaussian_similarity(f, 1.0), k=4)
+        A = g.to_csr()
+        assert A.format == "csr" and A.shape == (15, 15)
+        npt.assert_array_equal(A.toarray(), g.to_dense())
+
+    def test_repeated_edge_keeps_last_value(self):
+        g = SemanticGraph(np.array([0, 1, 0, 2, 0]), np.array([1, 2, 1, 0, 1]),
+                          np.array([0.5, 0.7, 0.25, 0.1, 0.75]), n=3, k=0, kernel="file")
+        A = g.to_csr()
+        assert A.nnz == 3
+        npt.assert_array_equal(A.toarray(), g.to_dense())
+        assert A[0, 1] == 0.75
+
+    @pytest.mark.parametrize("rows, cols", [([0], [3]), ([3], [0]), ([-1], [0]), ([0], [-2])])
+    def test_rejects_endpoint_outside_graph(self, rows, cols):
+        g = SemanticGraph(np.array(rows), np.array(cols), np.array([1.0]), n=3, k=0, kernel="file")
+        with pytest.raises(ValueError, match="node indices"):
+            g.to_csr()
+
+    def test_empty_graph(self):
+        g = SemanticGraph(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0), n=4, k=0, kernel="file")
+        assert g.to_csr().shape == (4, 4) and g.to_csr().nnz == 0
 
 
 class TestAdjacencyAccuracy:

@@ -136,6 +136,25 @@ class TestFastSolver:
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
             solve_balanced_ot(prob.pred, prob.cfg)
 
+    def test_nan_sweep_stops_the_kernel(self, monkeypatch):
+        # the kernel stops at the first NaN sweep instead of running to max_iter
+        from sppot._kernels import py as kernels
+
+        prob = random_problem(512, 10, 1.0, seed=0, epsilon=1e-3)
+        real = kernels.scaling_weighted_kl
+        iterations = []
+
+        def spy(*args):
+            out = real(*args)
+            iterations.append(out[1])
+            return out
+
+        monkeypatch.setattr(kernels, "scaling_weighted_kl", spy)
+        with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError) as exc:
+            solve_p2ot_fast(prob)
+        assert iterations and iterations[0] < prob.cfg.max_iter
+        assert f"after {iterations[0]} iterations" in str(exc.value)
+
     def test_rho_one_equals_unbalanced(self):
         P = random_pred(24, 4, seed=8)
         cfg = ScalingConfig(epsilon=0.1, tol=1e-10, max_iter=20000)

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 from conftest import random_pred
 from sppot.ot_core import ScalingConfig
@@ -41,6 +42,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             Sp2otProblem(random_pred(4, 2, 0), A, 1.0, 1.0, 0.5, 0.1)
 
+    def test_sparse_adjacency_nonnegative(self):
+        A = sparse.csr_array(([1.0, -0.5], ([0, 2], [1, 3])), shape=(4, 4))
+        with pytest.raises(ValueError):
+            Sp2otProblem(random_pred(4, 2, 0), A, 1.0, 1.0, 0.5, 0.1)
+
+    def test_sparse_adjacency_shape(self):
+        with pytest.raises(ValueError):
+            Sp2otProblem(random_pred(4, 2, 0), sparse.csr_array((4, 5)), 1.0, 1.0, 0.5, 0.1)
+
+    def test_stored_as_csr_without_explicit_zeros(self):
+        A = sparse.csr_array(([0.0, 2.0], ([0, 1], [1, 0])), shape=(3, 3))
+        problem = Sp2otProblem(random_pred(3, 2, 0), A, 1.0, 1.0, 0.5, 0.1)
+        assert problem.adjacency.format == "csr" and problem.adjacency.nnz == 1
+        assert A.nnz == 2  # the caller's matrix is left as it was
+        dense = Sp2otProblem(random_pred(3, 2, 0), A.toarray(), 1.0, 1.0, 0.5, 0.1)
+        assert dense.adjacency.format == "csr" and dense.adjacency.nnz == 1
+
     def test_negative_weights_rejected(self):
         A = np.zeros((4, 4))
         with pytest.raises(ValueError):
@@ -75,6 +93,41 @@ class TestGradient:
                 E[i, j] = h
                 num[i, j] = (f(Q + E) - f(Q - E)) / (2 * h)
         npt.assert_allclose(grad, num, rtol=1e-6, atol=1e-7)
+
+
+class TestDenseAndSparseAgree:
+    def setup_method(self):
+        rng = np.random.default_rng(17)
+        self.A = knn_like_adjacency(30, seed=18, k=5)
+        self.C = rng.normal(size=(30, 4))
+        self.Q = rng.uniform(0.001, 0.01, size=(30, 4))
+        self.P = random_pred(30, 4, seed=19)
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_gradient(self, fmt):
+        dense = sp2ot_gradient(self.C, self.A, 3.0, self.Q)
+        sp = sp2ot_gradient(self.C, sparse.csr_array(self.A).asformat(fmt), 3.0, self.Q)
+        npt.assert_allclose(sp, dense, rtol=1e-12, atol=0)
+
+    def test_objective(self):
+        dense = sp2ot_objective(self.Q, self.P, self.A, 3.0, 1.0, 0.5, 0.1)
+        sp = sp2ot_objective(self.Q, self.P, sparse.csr_array(self.A), 3.0, 1.0, 0.5, 0.1)
+        npt.assert_allclose(sp, dense, rtol=1e-12, atol=0)
+
+    def test_solve_bit_identical(self):
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
+        runs = [solve_sp2ot(Sp2otProblem(self.P, A, 5.0, 1.0, 0.5, 0.1, inner=cfg))
+                for A in (self.A, sparse.csr_array(self.A))]
+        (d_plan, d_trace), (s_plan, s_trace) = runs
+        assert np.array_equal(d_plan.coupling, s_plan.coupling)
+        assert d_plan.objective == s_plan.objective
+        assert d_trace.objectives == s_trace.objectives
+        assert d_trace.inner_iterations == s_trace.inner_iterations
+
+    def test_explicit_zeros_leave_semantic_term_off(self):
+        A = sparse.csr_array(([0.0, 0.0], ([0, 1], [1, 0])), shape=(30, 30))
+        _, trace = solve_sp2ot(Sp2otProblem(self.P, A, 5.0, 1.0, 0.5, 0.1))
+        assert len(trace.objectives) == 1
 
 
 class TestDecay:
