@@ -5,7 +5,7 @@ balanced, unbalanced, partial and P2OT solve, through
 `ot_core._solve_row_eq`. The generalized scaling baseline enforces the
 total-mass constraint through an extra scalar rescale each sweep and serves
 `p2ot.solve_p2ot_gsa` only. Each sweep is two (baseline: three) BLAS
-mat-vecs over the N x K kernel.
+mat-vecs over the N x K kernel, which both hold in Fortran order.
 
 Callers look these functions up on the module (`kernels.scaling_weighted_kl`)
 at call time, never through a name bound at import, so a wrapper installed
@@ -17,14 +17,26 @@ import math
 import numpy as np
 
 KERNEL_FLOOR = 1e-300
+LOG_FLOOR = math.log(KERNEL_FLOOR)
 
 
-def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold):
-    """Stabilized scaling recursion.
+def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0=None):
+    """Stabilized scaling recursion, started from a column potential.
 
     a <- alpha/(M b); b <- w * (beta/(M^T a))^f, with log-domain absorption
     of (a, b) into potentials (u, v) whenever either vector exceeds
     `threshold`. Targets in `beta` must be strictly positive.
+
+    The solve starts from the column potential `v0` (default zeros) and the
+    row potential u0_i = min_j (C_ij - v0_j), so the first kernel
+    M = exp((u0 - C + v0)/eps) has largest entry 1 in every row and cannot
+    overflow, whatever the cost or `v0`. The row scaling absorbs u0 exactly:
+    from v0 = 0 the iterates are those of a start from exp(-C/eps). Soft
+    columns (f < 1) start from the weight w0 = exp(v0 (f-1)/eps). A `v0`
+    the recursion could not recover from is ignored, and the solve starts
+    from zeros: one that is not finite, whose soft-column weights lie
+    beyond `threshold` in either direction, or that leaves a column with
+    every kernel entry under the floor (an absorption would zero it).
 
     The loop stops once the largest relative change of the column scaling,
     max|b_new/b - 1|, falls below `tol`; the measure does not depend on the
@@ -37,24 +49,29 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold):
     plan that has turned NaN is returned (not converged) without running on
     to `max_iter`.
 
-    Returns (Q, iterations, converged, b_change_history), where the history
-    holds the relative change of every sweep.
+    C and the kernel are held in Fortran order, where the two BLAS mat-vecs
+    of a sweep over a tall, narrow matrix are fastest; the plan is returned
+    C-contiguous.
+
+    Returns (Q, iterations, converged, b_change_history, col_potential),
+    where the history holds the relative change of every sweep and
+    col_potential = v + eps log(b) is the final column potential, the `v0`
+    that warm-starts a solve of a nearby problem.
     """
+    C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
-    M = np.maximum(np.exp(-C / epsilon), KERNEL_FLOOR)
+    hard = f == 1.0
+    u, v, M = _start(C, v0, f, hard, epsilon, threshold)
+    w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
     a = np.ones(m)
     b = np.ones(n)
-    u = np.zeros(m)
-    v = np.zeros(n)
-    w = np.ones(n)
-    hard = f == 1.0
     errs = np.empty(max_iter)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         a = alpha / (M @ b)
         b_new = w * (beta / (M.T @ a)) ** f
-        err = float(np.max(np.abs(b_new / b - 1.0)))
+        err = float(np.abs(b_new / b - 1.0).max())
         errs[it - 1] = err
         b = b_new
         if err < tol:
@@ -69,8 +86,33 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold):
             M = np.exp((u[:, None] - C + v[None, :]) / epsilon)
             a = np.ones(m)
             b = np.ones(n)
-    Q = a[:, None] * M * b[None, :]
-    return Q, it, converged, errs[:it].copy()
+    Q = np.multiply(a[:, None], M, order="C")
+    Q *= b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        potential = v + epsilon * np.log(b)
+    return Q, it, converged, errs[:it].copy(), potential
+
+
+def _start(C, v0, f, hard, epsilon, threshold):
+    """Row potential, column potential and Fortran-order kernel a solve starts from.
+
+    From `v0` when the recursion can recover from it (see
+    `scaling_weighted_kl`), else from zeros.
+    """
+    if v0 is not None:
+        v = np.array(v0, dtype=np.float64)  # a copy: the loop updates it in place
+        log_w = v[~hard] * (f[~hard] - 1.0) / epsilon
+        if not np.all(np.isfinite(v)) or np.any(np.abs(log_w) > math.log(threshold)):
+            v0 = None
+    if v0 is None:
+        v = np.zeros(C.shape[1])
+    shifted = v[None, :] - C  # Fortran order, like C
+    row_max = shifted.max(axis=1)  # the row potential is u0 = min_j (C_ij - v_j) = -row_max
+    shifted -= row_max[:, None]
+    if v0 is not None and shifted.max(axis=0).min() / epsilon < LOG_FLOOR:
+        return _start(C, None, f, hard, epsilon, threshold)
+    M = np.maximum(np.exp(shifted / epsilon, out=shifted), KERNEL_FLOOR)
+    return -row_max, v, M
 
 
 def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
@@ -95,6 +137,7 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
     Returns (Q, iterations, converged, b_change_history), where the history
     holds the relative change of every sweep.
     """
+    C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
     M = np.maximum(np.exp(-C / epsilon), KERNEL_FLOOR)
     b = np.ones(n)
@@ -118,5 +161,6 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
         if err < tol:
             converged = True
             break
-    Q = s * a[:, None] * M * b[None, :]
+    Q = np.multiply(s * a[:, None], M, order="C")
+    Q *= b
     return Q, it, converged, errs[:it].copy()

@@ -5,7 +5,6 @@ loop with a memory buffer, and pseudo-label quality tracking."""
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -103,31 +102,53 @@ def swapped_loss(q1, q2, p1, p2) -> float:
 
 
 class MemoryBuffer:
-    """FIFO store of paired two-view predictions with their sample indices."""
+    """FIFO store of paired two-view predictions with their sample indices.
+
+    Rows live in preallocated ring arrays of `capacity` rows (allocated at
+    the first push, which fixes the row width); `_head` is the next slot to
+    write, and once the ring is full also the oldest row.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._entries: deque = deque(maxlen=capacity if capacity > 0 else 1)
+        self._p1 = self._p2 = None
+        self._idx = np.empty(max(capacity, 0), dtype=np.int64)
+        self._head = 0
+        self._size = 0
 
     def __len__(self):
-        return len(self._entries) if self.capacity > 0 else 0
+        return self._size
+
+    def _oldest_first(self, ring):
+        return ring[self._head:self._size], ring[:self._head]
 
     def concat(self, p1, p2, indices):
-        """Current batch first, then stored entries; rows stay index-aligned."""
-        if self.capacity > 0 and len(self._entries):
-            b1, b2, bi = zip(*self._entries)
-            m1 = np.vstack([p1, np.asarray(b1)])
-            m2 = np.vstack([p2, np.asarray(b2)])
-            idx = np.concatenate([indices, np.asarray(bi)])
-        else:
-            m1, m2, idx = p1.copy(), p2.copy(), np.asarray(indices).copy()
+        """Current batch first, then stored rows oldest to newest; rows stay index-aligned."""
+        if not self._size:
+            return p1.copy(), p2.copy(), np.asarray(indices).copy()
+        m1 = np.concatenate([p1, *self._oldest_first(self._p1)])
+        m2 = np.concatenate([p2, *self._oldest_first(self._p2)])
+        idx = np.concatenate([indices, *self._oldest_first(self._idx)])
         return m1, m2, idx
 
     def push(self, p1, p2, indices):
-        if self.capacity <= 0:
+        cap = self.capacity
+        if cap <= 0:
             return
-        for r1, r2, i in zip(p1, p2, indices):
-            self._entries.append((r1.copy(), r2.copy(), int(i)))
+        if self._p1 is None:
+            self._p1 = np.empty((cap, p1.shape[1]), dtype=p1.dtype)
+            self._p2 = np.empty((cap, p2.shape[1]), dtype=p2.dtype)
+        n = len(indices)
+        if n >= cap:  # only the newest `cap` rows survive; they fill the ring from slot 0
+            self._p1[:], self._p2[:], self._idx[:] = p1[n - cap:], p2[n - cap:], indices[n - cap:]
+            self._head, self._size = 0, cap
+            return
+        first = min(n, cap - self._head)  # rows before the write wraps to slot 0
+        for ring, rows in ((self._p1, p1), (self._p2, p2), (self._idx, indices)):
+            ring[self._head:self._head + first] = rows[:first]
+            ring[:n - first] = rows[first:]
+        self._head = (self._head + n) % cap
+        self._size = min(self._size + n, cap)
 
 
 @dataclass(frozen=True)
@@ -227,22 +248,23 @@ def buffer_adjacency(A: sparse.csr_array, idx: np.ndarray) -> sparse.csr_array:
     return A_sub
 
 
-def _solve_pseudo_labels(choice, P, rho, lam1, cfg: TrainConfig, A_sub, scfg) -> np.ndarray:
+def _solve_pseudo_labels(choice, P, rho, lam1, cfg: TrainConfig, A_sub, scfg, init=None) -> ot_core.TransportPlan:
+    """One pseudo-label solve; `init` warm-starts OT, UOT, POT and P2OT (the others ignore it)."""
     if choice == "OT":
-        return ot_core.solve_balanced_ot(P, scfg).coupling
+        return ot_core.solve_balanced_ot(P, scfg, init)
     if choice == "UOT":
-        return ot_core.solve_uot(P, cfg.lambda2, scfg).coupling
+        return ot_core.solve_uot(P, cfg.lambda2, scfg, init)
     if choice == "POT":
-        return ot_core.solve_pot(P, rho, scfg).coupling
+        return ot_core.solve_pot(P, rho, scfg, init)
     if choice == "SLA":
         upper = cfg.sla_upper if cfg.sla_upper is not None else 1.0 / P.shape[1]
-        return ot_core.solve_sla(P, rho, upper, scfg).coupling
+        return ot_core.solve_sla(P, rho, upper, scfg)
     if choice == "P2OT":
-        return p2ot.solve_p2ot_fast(p2ot.P2otProblem(P, rho, cfg.lambda2, scfg)).coupling
+        return p2ot.solve_p2ot_fast(p2ot.P2otProblem(P, rho, cfg.lambda2, scfg), init=init)
     if choice == "SP2OT":
         problem = sp2ot.Sp2otProblem(P, A_sub, lam1, cfg.lambda2, rho, cfg.epsilon, inner=scfg)
         plan, _ = sp2ot.solve_sp2ot(problem)
-        return plan.coupling
+        return plan
     raise ValueError(f"unknown solver {choice!r}")
 
 
@@ -253,6 +275,12 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
     make two noisy views, append buffered predictions, generate pseudo-labels
     with the chosen solver per view, apply the swapped loss to the prototype
     weights. Per epoch: full-dataset metrics and pseudo-label quality.
+
+    Each solve is warm-started from the column potential of the one before:
+    the step solves share one running potential across both views and
+    consecutive steps, and the epoch-end full-dataset solve starts from the
+    previous epoch's. A failed epoch-end solve records NaN pseudo-label
+    quality for that epoch.
     """
     if solver_choice not in SOLVER_CHOICES:
         raise ValueError(f"solver must be one of {SOLVER_CHOICES}")
@@ -283,6 +311,7 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
 
     history = RunHistory(config={"solver": solver_choice, "seed": cfg.seed})
     step = 0
+    step_potential = full_potential = None  # warm starts of the step and epoch-end solves
     for epoch in range(1, cfg.epochs + 1):
         for it in range(iters_per_epoch):
             step += 1
@@ -298,13 +327,15 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
             assert idx.shape[0] == M1.shape[0] == M2.shape[0]
             A_sub = None if A is None else buffer_adjacency(A, idx)
             try:
-                Q1 = _solve_pseudo_labels(solver_choice, M1, rho, lam1, cfg, A_sub, scfg)
-                Q2 = _solve_pseudo_labels(solver_choice, M2, rho, lam1, cfg, A_sub, scfg)
+                plan1 = _solve_pseudo_labels(solver_choice, M1, rho, lam1, cfg, A_sub, scfg, step_potential)
+                step_potential = plan1.col_potential
+                plan2 = _solve_pseudo_labels(solver_choice, M2, rho, lam1, cfg, A_sub, scfg, step_potential)
+                step_potential = plan2.col_potential
             except (ot_core.NumericalOverflowError, ot_core.InfeasibleProblemError) as exc:
                 log.warning("solver failed at epoch %d iter %d: %s", epoch, it, exc)
                 continue
             nb = batch.size
-            q1, q2 = Q1[:nb], Q2[:nb]
+            q1, q2 = plan1.coupling[:nb], plan2.coupling[:nb]
             loss = swapped_loss(q1, q2, P1, P2)
             history.loss_trace.append((epoch, it, loss, loss / rho, rho))
 
@@ -322,8 +353,15 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
         record = metrics_mod.evaluate(predicted, dataset.labels)
         rho_epoch = rho_at(schedule, min(step, schedule.total_steps))
         lam1_epoch = sp2ot.lambda1_decayed(cfg.lambda1_0, rho_epoch) if solver_choice == "SP2OT" else 0.0
-        Q_full = _solve_pseudo_labels(solver_choice, P_full, rho_epoch, lam1_epoch, cfg, A, scfg)
-        quality = pseudo_label_quality(Q_full, dataset.labels)
+        try:
+            full = _solve_pseudo_labels(solver_choice, P_full, rho_epoch, lam1_epoch, cfg, A, scfg, full_potential)
+        except (ot_core.NumericalOverflowError, ot_core.InfeasibleProblemError) as exc:
+            log.warning("full-dataset solve failed at epoch %d: %s", epoch, exc)
+            quality, max_share = PseudoLabelQuality.no_selection(), float("nan")
+        else:
+            full_potential, Q_full = full.col_potential, full.coupling
+            quality = pseudo_label_quality(Q_full, dataset.labels)
+            max_share = float(np.max(Q_full.sum(axis=0)) / max(Q_full.sum(), 1e-300))
         record.update(
             epoch=epoch,
             rho=rho_epoch,
@@ -331,7 +369,7 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
             recall=quality.recall,
             weighted_precision=quality.weighted_precision,
             weighted_recall=quality.weighted_recall,
-            max_cluster_share=float(np.max(Q_full.sum(axis=0)) / max(Q_full.sum(), 1e-300)),
+            max_cluster_share=max_share,
         )
         history.epochs.append(record)
     return history

@@ -138,13 +138,13 @@ class MarginalConstraint:
 class ScalingConfig:
     """Entropic regularization and stopping rule of one scaling solve.
 
-    In the kernels (balanced, UOT, POT, the virtual-column P2OT solver and
-    its baseline) `tol` bounds the largest relative change of the column
-    scaling in the last sweep. `converged=True` then means the L1
-    row-marginal error is at most tol times the row mass and hard columns
-    hold exactly, so the selected mass of a partial plan is within tol of
-    rho. The generic loop (SLA and other inequality constraints) stops on
-    the absolute change max|b_new - b|, which carries no such guarantee.
+    Every solver (balanced, UOT, POT, the virtual-column P2OT solver, its
+    baseline, and the generic loop behind SLA and other inequality
+    constraints) stops once the largest relative change of the column
+    scaling in the last sweep is below `tol`. `converged=True` then means
+    the L1 row-marginal error is at most tol times the row mass and hard or
+    upper-bounded columns hold exactly, so the selected mass of a partial
+    plan is within tol of rho.
     """
 
     epsilon: float
@@ -168,6 +168,9 @@ class TransportPlan:
     iterations: int
     converged: bool
     b_change: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # final column potential of the solved (virtual-column) problem; pass it
+    # as `init=` to warm-start a nearby solve. None where a solver has none.
+    col_potential: np.ndarray | None = None
 
     def row_marginal(self) -> np.ndarray:
         return self.coupling.sum(axis=1)
@@ -262,7 +265,7 @@ def scaling_solve(
 
     col_f = col.exponents(cfg.epsilon)
     if row.kind == "equality" and col_f is not None:
-        Q, iters, converged, errs = _solve_row_eq(C, row.target, col.target, col_f, cfg)
+        Q, iters, converged, errs, _ = _solve_row_eq(C, row.target, col.target, col_f, cfg)
     else:
         Q, iters, converged, errs = _solve_generic(C, row, col, cfg)
 
@@ -270,22 +273,24 @@ def scaling_solve(
     return TransportPlan(Q, obj, iters, converged, np.asarray(errs))
 
 
-def _solve_row_eq(C, alpha, beta, f, cfg) -> tuple:
+def _solve_row_eq(C, alpha, beta, f, cfg, v0=None) -> tuple:
     """Row-equality / column-Hadamard-exponent scaling with stabilization.
 
     Columns with zero target mass carry zero in any feasible plan; they are
     removed up front so logs and divisions stay clean, and reinserted as
-    zero columns at the end. Raises NumericalOverflowError rather than
-    return a plan with a non-finite entry.
+    zero columns at the end; such a solve starts cold and returns no column
+    potential. Otherwise `v0` is the column potential the kernel starts from
+    (None: zeros). Raises NumericalOverflowError rather than return a plan
+    with a non-finite entry.
     """
     active = beta > 0
     if not np.all(active):
-        Qa, iters, conv, errs = _solve_row_eq(C[:, active], alpha, beta[active], f[active], cfg)
-        Q = np.zeros_like(C)
+        Qa, iters, conv, errs, _ = _solve_row_eq(C[:, active], alpha, beta[active], f[active], cfg)
+        Q = np.zeros(C.shape)
         Q[:, active] = Qa
-        return Q, iters, conv, errs
-    Q, iters, conv, errs = kernels.scaling_weighted_kl(
-        np.ascontiguousarray(C, dtype=np.float64),
+        return Q, iters, conv, errs, None
+    Q, iters, conv, errs, v = kernels.scaling_weighted_kl(
+        np.asfortranarray(C, dtype=np.float64),
         np.ascontiguousarray(alpha, dtype=np.float64),
         np.ascontiguousarray(beta, dtype=np.float64),
         np.ascontiguousarray(f, dtype=np.float64),
@@ -293,13 +298,14 @@ def _solve_row_eq(C, alpha, beta, f, cfg) -> tuple:
         cfg.tol,
         cfg.max_iter,
         cfg.stabilization_threshold,
+        v0,
     )
     if not np.all(np.isfinite(Q)):
         raise NumericalOverflowError(
             f"non-finite plan after {iters} iterations at epsilon={cfg.epsilon}; "
             "the kernel exp(-C/epsilon) under- or overflows at this scale"
         )
-    return Q, iters, conv, errs
+    return Q, iters, conv, errs, v
 
 
 def _solve_generic(C, row, col, cfg):
@@ -310,7 +316,15 @@ def _solve_generic(C, row, col, cfg):
 
 
 def _generic_loop(C, mu, f_row, up_row, nu, f_col, up_col, cfg):
+    """Generic scaling loop with log-domain absorption, on a Fortran-order kernel.
+
+    Stops once the largest relative change of the column scaling,
+    max|b_new/b - 1|, falls below cfg.tol (the absolute change where the
+    scaling was 0). Raises NumericalOverflowError on a non-finite
+    scaling vector.
+    """
     eps = cfg.epsilon
+    C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
     # zero-target exponent entries carry zero mass in any feasible plan
     dead_col = (nu == 0) & ~up_col
@@ -319,10 +333,12 @@ def _generic_loop(C, mu, f_row, up_row, nu, f_col, up_col, cfg):
         Qa, iters, conv, errs = _generic_loop(
             C[:, keep], mu, f_row, up_row, nu[keep], f_col[keep], up_col[keep], cfg
         )
-        Q = np.zeros_like(C)
+        Q = np.zeros(C.shape)
         Q[:, keep] = Qa
         return Q, iters, conv, errs
 
+    # a hard-equality row side is target/(M b): its exp and power are no-ops
+    row_eq = not np.any(up_row) and np.all(f_row == 1.0)
     M = np.maximum(np.exp(-C / eps), KERNEL_FLOOR)
     a = np.ones(m)
     b = np.ones(n)
@@ -332,9 +348,9 @@ def _generic_loop(C, mu, f_row, up_row, nu, f_col, up_col, cfg):
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        a = _side_update(M @ b, mu, f_row, up_row, u, eps)
+        a = mu / (M @ b) if row_eq else _side_update(M @ b, mu, f_row, up_row, u, eps)
         b_new = _side_update(M.T @ a, nu, f_col, up_col, v, eps)
-        err = float(np.max(np.abs(b_new - b)))
+        err = float(np.max(np.abs(b_new - b) / np.where(b > 0, b, 1.0)))
         errs.append(err)
         b = b_new
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
@@ -349,7 +365,8 @@ def _generic_loop(C, mu, f_row, up_row, nu, f_col, up_col, cfg):
             M = np.exp((u[:, None] - C + v[None, :]) / eps)
             a = np.ones(m)
             b = np.ones(n)
-    Q = a[:, None] * M * b[None, :]
+    Q = np.multiply(a[:, None], M, order="C")
+    Q *= b
     return Q, it, converged, errs
 
 
@@ -385,10 +402,11 @@ def entropic_objective(plan: np.ndarray, cost: np.ndarray, penalties, epsilon: f
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x, dtype=float)
+    """x log x where x > 0, else 0."""
+    x = np.asarray(x, dtype=float)
     pos = x > 0
-    out[pos] = x[pos] * np.log(x[pos])
-    return out
+    out = np.log(x, out=np.zeros_like(x), where=pos)
+    return np.multiply(x, out, out=out, where=pos)
 
 
 def weighted_kl_value(x: np.ndarray, target: np.ndarray, weights) -> float:
@@ -418,7 +436,7 @@ def clamp_probabilities(pred: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExtendedProblem:
-    cost_ext: np.ndarray  # N x (K+1), last column identically zero; N x K at rho = 1
+    cost_ext: np.ndarray  # N x (K+1) in Fortran order, last column identically zero; N x K at rho = 1
     beta: np.ndarray  # [rho/K * 1_K ; 1-rho]
     weights: np.ndarray  # [lam, ..., lam, inf]
     alpha: np.ndarray  # (1/N) * 1_N
@@ -429,51 +447,61 @@ def extend_virtual(C0: np.ndarray, rho: float, lam: float) -> ExtendedProblem:
 
     The virtual column absorbs the unselected 1-rho mass under a hard
     (sentinel-weight) equality. At rho = 1 its target is 0, so it is left out.
+    The extended cost is built in Fortran order, the kernel's layout.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
-    C = CostMatrix(C0).values
-    N, K = C.shape
+    C0 = CostMatrix(C0).values
+    N, K = C0.shape
     beta = np.full(K, rho / K)
     weights = np.full(K, float(lam))
     if rho < 1:
-        C = np.hstack([C, np.zeros((N, 1))])
+        C = np.zeros((N, K + 1), order="F")
+        C[:, :K] = C0
         beta = np.append(beta, 1.0 - rho)
         weights = np.append(weights, np.inf)
+    else:
+        C = np.asfortranarray(C0)
     return ExtendedProblem(C, beta, weights, np.full(N, 1.0 / N))
 
 
-def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig) -> TransportPlan:
+def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
+                  init: np.ndarray | None = None) -> TransportPlan:
     """Rows <= 1/N (= 1/N at rho = 1), total mass rho, KL(column marginal,
     rho/K) with weight lam (np.inf: hard columns).
 
     One kernel solve on the virtual-column extension; returns the plan with
-    the virtual column dropped and the objective of that plan.
+    the virtual column dropped, the objective of that plan, and the final
+    column potential of the extension. `init`, the `col_potential` of an
+    earlier plan, warm-starts the kernel; an `init` whose length is not the
+    extension's column count (K+1 for rho < 1, K at rho = 1) is ignored.
     """
+    C0 = np.asarray(C0, dtype=float)  # validated by extend_virtual
     ext = extend_virtual(C0, rho, lam)
     f = MarginalConstraint.weighted_kl(ext.beta, ext.weights).exponents(cfg.epsilon)
-    Q, iters, converged, errs = _solve_row_eq(ext.cost_ext, ext.alpha, ext.beta, f, cfg)
-    K = np.shape(C0)[1]
+    v0 = None if init is None or np.shape(init) != ext.beta.shape else init
+    Q, iters, converged, errs, v = _solve_row_eq(ext.cost_ext, ext.alpha, ext.beta, f, cfg, v0)
+    K = C0.shape[1]
     if Q.shape[1] > K:
         Q = Q[:, :K].copy()
     penalties = [(1, ext.beta[:K], ext.weights[:K])]
-    obj = entropic_objective(Q, ext.cost_ext[:, :K], penalties, cfg.epsilon)
-    return TransportPlan(Q, obj, iters, converged, np.asarray(errs))
+    obj = entropic_objective(Q, C0, penalties, cfg.epsilon)  # C-order cost, like Q: the fast product
+    return TransportPlan(Q, obj, iters, converged, np.asarray(errs), v)
 
 
-def solve_balanced_ot(pred: np.ndarray, cfg: ScalingConfig) -> TransportPlan:
+def solve_balanced_ot(pred: np.ndarray, cfg: ScalingConfig, init: np.ndarray | None = None) -> TransportPlan:
     """Balanced OT pseudo-labels: uniform row mass 1/N, uniform columns 1/K."""
-    return solve_virtual(-np.log(clamp_probabilities(pred)), 1.0, np.inf, cfg)
+    return solve_virtual(-np.log(clamp_probabilities(pred)), 1.0, np.inf, cfg, init)
 
 
-def solve_uot(pred: np.ndarray, lam: float, cfg: ScalingConfig) -> TransportPlan:
+def solve_uot(pred: np.ndarray, lam: float, cfg: ScalingConfig, init: np.ndarray | None = None) -> TransportPlan:
     """Unbalanced OT: hard uniform rows, KL(column marginal, 1/K) with weight lam."""
-    return solve_virtual(-np.log(clamp_probabilities(pred)), 1.0, lam, cfg)
+    return solve_virtual(-np.log(clamp_probabilities(pred)), 1.0, lam, cfg, init)
 
 
-def solve_pot(pred: np.ndarray, rho: float, cfg: ScalingConfig) -> TransportPlan:
+def solve_pot(pred: np.ndarray, rho: float, cfg: ScalingConfig, init: np.ndarray | None = None) -> TransportPlan:
     """Partial OT: row sums <= 1/N, column sums = rho/K, total mass rho."""
-    return solve_virtual(-np.log(clamp_probabilities(pred)), rho, np.inf, cfg)
+    return solve_virtual(-np.log(clamp_probabilities(pred)), rho, np.inf, cfg, init)
 
 
 def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) -> TransportPlan:
@@ -488,16 +516,15 @@ def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) ->
     N, K = P.shape
     if K * upper < rho - 1e-12:
         raise InfeasibleProblemError(f"column bound too small: K*upper = {K * upper} < rho = {rho}")
-    C = np.hstack([-np.log(P), np.zeros((N, 1))])
-    # mixed per-column rule: real columns upper-bounded, virtual column
-    # pinned to 1-rho by a hard equality (exponent 1)
-    mu = np.full(N, 1.0 / N)
-    nu = np.append(np.full(K, upper), 1.0 - rho)
-    f_row = np.ones(N)
-    up_row = np.zeros(N, dtype=bool)
-    f_col = np.ones(K + 1)
-    up_col = np.append(np.ones(K, dtype=bool), False)
-    Q, iters, converged, errs = _generic_loop(C, mu, f_row, up_row, nu, f_col, up_col, cfg)
+    C0 = -np.log(P)
+    ext = extend_virtual(C0, rho, np.inf)
+    # mixed per-column rule: real columns upper-bounded, the virtual column
+    # (absent at rho = 1) pinned to 1-rho by a hard equality (exponent 1)
+    nu = np.append(np.full(K, upper), ext.beta[K:])
+    up_col = np.arange(nu.size) < K
+    Q, iters, converged, errs = _generic_loop(
+        ext.cost_ext, ext.alpha, np.ones(N), np.zeros(N, dtype=bool), nu, np.ones(nu.size), up_col, cfg
+    )
     real = Q[:, :K].copy()
-    obj = entropic_objective(real, -np.log(P), [], cfg.epsilon)
+    obj = entropic_objective(real, C0, [], cfg.epsilon)
     return TransportPlan(real, obj, iters, converged, np.asarray(errs))

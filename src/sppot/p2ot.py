@@ -58,17 +58,20 @@ class P2otProblem:
         object.__setattr__(self, "pred", P)
 
 
-def solve_p2ot_fast(problem: P2otProblem, cost: np.ndarray | None = None) -> TransportPlan:
+def solve_p2ot_fast(problem: P2otProblem, cost: np.ndarray | None = None,
+                    init: np.ndarray | None = None) -> TransportPlan:
     """Virtual-column solver; returns the plan with the virtual column dropped.
 
     `cost` overrides the default -log P (used when the cost is a linearized
-    gradient rather than the raw prediction cost).
+    gradient rather than the raw prediction cost). `init`, the
+    `col_potential` of an earlier plan, warm-starts the solve (see
+    `ot_core.solve_virtual`).
     """
     if cost is None:
         cost = -np.log(clamp_probabilities(problem.pred))
     elif np.shape(cost) != problem.pred.shape:
         raise DimensionMismatchError(f"cost shape {np.shape(cost)} differs from pred {problem.pred.shape}")
-    return solve_virtual(cost, problem.rho, problem.lam, problem.cfg)
+    return solve_virtual(cost, problem.rho, problem.lam, problem.cfg, init)
 
 
 def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None) -> TransportPlan:
@@ -82,7 +85,7 @@ def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None) -> Tran
     beta = np.full(K, problem.rho / K)
     f = np.full(K, problem.lam / (problem.lam + eps))
     Q, iters, converged, errs = kernels.gsa_total_mass(
-        np.ascontiguousarray(C), alpha, beta, f, problem.rho, eps, cfg.tol, cfg.max_iter
+        np.asfortranarray(C), alpha, beta, f, problem.rho, eps, cfg.tol, cfg.max_iter
     )
     obj = entropic_objective(Q, C, [(1, beta, np.full(K, problem.lam))], eps)
     return TransportPlan(Q, obj, iters, converged, np.asarray(errs))

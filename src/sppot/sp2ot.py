@@ -112,8 +112,9 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
 
     Q starts uniform with total mass rho; each outer step builds the cost
     C = C0 - lambda1 (A + A^T) Q and projects via the fast partial-transport
-    solver. Stops when the relative Frobenius change of Q drops below
-    outer_tol or outer_max_iter is hit.
+    solver, warm-started from the previous step's column potential. Stops
+    when the relative Frobenius change of Q drops below outer_tol or
+    outer_max_iter is hit.
     """
     P = clamp_probabilities(problem.pred)
     N, K = P.shape
@@ -126,7 +127,7 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
     prev_obj = np.inf
     for _ in range(problem.outer_max_iter):
         C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
-        plan = solve_p2ot_fast(inner_problem, cost=C)
+        plan = solve_p2ot_fast(inner_problem, cost=C, init=None if plan is None else plan.col_potential)
         change = float(np.linalg.norm(plan.coupling - Q) / max(np.linalg.norm(Q), 1e-300))
         Q = plan.coupling
         obj = sp2ot_objective(Q, P, problem.adjacency, problem.lambda1, problem.lambda2,
@@ -139,5 +140,6 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
         prev_obj = obj
         if not semantic_on or change < problem.outer_tol:
             break
-    final = TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.b_change)
+    final = TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.b_change,
+                          plan.col_potential)
     return final, trace

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -127,6 +129,52 @@ class TestMemoryBuffer:
         m1, _, idx = buf.concat(np.ones((1, 2)), np.ones((1, 2)), np.array([7]))
         assert m1.shape == (1, 2)
         npt.assert_array_equal(idx, [7])
+
+
+class DequeBuffer:
+    """Reference FIFO: one (row1, row2, index) entry per sample in a bounded deque."""
+
+    def __init__(self, capacity):
+        self.entries = deque(maxlen=capacity) if capacity > 0 else None
+
+    def push(self, p1, p2, indices):
+        if self.entries is not None:
+            self.entries.extend(zip(p1.copy(), p2.copy(), indices))
+
+    def concat(self, p1, p2, indices):
+        if not self.entries:
+            return p1, p2, np.asarray(indices)
+        b1, b2, bi = zip(*self.entries)
+        return np.vstack([p1, b1]), np.vstack([p2, b2]), np.concatenate([indices, bi])
+
+
+class TestMemoryBufferMatchesDeque:
+    @pytest.mark.parametrize("capacity", [0, 1, 7, 20])
+    def test_random_pushes(self, capacity):
+        # batches smaller than, equal to and larger than the capacity, with
+        # enough of them that the write head wraps several times
+        rng = np.random.default_rng(capacity)
+        buf, ref = MemoryBuffer(capacity), DequeBuffer(capacity)
+        next_index = 0
+        for size in [3, 5, 1, 7, 20, 2, 25, 4, 6, 13, 1, 1, 9, 0, 8]:
+            p1, p2 = rng.random((size, 4)), rng.random((size, 4))
+            idx = np.arange(next_index, next_index + size)
+            next_index += size
+            probe = (rng.random((2, 4)), rng.random((2, 4)), np.array([-1, -2]))
+            for got, want in zip(buf.concat(*probe), ref.concat(*probe)):
+                npt.assert_array_equal(got, want)
+            buf.push(p1, p2, idx)
+            ref.push(p1, p2, idx)
+            assert len(buf) == (len(ref.entries) if ref.entries is not None else 0)
+
+    def test_concat_copies(self):
+        buf = MemoryBuffer(4)
+        buf.push(np.zeros((3, 2)), np.zeros((3, 2)), np.arange(3))
+        m1, m2, idx = buf.concat(np.ones((1, 2)), np.ones((1, 2)), np.array([9]))
+        m1[:], m2[:], idx[:] = 5.0, 5.0, 5
+        again = buf.concat(np.ones((1, 2)), np.ones((1, 2)), np.array([9]))
+        npt.assert_array_equal(again[0][1:], np.zeros((3, 2)))
+        npt.assert_array_equal(again[2], [9, 0, 1, 2])
 
 
 class TestPseudoLabelQuality:
@@ -260,6 +308,61 @@ class TestTrain:
             assert set(a) == set(b)
             for key in a:
                 npt.assert_array_equal(a[key], b[key])  # nan-aware equality
+
+    @pytest.mark.parametrize("solver", ["OT", "UOT", "POT", "P2OT"])
+    def test_repeated_runs_are_identical(self, tiny_dataset, solver):
+        # the warm-start potentials live in the call, so a second run starts
+        # from the same state as the first
+        cfg = TrainConfig.from_defaults(solver=solver, epochs=2, batch_size=30, buffer_size=60, knn_k=5, seed=7)
+        h1 = train(tiny_dataset, solver, cfg)
+        h2 = train(tiny_dataset, solver, cfg)
+        assert h1.loss_trace == h2.loss_trace
+        for a, b in zip(h1.epochs, h2.epochs):
+            assert a.keys() == b.keys()
+            for key in a:
+                npt.assert_array_equal(a[key], b[key])
+
+    def test_steps_and_epochs_are_warm_started(self, tiny_dataset, monkeypatch):
+        from sppot import p2ot
+
+        real = p2ot.solve_p2ot_fast
+        calls = []
+
+        def spy(problem, cost=None, init=None):
+            plan = real(problem, cost, init)
+            calls.append((problem.pred.shape[0], init, plan.col_potential))
+            return plan
+
+        monkeypatch.setattr(p2ot, "solve_p2ot_fast", spy)
+        # a step solves at most 60 rows (batch + buffer), the epoch end all 90
+        cfg = TrainConfig.from_defaults(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=8)
+        train(tiny_dataset, "P2OT", cfg)
+        steps = [c for c in calls if c[0] < tiny_dataset.n]
+        full = [c for c in calls if c[0] == tiny_dataset.n]
+        assert steps[0][1] is None and full[0][1] is None
+        for before, after in zip(steps, steps[1:]):  # both views and consecutive steps share one potential
+            assert after[1] is before[2]
+        assert full[1][1] is full[0][2]
+
+    def test_failed_full_dataset_solve_records_nan_quality(self, tiny_dataset, monkeypatch):
+        from sppot import ot_core, p2ot
+
+        real = p2ot.solve_p2ot_fast
+
+        def fail_on_full_dataset(problem, cost=None, init=None):
+            if problem.pred.shape[0] == tiny_dataset.n:
+                raise ot_core.NumericalOverflowError("non-finite plan")
+            return real(problem, cost, init)
+
+        monkeypatch.setattr(p2ot, "solve_p2ot_fast", fail_on_full_dataset)
+        cfg = TrainConfig.from_defaults(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=9)
+        history = train(tiny_dataset, "P2OT", cfg)
+        assert len(history.epochs) == 2
+        assert len(history.loss_trace) == 2 * (tiny_dataset.n // 30)
+        for rec in history.epochs:
+            for key in ("precision", "recall", "weighted_precision", "weighted_recall", "max_cluster_share"):
+                assert np.isnan(rec[key])
+            assert np.isfinite(rec["acc"])
 
     def test_learning_improves_over_init(self, tiny_dataset):
         cfg = TrainConfig.from_defaults(solver="P2OT", epochs=6, batch_size=30, buffer_size=60, knn_k=5, seed=6)

@@ -57,12 +57,12 @@ class TestP2otSolve:
         assert exc.value.code == 1
 
     def test_non_finite_plan_exits_1_without_output(self, tmp_path):
-        # at eps = 1e-3 this instance's kernel underflows and the plan turns NaN
+        # at eps = 3e-4 and rho 0.5 this instance's kernel underflows and the plan turns NaN
         pred = tmp_path / "pred.csv"
-        io_mod.write_matrix_csv(pred, random_problem(512, 10, 1.0, seed=0).pred)
+        io_mod.write_matrix_csv(pred, random_problem(512, 10, 0.5, seed=0).pred)
         out = tmp_path / "o.csv"
         with np.errstate(all="ignore"), pytest.raises(SystemExit) as exc:
-            main(["p2ot", "solve", "--pred", str(pred), "--rho", "1.0", "--eps", "1e-3", "--out", str(out)])
+            main(["p2ot", "solve", "--pred", str(pred), "--rho", "0.5", "--eps", "3e-4", "--out", str(out)])
         assert exc.value.code == 1
         assert not out.exists()
 
@@ -275,6 +275,36 @@ class TestClusterRun:
         with pytest.raises(SystemExit) as exc:
             main(["cluster", "run", "--config", str(cfg_path), "--out", str(cfg_path) + ".out"])
         assert exc.value.code == 1
+
+
+class TestSemanticClusterRun:
+    """SP2OT at the default lambda1_0 (1000): the gradient cost C0 - lambda1 (A + A^T) Q
+    runs far negative, where exp(-C/eps) used to overflow."""
+
+    def run(self, tmp_path, seed):
+        cfg = {
+            "dataset": {"n": 1200, "k": 10, "imbalance": 10.0, "separation": 10.0},
+            "solver": "SP2OT",
+            "seed": seed,
+            "train": {"epochs": 3},
+        }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run_out.json"
+        main(["cluster", "run", "--config", str(cfg_path), "--out", str(out)])
+        return out
+
+    def test_no_step_skipped(self, tmp_path):
+        # this seed skipped one of its 6 steps with "non-finite plan"
+        payload = json.loads(self.run(tmp_path, seed=5).read_text())
+        assert len(payload["loss_trace"]) == 6
+
+    def test_run_completes_and_writes_output(self, tmp_path):
+        # this seed's epoch-end solve raised and ended the run without output
+        out = self.run(tmp_path, seed=1)
+        payload = json.loads(out.read_text())
+        assert len(payload["epochs"]) == 3
+        assert out.with_suffix(".csv").exists()
 
 
 class TestClusterAblate:

@@ -284,3 +284,167 @@ class TestGenericLoop:
         plan = scaling_solve(C, row, col, ScalingConfig(epsilon=0.5))
         npt.assert_array_equal(plan.coupling[:, 2], np.zeros(4))
         npt.assert_allclose(plan.total_mass(), 1.0, atol=1e-8)
+
+
+def _reference_cold_kernel(C, alpha, beta, f, eps, tol, max_iter):
+    """The scaling recursion started from exp(-C/eps), without absorption."""
+    M = np.maximum(np.exp(-C / eps), ot_core.KERNEL_FLOOR)
+    b = np.ones(C.shape[1])
+    for it in range(1, max_iter + 1):
+        a = alpha / (M @ b)
+        b_new = (beta / (M.T @ a)) ** f
+        err = np.max(np.abs(b_new / b - 1.0))
+        b = b_new
+        if err < tol:
+            break
+    return a[:, None] * M * b[None, :], it
+
+
+def _virtual_kernel_args(P, rho, lam, cfg):
+    ext = ot_core.extend_virtual(-np.log(clamp_probabilities(P)), rho, lam)
+    f = MarginalConstraint.weighted_kl(ext.beta, ext.weights).exponents(cfg.epsilon)
+    return (ext.cost_ext, ext.alpha, ext.beta, f, cfg.epsilon, cfg.tol, cfg.max_iter,
+            cfg.stabilization_threshold)
+
+
+def _nearby(P, seed, scale=0.05):
+    """P with each entry perturbed by a factor exp(scale * N(0, 1)), rows renormalized."""
+    Q = P * np.exp(scale * np.random.default_rng(seed).normal(size=P.shape))
+    return Q / Q.sum(axis=1, keepdims=True)
+
+
+SOLVES = {
+    # name: (rho, lam) of the virtual-column solve
+    "balanced": (1.0, np.inf),
+    "uot": (1.0, 1.0),
+    "pot": (0.4, np.inf),
+    "p2ot": (0.4, 1.0),
+}
+
+
+def solve_virtual_named(name, P, cfg, init=None):
+    rho, lam = SOLVES[name]
+    return ot_core.solve_virtual(-np.log(clamp_probabilities(P)), rho, lam, cfg, init)
+
+
+class TestKernelLayout:
+    def test_c_and_fortran_order_input_agree_exactly(self):
+        from sppot._kernels import py as kernels
+
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
+        C, *rest = _virtual_kernel_args(random_pred(40, 5, seed=30), 0.6, 1.0, cfg)
+        assert C.flags.f_contiguous
+        out_f = kernels.scaling_weighted_kl(C, *rest)
+        out_c = kernels.scaling_weighted_kl(np.ascontiguousarray(C), *rest)
+        for x, y in zip(out_f, out_c):
+            npt.assert_array_equal(x, y)
+        gsa_args = (rest[0], np.full(5, 0.6 / 5), np.full(5, 1.0 / 1.1), 0.6, 0.1, 1e-9, 5000)
+        gsa_f = kernels.gsa_total_mass(C[:, :5], *gsa_args)
+        gsa_c = kernels.gsa_total_mass(np.ascontiguousarray(C[:, :5]), *gsa_args)
+        for x, y in zip(gsa_f, gsa_c):
+            npt.assert_array_equal(x, y)
+
+    def test_returned_couplings_are_c_contiguous(self):
+        from sppot import p2ot, sp2ot
+
+        P = random_pred(30, 4, seed=31)
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-8, max_iter=5000)
+        plans = [solve_virtual_named(name, P, cfg) for name in SOLVES]
+        plans.append(solve_sla(P, 0.5, 0.25, cfg))
+        plans.append(p2ot.solve_p2ot_gsa(p2ot.P2otProblem(P, 0.5, 1.0, cfg)))
+        plans.append(scaling_solve(-np.log(P), MarginalConstraint.equality(np.full(30, 1 / 30)),
+                                   MarginalConstraint.equality(np.array([0.5, 0.5, 0.0, 0.0])), cfg))
+        A = np.ones((30, 30)) - np.eye(30)
+        plans.append(sp2ot.solve_sp2ot(sp2ot.Sp2otProblem(P, A, 0.01, 1.0, 0.5, 0.1, inner=cfg))[0])
+        for plan in plans:
+            assert plan.coupling.flags.c_contiguous
+
+    def test_cold_start_follows_the_unshifted_recursion(self):
+        # the row shift u0 = min_j C_ij is absorbed by the row scaling, so a
+        # cold solve takes the sweeps of a start from exp(-C/eps)
+        from sppot._kernels import py as kernels
+
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
+        args = _virtual_kernel_args(random_pred(60, 5, seed=32, temperature=0.5), 0.5, 1.0, cfg)
+        Q, iters, converged, _, _ = kernels.scaling_weighted_kl(*args)
+        ref, ref_iters = _reference_cold_kernel(*args[:7])
+        assert converged and iters == ref_iters
+        npt.assert_allclose(Q, ref, rtol=0, atol=1e-12 * ref.max())
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_warm_and_cold_agree(self, name):
+        tol = 1e-9
+        cfg = ScalingConfig(epsilon=0.1, tol=tol, max_iter=20000)
+        P = random_pred(300, 6, seed=33)
+        P_next = _nearby(P, seed=34)
+        previous = solve_virtual_named(name, P, cfg)
+        cold = solve_virtual_named(name, P_next, cfg)
+        warm = solve_virtual_named(name, P_next, cfg, init=previous.col_potential)
+        assert cold.converged and warm.converged
+        assert warm.iterations < cold.iterations
+        rho = SOLVES[name][0]
+        for plan in (cold, warm):
+            assert np.all(plan.row_marginal() <= (1 + tol) / 300)
+            assert abs(plan.total_mass() - rho) <= tol
+        # each stops once a sweep changes the scaling by under tol; with slow
+        # contraction (hundreds of sweeps) the distance to the fixed point is
+        # a larger multiple of tol
+        npt.assert_allclose(warm.row_marginal(), cold.row_marginal(), rtol=0, atol=1e2 * tol / 300)
+        npt.assert_allclose(warm.col_marginal(), cold.col_marginal(), rtol=0, atol=1e2 * tol)
+        assert abs(warm.objective - cold.objective) <= 1e2 * tol * abs(cold.objective)
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    @pytest.mark.parametrize("value", [1e3, -1e3])
+    def test_far_off_init_still_gives_a_feasible_plan(self, name, value):
+        tol = 1e-9
+        cfg = ScalingConfig(epsilon=0.1, tol=tol, max_iter=20000)
+        P = random_pred(200, 5, seed=35)
+        rho, _ = SOLVES[name]
+        n_cols = 5 if rho == 1 else 6
+        alternating = np.where(np.arange(n_cols) % 2, value, -value)
+        for init in (np.full(n_cols, value), alternating):
+            plan = solve_virtual_named(name, P, cfg, init=init)
+            assert np.all(np.isfinite(plan.coupling))
+            assert plan.converged
+            assert np.all(plan.row_marginal() <= (1 + tol) / 200)
+            assert abs(plan.total_mass() - rho) <= tol
+            if np.isinf(SOLVES[name][1]):
+                npt.assert_allclose(plan.col_marginal(), np.full(5, rho / 5), rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_mismatched_init_is_a_cold_start(self, name):
+        # a potential from the other side of rho = 1 (K+1 columns against K)
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-8, max_iter=5000)
+        P = random_pred(50, 4, seed=36)
+        rho, _ = SOLVES[name]
+        init = np.full(4 if rho < 1 else 5, 0.3)
+        cold = solve_virtual_named(name, P, cfg)
+        warm = solve_virtual_named(name, P, cfg, init=init)
+        npt.assert_array_equal(warm.coupling, cold.coupling)
+        npt.assert_array_equal(warm.col_potential, cold.col_potential)
+        assert warm.iterations == cold.iterations
+
+    def test_col_potential_length(self):
+        from sppot import p2ot
+
+        P = random_pred(20, 4, seed=37)
+        cfg = ScalingConfig(epsilon=0.1)
+        assert solve_pot(P, 0.5, cfg).col_potential.shape == (5,)
+        assert solve_balanced_ot(P, cfg).col_potential.shape == (4,)
+        assert solve_uot(P, 1.0, cfg).col_potential.shape == (4,)
+        assert solve_sla(P, 0.5, 0.25, cfg).col_potential is None
+        assert p2ot.solve_p2ot_gsa(p2ot.P2otProblem(P, 0.5, 1.0, cfg)).col_potential is None
+
+
+class TestSlaStopping:
+    def test_converged_means_mass_holds_on_a_flat_posterior(self):
+        # on flat posteriors the absolute |b_new - b| rule stopped with the
+        # mass 4-17% short of rho; the relative rule bounds it by tol
+        tol = 1e-6
+        P = random_pred(5632, 10, seed=38)
+        plan = solve_sla(P, 0.5, 0.1, ScalingConfig(epsilon=0.1, tol=tol, max_iter=1000))
+        assert plan.converged
+        assert abs(plan.total_mass() - 0.5) <= 10 * tol
+        assert np.all(plan.col_marginal() <= 0.1 * (1 + tol))

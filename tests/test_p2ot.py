@@ -30,6 +30,13 @@ def make_problem(n, k, rho, seed, lam=1.0, eps=0.1, tol=1e-8, max_iter=5000):
     return P2otProblem(random_pred(n, k, seed), rho, lam, ScalingConfig(epsilon=eps, tol=tol, max_iter=max_iter))
 
 
+def dead_cluster_pred(P):
+    """P with cluster 0 predicted by no row (probability 1e-9 everywhere)."""
+    P = P.copy()
+    P[:, 0] = 1e-9
+    return P / P.sum(axis=1, keepdims=True)
+
+
 class TestValidation:
     def test_rejects_non_stochastic_rows(self):
         with pytest.raises(ValueError):
@@ -128,19 +135,21 @@ class TestFastSolver:
         assert abs(plan.total_mass() - 0.1) <= tol
 
     def test_non_finite_plan_raises(self):
-        # at eps = 1e-3 the kernel exp(-C/eps) underflows and the plan turns
-        # NaN; the solvers raise instead of returning it
-        prob = random_problem(512, 10, 1.0, seed=0, epsilon=1e-3)
+        # at eps = 3e-4 and rho < 1 the zero-cost virtual column is every
+        # row's cheapest, so the real columns of the kernel underflow and the
+        # plan turns NaN; for balanced OT a cluster that no row predicts does
+        # the same. The solvers raise instead of returning the plan.
+        prob = random_problem(512, 10, 0.5, seed=0, epsilon=3e-4)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
             solve_p2ot_fast(prob)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
-            solve_balanced_ot(prob.pred, prob.cfg)
+            solve_balanced_ot(dead_cluster_pred(prob.pred), prob.cfg)
 
     def test_nan_sweep_stops_the_kernel(self, monkeypatch):
         # the kernel stops at the first NaN sweep instead of running to max_iter
         from sppot._kernels import py as kernels
 
-        prob = random_problem(512, 10, 1.0, seed=0, epsilon=1e-3)
+        prob = random_problem(512, 10, 0.5, seed=0, epsilon=3e-4)
         real = kernels.scaling_weighted_kl
         iterations = []
 
@@ -154,6 +163,27 @@ class TestFastSolver:
             solve_p2ot_fast(prob)
         assert iterations and iterations[0] < prob.cfg.max_iter
         assert f"after {iterations[0]} iterations" in str(exc.value)
+
+    def test_small_epsilon_full_mass_plan_is_finite(self):
+        # this instance used to turn NaN: exp(-C/eps) underflowed in rows
+        # whose cheapest cost is far from 0. The start from potentials puts
+        # 1 at every row's largest kernel entry, so the plan stays finite and
+        # reports honestly that it did not converge
+        prob = random_problem(512, 10, 1.0, seed=0, epsilon=1e-3)
+        plan = solve_p2ot_fast(prob)
+        assert np.all(np.isfinite(plan.coupling))
+        assert not plan.converged
+
+    @pytest.mark.parametrize("solve", [solve_p2ot_fast, lambda prob: solve_balanced_ot(prob.pred, prob.cfg)])
+    def test_converged_means_rows_within_tol_at_tiny_epsilon(self, solve):
+        # at eps = 3e-4 the kernel used to be floored everywhere, and the
+        # solve reported converged=True after one sweep with rows far off
+        prob = random_problem(512, 10, 1.0, seed=0, epsilon=3e-4)
+        with np.errstate(all="ignore"):
+            plan = solve(prob)
+        row_err = np.abs(plan.row_marginal() * 512 - 1.0).max()
+        assert plan.iterations > 1
+        assert not plan.converged or row_err <= prob.cfg.tol
 
     def test_rho_one_equals_unbalanced(self):
         P = random_pred(24, 4, seed=8)

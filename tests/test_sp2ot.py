@@ -219,3 +219,23 @@ class TestSolve:
         problem = Sp2otProblem(P, A, 50.0, 1.0, 0.5, 0.1, outer_tol=0.0, outer_max_iter=4)
         _, trace = solve_sp2ot(problem)
         assert len(trace.objectives) == 4
+
+
+class TestWarmStart:
+    def test_outer_steps_warm_start_their_inner_solves(self, monkeypatch):
+        from sppot import sp2ot
+
+        n = 120
+        P = random_pred(n, 4, seed=40, temperature=0.5)
+        problem = Sp2otProblem(P, knn_like_adjacency(n, seed=41), 5.0, 1.0, 0.5, 0.1,
+                               inner=ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=20000))
+        warm, warm_trace = solve_sp2ot(problem)
+
+        real = sp2ot.solve_p2ot_fast
+        monkeypatch.setattr(sp2ot, "solve_p2ot_fast", lambda prob, cost=None, init=None: real(prob, cost))
+        cold, cold_trace = solve_sp2ot(problem)
+
+        assert warm_trace.inner_iterations[0] == cold_trace.inner_iterations[0]
+        assert sum(warm_trace.inner_iterations) < sum(cold_trace.inner_iterations)
+        npt.assert_allclose(warm.coupling, cold.coupling, rtol=0, atol=1e-8 / n)
+        assert warm.col_potential.shape == (5,)
