@@ -185,7 +185,7 @@ def pseudo_label_quality(plan: np.ndarray, labels: np.ndarray) -> PseudoLabelQua
         return PseudoLabelQuality.no_selection()
     hard = np.argmax(Q[sel], axis=1)
     mapping = metrics_mod.hungarian_match(metrics_mod.confusion_counts(hard, labels[sel]))
-    mapped = np.asarray([mapping[int(c)] for c in hard])
+    mapped = metrics_mod.map_labels(mapping, hard)
     correct = mapped == labels[sel]
     ws = w[sel]
     return PseudoLabelQuality(

@@ -46,8 +46,15 @@ def hungarian_match(confusion: np.ndarray) -> dict:
     return {int(r): int(c) for r, c in zip(rows, cols)}
 
 
+def map_labels(mapping: dict, labels) -> np.ndarray:
+    """`labels` sent through a `hungarian_match` mapping, by one gather from a lookup array."""
+    lookup = np.zeros(max(mapping) + 1, dtype=int)
+    lookup[np.fromiter(mapping.keys(), dtype=int)] = np.fromiter(mapping.values(), dtype=int)
+    return lookup[np.asarray(labels, dtype=int)]
+
+
 def mapped_predictions(assignment: LabelAssignment) -> np.ndarray:
-    return np.asarray([assignment.mapping[int(p)] for p in assignment.predicted], dtype=int)
+    return map_labels(assignment.mapping, assignment.predicted)
 
 
 def class_averaged_acc(assignment: LabelAssignment) -> float:

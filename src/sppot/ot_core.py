@@ -13,8 +13,12 @@ lam (np.inf is the sentinel for a hard column). It appends a zero-cost
 virtual column that absorbs the unselected 1-rho mass, runs the
 row-equality scaling kernel once on the extended plan, and drops the
 virtual column again. Balanced OT is (1, inf), unbalanced OT (1, lam),
-partial OT (rho, inf) and P2OT (rho, lam). SLA's upper-bounded columns
-need the generic loop.
+partial OT (rho, inf) and P2OT (rho, lam). Each sweep of that kernel
+ends with an exact scalar mass step that sets the total of the soft
+(finite-lam) columns to the mass that the rows and hard columns leave
+them, so unbalanced OT and P2OT converge in tens of sweeps at every rho
+(see `_kernels.py.scaling_weighted_kl`). SLA's upper-bounded columns need
+the generic loop.
 
 All solvers work on Q = diag(a) * M * diag(b) with M = exp(-C/eps) and
 support log-domain absorption of the scaling vectors to avoid overflow.

@@ -6,7 +6,9 @@ total-mass constraint into a column marginal with a per-column weighted KL
 penalty (sentinel weight on the virtual column), and runs the stabilized
 scaling recursion, the same solve as balanced, unbalanced and partial OT.
 Its entropy covers the virtual column too, i.e. the row slack 1/N - Q 1 of
-the selected plan.
+the selected plan. After each column update it takes a scalar mass step
+that rescales the K real columns to total mass rho (the virtual column is
+hard, so the rows leave them exactly rho).
 
 The generalized scaling baseline, kept for cross-checks and benchmarking,
 minimizes the same program on the unextended plan Q = s diag(a) M diag(b):
@@ -16,8 +18,10 @@ minimizes the same program on the unextended plan Q = s diag(a) M diag(b):
     b <- (beta/(s M^T a))^f
     s <- rho/(a^T M b)          (scalar total-mass rescale)
 
-Its fixed point is the virtual-column one with virtual scaling 1/s, so the
-two solvers differ only in how they iterate towards it.
+Its fixed point is the virtual-column one with virtual scaling 1/s. Both
+solvers thus take one scalar mass step a sweep towards the same fixed
+point: the baseline rescales the whole plan by s, the fast solver its real
+columns, leaving the row and virtual-column updates to the scaling kernel.
 """
 
 from __future__ import annotations

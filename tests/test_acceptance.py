@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from scipy.cluster.vq import kmeans2
 
 import conftest
@@ -89,6 +90,7 @@ def test_criterion_02_fast_vs_baseline_objective():
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_oracle_equivalence():
     t0 = time.monotonic()
     # part A: fast solver vs projected-gradient minimizer of the same program
@@ -130,6 +132,7 @@ def test_criterion_03_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_efficiency_ratio():
     t0 = time.monotonic()
     n, k = 4096, 100

@@ -15,6 +15,7 @@ from sppot.metrics import (
     hmt_split,
     hungarian_match,
     macro_f1,
+    map_labels,
     mapped_predictions,
     nmi,
 )
@@ -59,6 +60,15 @@ class TestHungarian:
         conf = np.array([[5, 0], [0, 5], [1, 1]])
         mapping = hungarian_match(conf)
         assert mapping[0] == 0 and mapping[1] == 1
+
+    @pytest.mark.parametrize("shape", [(3, 5), (6, 2)])
+    def test_lookup_mapping_equals_dict_mapping_when_padded(self, shape):
+        rng = np.random.default_rng(1)
+        conf = rng.integers(0, 20, size=shape)
+        mapping = hungarian_match(conf)
+        assert len(mapping) == max(shape)  # the padded square's bijection
+        labels = rng.integers(0, max(shape), size=200)
+        npt.assert_array_equal(map_labels(mapping, labels), [mapping[int(p)] for p in labels])
 
 
 class TestAccuracy:

@@ -287,12 +287,17 @@ class TestGenericLoop:
 
 
 def _reference_cold_kernel(C, alpha, beta, f, eps, tol, max_iter):
-    """The scaling recursion started from exp(-C/eps), without absorption."""
+    """The scaling recursion with its mass step, started from exp(-C/eps),
+    without absorption."""
     M = np.maximum(np.exp(-C / eps), ot_core.KERNEL_FLOOR)
+    soft = f < 1
+    m_soft = alpha.sum() - beta[~soft].sum()
     b = np.ones(C.shape[1])
     for it in range(1, max_iter + 1):
         a = alpha / (M @ b)
-        b_new = (beta / (M.T @ a)) ** f
+        col = M.T @ a
+        b_new = (beta / col) ** f
+        b_new[soft] *= m_soft / (b_new[soft] @ col[soft])
         err = np.max(np.abs(b_new / b - 1.0))
         b = b_new
         if err < tol:
@@ -448,3 +453,103 @@ class TestSlaStopping:
         assert plan.converged
         assert abs(plan.total_mass() - 0.5) <= 10 * tol
         assert np.all(plan.col_marginal() <= 0.1 * (1 + tol))
+
+
+def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter, threshold):
+    """The scaling kernel's loop without the mass step: the same start and
+    log-domain absorption, and the unshifted column potential."""
+    from sppot._kernels import py as kernels
+
+    C = np.asfortranarray(C)
+    m, n = C.shape
+    hard = f == 1.0
+    u, v, M = kernels._start(C, None, f, hard, eps, threshold)
+    w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / eps))
+    a, b = np.ones(m), np.ones(n)
+    errs = []
+    for it in range(1, max_iter + 1):
+        a = alpha / (M @ b)
+        b_new = w * (beta / (M.T @ a)) ** f
+        errs.append(float(np.abs(b_new / b - 1.0).max()))
+        b = b_new
+        if errs[-1] < tol or not np.isfinite(errs[-1]):
+            break
+        if max(a.max(), b.max()) > threshold:
+            u += eps * np.log(a)
+            v += eps * np.log(b)
+            w = np.where(hard, 1.0, w * b ** (f - 1.0))
+            M = np.exp((u[:, None] - C + v[None, :]) / eps)
+            a, b = np.ones(m), np.ones(n)
+    Q = np.multiply(a[:, None], M, order="C")
+    Q *= b
+    return Q, it, errs[-1] < tol, np.asarray(errs), v + eps * np.log(b)
+
+
+def _hard_targets_over_row_mass():
+    """20x4 kernel arguments whose hard columns ask for 0.6 + 0.5 of a row mass of 1."""
+    C = -np.log(clamp_probabilities(random_pred(20, 4, seed=39)))
+    beta = np.array([0.6, 0.5, 0.2, 0.2])
+    f = MarginalConstraint.weighted_kl(beta, np.array([np.inf, np.inf, 1.0, 1.0])).exponents(0.1)
+    return C, np.full(20, 1 / 20), beta, f
+
+
+class TestMassStep:
+    @pytest.mark.parametrize("eps", [0.1, 0.01])
+    @pytest.mark.parametrize("name", ["balanced", "pot"])
+    def test_no_soft_column_is_the_step_free_recursion(self, name, eps):
+        from sppot._kernels import py as kernels
+
+        cfg = ScalingConfig(epsilon=eps, tol=1e-8, max_iter=3000)
+        rho, lam = SOLVES[name]
+        args = _virtual_kernel_args(random_pred(200, 6, seed=40, temperature=0.5), rho, lam, cfg)
+        for x, y in zip(kernels.scaling_weighted_kl(*args), _step_free_kernel(*args)):
+            npt.assert_array_equal(x, y)
+
+    def test_soft_columns_with_differing_exponents_take_no_step(self):
+        from sppot._kernels import py as kernels
+
+        C = -np.log(clamp_probabilities(random_pred(100, 4, seed=41)))
+        beta = np.full(4, 0.25)
+        f = MarginalConstraint.weighted_kl(beta, np.array([0.5, 1.0, 2.0, np.inf])).exponents(0.1)
+        args = (C, np.full(100, 0.01), beta, f, 0.1, 1e-8, 3000, 1e6)
+        for x, y in zip(kernels.scaling_weighted_kl(*args), _step_free_kernel(*args)):
+            npt.assert_array_equal(x, y)
+
+    def test_hard_targets_over_row_mass_take_no_step(self):
+        # no feasible plan: the hard columns leave the soft ones a mass of -0.1
+        from sppot._kernels import py as kernels
+
+        C, alpha, beta, f = _hard_targets_over_row_mass()
+        args = (C, alpha, beta, f, 0.1, 1e-6, 1000, 1e6)
+        out = kernels.scaling_weighted_kl(*args)
+        for x, y in zip(out, _step_free_kernel(*args)):
+            npt.assert_array_equal(x, y)
+        row = MarginalConstraint.equality(alpha)
+        col = MarginalConstraint.weighted_kl(beta, np.array([np.inf, np.inf, 1.0, 1.0]))
+        plan = scaling_solve(C, row, col, ScalingConfig(epsilon=0.1))
+        assert np.all(np.isfinite(plan.coupling))
+        assert not plan.converged and plan.iterations == 1000
+        npt.assert_array_equal(plan.coupling, out[0])
+
+    @pytest.mark.parametrize("name", ["uot", "p2ot"])
+    def test_same_plan_and_potential_as_the_step_free_recursion(self, name):
+        # the step moves the iterates, not the fixed point: at a tight tol the
+        # plan, and the column potential a warm start is taken from, agree
+        from sppot._kernels import py as kernels
+
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-13, max_iter=20000)
+        rho, lam = SOLVES[name]
+        args = _virtual_kernel_args(random_pred(300, 6, seed=42), rho, lam, cfg)
+        Q, iters, converged, _, v = kernels.scaling_weighted_kl(*args)
+        ref_Q, ref_iters, ref_converged, _, ref_v = _step_free_kernel(*args)
+        assert converged and ref_converged and iters < ref_iters
+        npt.assert_allclose(Q, ref_Q, rtol=0, atol=1e-10 * ref_Q.max())
+        npt.assert_allclose(v, ref_v, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 1.0])
+    def test_total_mass_is_exact(self, rho):
+        # after the step the soft columns hold exactly the mass the rows and
+        # hard columns leave them, whatever the sweep count
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-3)
+        plan = ot_core.solve_virtual(-np.log(random_pred(500, 8, seed=43)), rho, 1.0, cfg)
+        assert abs(plan.total_mass() - rho) <= 1e-12

@@ -185,6 +185,16 @@ class TestFastSolver:
         assert plan.iterations > 1
         assert not plan.converged or row_err <= prob.cfg.tol
 
+    def test_small_rho_on_a_flat_posterior_converges_in_tens_of_sweeps(self):
+        # the mass step takes the soft columns' total to rho in one scalar
+        # move; without it this solve ran to max_iter = 1000 unconverged
+        prob = P2otProblem(random_pred(5632, 10, seed=44), 0.1, 1.0,
+                           ScalingConfig(epsilon=0.1, tol=1e-6, max_iter=1000))
+        fast = solve_p2ot_fast(prob)
+        assert fast.converged and fast.iterations <= 50
+        gsa = solve_p2ot_gsa(prob)
+        npt.assert_allclose(fast.coupling, gsa.coupling, rtol=0, atol=1e-5 * gsa.coupling.max())
+
     def test_rho_one_equals_unbalanced(self):
         P = random_pred(24, 4, seed=8)
         cfg = ScalingConfig(epsilon=0.1, tol=1e-10, max_iter=20000)
