@@ -1,8 +1,9 @@
 """NumPy scaling kernels, the only implementation of the two hot loops.
 
-The stabilized row-equality / column-exponent scaling recursion runs every
-balanced, unbalanced, partial and P2OT solve, through
-`ot_core._solve_row_eq`. The generalized scaling baseline serves
+The stabilized row-equality scaling recursion, whose columns each carry a
+Hadamard exponent or an upper bound on their mass, runs every balanced,
+unbalanced, partial, P2OT and SLA solve and every `ot_core.scaling_solve`,
+through `ot_core._solve_row_eq`. The generalized scaling baseline serves
 `p2ot.solve_p2ot_gsa` only. Both end a sweep with one exact scalar mass
 step: the recursion rescales its soft (KL-penalized) columns to the mass
 that the rows and hard columns leave them, the baseline rescales the whole
@@ -23,13 +24,22 @@ KERNEL_FLOOR = 1e-300
 LOG_FLOOR = math.log(KERNEL_FLOOR)
 
 
-def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0=None):
+def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0=None, upper=None):
     """Stabilized scaling recursion, started from a column potential.
 
     a <- alpha/(M b); b <- w * (beta/(M^T a))^f, then the mass step below,
     with log-domain absorption of (a, b) into potentials (u, v) whenever
     either vector exceeds `threshold`. Targets in `beta` must be strictly
     positive.
+
+    Upper-bounded columns. `upper` (default None: none) is a boolean column
+    mask; a masked column holds a mass of at most beta_j, and its entry of f
+    must be 1. Its update is the KL prox of that bound in the absorbed frame,
+    b_j <- min(exp(-v_j/eps), beta_j/(M^T a)_j): the column's absolute
+    scaling exp(v_j/eps) b_j never exceeds 1, and it reaches beta_j exactly
+    where the bound binds (Chizat, Peyre, Schmitzer & Vialard, "Scaling
+    algorithms for unbalanced optimal transport problems", Math. Comp. 2018).
+    With `upper` None the sweep does no extra work.
 
     Mass step. On the feasible set the rows and the hard columns (f == 1)
     fix the total mass of the soft columns (f < 1) at
@@ -52,7 +62,9 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     column (balanced and partial OT), when the soft columns' exponents
     differ (the shift argument needs one shared exponent), when
     m_soft <= 0 (hard targets above the row mass: no feasible plan), and
-    in a sweep whose soft mass is not positive and finite.
+    in a sweep whose soft mass is not positive and finite. It is also
+    skipped when any column is upper-bounded: such a column's mass is not
+    fixed, so neither is the soft columns'.
 
     The solve starts from the column potential `v0` (default zeros) and the
     row potential u0_i = min_j (C_ij - v0_j), so the first kernel
@@ -70,7 +82,8 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     scale of b. Each row of the returned plan is then within a factor
     1 +- tol of its target, so the L1 row-marginal error is at most
     tol * sum(alpha), and hard columns (f == 1) are exact after their own
-    update. For the virtual-column extension, `converged` therefore means
+    update, as are upper-bounded columns where their bound binds. For the
+    virtual-column extension, `converged` therefore means
     that the selected mass is within tol * sum(alpha) of its target; where
     the mass step runs, the soft columns' total mass is exact after every
     sweep, converged or not. The change is measured after the step. The
@@ -94,8 +107,9 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
     soft = np.flatnonzero(~hard)  # the mass step's columns, None where it is skipped
     m_soft = float(alpha.sum() - beta[hard].sum())
-    if soft.size == 0 or m_soft <= 0 or np.any(f[soft] != f[soft[0]]):
+    if soft.size == 0 or m_soft <= 0 or np.any(f[soft] != f[soft[0]]) or upper is not None:
         soft = None
+    cap = None if upper is None else _upper_cap(v, upper, epsilon)
     a = np.ones(m)
     b = np.ones(n)
     errs = np.empty(max_iter)
@@ -105,6 +119,8 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
         a = alpha / (M @ b)
         col = M.T @ a
         b_new = w * (beta / col) ** f
+        if upper is not None:
+            b_new[upper] = np.minimum(cap, beta[upper] / col[upper])
         if soft is not None:
             soft_mass = float(b_new[soft] @ col[soft])
             if 0.0 < soft_mass < math.inf:
@@ -124,6 +140,8 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
             M = np.exp((u[:, None] - C + v[None, :]) / epsilon)
             a = np.ones(m)
             b = np.ones(n)
+            if upper is not None:
+                cap = _upper_cap(v, upper, epsilon)
     Q = np.multiply(a[:, None], M, order="C")
     Q *= b
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -132,6 +150,12 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
             lam = epsilon * f[soft] / (1.0 - f[soft])
             potential -= np.mean(potential[soft] - lam * np.log(beta[soft] / (b[soft] * col[soft])))
     return Q, it, converged, errs[:it].copy(), potential
+
+
+def _upper_cap(v, upper, epsilon):
+    """exp(-v/eps) on the upper-bounded columns: the largest scaling their prox allows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-v[upper] / epsilon)
 
 
 def _start(C, v0, f, hard, epsilon, threshold):

@@ -1,11 +1,9 @@
 """Entropic matrix-scaling solvers for pseudo-label transport problems.
 
-Implements the generic scaling loop (alternating KL-proximal updates of the
-row/column scaling vectors) together with the solver variants used for
-pseudo-label generation: balanced OT, unbalanced OT with a KL penalty on
-cluster sizes, partial OT with a hard total-mass constraint, the partial
-solver with a KL penalty on cluster sizes (P2OT), and the upper-bounded
-relaxation (SLA).
+Implements the solver variants used for pseudo-label generation: balanced
+OT, unbalanced OT with a KL penalty on cluster sizes, partial OT with a
+hard total-mass constraint, the partial solver with a KL penalty on cluster
+sizes (P2OT), and the upper-bounded relaxation (SLA).
 
 Balanced, unbalanced, partial and P2OT are one solve, `solve_virtual`,
 with two parameters: the selected mass rho and the column penalty weight
@@ -17,8 +15,11 @@ partial OT (rho, inf) and P2OT (rho, lam). Each sweep of that kernel
 ends with an exact scalar mass step that sets the total of the soft
 (finite-lam) columns to the mass that the rows and hard columns leave
 them, so unbalanced OT and P2OT converge in tens of sweeps at every rho
-(see `_kernels.py.scaling_weighted_kl`). SLA's upper-bounded columns need
-the generic loop.
+(see `_kernels.py.scaling_weighted_kl`). SLA runs the same kernel on the
+same extension, with the real columns upper-bounded instead of penalized;
+the kernel's one other column update is the prox of that bound.
+`scaling_solve` takes general one-sided constraints and also runs that
+kernel, on the transposed problem where only the columns are an equality.
 
 All solvers work on Q = diag(a) * M * diag(b) with M = exp(-C/eps) and
 support log-domain absorption of the scaling vectors to avoid overflow.
@@ -33,7 +34,6 @@ import numpy as np
 from ._kernels import py as kernels
 
 PROB_FLOOR = 1e-8
-KERNEL_FLOOR = 1e-300
 MASS_RTOL = 1e-12
 
 
@@ -142,13 +142,12 @@ class MarginalConstraint:
 class ScalingConfig:
     """Entropic regularization and stopping rule of one scaling solve.
 
-    Every solver (balanced, UOT, POT, the virtual-column P2OT solver, its
-    baseline, and the generic loop behind SLA and other inequality
-    constraints) stops once the largest relative change of the column
-    scaling in the last sweep is below `tol`. `converged=True` then means
-    the L1 row-marginal error is at most tol times the row mass and hard or
-    upper-bounded columns hold exactly, so the selected mass of a partial
-    plan is within tol of rho.
+    Every solver (balanced, UOT, POT, SLA, the virtual-column P2OT solver,
+    its baseline and `scaling_solve`) stops once the largest relative
+    change of the column scaling in the last sweep is below `tol`.
+    `converged=True` then means the L1 row-marginal error is at most tol
+    times the row mass and hard or upper-bounded columns hold exactly, so
+    the selected mass of a partial plan is within tol of rho.
     """
 
     epsilon: float
@@ -186,65 +185,25 @@ class TransportPlan:
         return float(self.coupling.sum())
 
 
-def prox_equality(z: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """KL-prox of the indicator of {x = target}; independent of z."""
-    z = np.asarray(z, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if z.shape != target.shape:
-        raise DimensionMismatchError("z and target must have the same length")
-    if np.any(z <= 0):
-        raise ValueError("z must be strictly positive")
-    return target.copy()
-
-
-def prox_weighted_kl(z, target, weights, epsilon: float) -> np.ndarray:
-    """Minimizer of sum_i lam_i x_i log(x_i/t_i) - lam_i x_i + eps KL(x, z).
-
-    Closed form target^f * z^(1-f) with f = lam/(lam+eps); sentinel inf
-    weights give f = 1 exactly (hard equality).
-    """
-    z = np.asarray(z, dtype=float)
-    target = np.asarray(target, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if z.shape != target.shape or weights.shape != target.shape:
-        raise DimensionMismatchError("z, target, weights must share length")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.where(np.isinf(weights), 1.0, weights / (weights + epsilon))
-        out = np.where(f == 1.0, target, target**f * z ** (1.0 - f))
-    return out
-
-
 def _side_spec(con: MarginalConstraint, epsilon: float):
-    """Per-entry update spec (f exponents, upper-bound mask) for one side."""
+    """Kernel column spec of one side: (f exponents, upper-bound mask or None)."""
     f = con.exponents(epsilon)
-    n = con.target.size
     if f is not None:
-        return f, np.zeros(n, dtype=bool)
-    if con.kind == "upper":
-        return np.ones(n), np.ones(n, dtype=bool)
-    raise ValueError(f"unsupported constraint kind {con.kind!r}")
-
-
-def _side_update(Mx, target, f, is_upper, pot, epsilon):
-    """One scaling-vector update in the absorbed frame.
-
-    Exponent entries: s = exp(pot*(f-1)/eps) * (target/Mx)^f.
-    Upper-bound entries: s = min(exp(-pot/eps), target/Mx).
-    """
-    ratio = target / Mx
-    with np.errstate(over="ignore", under="ignore"):
-        s = np.exp(pot * (f - 1.0) / epsilon) * ratio**f
-        if np.any(is_upper):
-            cap = np.exp(-pot[is_upper] / epsilon)
-            s[is_upper] = np.minimum(cap, ratio[is_upper])
-    return s
+        return f, None
+    n = con.target.size
+    return np.ones(n), np.ones(n, dtype=bool)  # "upper", the one kind without exponents
 
 
 def _check_masses(row: MarginalConstraint, col: MarginalConstraint):
+    sr, sc = row.target.sum(), col.target.sum()
+    slack = MASS_RTOL * max(sr, sc, 1.0)
     if row.kind == "equality" and col.kind == "equality":
-        sr, sc = row.target.sum(), col.target.sum()
-        if abs(sr - sc) > MASS_RTOL * max(sr, sc, 1.0):
+        if abs(sr - sc) > slack:
             raise InfeasibleProblemError(f"equality marginals disagree in total mass: {sr} vs {sc}")
+    elif {row.kind, col.kind} == {"equality", "upper"}:
+        mass, cap = (sr, sc) if row.kind == "equality" else (sc, sr)
+        if mass > cap + slack:
+            raise InfeasibleProblemError(f"equality mass {mass} exceeds the upper bounds' total {cap}")
 
 
 def scaling_solve(
@@ -253,43 +212,52 @@ def scaling_solve(
     col: MarginalConstraint,
     cfg: ScalingConfig,
 ) -> TransportPlan:
-    """Generic scaling loop: a <- prox_row(Mb)/(Mb), b <- prox_col(M^T a)/(M^T a).
+    """Scaling solve of one equality side against any one-sided constraint.
 
-    Fast path: when the row constraint is a hard equality and the column
-    constraint is expressible through Hadamard exponents (equality / KL /
-    weighted KL), the update collapses to b <- w * (target/(M^T a))^f and
-    runs in the row-equality kernel. The fully generic path (needed for
-    inequality constraints) uses the same log-domain absorption.
+    One side must be an equality: the rows give a <- alpha/(M b), and the
+    other side's columns take their KL-prox update, b <- w * (target/(M^T a))^f
+    for an equality, KL or weighted-KL side and the upper-bound prox for an
+    "upper" side, in the one row-equality kernel. Where only the columns are
+    an equality the transposed problem is solved and its plan transposed
+    back. Raises ValueError when neither side is an equality, and
+    InfeasibleProblemError when equality sides disagree in mass or an
+    equality side's mass exceeds the other side's upper bounds.
     """
     C = cost.values if isinstance(cost, CostMatrix) else CostMatrix(cost).values
     m, n = C.shape
     if row.target.size != m or col.target.size != n:
         raise DimensionMismatchError("marginal lengths must match cost shape")
+    if "equality" not in (row.kind, col.kind):
+        raise ValueError(f"scaling_solve needs an equality side, got rows {row.kind!r} and columns {col.kind!r}")
     _check_masses(row, col)
 
-    col_f = col.exponents(cfg.epsilon)
-    if row.kind == "equality" and col_f is not None:
-        Q, iters, converged, errs, _ = _solve_row_eq(C, row.target, col.target, col_f, cfg)
-    else:
-        Q, iters, converged, errs = _solve_generic(C, row, col, cfg)
+    flip = row.kind != "equality"  # solve the transpose, whose rows are the equality side
+    eq, other = (col, row) if flip else (row, col)
+    f, upper = _side_spec(other, cfg.epsilon)
+    Q, iters, converged, errs, _ = _solve_row_eq(C.T if flip else C, eq.target, other.target, f, cfg, upper=upper)
+    if flip:
+        Q = np.ascontiguousarray(Q.T)
 
     obj = entropic_objective(Q, C, _penalties_for(row, col), cfg.epsilon)
     return TransportPlan(Q, obj, iters, converged, np.asarray(errs))
 
 
-def _solve_row_eq(C, alpha, beta, f, cfg, v0=None) -> tuple:
-    """Row-equality / column-Hadamard-exponent scaling with stabilization.
+def _solve_row_eq(C, alpha, beta, f, cfg, v0=None, upper=None) -> tuple:
+    """Row-equality scaling with stabilization: columns with Hadamard
+    exponents `f`, or upper-bounded where the boolean mask `upper` is set
+    (None: no such column; f must be 1 there).
 
-    Columns with zero target mass carry zero in any feasible plan; they are
-    removed up front so logs and divisions stay clean, and reinserted as
-    zero columns at the end; such a solve starts cold and returns no column
-    potential. Otherwise `v0` is the column potential the kernel starts from
-    (None: zeros). Raises NumericalOverflowError rather than return a plan
-    with a non-finite entry.
+    Columns with zero target mass, upper-bounded ones included, carry zero
+    in any feasible plan; they are removed up front so logs and divisions
+    stay clean, and reinserted as zero columns at the end; such a solve
+    starts cold and returns no column potential. Otherwise `v0` is the
+    column potential the kernel starts from (None: zeros). Raises
+    NumericalOverflowError rather than return a plan with a non-finite entry.
     """
     active = beta > 0
     if not np.all(active):
-        Qa, iters, conv, errs, _ = _solve_row_eq(C[:, active], alpha, beta[active], f[active], cfg)
+        Qa, iters, conv, errs, _ = _solve_row_eq(C[:, active], alpha, beta[active], f[active], cfg,
+                                                 upper=None if upper is None else upper[active])
         Q = np.zeros(C.shape)
         Q[:, active] = Qa
         return Q, iters, conv, errs, None
@@ -303,6 +271,7 @@ def _solve_row_eq(C, alpha, beta, f, cfg, v0=None) -> tuple:
         cfg.max_iter,
         cfg.stabilization_threshold,
         v0,
+        upper,
     )
     if not np.all(np.isfinite(Q)):
         raise NumericalOverflowError(
@@ -310,68 +279,6 @@ def _solve_row_eq(C, alpha, beta, f, cfg, v0=None) -> tuple:
             "the kernel exp(-C/epsilon) under- or overflows at this scale"
         )
     return Q, iters, conv, errs, v
-
-
-def _solve_generic(C, row, col, cfg):
-    eps = cfg.epsilon
-    f_row, up_row = _side_spec(row, eps)
-    f_col, up_col = _side_spec(col, eps)
-    return _generic_loop(C, row.target, f_row, up_row, col.target, f_col, up_col, cfg)
-
-
-def _generic_loop(C, mu, f_row, up_row, nu, f_col, up_col, cfg):
-    """Generic scaling loop with log-domain absorption, on a Fortran-order kernel.
-
-    Stops once the largest relative change of the column scaling,
-    max|b_new/b - 1|, falls below cfg.tol (the absolute change where the
-    scaling was 0). Raises NumericalOverflowError on a non-finite
-    scaling vector.
-    """
-    eps = cfg.epsilon
-    C = np.asfortranarray(C, dtype=np.float64)
-    m, n = C.shape
-    # zero-target exponent entries carry zero mass in any feasible plan
-    dead_col = (nu == 0) & ~up_col
-    if np.any(dead_col):
-        keep = ~dead_col
-        Qa, iters, conv, errs = _generic_loop(
-            C[:, keep], mu, f_row, up_row, nu[keep], f_col[keep], up_col[keep], cfg
-        )
-        Q = np.zeros(C.shape)
-        Q[:, keep] = Qa
-        return Q, iters, conv, errs
-
-    # a hard-equality row side is target/(M b): its exp and power are no-ops
-    row_eq = not np.any(up_row) and np.all(f_row == 1.0)
-    M = np.maximum(np.exp(-C / eps), KERNEL_FLOOR)
-    a = np.ones(m)
-    b = np.ones(n)
-    u = np.zeros(m)
-    v = np.zeros(n)
-    errs = []
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        a = mu / (M @ b) if row_eq else _side_update(M @ b, mu, f_row, up_row, u, eps)
-        b_new = _side_update(M.T @ a, nu, f_col, up_col, v, eps)
-        err = float(np.max(np.abs(b_new - b) / np.where(b > 0, b, 1.0)))
-        errs.append(err)
-        b = b_new
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise NumericalOverflowError("scaling vectors overflowed; enable stabilization")
-        if err < cfg.tol:
-            converged = True
-            break
-        if max(a.max(initial=0.0), b.max(initial=0.0)) > cfg.stabilization_threshold:
-            with np.errstate(divide="ignore"):
-                u = u + eps * np.log(a)
-                v = v + eps * np.log(b)
-            M = np.exp((u[:, None] - C + v[None, :]) / eps)
-            a = np.ones(m)
-            b = np.ones(n)
-    Q = np.multiply(a[:, None], M, order="C")
-    Q *= b
-    return Q, it, converged, errs
 
 
 def _penalties_for(row: MarginalConstraint, col: MarginalConstraint):
@@ -511,24 +418,29 @@ def solve_pot(pred: np.ndarray, rho: float, cfg: ScalingConfig, init: np.ndarray
 def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) -> TransportPlan:
     """Upper-bounded selective assignment: row sums <= 1/N, column sums <= upper,
     total mass rho. Degenerates to a single dominant cluster when the bound
-    is slack relative to rho."""
+    is slack relative to rho.
+
+    One kernel solve on the virtual-column extension of partial OT, with the
+    real columns upper-bounded instead of pinned to rho/K. When
+    K * upper <= rho (1 + MASS_RTOL) every bound binds, so the program is
+    partial OT's and the real columns are solved as hard ones at rho/K. The
+    plan carries no column potential.
+    """
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
     if upper <= 0:
         raise ValueError("upper must be > 0")
     P = clamp_probabilities(pred)
-    N, K = P.shape
+    K = P.shape[1]
     if K * upper < rho - 1e-12:
         raise InfeasibleProblemError(f"column bound too small: K*upper = {K * upper} < rho = {rho}")
     C0 = -np.log(P)
-    ext = extend_virtual(C0, rho, np.inf)
-    # mixed per-column rule: real columns upper-bounded, the virtual column
-    # (absent at rho = 1) pinned to 1-rho by a hard equality (exponent 1)
-    nu = np.append(np.full(K, upper), ext.beta[K:])
-    up_col = np.arange(nu.size) < K
-    Q, iters, converged, errs = _generic_loop(
-        ext.cost_ext, ext.alpha, np.ones(N), np.zeros(N, dtype=bool), nu, np.ones(nu.size), up_col, cfg
-    )
+    ext = extend_virtual(C0, rho, np.inf)  # the virtual column (absent at rho = 1) is hard at 1-rho
+    beta, up_col = ext.beta, None
+    if K * upper > rho * (1 + MASS_RTOL):
+        beta = np.append(np.full(K, upper), ext.beta[K:])
+        up_col = np.arange(beta.size) < K
+    Q, iters, converged, errs, _ = _solve_row_eq(ext.cost_ext, ext.alpha, beta, np.ones(beta.size), cfg, upper=up_col)
     real = Q[:, :K].copy()
     obj = entropic_objective(real, C0, [], cfg.epsilon)
     return TransportPlan(real, obj, iters, converged, np.asarray(errs))

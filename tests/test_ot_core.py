@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_pred
 from sppot import ot_core
+from sppot._kernels import py as kernels
 from sppot.ot_core import (
     CostMatrix,
     DimensionMismatchError,
@@ -12,8 +13,6 @@ from sppot.ot_core import (
     ScalingConfig,
     clamp_probabilities,
     entropic_objective,
-    prox_equality,
-    prox_weighted_kl,
     scaling_solve,
     solve_balanced_ot,
     solve_pot,
@@ -22,6 +21,7 @@ from sppot.ot_core import (
     weighted_kl_value,
     xlogx,
 )
+from sppot.p2ot import random_problem
 
 
 class TestValidation:
@@ -66,38 +66,6 @@ class TestValidation:
         col = MarginalConstraint.equality([0.5, 0.5])
         with pytest.raises(DimensionMismatchError):
             scaling_solve(C, row, col, ScalingConfig(epsilon=0.1))
-
-
-class TestProx:
-    def test_prox_equality_returns_target(self):
-        z = np.array([0.2, 0.5])
-        t = np.array([0.4, 0.6])
-        npt.assert_array_equal(prox_equality(z, t), t)
-
-    def test_prox_equality_rejects_nonpositive_z(self):
-        with pytest.raises(ValueError):
-            prox_equality(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-
-    def test_prox_weighted_kl_interpolates(self):
-        z = np.array([1.0, 4.0])
-        t = np.array([2.0, 2.0])
-        w = np.array([1.0, 1.0])
-        eps = 1.0
-        out = prox_weighted_kl(z, t, w, eps)
-        f = 0.5
-        npt.assert_allclose(out, t**f * z ** (1 - f))
-
-    def test_prox_weighted_kl_sentinel_is_equality(self):
-        z = np.array([3.0, 5.0])
-        t = np.array([1.0, 2.0])
-        out = prox_weighted_kl(z, t, np.array([np.inf, np.inf]), 0.1)
-        npt.assert_array_equal(out, t)
-
-    def test_prox_weighted_kl_zero_weight_keeps_z(self):
-        z = np.array([3.0, 5.0])
-        t = np.array([1.0, 2.0])
-        out = prox_weighted_kl(z, t, np.zeros(2), 0.1)
-        npt.assert_allclose(out, z)
 
 
 class TestHelpers:
@@ -254,6 +222,55 @@ class TestSla:
         with pytest.raises(InfeasibleProblemError):
             solve_sla(P, rho=0.9, upper=0.1, cfg=ScalingConfig(epsilon=0.1))
 
+    def test_slack_bounds_at_small_epsilon_give_the_row_softmax(self):
+        # every bound is slack, so each row is (1/N) softmax(-C/eps); a kernel
+        # taken from exp(-C/eps) floors whole rows at eps = 1e-3
+        P = random_problem(512, 10, 1.0, seed=0).pred
+        eps = 1e-3
+        plan = solve_sla(P, 1.0, 0.2, ScalingConfig(epsilon=eps))
+        z = np.log(clamp_probabilities(P)) / eps
+        ref = np.exp(z - z.max(axis=1, keepdims=True))
+        ref /= 512 * ref.sum(axis=1, keepdims=True)
+        assert plan.converged
+        assert np.all(plan.col_marginal() < 0.2)
+        npt.assert_allclose(plan.coupling, ref, rtol=0, atol=1e-12 * ref.max())
+
+    @pytest.mark.parametrize("n, k, seed, rho, upper", [(60, 5, 50, 0.4, 0.1), (40, 4, 51, 0.7, 0.2)])
+    def test_follows_the_upper_bound_recursion(self, n, k, seed, rho, upper):
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
+        P = random_pred(n, k, seed=seed, temperature=0.5)
+        plan = solve_sla(P, rho, upper, cfg)
+        ext = ot_core.extend_virtual(-np.log(clamp_probabilities(P)), rho, np.inf)
+        beta = np.append(np.full(k, upper), 1.0 - rho)
+        ref, ref_iters = _reference_upper_bound_recursion(ext.cost_ext, ext.alpha, beta, np.arange(k + 1) < k,
+                                                          cfg.epsilon, cfg.tol, cfg.max_iter)
+        assert plan.converged and plan.iterations == ref_iters
+        assert np.any(plan.col_marginal() < upper * (1 - 1e-3))  # some bound is slack, some binds
+        assert np.any(plan.col_marginal() > upper * (1 - 1e-6))
+        npt.assert_allclose(plan.coupling, ref[:, :k], rtol=0, atol=1e-12 * ref.max())
+
+    def test_absorption_leaves_the_iterates_unchanged(self):
+        # a threshold of 1 absorbs the scalings into the potentials in most
+        # sweeps; the upper bound's cap exp(-v/eps) must follow the potential
+        P = random_pred(25, 2, seed=1074, temperature=0.3)
+        plans = [solve_sla(P, 0.2, 0.105, ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=3000,
+                                                         stabilization_threshold=threshold))
+                 for threshold in (np.inf, 1.0)]
+        assert plans[0].converged and plans[1].iterations == plans[0].iterations
+        ref = plans[0].coupling
+        npt.assert_allclose(plans[1].coupling, ref, rtol=0, atol=1e-12 * ref.max())
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_tight_bound_is_partial_ot(self, rho):
+        # K * upper = rho: every bound binds, so the program is partial OT's (balanced at rho = 1)
+        P = random_pred(50, 5, seed=52)
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
+        sla = solve_sla(P, rho, rho / 5, cfg)
+        ref = solve_pot(P, rho, cfg) if rho < 1 else solve_balanced_ot(P, cfg)
+        assert np.array_equal(sla.coupling, ref.coupling)
+        assert sla.iterations == ref.iterations and sla.objective == ref.objective
+        assert sla.col_potential is None
+
     def test_slack_bound_concentrates(self):
         # one globally preferred column and a bound larger than the mass:
         # nearly everything should land in that column
@@ -265,9 +282,26 @@ class TestSla:
         assert share > 0.95
 
 
-class TestGenericLoop:
+def _reference_upper_bound_recursion(C, alpha, beta, upper, eps, tol, max_iter):
+    """Row-equality scaling whose `upper` columns take the upper-bound prox
+    min(1, beta/(M^T a)) and the others are hard, started from exp(-C/eps),
+    without absorption."""
+    M = np.maximum(np.exp(-C / eps), kernels.KERNEL_FLOOR)
+    b = np.ones(C.shape[1])
+    for it in range(1, max_iter + 1):
+        a = alpha / (M @ b)
+        b_new = beta / (M.T @ a)
+        b_new[upper] = np.minimum(1.0, b_new[upper])
+        err = np.max(np.abs(b_new / b - 1.0))
+        b = b_new
+        if err < tol:
+            break
+    return a[:, None] * M * b[None, :], it
+
+
+class TestScalingSolve:
     def test_upper_row_with_equality_col(self):
-        # rows upper-bounded, columns pinned: exercised through the generic path
+        # rows upper-bounded, columns pinned: the kernel runs on the transpose
         P = random_pred(10, 3, seed=13)
         C = -np.log(clamp_probabilities(P))
         rho = 0.6
@@ -285,11 +319,41 @@ class TestGenericLoop:
         npt.assert_array_equal(plan.coupling[:, 2], np.zeros(4))
         npt.assert_allclose(plan.total_mass(), 1.0, atol=1e-8)
 
+    def test_kl_rows_with_equality_cols_solve_the_transpose(self):
+        C = -np.log(clamp_probabilities(random_pred(12, 4, seed=53)))
+        rows = MarginalConstraint.kl(np.full(12, 1 / 12), 0.5)
+        cols = MarginalConstraint.equality(np.array([0.1, 0.2, 0.3, 0.4]))
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-10, max_iter=5000)
+        plan = scaling_solve(C, rows, cols, cfg)
+        ref = scaling_solve(C.T, cols, rows, cfg)
+        assert plan.converged and plan.coupling.flags.c_contiguous
+        npt.assert_array_equal(plan.coupling, ref.coupling.T)
+        npt.assert_allclose(plan.objective, ref.objective, rtol=1e-14)
+        npt.assert_allclose(plan.col_marginal(), cols.target, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["upper", "kl"])
+    def test_no_equality_side_raises(self, kind):
+        C = np.zeros((3, 2))
+        row = MarginalConstraint(kind, np.full(3, 1 / 3), weight=1.0)
+        col = MarginalConstraint(kind, np.full(2, 1 / 2), weight=1.0)
+        with pytest.raises(ValueError, match="needs an equality side"):
+            scaling_solve(C, row, col, ScalingConfig(epsilon=0.1))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_equality_mass_over_the_upper_bounds_is_infeasible(self, transpose):
+        # rows of mass 1 against four caps of 0.125: no plan exists
+        C = -np.log(clamp_probabilities(random_pred(20, 4, seed=54)))
+        eq = MarginalConstraint.equality(np.full(20, 1 / 20))
+        caps = MarginalConstraint.upper(np.full(4, 0.125))
+        args = (C.T, caps, eq) if transpose else (C, eq, caps)
+        with pytest.raises(InfeasibleProblemError, match="exceeds the upper bounds"):
+            scaling_solve(*args, ScalingConfig(epsilon=0.1))
+
 
 def _reference_cold_kernel(C, alpha, beta, f, eps, tol, max_iter):
     """The scaling recursion with its mass step, started from exp(-C/eps),
     without absorption."""
-    M = np.maximum(np.exp(-C / eps), ot_core.KERNEL_FLOOR)
+    M = np.maximum(np.exp(-C / eps), kernels.KERNEL_FLOOR)
     soft = f < 1
     m_soft = alpha.sum() - beta[~soft].sum()
     b = np.ones(C.shape[1])
