@@ -32,7 +32,7 @@ from .ot_core import (
     solve_sla,
     solve_uot,
 )
-from .p2ot import P2otProblem, benchmark_p2ot, solve_p2ot_fast, solve_p2ot_gsa
+from .p2ot import P2otProblem, solve_p2ot_fast, solve_p2ot_gsa
 from .sp2ot import Sp2otProblem, lambda1_decayed, solve_sp2ot, sp2ot_gradient
 
 __version__ = "1.0.0"
@@ -50,7 +50,6 @@ __all__ = [
     "SemanticGraph",
     "Sp2otProblem",
     "TransportPlan",
-    "benchmark_p2ot",
     "build_knn_graph",
     "cosine_similarity",
     "default_hyperparameters",

@@ -5,7 +5,7 @@ loop with a memory buffer, and pseudo-label quality tracking."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse

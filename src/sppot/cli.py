@@ -1,5 +1,5 @@
-"""Command-line entry point: solver runs, graph building, benchmarks,
-clustering experiments, metric evaluation, and oracle cross-checks.
+"""Command-line entry point: solver runs, graph building, clustering
+experiments, metric evaluation, and oracle cross-checks.
 
 Exit codes: 0 success, 1 validation/input error or a non-finite plan
 (NumericalOverflowError), 2 solver non-convergence under --strict. All
@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -25,7 +24,6 @@ from . import bench as bench_mod
 from . import io as io_mod
 from . import metrics as metrics_mod
 from . import ot_core, oracle, p2ot, sp2ot
-from .curriculum import Schedule, rho_at
 from .graph import FeatureSet, SemanticGraph, build_knn_graph, cosine_similarity, gaussian_similarity, median_bandwidth
 
 SCHEMA_VERSION = 1
@@ -121,52 +119,6 @@ def p2ot_solve(pred_path, rho, lam, eps, tol, max_iter, out_path, strict):
     )
     click.echo(f"objective={plan.objective:.6f} iterations={plan.iterations} converged={plan.converged}")
     click.echo(f"max_row_excess={residuals['max_row_excess']:.3e} total_mass_gap={residuals['total_mass_gap']:.3e}")
-
-
-BENCH_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["sizes", "rhos", "seeds"],
-    "properties": {
-        "sizes": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 2},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-        },
-        "rhos": {"type": "array", "minItems": 1, "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1}},
-        "seeds": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
-        "lambda": {"type": "number", "minimum": 0},
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "max_iter": {"type": "integer", "minimum": 1},
-        "repeats": {"type": "integer", "minimum": 1},
-    },
-}
-
-
-@p2ot_group.command("bench")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path())
-def p2ot_bench(config_path, out_path):
-    """Benchmark the fast solver against the baseline over a config sweep."""
-    cfg = _load_config(config_path, BENCH_SCHEMA)
-    report = p2ot.benchmark_p2ot(
-        sizes=[tuple(s) for s in cfg["sizes"]],
-        rhos=cfg["rhos"],
-        seeds=cfg["seeds"],
-        lam=cfg.get("lambda", 1.0),
-        epsilon=cfg.get("eps", 0.1),
-        tol=cfg.get("tol", 1e-6),
-        max_iter=cfg.get("max_iter", 1000),
-        repeats=cfg.get("repeats", 1),
-    )
-    io_mod.write_csv_rows(_out_dir(out_path), report.to_csv_rows())
-    click.echo(f"median wall-time ratio baseline/fast = {report.speedup():.2f}")
 
 
 # ---------------------------------------------------------------- sp2ot
@@ -351,7 +303,7 @@ def _run_from_config(cfg: dict, solver: str, seed: int) -> tuple:
         **train_opts,
     )
     if "rho0" in sched:
-        tc = bench_mod.replace(tc, rho0=sched["rho0"])
+        tc = replace(tc, rho0=sched["rho0"])
     return dataset, bench_mod.train(dataset, solver, tc), tc
 
 

@@ -46,7 +46,8 @@ class InfeasibleProblemError(ValueError):
 
 
 class NumericalOverflowError(ArithmeticError):
-    """Non-finite intermediate; enable stabilization (finite threshold)."""
+    """The plan turned non-finite: exp(-C/epsilon) under- or overflowed at this
+    epsilon, which the stabilized kernel could not absorb."""
 
 
 @dataclass(frozen=True)
@@ -194,16 +195,24 @@ def _side_spec(con: MarginalConstraint, epsilon: float):
     return np.ones(n), np.ones(n, dtype=bool)  # "upper", the one kind without exponents
 
 
-def _check_masses(row: MarginalConstraint, col: MarginalConstraint):
-    sr, sc = row.target.sum(), col.target.sum()
-    slack = MASS_RTOL * max(sr, sc, 1.0)
-    if row.kind == "equality" and col.kind == "equality":
-        if abs(sr - sc) > slack:
-            raise InfeasibleProblemError(f"equality marginals disagree in total mass: {sr} vs {sc}")
-    elif {row.kind, col.kind} == {"equality", "upper"}:
-        mass, cap = (sr, sc) if row.kind == "equality" else (sc, sr)
-        if mass > cap + slack:
-            raise InfeasibleProblemError(f"equality mass {mass} exceeds the upper bounds' total {cap}")
+def _check_masses(eq: MarginalConstraint, other: MarginalConstraint, epsilon: float):
+    """Raise InfeasibleProblemError where no plan meets the equality side's
+    mass: it exceeds the other side's upper bounds or falls short of its hard
+    targets (entries the kernel holds exactly, f == 1), or, with every entry
+    of the other side hard, differs from their total."""
+    mass, total = eq.target.sum(), other.target.sum()
+    slack = MASS_RTOL * max(mass, total, 1.0)
+    f = other.exponents(epsilon)
+    if f is None:
+        if mass > total + slack:
+            raise InfeasibleProblemError(f"equality mass {mass} exceeds the upper bounds' total {total}")
+        return
+    hard = f == 1
+    if hard.all():
+        if abs(mass - total) > slack:
+            raise InfeasibleProblemError(f"hard marginals disagree in total mass: {mass} vs {total}")
+    elif (hard_total := other.target[hard].sum()) > mass + slack:
+        raise InfeasibleProblemError(f"hard targets' total {hard_total} exceeds the equality mass {mass}")
 
 
 def scaling_solve(
@@ -220,8 +229,8 @@ def scaling_solve(
     "upper" side, in the one row-equality kernel. Where only the columns are
     an equality the transposed problem is solved and its plan transposed
     back. Raises ValueError when neither side is an equality, and
-    InfeasibleProblemError when equality sides disagree in mass or an
-    equality side's mass exceeds the other side's upper bounds.
+    InfeasibleProblemError when the equality side's mass cannot be met (see
+    `_check_masses`).
     """
     C = cost.values if isinstance(cost, CostMatrix) else CostMatrix(cost).values
     m, n = C.shape
@@ -229,10 +238,9 @@ def scaling_solve(
         raise DimensionMismatchError("marginal lengths must match cost shape")
     if "equality" not in (row.kind, col.kind):
         raise ValueError(f"scaling_solve needs an equality side, got rows {row.kind!r} and columns {col.kind!r}")
-    _check_masses(row, col)
-
     flip = row.kind != "equality"  # solve the transpose, whose rows are the equality side
     eq, other = (col, row) if flip else (row, col)
+    _check_masses(eq, other, cfg.epsilon)
     f, upper = _side_spec(other, cfg.epsilon)
     Q, iters, converged, errs, _ = _solve_row_eq(C.T if flip else C, eq.target, other.target, f, cfg, upper=upper)
     if flip:
@@ -296,9 +304,9 @@ def entropic_objective(plan: np.ndarray, cost: np.ndarray, penalties, epsilon: f
 
     `penalties` is a list of (axis, target, weights) triples; axis 0 penalizes
     the row marginal Q 1, axis 1 the column marginal Q^T 1. The KL terms use
-    the x*log(x/target) form (entries with x = 0 contribute 0); sentinel
-    infinite weights contribute 0 when the marginal matches its target
-    exactly and +inf otherwise is avoided by clamping to the converged value.
+    the x*log(x/target) form (entries with x = 0 contribute 0); entries with
+    the sentinel infinite weight are hard constraints the solver enforces,
+    and contribute 0.
     """
     Q = np.asarray(plan, dtype=float)
     C = np.asarray(cost, dtype=float)

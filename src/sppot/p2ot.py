@@ -10,8 +10,8 @@ the selected plan. After each column update it takes a scalar mass step
 that rescales the K real columns to total mass rho (the virtual column is
 hard, so the rows leave them exactly rho).
 
-The generalized scaling baseline, kept for cross-checks and benchmarking,
-minimizes the same program on the unextended plan Q = s diag(a) M diag(b):
+The generalized scaling baseline, kept for cross-checks, minimizes the same
+program on the unextended plan Q = s diag(a) M diag(b):
 
     a <- alpha/(1 + s M b)      (rho < 1; the slack equals a at optimality)
     a <- min(alpha/(s M b), 1)  (rho = 1; no slack)
@@ -26,8 +26,7 @@ columns, leaving the row and virtual-column updates to the scaling kernel.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,72 +104,3 @@ def random_problem(n: int, k: int, rho: float, seed: int, lam: float = 1.0, epsi
     if cfg is None:
         cfg = ScalingConfig(epsilon=epsilon)
     return P2otProblem(P, rho, lam, cfg)
-
-
-@dataclass
-class BenchmarkRow:
-    solver: str
-    n: int
-    k: int
-    rho: float
-    seed: int
-    wall_ms: float
-    iters: int
-    objective: float
-
-
-@dataclass
-class BenchmarkReport:
-    rows: list[BenchmarkRow] = field(default_factory=list)
-
-    def to_csv_rows(self):
-        header = ["schema_version", "solver", "N", "K", "rho", "seed", "wall_ms", "iters", "objective"]
-        out = [header]
-        for r in self.rows:
-            out.append(["2", r.solver, str(r.n), str(r.k), repr(float(r.rho)), str(r.seed),
-                        f"{r.wall_ms:.3f}", str(r.iters), repr(float(r.objective))])
-        return out
-
-    def speedup(self, n=None, k=None, rho=None, seed=None) -> float:
-        """wall(gsa) / wall(fast), median over the matching rows.
-
-        With no arguments this is the overall median ratio across the sweep.
-        """
-
-        def med(solver):
-            vals = [r.wall_ms for r in self.rows
-                    if r.solver == solver
-                    and (n is None or r.n == n)
-                    and (k is None or r.k == k)
-                    and (rho is None or r.rho == rho)
-                    and (seed is None or r.seed == seed)]
-            if not vals:
-                raise ValueError("no benchmark rows match the requested configuration")
-            return float(np.median(vals))
-
-        return med("gsa") / med("fast")
-
-
-def benchmark_p2ot(sizes, rhos, seeds, lam: float = 1.0, epsilon: float = 0.1,
-                   tol: float = 1e-6, max_iter: int = 1000, repeats: int = 1) -> BenchmarkReport:
-    """Time the fast solver against the generalized-scaling baseline.
-
-    Timing covers the solve call including kernel exponentiation; instance
-    generation is excluded. Runs are sequential to keep timings honest.
-    """
-    report = BenchmarkReport()
-    for n, k in sizes:
-        for rho in rhos:
-            for seed in seeds:
-                problem = random_problem(n, k, rho, seed, lam=lam, epsilon=epsilon,
-                                         cfg=ScalingConfig(epsilon=epsilon, tol=tol, max_iter=max_iter))
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    plan = solve_p2ot_fast(problem)
-                    dt = (time.perf_counter() - t0) * 1e3
-                    report.rows.append(BenchmarkRow("fast", n, k, rho, seed, dt, plan.iterations, plan.objective))
-                    t0 = time.perf_counter()
-                    plan = solve_p2ot_gsa(problem)
-                    dt = (time.perf_counter() - t0) * 1e3
-                    report.rows.append(BenchmarkRow("gsa", n, k, rho, seed, dt, plan.iterations, plan.objective))
-    return report

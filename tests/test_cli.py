@@ -1,5 +1,7 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,31 +95,17 @@ class TestP2otSolve:
         assert out.exists()
 
 
-class TestBench:
-    def test_bench_writes_csv(self, runner, tmp_path):
-        cfg = {"sizes": [[12, 3]], "rhos": [0.5, 1.0], "seeds": [0]}
+class TestRemovedBench:
+    def test_bench_command_is_gone(self, runner, tmp_path):
         cfg_path = tmp_path / "bench.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "bench.csv"
+        cfg_path.write_text(json.dumps({"sizes": [[12, 3]], "rhos": [0.5], "seeds": [0]}))
+        out = tmp_path / "b.csv"
         result = runner.invoke(cli, ["p2ot", "bench", "--config", str(cfg_path), "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        rows = list(csv.reader(out.open()))
-        assert rows[0][0] == "schema_version"
-        assert len(rows) == 1 + 4  # 2 solvers x 2 rhos
-
-    def test_unknown_config_key_rejected(self, tmp_path):
-        cfg_path = tmp_path / "bench.json"
-        cfg_path.write_text(json.dumps({"sizes": [[8, 2]], "rhos": [0.5], "seeds": [0], "bogus": 1}))
+        assert "No such command" in result.output
         with pytest.raises(SystemExit) as exc:
-            main(["p2ot", "bench", "--config", str(cfg_path), "--out", str(tmp_path / "b.csv")])
+            main(["p2ot", "bench", "--config", str(cfg_path), "--out", str(out)])
         assert exc.value.code == 1
-
-    def test_invalid_json_rejected(self, tmp_path):
-        cfg_path = tmp_path / "bench.json"
-        cfg_path.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            main(["p2ot", "bench", "--config", str(cfg_path), "--out", str(tmp_path / "b.csv")])
-        assert exc.value.code == 1
+        assert not out.exists()
 
 
 class TestGraphBuild:
@@ -276,6 +264,13 @@ class TestClusterRun:
             main(["cluster", "run", "--config", str(cfg_path), "--out", str(cfg_path) + ".out"])
         assert exc.value.code == 1
 
+    def test_invalid_json_rejected(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("{not json")
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "run", "--config", str(cfg_path), "--out", str(tmp_path / "run.out")])
+        assert exc.value.code == 1
+
 
 class TestSemanticClusterRun:
     """SP2OT at the default lambda1_0 (1000): the gradient cost C0 - lambda1 (A + A^T) Q
@@ -336,3 +331,15 @@ class TestOracleCheck:
         assert result.exit_code == 0, result.output
         gap = float(result.output.split("relative_gap=")[1].strip())
         assert gap < 1e-5
+
+
+def test_readme_commands_parse():
+    # every `sppot ...` line of the README's command-line block names a real
+    # command and real options; --help makes each a parse with no run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("sppot ")]
+    assert lines
+    for line in lines:
+        result = CliRunner().invoke(cli, shlex.split(line)[1:] + ["--help"])
+        assert result.exit_code == 0, f"{line}\n{result.output}"

@@ -588,12 +588,16 @@ class TestMassStep:
         out = kernels.scaling_weighted_kl(*args)
         for x, y in zip(out, _step_free_kernel(*args)):
             npt.assert_array_equal(x, y)
+        # scaling_solve raises instead: hard targets 0.6 + 0.5, then every
+        # entry hard at 0.3 (total 1.2), each against rows of mass 1
         row = MarginalConstraint.equality(alpha)
-        col = MarginalConstraint.weighted_kl(beta, np.array([np.inf, np.inf, 1.0, 1.0]))
-        plan = scaling_solve(C, row, col, ScalingConfig(epsilon=0.1))
-        assert np.all(np.isfinite(plan.coupling))
-        assert not plan.converged and plan.iterations == 1000
-        npt.assert_array_equal(plan.coupling, out[0])
+        hard = np.full(4, 0.3)
+        for col in (MarginalConstraint.weighted_kl(beta, np.array([np.inf, np.inf, 1.0, 1.0])),
+                    MarginalConstraint.kl(hard, np.inf),
+                    MarginalConstraint.weighted_kl(hard, np.full(4, np.inf))):
+            for args in ((C, row, col), (C.T, col, row)):
+                with pytest.raises(InfeasibleProblemError):
+                    scaling_solve(*args, ScalingConfig(epsilon=0.1))
 
     @pytest.mark.parametrize("name", ["uot", "p2ot"])
     def test_same_plan_and_potential_as_the_step_free_recursion(self, name):

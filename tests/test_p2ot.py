@@ -16,10 +16,7 @@ from sppot.ot_core import (
     solve_virtual,
 )
 from sppot.p2ot import (
-    BenchmarkReport,
-    BenchmarkRow,
     P2otProblem,
-    benchmark_p2ot,
     random_problem,
     solve_p2ot_fast,
     solve_p2ot_gsa,
@@ -265,35 +262,6 @@ class TestRandomProblem:
         npt.assert_allclose(a.pred.sum(axis=1), np.ones(8), atol=1e-12)
         c = random_problem(8, 3, 0.5, seed=2)
         assert np.any(a.pred != c.pred)
-
-
-class TestBenchmark:
-    def test_report_rows_and_csv(self):
-        report = benchmark_p2ot(sizes=[(16, 3)], rhos=[0.5], seeds=[0], repeats=2, max_iter=2000)
-        assert len(report.rows) == 4  # 2 solvers x 2 repeats
-        rows = report.to_csv_rows()
-        assert rows[0] == [
-            "schema_version", "solver", "N", "K", "rho", "seed", "wall_ms", "iters", "objective",
-        ]
-        assert {r[0] for r in rows[1:]} == {"2"}
-        assert len(rows) == 5
-        assert {r[1] for r in rows[1:]} == {"fast", "gsa"}
-
-    def test_speedup_filters(self):
-        report = BenchmarkReport(
-            rows=[
-                BenchmarkRow("fast", 8, 2, 0.5, 0, 1.0, 10, -1.0),
-                BenchmarkRow("gsa", 8, 2, 0.5, 0, 3.0, 30, -1.0),
-            ]
-        )
-        assert report.speedup() == 3.0
-        assert report.speedup(n=8, k=2, rho=0.5, seed=0) == 3.0
-        with pytest.raises(ValueError):
-            report.speedup(n=99)
-
-    def test_objectives_recorded_finite(self):
-        report = benchmark_p2ot(sizes=[(12, 3)], rhos=[1.0], seeds=[1], max_iter=2000)
-        assert all(np.isfinite(r.objective) for r in report.rows)
 
 
 def test_public_exports_resolve():
