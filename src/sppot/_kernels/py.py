@@ -110,6 +110,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     if soft.size == 0 or m_soft <= 0 or np.any(f[soft] != f[soft[0]]) or upper is not None:
         soft = None
     cap = None if upper is None else _upper_cap(v, upper, epsilon)
+    a_bound = _row_scaling_bound(alpha, M)
     a = np.ones(m)
     b = np.ones(n)
     errs = np.empty(max_iter)
@@ -117,6 +118,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     it = 0
     for it in range(1, max_iter + 1):
         a = alpha / (M @ b)
+        a_may_pass = not a_bound < threshold * b.min()  # False proves max(a) <= threshold unread
         col = M.T @ a
         b_new = w * (beta / col) ** f
         if upper is not None:
@@ -133,11 +135,12 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
             break
         if not math.isfinite(err):  # the scalings have under- or overflowed
             break
-        if max(a.max(), b.max()) > threshold:
+        if b.max() > threshold or (a_may_pass and a.max() > threshold):
             u += epsilon * np.log(a)
             v += epsilon * np.log(b)
             w = np.where(hard, 1.0, w * b ** (f - 1.0))
             M = np.exp((u[:, None] - C + v[None, :]) / epsilon)
+            a_bound = _row_scaling_bound(alpha, M)
             a = np.ones(m)
             b = np.ones(n)
             if upper is not None:
@@ -150,6 +153,21 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
             lam = epsilon * f[soft] / (1.0 - f[soft])
             potential -= np.mean(potential[soft] - lam * np.log(beta[soft] / (b[soft] * col[soft])))
     return Q, it, converged, errs[:it].copy(), potential
+
+
+def _row_scaling_bound(alpha, M):
+    """R with alpha / (M b) <= R / min(b) entrywise for every b > 0: max_i alpha_i / rowsum_i(M).
+
+    Since (M b)_i >= min(b) rowsum_i(M) for a nonnegative kernel, a sweep
+    whose R < threshold * min(b) cannot have a row scaling above `threshold`,
+    and the loop skips reading all N of them. R is widened by 1e-12 plus a
+    few units in the last place per column, more than the rounding of the two
+    row sums, so the skip never hides an absorption. A zero row sum or a NaN
+    makes R inf or NaN, and then no sweep skips.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = float(np.max(alpha / M.sum(axis=1)))
+    return bound * (1.0 + 1e-12 + 4.0 * M.shape[1] * np.finfo(np.float64).eps)
 
 
 def _upper_cap(v, upper, epsilon):

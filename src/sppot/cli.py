@@ -165,6 +165,7 @@ def sp2ot_solve(pred_path, graph_path, lambda1, lambda2, rho, eps, out_path, str
                 "outer_objectives": trace.objectives,
                 "inner_iterations": trace.inner_iterations,
                 "plan_changes": trace.frobenius_changes,
+                "ascents": trace.ascents,
             },
             config,
             seed=None,

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from .graph import dense_to_csr
 from .ot_core import ScalingConfig, TransportPlan, clamp_probabilities, weighted_kl_value, xlogx
 from .p2ot import P2otProblem, solve_p2ot_fast
 
@@ -24,8 +25,9 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class Sp2otProblem:
     pred: np.ndarray
-    # N x N nonnegative weights, dense ndarray or scipy sparse; stored as CSR without explicit
-    # zeros. Any nonnegative matrix is accepted: diagonal and asymmetric entries are kept.
+    # N x N finite nonnegative weights, dense ndarray or scipy sparse; stored as a CSR copy
+    # without explicit zeros. A dense matrix is scanned once (`graph.dense_to_csr`, O(N^2)); a
+    # sparse one is copied in O(nnz). Diagonal and asymmetric entries are kept.
     adjacency: sparse.csr_array
     lambda1: float
     lambda2: float
@@ -37,10 +39,15 @@ class Sp2otProblem:
 
     def __post_init__(self):
         P = np.asarray(self.pred, dtype=float)
-        A = sparse.csr_array(self.adjacency, dtype=float, copy=True)  # never alias the caller's arrays
-        A.eliminate_zeros()
+        if sparse.issparse(self.adjacency):
+            A = sparse.csr_array(self.adjacency, dtype=float, copy=True)  # never alias the caller's arrays
+            A.eliminate_zeros()
+        else:
+            A = dense_to_csr(self.adjacency)
         if A.shape != (P.shape[0], P.shape[0]):
             raise ValueError("adjacency must be N x N for N samples")
+        if not np.all(np.isfinite(A.data)):
+            raise ValueError("adjacency entries must be finite")
         if np.any(A.data < 0):
             raise ValueError("adjacency entries must be nonnegative")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -56,16 +63,18 @@ class PmdTrace:
     objectives: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     frobenius_changes: list[float] = field(default_factory=list)
+    ascents: int = 0  # outer steps whose objective rose by more than 1e-12 over the previous one
 
 
 def sp2ot_gradient(cost0: np.ndarray, adjacency, lambda1: float, plan: np.ndarray) -> np.ndarray:
     """Gradient of the smooth part: C0 - lambda1 (A Q + A^T Q).
 
     `adjacency` is a dense ndarray or a scipy sparse matrix; the products cost
-    O(nnz K) on CSR input.
+    O(nnz K) on CSR input. A dense one is first converted by `graph.dense_to_csr`,
+    an O(N^2) scan on every call: pass CSR (`Sp2otProblem.adjacency`) in a loop.
     """
     C0 = np.asarray(cost0, dtype=float)
-    A = sparse.csr_array(adjacency, dtype=float)
+    A = _as_csr(adjacency)
     Q = np.asarray(plan, dtype=float)
     if lambda1 == 0 or A.count_nonzero() == 0:
         return C0.copy()
@@ -81,14 +90,15 @@ def sp2ot_objective(plan, pred, adjacency, lambda1, lambda2, rho, epsilon) -> fl
     loop by exactly its variation between iterates.
 
     `adjacency` is a dense ndarray or a scipy sparse matrix; the semantic
-    term <A, Q Q^T> = sum(Q * (A Q)) costs O(nnz K) on CSR input.
+    term <A, Q Q^T> = sum(Q * (A Q)) costs O(nnz K) on CSR input. A dense one
+    is first converted by `graph.dense_to_csr`, an O(N^2) scan on every call.
     """
     Q = np.asarray(plan, dtype=float)
     P = clamp_probabilities(pred)
     N, K = Q.shape
     val = float(np.sum(Q * -np.log(P)))
     if lambda1 != 0:
-        A = sparse.csr_array(adjacency, dtype=float)
+        A = _as_csr(adjacency)
         val -= lambda1 * float(np.sum(Q * (A @ Q)))
     col = Q.sum(axis=0)
     val += weighted_kl_value(col, np.full(K, rho / K), np.full(K, lambda2))
@@ -96,6 +106,12 @@ def sp2ot_objective(plan, pred, adjacency, lambda1, lambda2, rho, epsilon) -> fl
     slack = np.maximum(1.0 / N - Q.sum(axis=1), 0.0)
     val += epsilon * float(np.sum(xlogx(slack)))
     return val
+
+
+def _as_csr(adjacency) -> sparse.csr_array:
+    if sparse.issparse(adjacency):
+        return sparse.csr_array(adjacency, dtype=float)
+    return dense_to_csr(adjacency)
 
 
 def lambda1_decayed(lambda1_0: float, rho: float) -> float:
@@ -136,10 +152,13 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
         trace.inner_iterations.append(plan.iterations)
         trace.frobenius_changes.append(change)
         if obj > prev_obj + 1e-12:
-            log.warning("objective increased by %.3e; adjacency may not be PSD", obj - prev_obj)
+            trace.ascents += 1
         prev_obj = obj
         if not semantic_on or change < problem.outer_tol:
             break
+    if trace.ascents:
+        log.warning("objective increased in %d of %d outer steps (largest rise %.3e); adjacency may not be PSD",
+                    trace.ascents, len(trace.objectives), float(np.max(np.diff(trace.objectives))))
     final = TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.b_change,
                           plan.col_potential)
     return final, trace

@@ -159,6 +159,20 @@ class TestSp2otSolve:
         assert result.exit_code == 0, result.output
         summary = json.loads(out.with_suffix(".json").read_text())
         assert len(summary["outer_objectives"]) >= 1
+        objs = summary["outer_objectives"]
+        assert summary["ascents"] == sum(b > a + 1e-12 for a, b in zip(objs, objs[1:]))
+
+    def test_nonfinite_edge_exits_1(self, runner, tmp_path):
+        pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)
+        gpath = tmp_path / "graph.csv"
+        io_mod.write_triplets_csv(gpath, [0, 1], [1, 2], [1.0, float("nan")])
+        assert "nan" in gpath.read_text()
+        out = tmp_path / "o.csv"
+        result = runner.invoke(cli, ["sp2ot", "solve", "--pred", str(pred), "--graph", str(gpath),
+                                     "--lambda1", "1.0", "--rho", "0.5", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "adjacency entries must be finite" in result.output
+        assert not out.exists()
 
     def test_repeated_edge_keeps_last_value(self, runner, tmp_path):
         # (0, 1) and (2, 3) appear twice: the file means the value written last

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 from sppot import graph
 from sppot.graph import (
@@ -9,6 +10,7 @@ from sppot.graph import (
     adjacency_accuracy,
     build_knn_graph,
     cosine_similarity,
+    dense_to_csr,
     gaussian_similarity,
     median_bandwidth,
     pairwise_sq_dists,
@@ -208,6 +210,88 @@ class TestToCsr:
     def test_empty_graph(self):
         g = SemanticGraph(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0), n=4, k=0, kernel="file")
         assert g.to_csr().shape == (4, 4) and g.to_csr().nnz == 0
+
+
+def csr_reference(A):
+    """scipy's own dense-to-CSR conversion, through COO."""
+    ref = sparse.csr_array(A)
+    ref.eliminate_zeros()
+    return ref
+
+
+def assert_same_csr(out, ref):
+    assert out.format == "csr" and out.shape == ref.shape and out.dtype == np.float64
+    npt.assert_array_equal(out.indptr, ref.indptr, strict=True)
+    npt.assert_array_equal(out.indices, ref.indices, strict=True)
+    npt.assert_array_equal(out.data, ref.data)  # ref keeps an int or bool input's dtype
+
+
+def signed_zero_matrix():
+    """7 x 7 with explicit 0.0 and -0.0, empty rows (first, middle, last) and a negative entry."""
+    rng = np.random.default_rng(11)
+    A = np.where(rng.uniform(size=(7, 7)) < 0.4, rng.uniform(0.1, 1.0, size=(7, 7)), 0.0)
+    A[[0, 3, 6]] = 0.0
+    A[1, 2], A[2, 5], A[4, 4] = -0.0, -0.0, -0.5
+    A[5, 1] = 0.0
+    return A
+
+
+class TestDenseToCsr:
+    @pytest.mark.parametrize("make", [
+        signed_zero_matrix,
+        lambda: np.zeros((5, 5)),
+        lambda: np.zeros((1, 1)),
+        lambda: np.full((1, 1), 3.0),
+        lambda: np.zeros((0, 0)),
+        lambda: (signed_zero_matrix() * 10).astype(np.int64),
+        lambda: signed_zero_matrix() > 0,
+        lambda: np.asfortranarray(signed_zero_matrix()),
+        lambda: build_knn_graph(gaussian_similarity(features(40, 3, seed=12), 1.0), k=5).to_dense(),
+    ], ids=["signed-zeros", "all-zero", "1x1-zero", "1x1", "0x0", "int", "bool", "fortran", "knn"])
+    def test_array_equal_to_scipy(self, make):
+        A = make()
+        assert_same_csr(dense_to_csr(A), csr_reference(A))
+
+    def test_strided_view(self):
+        A = build_knn_graph(gaussian_similarity(features(40, 3, seed=13), 1.0), k=8).to_dense()
+        view = A[::2, ::2]
+        assert not view.flags.c_contiguous
+        assert_same_csr(dense_to_csr(view), csr_reference(view))
+
+    def test_nan_kept_in_place(self):
+        A = signed_zero_matrix()
+        A[2, 3] = np.nan
+        out, ref = dense_to_csr(A), csr_reference(A)
+        npt.assert_array_equal(out.indices, ref.indices)
+        npt.assert_array_equal(out.data, ref.data)  # NaN compares equal here
+
+    @pytest.mark.parametrize("block", [1, 7, 20, 1 << 20])
+    def test_blocks_do_not_change_the_result(self, monkeypatch, block):
+        A = build_knn_graph(gaussian_similarity(features(30, 3, seed=14), 1.0), k=4).to_dense()
+        monkeypatch.setattr(graph, "DENSE_SCAN_BLOCK_ENTRIES", block)
+        assert_same_csr(dense_to_csr(A), csr_reference(A))
+
+    def test_result_owns_its_arrays(self):
+        A = signed_zero_matrix()
+        out = dense_to_csr(A)
+        out.data[:] = 99.0
+        npt.assert_array_equal(A, signed_zero_matrix())
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 3), (3, 4), (0, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            dense_to_csr(np.ones(shape))
+        with pytest.raises(ValueError, match="square"):
+            SemanticGraph.from_dense(np.ones(shape))
+
+    def test_from_dense_keeps_nonzero_order_and_negatives(self):
+        A = signed_zero_matrix()
+        g = SemanticGraph.from_dense(A, k=2)
+        r, c = np.nonzero(A)
+        npt.assert_array_equal(g.rows, r)
+        npt.assert_array_equal(g.cols, c)
+        npt.assert_array_equal(g.values, A[r, c])
+        assert g.values.min() == -0.5 and (g.n, g.k, g.kernel) == (7, 2, "imported")
 
 
 class TestAdjacencyAccuracy:

@@ -621,3 +621,100 @@ class TestMassStep:
         cfg = ScalingConfig(epsilon=0.1, tol=1e-3)
         plan = ot_core.solve_virtual(-np.log(random_pred(500, 8, seed=43)), rho, 1.0, cfg)
         assert abs(plan.total_mass() - rho) <= 1e-12
+
+
+def _every_sweep_reading_kernel(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0=None, upper=None):
+    """The scaling kernel's loop reading max(a) over all rows every sweep.
+
+    Returns the kernel's five outputs, the sweeps that absorbed, those of
+    them where max(a) passed the threshold, and the sweeps whose bound
+    R / min(b) (`kernels._row_scaling_bound`) leaves max(a) unread in the
+    kernel.
+    """
+    from sppot._kernels import py as kernels
+
+    C = np.asfortranarray(C, dtype=np.float64)
+    m, n = C.shape
+    hard = f == 1.0
+    u, v, M = kernels._start(C, v0, f, hard, epsilon, threshold)
+    w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
+    soft = np.flatnonzero(~hard)
+    m_soft = float(alpha.sum() - beta[hard].sum())
+    if soft.size == 0 or m_soft <= 0 or np.any(f[soft] != f[soft[0]]) or upper is not None:
+        soft = None
+    cap = None if upper is None else kernels._upper_cap(v, upper, epsilon)
+    a, b = np.ones(m), np.ones(n)
+    errs, absorbed, by_rows, unread = [], [], [], []
+    converged = False
+    for it in range(1, max_iter + 1):
+        a = alpha / (M @ b)
+        if kernels._row_scaling_bound(alpha, M) < threshold * b.min():
+            unread.append(it)
+        col = M.T @ a
+        b_new = w * (beta / col) ** f
+        if upper is not None:
+            b_new[upper] = np.minimum(cap, beta[upper] / col[upper])
+        if soft is not None:
+            soft_mass = float(b_new[soft] @ col[soft])
+            if 0.0 < soft_mass < np.inf:
+                b_new[soft] *= m_soft / soft_mass
+        errs.append(float(np.abs(b_new / b - 1.0).max()))
+        b = b_new
+        if errs[-1] < tol:
+            converged = True
+            break
+        if not np.isfinite(errs[-1]):
+            break
+        if max(a.max(), b.max()) > threshold:
+            absorbed.append(it)
+            if a.max() > threshold:
+                by_rows.append(it)
+            u += epsilon * np.log(a)
+            v += epsilon * np.log(b)
+            w = np.where(hard, 1.0, w * b ** (f - 1.0))
+            M = np.exp((u[:, None] - C + v[None, :]) / epsilon)
+            a, b = np.ones(m), np.ones(n)
+            if upper is not None:
+                cap = kernels._upper_cap(v, upper, epsilon)
+    Q = np.multiply(a[:, None], M, order="C")
+    Q *= b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        potential = v + epsilon * np.log(b)
+        if soft is not None:
+            lam = epsilon * f[soft] / (1.0 - f[soft])
+            potential -= np.mean(potential[soft] - lam * np.log(beta[soft] / (b[soft] * col[soft])))
+    return (Q, it, converged, np.asarray(errs), potential), absorbed, by_rows, unread
+
+
+class TestAbsorptionCheck:
+    # The kernel reads max(a) over all N rows only in sweeps where the bound
+    # R / min(b) could pass the threshold; the absorptions must fall in the
+    # same sweeps as when it is read every sweep.
+    @pytest.mark.parametrize("threshold", [10.0, 1e3])
+    @pytest.mark.parametrize("solver", ["balanced", "p2ot", "sla"])
+    def test_same_sweeps_as_reading_every_row_scaling(self, monkeypatch, solver, threshold):
+        from sppot import p2ot
+        from sppot._kernels import py as kernels
+
+        kernel, bound = kernels.scaling_weighted_kl, kernels._row_scaling_bound
+        calls, bounds = [], []
+        monkeypatch.setattr(kernels, "scaling_weighted_kl", lambda *a, **k: calls.append((a, k)) or kernel(*a, **k))
+        monkeypatch.setattr(kernels, "_row_scaling_bound", lambda *a: bounds.append(1) or bound(*a))
+        cfg = ScalingConfig(epsilon=0.003, tol=1e-9, max_iter=3000, stabilization_threshold=threshold)
+        P = random_pred(200, 6, seed=44, temperature=0.3)
+        if solver == "balanced":
+            solve_balanced_ot(P, cfg)
+        elif solver == "p2ot":
+            p2ot.solve_p2ot_fast(p2ot.P2otProblem(P, 0.4, 1.0, cfg))
+        else:
+            solve_sla(P, 0.4, 0.1, cfg)
+        (args, kwargs), = calls
+        bounds.clear()
+        out = kernel(*args, **kwargs)
+        kernels_built = len(bounds)
+        ref, absorbed, by_rows, unread = _every_sweep_reading_kernel(*args, **kwargs)
+        assert len(absorbed) >= 8 and len(unread) >= 1000
+        assert by_rows or solver == "p2ot"  # P2OT's absorptions here all come from b
+        assert kernels_built == 1 + len(absorbed)
+        for x, y in zip(out, ref, strict=True):
+            npt.assert_array_equal(x, y)

@@ -64,6 +64,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             Sp2otProblem(random_pred(4, 2, 0), A, -1.0, 1.0, 0.5, 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    def test_nonfinite_adjacency_rejected(self, bad, fmt):
+        # NaN passed the nonnegativity check and the solve failed later on a finite-cost check
+        A = knn_like_adjacency(30, seed=3)
+        A[4, 7] = bad
+        with pytest.raises(ValueError, match="adjacency entries must be finite"):
+            Sp2otProblem(random_pred(30, 3, 0), A if fmt == "dense" else sparse.csr_array(A), 1.0, 1.0, 0.5, 0.1)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 4, 1), (4, 5)])
+    def test_dense_adjacency_not_square_rejected(self, shape):
+        with pytest.raises(ValueError):
+            Sp2otProblem(random_pred(4, 2, 0), np.ones(shape), 1.0, 1.0, 0.5, 0.1)
+
+    def test_dense_adjacency_copied(self):
+        A = knn_like_adjacency(6, seed=4)
+        before = A.copy()
+        problem = Sp2otProblem(random_pred(6, 2, 0), A, 1.0, 1.0, 0.5, 0.1)
+        problem.adjacency.data[:] = 7.0
+        npt.assert_array_equal(A, before)
+
 
 class TestGradient:
     def test_zero_lambda_returns_cost(self):
@@ -113,6 +134,19 @@ class TestDenseAndSparseAgree:
         dense = sp2ot_objective(self.Q, self.P, self.A, 3.0, 1.0, 0.5, 0.1)
         sp = sp2ot_objective(self.Q, self.P, sparse.csr_array(self.A), 3.0, 1.0, 0.5, 0.1)
         npt.assert_allclose(sp, dense, rtol=1e-12, atol=0)
+
+    def test_gradient_and_objective_bit_equal_on_dense_input(self):
+        A = self.A.copy()
+        A[3, 3], A[5, 9] = -0.0, 0.0
+        csr = sparse.csr_array(A)
+        csr.eliminate_zeros()
+        assert np.array_equal(sp2ot_gradient(self.C, A, 3.0, self.Q), sp2ot_gradient(self.C, csr, 3.0, self.Q))
+        assert (sp2ot_objective(self.Q, self.P, A, 3.0, 1.0, 0.5, 0.1)
+                == sp2ot_objective(self.Q, self.P, csr, 3.0, 1.0, 0.5, 0.1))
+
+    def test_gradient_rejects_non_square_dense(self):
+        with pytest.raises(ValueError):
+            sp2ot_gradient(self.C, np.ones((30, 29)), 3.0, self.Q)
 
     def test_solve_bit_identical(self):
         cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
@@ -219,6 +253,26 @@ class TestSolve:
         problem = Sp2otProblem(P, A, 50.0, 1.0, 0.5, 0.1, outer_tol=0.0, outer_max_iter=4)
         _, trace = solve_sp2ot(problem)
         assert len(trace.objectives) == 4
+
+
+class TestAscents:
+    def test_counted_and_logged_once(self, caplog):
+        # an asymmetric (not PSD) adjacency at a large lambda1: the outer loop is not a descent
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
+        problem = Sp2otProblem(random_pred(30, 4, seed=0), knn_like_adjacency(30, seed=100, k=5), 20.0, 1.0,
+                               0.5, 0.1, outer_max_iter=20, inner=cfg)
+        with caplog.at_level("WARNING", logger="sppot.sp2ot"):
+            _, trace = solve_sp2ot(problem)
+        rises = sum(b > a + 1e-12 for a, b in zip(trace.objectives, trace.objectives[1:]))
+        assert trace.ascents == rises > 1
+        assert len(caplog.records) == 1
+        assert f"increased in {rises} of {len(trace.objectives)} outer steps" in caplog.records[0].getMessage()
+
+    def test_descent_counts_none(self, caplog):
+        P = random_pred(20, 3, seed=5)
+        with caplog.at_level("WARNING", logger="sppot.sp2ot"):
+            _, trace = solve_sp2ot(Sp2otProblem(P, psd_adjacency(20, seed=6), 0.05, 1.0, 0.5, 0.1))
+        assert trace.ascents == 0 and not caplog.records
 
 
 class TestWarmStart:
