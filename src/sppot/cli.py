@@ -17,7 +17,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 import numpy as np
 
 from . import bench as bench_mod
@@ -48,10 +49,11 @@ def _load_config(path, schema) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as exc:
-        raise click.ClickException(f"config {path} invalid: {exc.message}") from exc
+    # the schemas are constants, checked against their metaschema by a test
+    # (`jsonschema.validate` re-checks the schema on every call, ~14 ms)
+    error = best_match(validator_for(schema)(schema).iter_errors(cfg))
+    if error is not None:
+        raise click.ClickException(f"config {path} invalid: {error.message}")
     return cfg
 
 

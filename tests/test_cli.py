@@ -285,6 +285,31 @@ class TestClusterRun:
             main(["cluster", "run", "--config", str(cfg_path), "--out", str(tmp_path / "run.out")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("schema", ["RUN_SCHEMA", "ABLATE_SCHEMA"])
+    def test_config_schemas_are_valid(self, schema):
+        # `_load_config` does not check the schema against its metaschema on each call
+        from jsonschema.validators import validator_for
+
+        from sppot import cli as cli_mod
+
+        schema = getattr(cli_mod, schema)
+        validator_for(schema).check_schema(schema)
+
+    def test_invalid_config_message_is_jsonschemas(self, runner, tmp_path):
+        import jsonschema
+
+        from sppot.cli import RUN_SCHEMA
+
+        cfg = json.loads(self.run_config(tmp_path).read_text())
+        cfg["train"]["epochs"] = "three"
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(jsonschema.ValidationError) as exc:
+            jsonschema.validate(cfg, RUN_SCHEMA)
+        result = runner.invoke(cli, ["cluster", "run", "--config", str(cfg_path), "--out", str(tmp_path / "o.json")])
+        assert result.exit_code == 1
+        assert f"config {cfg_path} invalid: {exc.value.message}" in result.output
+
 
 class TestSemanticClusterRun:
     """SP2OT at the default lambda1_0 (1000): the gradient cost C0 - lambda1 (A + A^T) Q

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -131,16 +133,40 @@ class TestFastSolver:
         assert plan.converged
         assert abs(plan.total_mass() - 0.1) <= tol
 
-    def test_non_finite_plan_raises(self):
+    def test_non_finite_plan_raises(self, monkeypatch):
         # at eps = 3e-4 and rho < 1 the zero-cost virtual column is every
         # row's cheapest, so the real columns of the kernel underflow and the
-        # plan turns NaN; for balanced OT a cluster that no row predicts does
-        # the same. The solvers raise instead of returning the plan.
+        # plan turns NaN. The solvers raise instead of returning the plan.
+        # Balanced OT on a cluster that no row predicts no longer turns NaN
+        # (the start lifts that column, see the test below), so a kernel
+        # entry is set to NaN there.
+        from sppot._kernels import py as kernels
+
         prob = random_problem(512, 10, 0.5, seed=0, epsilon=3e-4)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
             solve_p2ot_fast(prob)
+        start = kernels._start
+
+        def nan_start(*args):
+            u, v, M = start(*args)
+            M[0, 0] = np.nan
+            return u, v, M
+
+        monkeypatch.setattr(kernels, "_start", nan_start)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
             solve_balanced_ot(dead_cluster_pred(prob.pred), prob.cfg)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_dead_cluster_balanced_plan_is_finite_and_feasible(self, eps):
+        # every start-kernel entry of the dead column sat under the floor, the
+        # first absorption zeroed the column, and the solve raised after 2
+        # sweeps; the start now lifts that column's largest entry to 1
+        tol = 1e-6
+        P = dead_cluster_pred(random_problem(512, 10, 0.5, seed=0).pred)
+        plan = solve_balanced_ot(P, ScalingConfig(epsilon=eps, tol=tol, max_iter=5000))
+        assert plan.converged and np.all(np.isfinite(plan.coupling))
+        assert np.abs(plan.row_marginal() * 512 - 1.0).max() <= tol
+        npt.assert_allclose(plan.col_marginal(), np.full(10, 0.1), rtol=1e-12)
 
     def test_nan_sweep_stops_the_kernel(self, monkeypatch):
         # the kernel stops at the first NaN sweep instead of running to max_iter
@@ -161,15 +187,27 @@ class TestFastSolver:
         assert iterations and iterations[0] < prob.cfg.max_iter
         assert f"after {iterations[0]} iterations" in str(exc.value)
 
-    def test_small_epsilon_full_mass_plan_is_finite(self):
+    def test_small_epsilon_full_mass_plan_is_finite(self, monkeypatch):
         # this instance used to turn NaN: exp(-C/eps) underflowed in rows
         # whose cheapest cost is far from 0. The start from potentials puts
-        # 1 at every row's largest kernel entry, so the plan stays finite and
-        # reports honestly that it did not converge
+        # 1 at every row's largest kernel entry, so the plan stays finite. The
+        # momentum makes it converge within max_iter (the plain recursion
+        # takes over 10,000 sweeps), to the objective of a long plain solve;
+        # cut short, it reports honestly that it did not converge
+        from sppot._kernels import py as kernels
+
         prob = random_problem(512, 10, 1.0, seed=0, epsilon=1e-3)
         plan = solve_p2ot_fast(prob)
         assert np.all(np.isfinite(plan.coupling))
-        assert not plan.converged
+        assert plan.converged
+        assert np.abs(plan.row_marginal() * 512 - 1.0).max() <= prob.cfg.tol
+        cut = solve_p2ot_fast(P2otProblem(prob.pred, prob.rho, prob.lam, replace(prob.cfg, max_iter=100)))
+        assert np.all(np.isfinite(cut.coupling))
+        assert not cut.converged
+        monkeypatch.setattr(kernels, "MOMENTUM_MIN_RATE", 1.0)  # no rate qualifies: the plain recursion
+        plain = solve_p2ot_fast(P2otProblem(prob.pred, prob.rho, prob.lam, replace(prob.cfg, tol=1e-9, max_iter=50000)))
+        assert plain.converged and plain.iterations > 10000
+        assert abs(plan.objective - plain.objective) <= 1e-7 * abs(plain.objective)
 
     @pytest.mark.parametrize("solve", [solve_p2ot_fast, lambda prob: solve_balanced_ot(prob.pred, prob.cfg)])
     def test_converged_means_rows_within_tol_at_tiny_epsilon(self, solve):
