@@ -196,8 +196,6 @@ def graph_build(feat_path, kernel, sigma, k, out_path):
         feats = FeatureSet(io_mod.read_matrix(feat_path))
         if kernel == "gaussian":
             bw = median_bandwidth(feats) if sigma == "median" else float(sigma)
-            if bw <= 0:
-                raise ValueError("sigma must be > 0")
             gram = gaussian_similarity(feats, bw)
         else:
             gram = cosine_similarity(feats)

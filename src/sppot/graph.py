@@ -115,26 +115,64 @@ class SemanticGraph:
 
 
 def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
+    """D_ij = max(|z_i|^2 + |z_j|^2 - 2 z_i.z_j, 0), in one N x N array.
+
+    The gram is scaled by -2 in place and the squared norms are added a block
+    of about KNN_BLOCK_ENTRIES entries at a time, so the only other memory is
+    one row block. Addition commutes in IEEE arithmetic, so every entry rounds
+    exactly as `sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)` does.
+    """
     sq = np.sum(z**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    return np.maximum(d2, 0.0)
+    d2 = z @ z.T
+    d2 *= -2.0
+    n = d2.shape[0]
+    block = max(1, KNN_BLOCK_ENTRIES // max(n, 1))
+    for start in range(0, n, block):
+        d2[start:start + block] += sq[start:start + block, None] + sq[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def median_bandwidth(features: FeatureSet) -> float:
-    """Median of the off-diagonal pairwise Euclidean distances."""
+    """Median of the off-diagonal pairwise Euclidean distances; 1.0 when it is 0 or there is no pair.
+
+    Each pair appears twice off the diagonal, so this is the median over the
+    strict upper triangle. Row i's tail d2[i, i+1:] is packed into the front
+    of d2's own buffer (every tail moves toward the start, so no unread entry
+    is overwritten) and partitioned in place at the two middle ranks; sqrt is
+    monotone, so the mean of their roots equals `np.median(np.sqrt(off))`.
+    """
     d2 = pairwise_sq_dists(features.vectors)
     n = features.n
-    off = d2[~np.eye(n, dtype=bool)]
-    med = float(np.median(np.sqrt(off)))
+    m = n * (n - 1) // 2
+    if m == 0:
+        return 1.0
+    flat = d2.reshape(-1)
+    end = 0
+    for i in range(n - 1):
+        tail = flat[i * n + i + 1:(i + 1) * n]
+        flat[end:end + tail.size] = tail
+        end += tail.size
+    upper = flat[:m]
+    # the last rank puts a NaN (from overflowing features) at the end, as np.median checks
+    upper.partition(((m - 1) // 2, m // 2, m - 1))
+    if np.isnan(upper[-1]):
+        return 1.0
+    med = float(np.mean(np.sqrt(upper[[(m - 1) // 2, m // 2]])))
     return med if med > 0 else 1.0
 
 
 def gaussian_similarity(features: FeatureSet, sigma: float) -> np.ndarray:
-    """S_ij = exp(-||z_i - z_j||^2 / (2 sigma^2)); symmetric, unit diagonal."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    d2 = pairwise_sq_dists(features.vectors)
-    S = np.exp(-d2 / (2.0 * sigma**2))
+    """S_ij = exp(-||z_i - z_j||^2 / (2 sigma^2)); symmetric, unit diagonal.
+
+    Computed in place on the squared distances, so the result is the one
+    N x N array. Raises ValueError unless sigma is finite and > 0.
+    """
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be finite and > 0")
+    S = pairwise_sq_dists(features.vectors)
+    np.negative(S, out=S)
+    S /= 2.0 * sigma**2
+    np.exp(S, out=S)
     np.fill_diagonal(S, 1.0)
     return S
 

@@ -137,6 +137,19 @@ class TestGraphBuild:
             main(["graph", "build", "--features", str(fpath), "--sigma", "-1", "--out", str(tmp_path / "g.csv")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "-inf"])
+    def test_non_finite_sigma_exits_1_without_output(self, runner, tmp_path, sigma):
+        # with sigma = inf every similarity was 1, and node 2 of (0,0), (1,1), (3,3) linked to node 0
+        fpath = tmp_path / "feats.csv"
+        io_mod.write_matrix_csv(fpath, np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]))
+        out = tmp_path / "g.csv"
+        result = runner.invoke(
+            cli, ["graph", "build", "--features", str(fpath), "--sigma", sigma, "--k", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert "sigma must be finite and > 0" in result.output
+        assert not out.exists()
+
 
 class TestSp2otSolve:
     def test_happy_path(self, runner, tmp_path):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -57,9 +60,16 @@ class TestKernels:
         npt.assert_array_equal(np.diag(S), np.ones(8))
         assert np.all((S > 0) & (S <= 1))
 
-    def test_gaussian_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_similarity(features(), 0.0)
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_gaussian_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            gaussian_similarity(features(), sigma)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_median_bandwidth_without_a_pair_is_one_and_silent(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert median_bandwidth(FeatureSet(np.ones((n, 3)))) == 1.0
 
     def test_gaussian_value(self):
         f = FeatureSet(np.array([[0.0], [2.0]]))
@@ -75,6 +85,86 @@ class TestKernels:
     def test_cosine_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             cosine_similarity(FeatureSet(np.array([[0.0, 0.0], [1.0, 1.0]])))
+
+
+def sq_dists_reference(z):
+    sq = np.sum(z**2, axis=1)
+    return np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0)
+
+
+def median_bandwidth_reference(f):
+    d2 = sq_dists_reference(f.vectors)
+    with warnings.catch_warnings():  # no pair: the median of nothing warns and gives NaN
+        warnings.simplefilter("ignore")
+        med = float(np.median(np.sqrt(d2[~np.eye(f.n, dtype=bool)])))
+    return med if med > 0 else 1.0
+
+
+def gaussian_reference(f, sigma):
+    S = np.exp(-sq_dists_reference(f.vectors) / (2.0 * sigma**2))
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
+def grid_features(n, seed):
+    """Integer points in {0, 1, 2}^3: many equal distances and, past 27 points, duplicate rows."""
+    return FeatureSet(np.random.default_rng(seed).integers(0, 3, size=(n, 3)).astype(float))
+
+
+def duplicated_features(n, seed):
+    """Rows of a normal sample repeated in reverse order, offset far from 0 so the gram formula cancels."""
+    z = np.random.default_rng(seed).normal(size=((n + 1) // 2, 4)) + 100.0
+    return FeatureSet(np.vstack([z, z[::-1]])[:n])
+
+
+class TestSetUpMatchesReference:
+    """The in-place set-up gives the whole-array expressions' values to the bit."""
+
+    @pytest.mark.parametrize("make", [grid_features, duplicated_features, lambda n, seed: features(n, 3, seed)],
+                             ids=["grid", "duplicates", "normal"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 40])
+    def test_array_equal_to_reference(self, make, n):
+        f = make(n, seed=n)
+        assert np.array_equal(pairwise_sq_dists(f.vectors), sq_dists_reference(f.vectors))
+        sigma = median_bandwidth(f)
+        assert sigma == median_bandwidth_reference(f)
+        for s in (sigma, 0.7):
+            assert np.array_equal(gaussian_similarity(f, s), gaussian_reference(f, s))
+
+    @pytest.mark.parametrize("block", [1, 40 * 3 + 1, 1 << 20])
+    def test_blocks_do_not_change_the_result(self, monkeypatch, block):
+        # a block holds max(1, block // n) rows: 1 row, 3 rows with a partial last block, all rows
+        monkeypatch.setattr(graph, "KNN_BLOCK_ENTRIES", block)
+        for f in (grid_features(40, seed=5), duplicated_features(40, seed=6)):
+            assert np.array_equal(pairwise_sq_dists(f.vectors), sq_dists_reference(f.vectors))
+            assert median_bandwidth(f) == median_bandwidth_reference(f)
+            assert np.array_equal(gaussian_similarity(f, 1.3), gaussian_reference(f, 1.3))
+
+    def test_overflowing_features_give_the_median_fallback(self):
+        # two finite rows whose squared norms overflow: inf - inf leaves a NaN distance between
+        # them, and np.median's NaN turned the bandwidth into the 1.0 fallback
+        z = features(40, 3, seed=9).vectors
+        z[[0, 1]] = 1e200
+        f = FeatureSet(z)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(pairwise_sq_dists(f.vectors), sq_dists_reference(f.vectors), equal_nan=True)
+            assert median_bandwidth(f) == median_bandwidth_reference(f) == 1.0
+
+    @pytest.mark.parametrize("fn", [median_bandwidth, lambda f: gaussian_similarity(f, 1.0)],
+                             ids=["median_bandwidth", "gaussian_similarity"])
+    def test_peak_memory_is_one_n_by_n_array(self, fn):
+        n = 1500
+        f = features(n, 16, seed=8)
+        block_bytes = max(1, graph.KNN_BLOCK_ENTRIES // n) * n * 8
+        tracemalloc.start()
+        try:
+            fn(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one N x N array and one row block; a second block's worth covers the squared norms
+        # and numpy's fixed-size ufunc buffers (the whole-array expressions peak at 3-4 N x N)
+        assert peak <= n * n * 8 + 2 * block_bytes
 
 
 class TestKnnGraph:
