@@ -18,15 +18,12 @@ from .graph import (
 )
 from .metrics import evaluate
 from .ot_core import (
-    CostMatrix,
     DimensionMismatchError,
     InfeasibleProblemError,
-    MarginalConstraint,
     NumericalOverflowError,
     ScalingConfig,
     TransportPlan,
     entropic_objective,
-    scaling_solve,
     solve_balanced_ot,
     solve_pot,
     solve_sla,
@@ -38,11 +35,9 @@ from .sp2ot import Sp2otProblem, lambda1_decayed, solve_sp2ot, sp2ot_gradient
 __version__ = "1.0.0"
 
 __all__ = [
-    "CostMatrix",
     "DimensionMismatchError",
     "FeatureSet",
     "InfeasibleProblemError",
-    "MarginalConstraint",
     "NumericalOverflowError",
     "P2otProblem",
     "ScalingConfig",
@@ -59,7 +54,6 @@ __all__ = [
     "lambda1_decayed",
     "median_bandwidth",
     "rho_at",
-    "scaling_solve",
     "solve_balanced_ot",
     "solve_p2ot_fast",
     "solve_p2ot_gsa",

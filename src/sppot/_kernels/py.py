@@ -2,14 +2,14 @@
 
 The stabilized row-equality scaling recursion, whose columns each carry a
 Hadamard exponent or an upper bound on their mass, runs every balanced,
-unbalanced, partial, P2OT and SLA solve and every `ot_core.scaling_solve`,
-through `ot_core._solve_row_eq`. The generalized scaling baseline serves
-`p2ot.solve_p2ot_gsa` only. Both end a sweep with one exact scalar mass
-step: the recursion rescales its soft (KL-penalized) columns to the mass
-that the rows and hard columns leave them, the baseline rescales the whole
-plan to the total mass rho. Each sweep is two (baseline: three) BLAS
-mat-vecs over the N x K kernel, which both hold in Fortran order; the
-recursion's step and its momentum cost O(K) more.
+unbalanced, partial, P2OT and SLA solve, through `ot_core._solve_row_eq`.
+The generalized scaling baseline serves `p2ot.solve_p2ot_gsa` only. Both
+end a sweep with one exact scalar mass step: the recursion rescales its
+soft (KL-penalized) columns to the mass that the rows and hard columns
+leave them, the baseline rescales the whole plan to the total mass rho.
+Each sweep is two (baseline: three) BLAS mat-vecs over the N x K kernel,
+which both hold in Fortran order; the recursion's step and its momentum
+cost O(K) more.
 
 Callers look these functions up on the module (`kernels.scaling_weighted_kl`)
 at call time, never through a name bound at import, so a wrapper installed

@@ -165,13 +165,19 @@ def gaussian_similarity(features: FeatureSet, sigma: float) -> np.ndarray:
     """S_ij = exp(-||z_i - z_j||^2 / (2 sigma^2)); symmetric, unit diagonal.
 
     Computed in place on the squared distances, so the result is the one
-    N x N array. Raises ValueError unless sigma is finite and > 0.
+    N x N array. Raises ValueError unless sigma, and 2 sigma^2 with it, is
+    finite and > 0.
     """
-    if not (np.isfinite(sigma) and sigma > 0):
+    sigma = float(sigma)
+    try:
+        two_var = 2.0 * sigma**2
+    except OverflowError:  # a float power past the float range raises rather than give inf
+        two_var = np.inf
+    if not (sigma > 0 and 0 < two_var < np.inf):
         raise ValueError("sigma must be finite and > 0")
     S = pairwise_sq_dists(features.vectors)
     np.negative(S, out=S)
-    S /= 2.0 * sigma**2
+    S /= two_var
     np.exp(S, out=S)
     np.fill_diagonal(S, 1.0)
     return S

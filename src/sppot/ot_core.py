@@ -18,8 +18,6 @@ them, so unbalanced OT and P2OT converge in tens of sweeps at every rho
 (see `_kernels.py.scaling_weighted_kl`). SLA runs the same kernel on the
 same extension, with the real columns upper-bounded instead of penalized;
 the kernel's one other column update is the prox of that bound.
-`scaling_solve` takes general one-sided constraints and also runs that
-kernel, on the transposed problem where only the columns are an equality.
 
 All solvers work on Q = diag(a) * M * diag(b) with M = exp(-C/eps) and
 support log-domain absorption of the scaling vectors to avoid overflow.
@@ -51,104 +49,18 @@ class NumericalOverflowError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class CostMatrix:
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise DimensionMismatchError(f"cost matrix must be 2-D and nonempty, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("cost matrix entries must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class MarginalConstraint:
-    """One-sided marginal constraint.
-
-    kind is one of "equality", "upper", "kl", "weighted_kl". For "kl" the
-    scalar penalty weight is in `weight`; for "weighted_kl" the per-entry
-    weights are in `weights`, where np.inf marks the sentinel that enforces
-    hard equality for that entry.
-    """
-
-    kind: str
-    target: np.ndarray
-    weight: float | None = None
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        t = np.asarray(self.target, dtype=float).ravel()
-        if np.any(t < 0):
-            raise ValueError("constraint target entries must be >= 0")
-        object.__setattr__(self, "target", t)
-        if self.kind not in ("equality", "upper", "kl", "weighted_kl"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "kl":
-            if self.weight is None or self.weight < 0:
-                raise ValueError("kl constraint needs weight >= 0")
-        if self.kind == "weighted_kl":
-            w = np.asarray(self.weights, dtype=float).ravel()
-            if w.shape != t.shape:
-                raise DimensionMismatchError("weights length must equal target length")
-            if np.any(w < 0):
-                raise ValueError("kl weights must be >= 0")
-            object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def equality(cls, target) -> "MarginalConstraint":
-        return cls("equality", target)
-
-    @classmethod
-    def upper(cls, target) -> "MarginalConstraint":
-        return cls("upper", target)
-
-    @classmethod
-    def kl(cls, target, weight: float) -> "MarginalConstraint":
-        return cls("kl", target, weight=weight)
-
-    @classmethod
-    def weighted_kl(cls, target, weights) -> "MarginalConstraint":
-        return cls("weighted_kl", target, weights=weights)
-
-    def exponents(self, epsilon: float) -> np.ndarray | None:
-        """Per-entry Hadamard exponents f = lam/(lam+eps), or None if the
-        constraint is not representable this way (inequality)."""
-        n = self.target.size
-        if self.kind == "equality":
-            return np.ones(n)
-        if self.kind == "kl":
-            if np.isinf(self.weight):
-                return np.ones(n)
-            return np.full(n, self.weight / (self.weight + epsilon))
-        if self.kind == "weighted_kl":
-            f = np.empty(n)
-            inf = np.isinf(self.weights)
-            f[inf] = 1.0
-            f[~inf] = self.weights[~inf] / (self.weights[~inf] + epsilon)
-            return f
-        return None
-
-
-@dataclass(frozen=True)
 class ScalingConfig:
     """Entropic regularization and stopping rule of one scaling solve.
 
-    Every solver (balanced, UOT, POT, SLA, the virtual-column P2OT solver,
-    its baseline and `scaling_solve`) stops once the largest relative
-    change of the column scaling in the last sweep is below `tol`.
-    `converged=True` then means the L1 row-marginal error is at most tol
-    times the row mass and hard or upper-bounded columns hold exactly, so
-    the selected mass of a partial plan is within tol of rho.
+    Every solver (balanced, UOT, POT, SLA, the virtual-column P2OT solver
+    and its baseline) stops once the largest relative change of the column
+    scaling in the last sweep is below `tol`. `converged=True` then means
+    the L1 row-marginal error is at most tol times the row mass and hard or
+    upper-bounded columns hold exactly, so the selected mass of a partial
+    plan is within tol of rho.
+
+    `epsilon` and `tol` must be finite and > 0, `stabilization_threshold`
+    > 0 (np.inf: never absorb).
     """
 
     epsilon: float
@@ -157,12 +69,15 @@ class ScalingConfig:
     stabilization_threshold: float = 1e6
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        # NaN fails every comparison, so these reject it too
+        if not (0 < self.epsilon < np.inf):
+            raise ValueError("epsilon must be finite and > 0")
+        if not (0 < self.tol < np.inf):
+            raise ValueError("tol must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not (self.stabilization_threshold > 0):
+            raise ValueError("stabilization_threshold must be > 0")
 
 
 @dataclass
@@ -186,89 +101,14 @@ class TransportPlan:
         return float(self.coupling.sum())
 
 
-def _side_spec(con: MarginalConstraint, epsilon: float):
-    """Kernel column spec of one side: (f exponents, upper-bound mask or None)."""
-    f = con.exponents(epsilon)
-    if f is not None:
-        return f, None
-    n = con.target.size
-    return np.ones(n), np.ones(n, dtype=bool)  # "upper", the one kind without exponents
-
-
-def _check_masses(eq: MarginalConstraint, other: MarginalConstraint, epsilon: float):
-    """Raise InfeasibleProblemError where no plan meets the equality side's
-    mass: it exceeds the other side's upper bounds or falls short of its hard
-    targets (entries the kernel holds exactly, f == 1), or, with every entry
-    of the other side hard, differs from their total."""
-    mass, total = eq.target.sum(), other.target.sum()
-    slack = MASS_RTOL * max(mass, total, 1.0)
-    f = other.exponents(epsilon)
-    if f is None:
-        if mass > total + slack:
-            raise InfeasibleProblemError(f"equality mass {mass} exceeds the upper bounds' total {total}")
-        return
-    hard = f == 1
-    if hard.all():
-        if abs(mass - total) > slack:
-            raise InfeasibleProblemError(f"hard marginals disagree in total mass: {mass} vs {total}")
-    elif (hard_total := other.target[hard].sum()) > mass + slack:
-        raise InfeasibleProblemError(f"hard targets' total {hard_total} exceeds the equality mass {mass}")
-
-
-def scaling_solve(
-    cost: CostMatrix | np.ndarray,
-    row: MarginalConstraint,
-    col: MarginalConstraint,
-    cfg: ScalingConfig,
-) -> TransportPlan:
-    """Scaling solve of one equality side against any one-sided constraint.
-
-    One side must be an equality: the rows give a <- alpha/(M b), and the
-    other side's columns take their KL-prox update, b <- w * (target/(M^T a))^f
-    for an equality, KL or weighted-KL side and the upper-bound prox for an
-    "upper" side, in the one row-equality kernel. Where only the columns are
-    an equality the transposed problem is solved and its plan transposed
-    back. Raises ValueError when neither side is an equality, and
-    InfeasibleProblemError when the equality side's mass cannot be met (see
-    `_check_masses`).
-    """
-    C = cost.values if isinstance(cost, CostMatrix) else CostMatrix(cost).values
-    m, n = C.shape
-    if row.target.size != m or col.target.size != n:
-        raise DimensionMismatchError("marginal lengths must match cost shape")
-    if "equality" not in (row.kind, col.kind):
-        raise ValueError(f"scaling_solve needs an equality side, got rows {row.kind!r} and columns {col.kind!r}")
-    flip = row.kind != "equality"  # solve the transpose, whose rows are the equality side
-    eq, other = (col, row) if flip else (row, col)
-    _check_masses(eq, other, cfg.epsilon)
-    f, upper = _side_spec(other, cfg.epsilon)
-    Q, iters, converged, errs, _ = _solve_row_eq(C.T if flip else C, eq.target, other.target, f, cfg, upper=upper)
-    if flip:
-        Q = np.ascontiguousarray(Q.T)
-
-    obj = entropic_objective(Q, C, _penalties_for(row, col), cfg.epsilon)
-    return TransportPlan(Q, obj, iters, converged, np.asarray(errs))
-
-
 def _solve_row_eq(C, alpha, beta, f, cfg, v0=None, upper=None) -> tuple:
     """Row-equality scaling with stabilization: columns with Hadamard
     exponents `f`, or upper-bounded where the boolean mask `upper` is set
-    (None: no such column; f must be 1 there).
-
-    Columns with zero target mass, upper-bounded ones included, carry zero
-    in any feasible plan; they are removed up front so logs and divisions
-    stay clean, and reinserted as zero columns at the end; such a solve
-    starts cold and returns no column potential. Otherwise `v0` is the
-    column potential the kernel starts from (None: zeros). Raises
-    NumericalOverflowError rather than return a plan with a non-finite entry.
+    (None: no such column; f must be 1 there). Every target in `beta` is
+    > 0. `v0` is the column potential the kernel starts from (None: zeros).
+    Raises NumericalOverflowError rather than return a plan with a
+    non-finite entry.
     """
-    active = beta > 0
-    if not np.all(active):
-        Qa, iters, conv, errs, _ = _solve_row_eq(C[:, active], alpha, beta[active], f[active], cfg,
-                                                 upper=None if upper is None else upper[active])
-        Q = np.zeros(C.shape)
-        Q[:, active] = Qa
-        return Q, iters, conv, errs, None
     Q, iters, conv, errs, v = kernels.scaling_weighted_kl(
         np.asfortranarray(C, dtype=np.float64),
         np.ascontiguousarray(alpha, dtype=np.float64),
@@ -287,16 +127,6 @@ def _solve_row_eq(C, alpha, beta, f, cfg, v0=None, upper=None) -> tuple:
             "the kernel exp(-C/epsilon) under- or overflows at this scale"
         )
     return Q, iters, conv, errs, v
-
-
-def _penalties_for(row: MarginalConstraint, col: MarginalConstraint):
-    pens = []
-    for axis, con in ((0, row), (1, col)):
-        if con.kind == "kl":
-            pens.append((axis, con.target, np.full_like(con.target, con.weight)))
-        elif con.kind == "weighted_kl":
-            pens.append((axis, con.target, con.weights))
-    return pens
 
 
 def entropic_objective(plan: np.ndarray, cost: np.ndarray, penalties, epsilon: float) -> float:
@@ -370,7 +200,11 @@ def extend_virtual(C0: np.ndarray, rho: float, lam: float) -> ExtendedProblem:
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
-    C0 = CostMatrix(C0).values
+    C0 = np.asarray(C0, dtype=float)
+    if C0.ndim != 2 or C0.shape[0] < 1 or C0.shape[1] < 1:
+        raise DimensionMismatchError(f"cost matrix must be 2-D and nonempty, got shape {C0.shape}")
+    if not np.all(np.isfinite(C0)):
+        raise ValueError("cost matrix entries must be finite")
     N, K = C0.shape
     beta = np.full(K, rho / K)
     weights = np.full(K, float(lam))
@@ -382,6 +216,12 @@ def extend_virtual(C0: np.ndarray, rho: float, lam: float) -> ExtendedProblem:
     else:
         C = np.asfortranarray(C0)
     return ExtendedProblem(C, beta, weights, np.full(N, 1.0 / N))
+
+
+def _exponents(weights: np.ndarray, epsilon: float) -> np.ndarray:
+    """Hadamard exponents f = lam/(lam+eps) of KL-weighted columns; 1 where lam = inf (hard)."""
+    hard = np.isinf(weights)
+    return np.divide(weights, weights + epsilon, out=np.ones_like(weights), where=~hard)
 
 
 def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
@@ -397,7 +237,7 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     """
     C0 = np.asarray(C0, dtype=float)  # validated by extend_virtual
     ext = extend_virtual(C0, rho, lam)
-    f = MarginalConstraint.weighted_kl(ext.beta, ext.weights).exponents(cfg.epsilon)
+    f = _exponents(ext.weights, cfg.epsilon)
     v0 = None if init is None or np.shape(init) != ext.beta.shape else init
     Q, iters, converged, errs, v = _solve_row_eq(ext.cost_ext, ext.alpha, ext.beta, f, cfg, v0)
     K = C0.shape[1]

@@ -68,6 +68,16 @@ class TestP2otSolve:
         assert exc.value.code == 1
         assert not out.exists()
 
+    def test_nan_tol_exits_1_without_output(self, runner, tmp_path):
+        # a NaN tol never stops the loop: the solve ran to max_iter and exited 0
+        pred = write_pred(tmp_path / "pred.csv")
+        out = tmp_path / "o.csv"
+        result = runner.invoke(cli, ["p2ot", "solve", "--pred", str(pred), "--rho", "0.5", "--tol", "nan",
+                                     "--out", str(out)])
+        assert result.exit_code == 1
+        assert "tol must be finite and > 0" in result.output
+        assert not out.exists()
+
     def test_strict_nonconvergence_exits_2(self, tmp_path):
         pred = write_pred(tmp_path / "pred.csv", n=32, k=5, seed=1)
         with pytest.raises(SystemExit) as exc:
@@ -137,7 +147,7 @@ class TestGraphBuild:
             main(["graph", "build", "--features", str(fpath), "--sigma", "-1", "--out", str(tmp_path / "g.csv")])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("sigma", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "-inf", "1e160", "1e-170"])
     def test_non_finite_sigma_exits_1_without_output(self, runner, tmp_path, sigma):
         # with sigma = inf every similarity was 1, and node 2 of (0,0), (1,1), (3,3) linked to node 0
         fpath = tmp_path / "feats.csv"
@@ -262,7 +272,8 @@ class TestClusterRun:
         assert payload["seed"] == 5
         assert len(payload["epochs"]) == 2
         assert payload["resolved_train_config"]["solver"] == "P2OT"
-        rows = list(csv.reader(out.with_suffix(".csv").open()))
+        with out.with_suffix(".csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][:3] == ["schema_version", "epoch", "acc"]
         assert len(rows) == 3
 
@@ -368,7 +379,8 @@ class TestClusterAblate:
         out = tmp_path / "table.csv"
         result = runner.invoke(cli, ["cluster", "ablate", "--config", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 0, result.output
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][:4] == ["schema_version", "solver", "seed", "acc"]
         assert len(rows) == 1 + 4
         assert {(r[1], r[2]) for r in rows[1:]} == {("OT", "0"), ("OT", "1"), ("P2OT", "0"), ("P2OT", "1")}

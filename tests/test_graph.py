@@ -60,7 +60,8 @@ class TestKernels:
         npt.assert_array_equal(np.diag(S), np.ones(8))
         assert np.all((S > 0) & (S <= 1))
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    # 2 sigma^2 overflows at 1e160 and underflows to 0 at 1e-170
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, -np.inf, 1e160, 1e-170])
     def test_gaussian_rejects_bad_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             gaussian_similarity(features(), sigma)

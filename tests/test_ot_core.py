@@ -6,14 +6,11 @@ from conftest import random_pred
 from sppot import ot_core
 from sppot._kernels import py as kernels
 from sppot.ot_core import (
-    CostMatrix,
     DimensionMismatchError,
     InfeasibleProblemError,
-    MarginalConstraint,
     ScalingConfig,
     clamp_probabilities,
     entropic_objective,
-    scaling_solve,
     solve_balanced_ot,
     solve_pot,
     solve_sla,
@@ -27,45 +24,20 @@ from sppot.p2ot import random_problem
 class TestValidation:
     def test_cost_matrix_rejects_1d(self):
         with pytest.raises(DimensionMismatchError):
-            CostMatrix(np.ones(4))
+            ot_core.extend_virtual(np.ones(4), 0.5, 1.0)
 
     def test_cost_matrix_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            CostMatrix(np.array([[1.0, np.inf]]))
+            ot_core.extend_virtual(np.array([[1.0, np.inf]]), 0.5, 1.0)
 
-    def test_constraint_rejects_negative_target(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"epsilon": 0.0}, {"epsilon": np.nan}, {"epsilon": np.inf},
+        {"epsilon": 0.1, "tol": np.nan}, {"epsilon": 0.1, "tol": np.inf},
+        {"epsilon": 0.1, "stabilization_threshold": np.nan},
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_config_rejects_bad_epsilon(self, kwargs):
         with pytest.raises(ValueError):
-            MarginalConstraint.equality([-0.5, 1.5])
-
-    def test_constraint_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            MarginalConstraint("soft", np.ones(2))
-
-    def test_kl_constraint_needs_weight(self):
-        with pytest.raises(ValueError):
-            MarginalConstraint("kl", np.ones(2))
-
-    def test_weighted_kl_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            MarginalConstraint.weighted_kl(np.ones(3), np.ones(2))
-
-    def test_config_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            ScalingConfig(epsilon=0.0)
-
-    def test_inconsistent_equality_masses_infeasible(self):
-        C = np.zeros((2, 2))
-        row = MarginalConstraint.equality([0.5, 0.5])
-        col = MarginalConstraint.equality([0.3, 0.3])
-        with pytest.raises(InfeasibleProblemError):
-            scaling_solve(C, row, col, ScalingConfig(epsilon=0.1))
-
-    def test_marginal_length_mismatch(self):
-        C = np.zeros((2, 3))
-        row = MarginalConstraint.equality([0.5, 0.5])
-        col = MarginalConstraint.equality([0.5, 0.5])
-        with pytest.raises(DimensionMismatchError):
-            scaling_solve(C, row, col, ScalingConfig(epsilon=0.1))
+            ScalingConfig(**kwargs)
 
 
 class TestHelpers:
@@ -308,57 +280,6 @@ def _reference_upper_bound_recursion(C, alpha, beta, upper, eps, tol, max_iter):
     return a[:, None] * M * b[None, :], it
 
 
-class TestScalingSolve:
-    def test_upper_row_with_equality_col(self):
-        # rows upper-bounded, columns pinned: the kernel runs on the transpose
-        P = random_pred(10, 3, seed=13)
-        C = -np.log(clamp_probabilities(P))
-        rho = 0.6
-        row = MarginalConstraint.upper(np.full(10, 1 / 10))
-        col = MarginalConstraint.equality(np.full(3, rho / 3))
-        plan = scaling_solve(C, row, col, ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000))
-        assert np.all(plan.row_marginal() <= 1 / 10 + 1e-7)
-        npt.assert_allclose(plan.col_marginal(), np.full(3, rho / 3), atol=1e-7)
-
-    def test_zero_target_column_carries_no_mass(self):
-        C = np.zeros((4, 3))
-        row = MarginalConstraint.equality(np.full(4, 0.25))
-        col = MarginalConstraint.equality(np.array([0.5, 0.5, 0.0]))
-        plan = scaling_solve(C, row, col, ScalingConfig(epsilon=0.5))
-        npt.assert_array_equal(plan.coupling[:, 2], np.zeros(4))
-        npt.assert_allclose(plan.total_mass(), 1.0, atol=1e-8)
-
-    def test_kl_rows_with_equality_cols_solve_the_transpose(self):
-        C = -np.log(clamp_probabilities(random_pred(12, 4, seed=53)))
-        rows = MarginalConstraint.kl(np.full(12, 1 / 12), 0.5)
-        cols = MarginalConstraint.equality(np.array([0.1, 0.2, 0.3, 0.4]))
-        cfg = ScalingConfig(epsilon=0.1, tol=1e-10, max_iter=5000)
-        plan = scaling_solve(C, rows, cols, cfg)
-        ref = scaling_solve(C.T, cols, rows, cfg)
-        assert plan.converged and plan.coupling.flags.c_contiguous
-        npt.assert_array_equal(plan.coupling, ref.coupling.T)
-        npt.assert_allclose(plan.objective, ref.objective, rtol=1e-14)
-        npt.assert_allclose(plan.col_marginal(), cols.target, rtol=0, atol=1e-9)
-
-    @pytest.mark.parametrize("kind", ["upper", "kl"])
-    def test_no_equality_side_raises(self, kind):
-        C = np.zeros((3, 2))
-        row = MarginalConstraint(kind, np.full(3, 1 / 3), weight=1.0)
-        col = MarginalConstraint(kind, np.full(2, 1 / 2), weight=1.0)
-        with pytest.raises(ValueError, match="needs an equality side"):
-            scaling_solve(C, row, col, ScalingConfig(epsilon=0.1))
-
-    @pytest.mark.parametrize("transpose", [False, True])
-    def test_equality_mass_over_the_upper_bounds_is_infeasible(self, transpose):
-        # rows of mass 1 against four caps of 0.125: no plan exists
-        C = -np.log(clamp_probabilities(random_pred(20, 4, seed=54)))
-        eq = MarginalConstraint.equality(np.full(20, 1 / 20))
-        caps = MarginalConstraint.upper(np.full(4, 0.125))
-        args = (C.T, caps, eq) if transpose else (C, eq, caps)
-        with pytest.raises(InfeasibleProblemError, match="exceeds the upper bounds"):
-            scaling_solve(*args, ScalingConfig(epsilon=0.1))
-
-
 def _reference_cold_kernel(C, alpha, beta, f, eps, tol, max_iter):
     """The scaling recursion with its mass step and momentum, started from
     exp(-C/eps), without absorption."""
@@ -389,7 +310,7 @@ def _reference_cold_kernel(C, alpha, beta, f, eps, tol, max_iter):
 
 def _virtual_kernel_args(P, rho, lam, cfg):
     ext = ot_core.extend_virtual(-np.log(clamp_probabilities(P)), rho, lam)
-    f = MarginalConstraint.weighted_kl(ext.beta, ext.weights).exponents(cfg.epsilon)
+    f = ot_core._exponents(ext.weights, cfg.epsilon)
     return (ext.cost_ext, ext.alpha, ext.beta, f, cfg.epsilon, cfg.tol, cfg.max_iter,
             cfg.stabilization_threshold)
 
@@ -439,8 +360,6 @@ class TestKernelLayout:
         plans = [solve_virtual_named(name, P, cfg) for name in SOLVES]
         plans.append(solve_sla(P, 0.5, 0.25, cfg))
         plans.append(p2ot.solve_p2ot_gsa(p2ot.P2otProblem(P, 0.5, 1.0, cfg)))
-        plans.append(scaling_solve(-np.log(P), MarginalConstraint.equality(np.full(30, 1 / 30)),
-                                   MarginalConstraint.equality(np.array([0.5, 0.5, 0.0, 0.0])), cfg))
         A = np.ones((30, 30)) - np.eye(30)
         plans.append(sp2ot.solve_sp2ot(sp2ot.Sp2otProblem(P, A, 0.01, 1.0, 0.5, 0.1, inner=cfg))[0])
         for plan in plans:
@@ -579,7 +498,7 @@ def _hard_targets_over_row_mass():
     """20x4 kernel arguments whose hard columns ask for 0.6 + 0.5 of a row mass of 1."""
     C = -np.log(clamp_probabilities(random_pred(20, 4, seed=39)))
     beta = np.array([0.6, 0.5, 0.2, 0.2])
-    f = MarginalConstraint.weighted_kl(beta, np.array([np.inf, np.inf, 1.0, 1.0])).exponents(0.1)
+    f = ot_core._exponents(np.array([np.inf, np.inf, 1.0, 1.0]), 0.1)
     return C, np.full(20, 1 / 20), beta, f
 
 
@@ -600,7 +519,7 @@ class TestMassStep:
 
         C = -np.log(clamp_probabilities(random_pred(100, 4, seed=41)))
         beta = np.full(4, 0.25)
-        f = MarginalConstraint.weighted_kl(beta, np.array([0.5, 1.0, 2.0, np.inf])).exponents(0.1)
+        f = ot_core._exponents(np.array([0.5, 1.0, 2.0, np.inf]), 0.1)
         args = (C, np.full(100, 0.01), beta, f, 0.1, 1e-8, 3000, 1e6)
         for x, y in zip(kernels.scaling_weighted_kl(*args), _step_free_kernel(*args)):
             npt.assert_array_equal(x, y)
@@ -614,16 +533,6 @@ class TestMassStep:
         out = kernels.scaling_weighted_kl(*args)
         for x, y in zip(out, _step_free_kernel(*args)):
             npt.assert_array_equal(x, y)
-        # scaling_solve raises instead: hard targets 0.6 + 0.5, then every
-        # entry hard at 0.3 (total 1.2), each against rows of mass 1
-        row = MarginalConstraint.equality(alpha)
-        hard = np.full(4, 0.3)
-        for col in (MarginalConstraint.weighted_kl(beta, np.array([np.inf, np.inf, 1.0, 1.0])),
-                    MarginalConstraint.kl(hard, np.inf),
-                    MarginalConstraint.weighted_kl(hard, np.full(4, np.inf))):
-            for args in ((C, row, col), (C.T, col, row)):
-                with pytest.raises(InfeasibleProblemError):
-                    scaling_solve(*args, ScalingConfig(epsilon=0.1))
 
     @pytest.mark.parametrize("name", ["uot", "p2ot"])
     def test_same_plan_and_potential_as_the_step_free_recursion(self, name):

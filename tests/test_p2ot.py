@@ -80,6 +80,8 @@ class TestExtension:
         assert plan.objective == ref.objective
         with pytest.raises(ValueError):
             solve_p2ot_fast(prob, cost=np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_p2ot_fast(prob, cost=np.where(C == 5.0, np.inf, C))
 
     def test_virtual_column_absorbs_unselected_mass(self):
         prob = make_problem(10, 4, 0.3, seed=3)
