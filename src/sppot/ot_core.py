@@ -144,6 +144,8 @@ def entropic_objective(plan: np.ndarray, cost: np.ndarray, penalties, epsilon: f
         raise DimensionMismatchError("plan and cost shapes differ")
     val = float(np.sum(Q * C))
     for axis, target, weights in penalties or []:
+        if axis not in (0, 1):
+            raise ValueError(f"penalty axis must be 0 (rows) or 1 (columns), got {axis!r}")
         marg = Q.sum(axis=1 - axis)
         val += weighted_kl_value(marg, target, weights)
     val += epsilon * float(np.sum(xlogx(Q)))
@@ -167,6 +169,9 @@ def weighted_kl_value(x: np.ndarray, target: np.ndarray, weights) -> float:
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     w = np.asarray(weights, dtype=float)
+    if not x.shape == target.shape == w.shape:
+        raise DimensionMismatchError(
+            f"marginal, target and weights shapes differ: {x.shape}, {target.shape}, {w.shape}")
     finite = ~np.isinf(w)
     pos = (x > 0) & finite
     val = 0.0
@@ -200,6 +205,8 @@ def extend_virtual(C0: np.ndarray, rho: float, lam: float) -> ExtendedProblem:
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
+    if not lam >= 0:  # NaN fails too
+        raise ValueError("lam must be >= 0 (np.inf: hard columns)")
     C0 = np.asarray(C0, dtype=float)
     if C0.ndim != 2 or C0.shape[0] < 1 or C0.shape[1] < 1:
         raise DimensionMismatchError(f"cost matrix must be 2-D and nonempty, got shape {C0.shape}")
@@ -276,7 +283,7 @@ def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) ->
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
-    if upper <= 0:
+    if not upper > 0:  # NaN fails too
         raise ValueError("upper must be > 0")
     P = clamp_probabilities(pred)
     K = P.shape[1]

@@ -30,14 +30,75 @@ class TestValidation:
         with pytest.raises(ValueError):
             ot_core.extend_virtual(np.array([[1.0, np.inf]]), 0.5, 1.0)
 
+    def test_config_rejects_bad_epsilon(self):
+        for eps in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+                ScalingConfig(epsilon=eps)
+
     @pytest.mark.parametrize("kwargs", [
-        {"epsilon": 0.0}, {"epsilon": np.nan}, {"epsilon": np.inf},
-        {"epsilon": 0.1, "tol": np.nan}, {"epsilon": 0.1, "tol": np.inf},
-        {"epsilon": 0.1, "stabilization_threshold": np.nan},
+        {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": -1e-6},
+        {"stabilization_threshold": np.nan}, {"stabilization_threshold": 0.0},
+        {"stabilization_threshold": -1.0}, {"max_iter": 0},
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
-    def test_config_rejects_bad_epsilon(self, kwargs):
+    def test_config_rejects_bad_stopping_rule(self, kwargs):
         with pytest.raises(ValueError):
-            ScalingConfig(**kwargs)
+            ScalingConfig(epsilon=0.1, **kwargs)
+
+    def test_constraint_rejects_negative_target(self):
+        # rho > 1 asks the virtual column for 1 - rho < 0; rho <= 0 gives the
+        # real columns a target rho/K <= 0; an SLA bound must be > 0
+        C = np.zeros((3, 2))
+        for rho in (1.5, 0.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match="rho must be in"):
+                ot_core.extend_virtual(C, rho, 1.0)
+        P = random_pred(10, 4, seed=12)
+        for upper in (0.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="upper must be > 0"):
+                solve_sla(P, 0.5, upper, ScalingConfig(epsilon=0.1))
+
+    def test_kl_constraint_needs_weight(self):
+        # a negative weight rewards piling mass into one column and a NaN one
+        # poisons the exponents: both were solved (or overflowed) before
+        P = random_pred(10, 3, seed=0)
+        for lam in (-1.0, -0.05, np.nan):
+            with pytest.raises(ValueError, match="lam must be >= 0"):
+                solve_uot(P, lam, ScalingConfig(epsilon=0.1))
+        for lam in (0.0, np.inf):  # no column penalty; hard columns
+            assert solve_uot(P, lam, ScalingConfig(epsilon=0.1)).converged
+
+    def test_weighted_kl_shape_mismatch(self):
+        for x, t, w in ((np.ones(3), np.ones(2), np.ones(3)), (np.ones(3), np.ones(3), np.ones(2)),
+                        (np.ones(2), np.ones(3), np.ones(3))):
+            with pytest.raises(DimensionMismatchError, match="shapes differ"):
+                weighted_kl_value(x, t, w)
+
+    def test_marginal_length_mismatch(self):
+        # a column target against the row marginal of a 2x3 plan
+        Q = np.full((2, 3), 1 / 6)
+        target, weights = np.full(3, 1 / 3), np.ones(3)
+        with pytest.raises(DimensionMismatchError):
+            entropic_objective(Q, np.zeros((2, 3)), [(0, target, weights)], 0.1)
+        assert np.isfinite(entropic_objective(Q, np.zeros((2, 3)), [(1, target, weights)], 0.1))
+
+    def test_inconsistent_equality_masses_infeasible(self):
+        # rows carry mass rho; K column bounds below rho/K cannot hold it, and
+        # bounds of exactly rho/K pin every column there (with and without
+        # the virtual column)
+        P = random_pred(20, 4, seed=54)
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
+        for rho in (1.0, 0.6):
+            with pytest.raises(InfeasibleProblemError, match="column bound too small"):
+                solve_sla(P, rho, rho / 4 * (1 - 1e-9), cfg)
+            plan = solve_sla(P, rho, rho / 4, cfg)
+            assert plan.converged
+            npt.assert_allclose(plan.col_marginal(), np.full(4, rho / 4), rtol=0, atol=1e-9)
+
+    def test_constraint_rejects_unknown_kind(self):
+        # axis 2 would sum Q over axis -1 and price the row marginal as a column one
+        Q = np.full((2, 2), 0.25)
+        for axis in (2, -1):
+            with pytest.raises(ValueError, match="penalty axis must be 0"):
+                entropic_objective(Q, np.zeros((2, 2)), [(axis, np.full(2, 0.5), np.ones(2))], 0.1)
 
 
 class TestHelpers:
