@@ -202,6 +202,9 @@ def graph_build(feat_path, kernel, sigma, k, out_path):
         graph = build_knn_graph(gram, k, kernel=kernel)
     except (io_mod.FormatError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
+    if kernel == "gaussian" and graph.values.size and not np.any(graph.values > 0):
+        raise click.ClickException(f"sigma {bw:g} gives every kNN edge weight 0: it is far below the "
+                                   "distances between the points (try --sigma median)")
     io_mod.write_triplets_csv(_out_dir(out_path), graph.rows, graph.cols, graph.values)
     click.echo(f"wrote {graph.values.size} edges for {feats.n} nodes (kernel={kernel}, k={k})")
 

@@ -7,9 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-# Similarity entries per block of rows in `build_knn_graph` (512 KB of float64). Larger
-# blocks are no faster and leave more freed memory resident in the allocator's heap.
+# Entries per block of the graph set-up's blockwise passes (512 KB of float64): the rows of
+# `build_knn_graph`, `pairwise_sq_dists` and `gaussian_similarity`, and the median's pass.
+# Larger blocks are no faster and leave more freed memory resident in the allocator's heap.
 KNN_BLOCK_ENTRIES = 1 << 16
+# Entries of the sorted sample whose ranks bracket the median in `median_bandwidth`. The
+# bracket spans 3 sqrt(s) sample ranks each side (six standard deviations of the sample's
+# median rank), about 3.3% of the distances at this size; inputs of under four samples'
+# worth of distances are partitioned whole.
+MEDIAN_SAMPLE = 1 << 15
 # Entries per block of rows that `dense_to_csr` scans (1 MB of boolean mask): the scan adds
 # no N x N temporary to the caller's peak memory, and at 5632^2 it runs faster than one
 # whole-matrix mask (~46 against ~60 ms).
@@ -117,47 +123,109 @@ class SemanticGraph:
 def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
     """D_ij = max(|z_i|^2 + |z_j|^2 - 2 z_i.z_j, 0), in one N x N array.
 
-    The gram is scaled by -2 in place and the squared norms are added a block
-    of about KNN_BLOCK_ENTRIES entries at a time, so the only other memory is
-    one row block. Addition commutes in IEEE arithmetic, so every entry rounds
-    exactly as `sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)` does.
+    The gram is one general matrix product against a contiguous copy of z.T:
+    for `z @ z.T` NumPy calls the symmetric rank-k update and then copies its
+    upper triangle into the lower one, a strided copy that costs several
+    times the product (~200 against ~45 ms at 5632 x 16); both round every
+    entry alike. A block of about KNN_BLOCK_ENTRIES entries at a time, while
+    it is in cache, the gram is scaled by -2, the squared norms are added and
+    the result is clamped at 0, so the only other memory is one row block.
+    Addition commutes in IEEE arithmetic, so every entry rounds exactly as
+    `sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)` does.
     """
     sq = np.sum(z**2, axis=1)
-    d2 = z @ z.T
-    d2 *= -2.0
+    d2 = z @ z.T.copy()
     n = d2.shape[0]
     block = max(1, KNN_BLOCK_ENTRIES // max(n, 1))
     for start in range(0, n, block):
-        d2[start:start + block] += sq[start:start + block, None] + sq[None, :]
-    return np.maximum(d2, 0.0, out=d2)
+        B = d2[start:start + block]
+        B *= -2.0
+        B += sq[start:start + block, None] + sq[None, :]
+        np.maximum(B, 0.0, out=B)
+    return d2
 
 
-def median_bandwidth(features: FeatureSet) -> float:
-    """Median of the off-diagonal pairwise Euclidean distances; 1.0 when it is 0 or there is no pair.
+def _packed_upper_sq_dists(z: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of `pairwise_sq_dists(z)`, row by row, packed into the front of its own buffer.
 
-    Each pair appears twice off the diagonal, so this is the median over the
-    strict upper triangle. Row i's tail d2[i, i+1:] is packed into the front
-    of d2's own buffer (every tail moves toward the start, so no unread entry
-    is overwritten) and partitioned in place at the two middle ranks; sqrt is
-    monotone, so the mean of their roots equals `np.median(np.sqrt(off))`.
+    Every row's tail d2[i, i+1:] moves toward the start, so no unread entry is overwritten.
     """
-    d2 = pairwise_sq_dists(features.vectors)
-    n = features.n
-    m = n * (n - 1) // 2
-    if m == 0:
-        return 1.0
+    d2 = pairwise_sq_dists(z)
+    n = d2.shape[0]
     flat = d2.reshape(-1)
     end = 0
     for i in range(n - 1):
         tail = flat[i * n + i + 1:(i + 1) * n]
         flat[end:end + tail.size] = tail
         end += tail.size
-    upper = flat[:m]
-    # the last rank puts a NaN (from overflowing features) at the end, as np.median checks
-    upper.partition(((m - 1) // 2, m // 2, m - 1))
-    if np.isnan(upper[-1]):
+    return flat[:end]
+
+
+def _bracketed_pair(upper: np.ndarray, lo: int, hi: int):
+    """The values of ranks lo <= hi of `upper` (NaN if it holds a NaN), or None when the sample's bracket misses.
+
+    Floyd & Rivest's selection: a sorted sample gives values a <= b whose ranks
+    should enclose lo and hi; one blockwise pass checks for NaN, counts the
+    entries below a and moves those in [a, b] to the front of `upper` (which it
+    overwrites), and only that band is partitioned. Entries equal to a or b are in
+    the band, so ties at its edges are counted exactly.
+    """
+    m = upper.size
+    # a fixed-seed uniform sample: a strided one aliases with the packed rows' lengths (at
+    # n = 601 its median sat ~40 standard deviations off), while here the bracket misses a
+    # rank with probability ~1e-9 on any input not built against the seed; the result is
+    # exact either way
+    picks = np.sort(np.random.default_rng(0).integers(0, m, size=MEDIAN_SAMPLE))
+    sample = np.sort(upper[picks])
+    s = sample.size
+    half = 3.0 * np.sqrt(s)
+    a = sample[max(0, int(lo * s / m - half))]
+    b = sample[min(s - 1, int(np.ceil(hi * s / m + half)))]
+    del sample
+    below = end = 0
+    for start in range(0, m, KNN_BLOCK_ENTRIES):
+        chunk = upper[start:start + KNN_BLOCK_ENTRIES]
+        if np.isnan(chunk.max()):
+            return np.full(2, np.nan)
+        lt = chunk < a
+        below += np.count_nonzero(lt)
+        band = chunk[lt ^ (chunk <= b)]  # a <= x <= b; a copy, so writing it below `start` is safe
+        upper[end:end + band.size] = band
+        end += band.size
+    if not below <= lo <= hi < below + end:
+        return None
+    band = upper[:end]
+    band.partition((lo - below, hi - below))
+    return band[[lo - below, hi - below]]
+
+
+def median_bandwidth(features: FeatureSet) -> float:
+    """Median of the off-diagonal pairwise Euclidean distances; 1.0 when it is 0 or NaN, or there is no pair.
+
+    Each pair appears twice off the diagonal, so this is the median over the
+    strict upper triangle, packed into the front of the squared distances' own
+    buffer. Its two middle ranks are selected inside a bracket drawn from a
+    sorted sample of MEDIAN_SAMPLE entries (`_bracketed_pair`): one pass moves
+    the few percent of entries inside the bracket to the front, and only those
+    are partitioned. A small input, or a bracket that misses a rank, takes the
+    exact partition of the whole triangle, rebuilt because the pass overwrote
+    it. sqrt is monotone, so the mean of the two ranks' roots equals
+    `np.median(np.sqrt(off))`, NaN included.
+    """
+    n = features.n
+    m = n * (n - 1) // 2
+    if m == 0:
         return 1.0
-    med = float(np.mean(np.sqrt(upper[[(m - 1) // 2, m // 2]])))
+    lo, hi = (m - 1) // 2, m // 2
+    pair = None
+    if m >= 4 * MEDIAN_SAMPLE:
+        pair = _bracketed_pair(_packed_upper_sq_dists(features.vectors), lo, hi)
+    if pair is None:
+        upper = _packed_upper_sq_dists(features.vectors)
+        # the last rank puts a NaN (from overflowing features) at the end, as np.median checks
+        upper.partition((lo, hi, m - 1))
+        pair = np.full(2, np.nan) if np.isnan(upper[-1]) else upper[[lo, hi]]
+    med = float(np.mean(np.sqrt(pair)))
     return med if med > 0 else 1.0
 
 
@@ -165,20 +233,25 @@ def gaussian_similarity(features: FeatureSet, sigma: float) -> np.ndarray:
     """S_ij = exp(-||z_i - z_j||^2 / (2 sigma^2)); symmetric, unit diagonal.
 
     Computed in place on the squared distances, so the result is the one
-    N x N array. Raises ValueError unless sigma, and 2 sigma^2 with it, is
-    finite and > 0.
+    N x N array; dividing by -2 sigma^2 rounds as negating and dividing by
+    2 sigma^2 does. Raises ValueError unless sigma is finite and > 0 and
+    2 sigma^2 is a finite, normal float: a subnormal one loses precision and
+    overflows the quotient.
     """
     sigma = float(sigma)
     try:
         two_var = 2.0 * sigma**2
     except OverflowError:  # a float power past the float range raises rather than give inf
         two_var = np.inf
-    if not (sigma > 0 and 0 < two_var < np.inf):
-        raise ValueError("sigma must be finite and > 0")
+    if not (sigma > 0 and np.finfo(float).tiny <= two_var < np.inf):
+        raise ValueError("sigma must be finite and > 0, with 2 sigma^2 a normal float")
     S = pairwise_sq_dists(features.vectors)
-    np.negative(S, out=S)
-    S /= two_var
-    np.exp(S, out=S)
+    block = max(1, KNN_BLOCK_ENTRIES // max(S.shape[0], 1))
+    for start in range(0, S.shape[0], block):
+        B = S[start:start + block]
+        with np.errstate(over="ignore"):  # a quotient past -1.8e308 is -inf, whose exp is the 0 it rounds to
+            B /= -two_var
+        np.exp(B, out=B)
     np.fill_diagonal(S, 1.0)
     return S
 
@@ -188,7 +261,7 @@ def cosine_similarity(features: FeatureSet) -> np.ndarray:
     if np.any(norms == 0):
         raise ValueError("cosine kernel undefined for zero-norm vectors")
     z = features.vectors / norms[:, None]
-    return z @ z.T
+    return z @ z.T.copy()  # a general product, as in `pairwise_sq_dists`
 
 
 def build_knn_graph(gram: np.ndarray, k: int, kernel: str = "gaussian") -> SemanticGraph:
@@ -197,11 +270,14 @@ def build_knn_graph(gram: np.ndarray, k: int, kernel: str = "gaussian") -> Seman
     Ties are broken toward the lowest column index. Negative similarities
     that survive selection (possible with the cosine kernel at large k) are
     clamped to 0 so the adjacency stays nonnegative. Edges come out row by
-    row, columns ascending within a row.
+    row, columns ascending within a row. Raises ValueError on a NaN entry.
 
-    Rows are processed in blocks of about KNN_BLOCK_ENTRIES entries: per row,
-    np.partition finds the kk-th largest value t, every entry above t is
-    kept, and the lowest-index entries equal to t fill the row up to kk.
+    Rows are processed in blocks of about KNN_BLOCK_ENTRIES entries, each row
+    with its diagonal entry taken as -inf. np.partition of a copy of the
+    block finds each row's kk-th largest value t and sorts any NaN into the
+    kk top slots. A row holding exactly kk entries >= t keeps them; only a
+    row with more (ties at t) takes the entries above t plus the
+    lowest-index entries equal to t, through a running count of its ties.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -214,20 +290,33 @@ def build_knn_graph(gram: np.ndarray, k: int, kernel: str = "gaussian") -> Seman
     rows, cols, vals = [], [], []
     block = max(1, KNN_BLOCK_ENTRIES // n)
     for start in range(0, n, block):
-        B = S[start:start + block].copy()
-        if np.isnan(B).any():
+        V = S[start:start + block]
+        m = V.shape[0]
+        diag = (np.arange(m), np.arange(start, start + m))
+        P = V.copy()
+        nan_diagonal = np.isnan(P[diag]).any()
+        P[diag] = -np.inf
+        P.partition(n - kk, axis=1)
+        if nan_diagonal or np.isnan(P[:, n - kk:]).any():
             raise ValueError("similarity entries must not be NaN")
-        m = B.shape[0]
-        B[np.arange(m), np.arange(start, start + m)] = -np.inf
-        t = np.partition(B, n - kk, axis=1)[:, n - kk, None]
-        above = B > t
-        ties = B == t
-        need = kk - above.sum(axis=1, keepdims=True)
-        keep = above | (ties & (np.cumsum(ties, axis=1) <= need))
-        r, c = np.nonzero(keep)
+        t = P[:, n - kk, None].copy()
+        del P
+        keep = V >= t
+        keep[diag] = -np.inf >= t[:, 0]
+        if np.count_nonzero(keep) > m * kk:  # every row holds at least kk; some hold ties beyond
+            tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > kk)
+            B = V[tied]
+            B[np.arange(tied.size), tied + start] = -np.inf
+            above = B > t[tied]
+            ties = B == t[tied]
+            need = kk - above.sum(axis=1, keepdims=True)
+            keep[tied] = above | (ties & (np.cumsum(ties, axis=1) <= need))
+        r, c = np.divmod(np.flatnonzero(keep), n)
+        v = np.maximum(V[r, c], 0.0)
+        v[c == r + start] = 0.0  # a diagonal entry, kept only when t is -inf, counts as -inf
         rows.append(r + start)
         cols.append(c)
-        vals.append(np.maximum(B[r, c], 0.0))
+        vals.append(v)
     return SemanticGraph(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n, k, kernel)
 
 

@@ -147,7 +147,8 @@ class TestGraphBuild:
             main(["graph", "build", "--features", str(fpath), "--sigma", "-1", "--out", str(tmp_path / "g.csv")])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("sigma", ["inf", "nan", "-inf", "1e160", "1e-170"])
+    # 2 sigma^2 overflows at 1e160, is subnormal at 1e-160 and underflows to 0 at 1e-170
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "-inf", "1e160", "1e-160", "1e-170"])
     def test_non_finite_sigma_exits_1_without_output(self, runner, tmp_path, sigma):
         # with sigma = inf every similarity was 1, and node 2 of (0,0), (1,1), (3,3) linked to node 0
         fpath = tmp_path / "feats.csv"
@@ -159,6 +160,31 @@ class TestGraphBuild:
         assert result.exit_code == 1
         assert "sigma must be finite and > 0" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-10", "0.01"])
+    def test_sigma_giving_only_zero_weights_exits_1_without_output(self, runner, tmp_path, sigma):
+        # far below the point spacing the Gaussian gram is the identity: every edge had weight 0
+        fpath = tmp_path / "feats.csv"
+        io_mod.write_matrix_csv(fpath, np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]))
+        out = tmp_path / "g.csv"
+        result = runner.invoke(
+            cli, ["graph", "build", "--features", str(fpath), "--sigma", sigma, "--k", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert f"sigma {float(sigma):g} gives every kNN edge weight 0" in result.output
+        assert not out.exists()
+
+    def test_small_sigma_with_one_positive_weight_builds(self, runner, tmp_path):
+        # points 0 and 1 are close enough for exp(-0.5 / (2 * 0.1^2)) > 0; node 2 links at weight 0
+        fpath = tmp_path / "feats.csv"
+        io_mod.write_matrix_csv(fpath, np.array([[0.0, 0.0], [0.5, 0.5], [300.0, 300.0]]))
+        out = tmp_path / "g.csv"
+        result = runner.invoke(
+            cli, ["graph", "build", "--features", str(fpath), "--sigma", "0.1", "--k", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        _, _, vals = io_mod.read_triplets_csv(out)
+        assert vals.size == 3 and np.count_nonzero(vals) == 2
 
 
 class TestSp2otSolve:

@@ -60,11 +60,19 @@ class TestKernels:
         npt.assert_array_equal(np.diag(S), np.ones(8))
         assert np.all((S > 0) & (S <= 1))
 
-    # 2 sigma^2 overflows at 1e160 and underflows to 0 at 1e-170
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, -np.inf, 1e160, 1e-170])
+    # 2 sigma^2 overflows at 1e160, is subnormal at 1e-160 and just under the normal range at the
+    # last one, and underflows to 0 at 1e-170
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, -np.inf, 1e160, 1e-160,
+                                       np.sqrt(np.finfo(float).tiny / 2) * (1 - 1e-9), 1e-170])
     def test_gaussian_rejects_bad_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             gaussian_similarity(features(), sigma)
+
+    def test_gaussian_accepts_the_smallest_normal_two_sigma_squared(self):
+        sigma = np.sqrt(np.finfo(float).tiny / 2) * (1 + 1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            npt.assert_array_equal(gaussian_similarity(features(), sigma), np.eye(10))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_median_bandwidth_without_a_pair_is_one_and_silent(self, n):
@@ -166,6 +174,72 @@ class TestSetUpMatchesReference:
         # one N x N array and one row block; a second block's worth covers the squared norms
         # and numpy's fixed-size ufunc buffers (the whole-array expressions peak at 3-4 N x N)
         assert peak <= n * n * 8 + 2 * block_bytes
+
+
+class TestBracketedMedian:
+    """At n >= 600 the median is selected inside a sampled bracket; it must equal the reference."""
+
+    @pytest.fixture
+    def packings(self, monkeypatch):
+        """Counts the builds of the packed upper triangle: a second build is the bracket-miss fallback."""
+        calls = []
+        pack = graph._packed_upper_sq_dists
+        monkeypatch.setattr(graph, "_packed_upper_sq_dists", lambda z: calls.append(1) or pack(z))
+        return calls
+
+    @pytest.mark.parametrize("make", [grid_features, duplicated_features, lambda n, seed: features(n, 16, seed)],
+                             ids=["grid", "duplicates", "normal"])
+    @pytest.mark.parametrize("n", [600, 601, 1001])
+    def test_equal_to_reference(self, packings, make, n):
+        f = make(n, seed=n)
+        assert n * (n - 1) // 2 >= 4 * graph.MEDIAN_SAMPLE  # the bracketed path, not the small-input one
+        assert median_bandwidth(f) == median_bandwidth_reference(f)
+        assert len(packings) == 1
+
+    def test_overflowing_features_give_the_fallback(self):
+        z = features(600, 3, seed=9).vectors
+        z[[0, 599]] = 1e200
+        f = FeatureSet(z)
+        with np.errstate(all="ignore"):
+            assert median_bandwidth(f) == median_bandwidth_reference(f) == 1.0
+
+    # one NaN, the last distance: the sample of 2^12 misses it, the sample of 2^15 picks it
+    # (its bracket then ends at NaN); the pass finds it either way
+    @pytest.mark.parametrize("sample", [1 << 12, 1 << 15])
+    def test_one_late_nan_gives_the_fallback(self, monkeypatch, sample):
+        z = features(600, 3, seed=10).vectors
+        z[[598, 599]] = 1e200
+        f = FeatureSet(z)
+        monkeypatch.setattr(graph, "MEDIAN_SAMPLE", sample)
+        with np.errstate(all="ignore"):
+            assert median_bandwidth(f) == median_bandwidth_reference(f) == 1.0
+
+    @pytest.mark.parametrize("make", [duplicated_features, lambda n, seed: features(n, 16, seed)],
+                             ids=["duplicates", "normal"])
+    def test_bracket_miss_takes_the_exact_partition(self, monkeypatch, packings, make):
+        # one sampled entry brackets only the entries equal to it, so the middle ranks fall outside
+        monkeypatch.setattr(graph, "MEDIAN_SAMPLE", 1)
+        f = make(600, seed=12)
+        assert median_bandwidth(f) == median_bandwidth_reference(f)
+        assert len(packings) == 2
+
+    @pytest.mark.parametrize("block", [1 << 10, 40 * 3 + 1, 1 << 20])
+    def test_pass_blocks_do_not_change_the_median(self, monkeypatch, block):
+        monkeypatch.setattr(graph, "KNN_BLOCK_ENTRIES", block)
+        for f in (grid_features(700, seed=5), duplicated_features(700, seed=6)):
+            assert median_bandwidth(f) == median_bandwidth_reference(f)
+
+
+class TestGramProducts:
+    """The general products round as NumPy's `z @ z.T` does, to the bit."""
+
+    @pytest.mark.parametrize("d", [1, 16, 17])
+    @pytest.mark.parametrize("n", [1, 5, 600])
+    def test_equal_to_the_symmetric_product(self, n, d):
+        z = np.random.default_rng(n * d).normal(size=(n, d))
+        unit = z / np.linalg.norm(z, axis=1)[:, None]
+        assert np.array_equal(cosine_similarity(FeatureSet(z)), unit @ unit.T)
+        assert np.array_equal(pairwise_sq_dists(z), sq_dists_reference(z))
 
 
 class TestKnnGraph:
@@ -274,6 +348,62 @@ class TestKnnSelectionMatchesReference:
         S[2, 1] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             build_knn_graph(S, k=2)
+
+    # the diagonal is checked before it is set to -inf; elsewhere the partition sorts NaN into the top slots
+    @pytest.mark.parametrize("block", [1, 7, 40 * 3 + 1, 1 << 16])
+    @pytest.mark.parametrize("where", [(2, 1), (2, 2), (2, 0), (2, 39), (0, 0), (39, 39)],
+                             ids=["off-diagonal", "diagonal", "first-column", "last-column", "first", "last"])
+    @pytest.mark.parametrize("k", [1, 5, 39])
+    def test_rejects_nan_anywhere(self, monkeypatch, block, where, k):
+        monkeypatch.setattr(graph, "KNN_BLOCK_ENTRIES", block)
+        S = tie_heavy_gram(40, seed=4)
+        S[where] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            build_knn_graph(S, k)
+
+    @pytest.mark.parametrize("block", [1, 7, 40 * 3 + 1, 1 << 16])
+    def test_rows_with_and_without_excess_ties_in_one_block(self, monkeypatch, block):
+        # even rows hold four entries equal to their 3rd largest value, odd rows hold distinct values
+        monkeypatch.setattr(graph, "KNN_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(21)
+        S = rng.permutation(40 * 40).reshape(40, 40) / 4000.0  # distinct values under 0.4
+        for i in range(0, 40, 2):
+            cols = rng.choice(np.delete(np.arange(40), i), size=6, replace=False)
+            S[i, cols[:2]], S[i, cols[2:]], S[i, i] = 0.9, 0.5, 0.5
+        off = S[~np.eye(40, dtype=bool)].reshape(40, 39)
+        excess = np.count_nonzero(off >= np.sort(off, axis=1)[:, -3, None], axis=1) > 3
+        assert excess.tolist() == [True, False] * 20
+        g = build_knn_graph(S, 3)
+        for got, want in zip((g.rows, g.cols, g.values), knn_reference(S, 3)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_minus_inf_rows_may_keep_the_diagonal_at_zero(self, k):
+        # a row of -inf ties its diagonal (taken as -inf) with every entry, so the lowest columns win
+        S = np.full((5, 5), -np.inf)
+        np.fill_diagonal(S, 1.0)
+        S[0, 1:] = [0.5, 0.25, -np.inf, 0.75]
+        S[3, 4] = 1.0
+        g = build_knn_graph(S, k)
+        for got, want in zip((g.rows, g.cols, g.values), knn_reference(S, k)):
+            assert np.array_equal(got, want)
+        assert np.any(g.rows == g.cols) and np.all(g.values[g.rows == g.cols] == 0.0)
+
+    @pytest.mark.parametrize("make_gram", [lambda f: gaussian_similarity(f, 1.0),
+                                           lambda f: np.round(gaussian_similarity(f, 1.0), 1)],
+                             ids=["gaussian", "tie-heavy"])
+    def test_peak_memory_is_the_edges_and_row_blocks(self, make_gram):
+        n, k = 1500, 10
+        S = make_gram(features(n, 16, seed=8))
+        block_bytes = max(1, graph.KNN_BLOCK_ENTRIES // n) * n * 8
+        tracemalloc.start()
+        try:
+            build_knn_graph(S, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the edge triplets twice (per block, then joined) and a few row blocks; no N x N temporary
+        assert peak <= 2 * n * k * 24 + 3 * block_bytes
 
 
 class TestToCsr:
