@@ -295,7 +295,7 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
     A = None
     if solver_choice == "SP2OT":
         feats = FeatureSet(X)
-        A = build_knn_graph(gaussian_similarity(feats, median_bandwidth(feats)), cfg.knn_k).to_csr()
+        A = build_knn_graph(gaussian_similarity(feats, median_bandwidth(feats)), cfg.knn_k).adjacency
 
     model = PrototypeModel(
         prototypes=rng.normal(scale=0.1, size=(K, D)),

@@ -145,7 +145,7 @@ def sp2ot_solve(pred_path, graph_path, lambda1, lambda2, rho, eps, out_path, str
     try:
         P = io_mod.read_matrix(pred_path)
         rows, cols, vals = io_mod.read_triplets_csv(graph_path)
-        A = SemanticGraph(rows, cols, vals, n=P.shape[0], k=0, kernel="file").to_csr()
+        A = SemanticGraph.from_triplets(rows, cols, vals, P.shape[0]).adjacency
         problem = sp2ot.Sp2otProblem(P, A, lambda1, lambda2, rho, eps)
         plan, trace = sp2ot.solve_sp2ot(problem)
     except (io_mod.FormatError, ValueError, ot_core.DimensionMismatchError,
@@ -199,7 +199,7 @@ def graph_build(feat_path, kernel, sigma, k, out_path):
             gram = gaussian_similarity(feats, bw)
         else:
             gram = cosine_similarity(feats)
-        graph = build_knn_graph(gram, k, kernel=kernel)
+        graph = build_knn_graph(gram, k)
     except (io_mod.FormatError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
     if kernel == "gaussian" and graph.values.size and not np.any(graph.values > 0):

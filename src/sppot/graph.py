@@ -79,45 +79,52 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class SemanticGraph:
-    """Sparse row-wise top-k affinity graph (triplet storage)."""
+    """A sparse affinity graph held as its N x N CSR adjacency; ValueError unless that is a square CSR.
 
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    n: int
-    k: int
-    kernel: str
+    `rows`, `cols` and `values` (intp, intp, float64) list the edges row by row, columns ascending.
+    """
+
+    adjacency: sparse.csr_array
+
+    def __post_init__(self):
+        A = self.adjacency
+        if not (sparse.issparse(A) and A.format == "csr" and A.ndim == 2 and A.shape[0] == A.shape[1]):
+            raise ValueError(f"adjacency must be a square N x N CSR array, got {type(A).__name__}")
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n), np.diff(self.adjacency.indptr))
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.adjacency.indices.astype(np.intp)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.adjacency.data
 
     def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        A[self.rows, self.cols] = self.values
-        return A
+        return self.adjacency.toarray()
 
-    def to_csr(self) -> sparse.csr_array:
-        """The N x N adjacency in CSR form; a repeated (i, j) keeps its last value, as in `to_dense`.
+    @classmethod
+    def from_triplets(cls, rows, cols, values, n: int) -> "SemanticGraph":
+        """The graph of the edges (rows[e], cols[e], values[e]); a repeated (i, j) keeps its last value.
 
         Raises ValueError when an endpoint is not a node index in [0, n).
         """
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= self.n):
-            raise ValueError(f"edge endpoints must be node indices in [0, {self.n})")
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise ValueError(f"edge endpoints must be node indices in [0, {n})")
         # first occurrence in the reversed edge list = last occurrence in the file order
-        _, last = np.unique((rows * self.n + cols)[::-1], return_index=True)
+        _, last = np.unique((rows * n + cols)[::-1], return_index=True)
         keep = rows.size - 1 - last
-        values = np.asarray(self.values, dtype=float)[keep]
-        return sparse.csr_array((values, (rows[keep], cols[keep])), shape=(self.n, self.n))
-
-    def triplets(self):
-        return zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist())
-
-    @classmethod
-    def from_dense(cls, A: np.ndarray, k: int = 0, kernel: str = "imported") -> "SemanticGraph":
-        """The nonzero entries of the square matrix `A` as triplets, row by row, columns ascending."""
-        csr = dense_to_csr(A)
-        n = csr.shape[0]
-        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-        return cls(rows, csr.indices.astype(np.intp), csr.data, n, k, kernel)
+        values = np.asarray(values, dtype=float)[keep]
+        return cls(sparse.csr_array((values, (rows[keep], cols[keep])), shape=(n, n)))
 
 
 def pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
@@ -264,13 +271,14 @@ def cosine_similarity(features: FeatureSet) -> np.ndarray:
     return z @ z.T.copy()  # a general product, as in `pairwise_sq_dists`
 
 
-def build_knn_graph(gram: np.ndarray, k: int, kernel: str = "gaussian") -> SemanticGraph:
+def build_knn_graph(gram: np.ndarray, k: int) -> SemanticGraph:
     """Keep the k largest off-diagonal similarities per row, zero elsewhere.
 
     Ties are broken toward the lowest column index. Negative similarities
     that survive selection (possible with the cosine kernel at large k) are
-    clamped to 0 so the adjacency stays nonnegative. Edges come out row by
-    row, columns ascending within a row. Raises ValueError on a NaN entry.
+    clamped to 0 so the adjacency stays nonnegative; such zero-weight edges
+    stay in the graph as explicit zeros. Raises ValueError on a NaN entry or
+    a gram that is not a 2-D square matrix.
 
     Rows are processed in blocks of about KNN_BLOCK_ENTRIES entries, each row
     with its diagonal entry taken as -inf. np.partition of a copy of the
@@ -278,16 +286,21 @@ def build_knn_graph(gram: np.ndarray, k: int, kernel: str = "gaussian") -> Seman
     kk top slots. A row holding exactly kk entries >= t keeps them; only a
     row with more (ties at t) takes the entries above t plus the
     lowest-index entries equal to t, through a running count of its ties.
+    Each block's row counts fill `indptr`; its columns, ascending within a
+    row, and its weights are joined into `indices` and `data`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     S = np.asarray(gram, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"adjacency must be a square N x N matrix, got shape {S.shape}")
     n = S.shape[0]
     kk = min(k, n - 1)
     if kk < 1:
-        empty = np.zeros(0, dtype=np.intp)
-        return SemanticGraph(empty, empty, np.zeros(0), n, k, kernel)
-    rows, cols, vals = [], [], []
+        return SemanticGraph(sparse.csr_array((n, n)))
+    # every row keeps kk edges: int32 indices while they fit, as scipy and `dense_to_csr` choose
+    indptr = np.zeros(n + 1, dtype=np.int32 if n * kk <= np.iinfo(np.int32).max else np.int64)
+    indices, data = [], []
     block = max(1, KNN_BLOCK_ENTRIES // n)
     for start in range(0, n, block):
         V = S[start:start + block]
@@ -314,10 +327,11 @@ def build_knn_graph(gram: np.ndarray, k: int, kernel: str = "gaussian") -> Seman
         r, c = np.divmod(np.flatnonzero(keep), n)
         v = np.maximum(V[r, c], 0.0)
         v[c == r + start] = 0.0  # a diagonal entry, kept only when t is -inf, counts as -inf
-        rows.append(r + start)
-        cols.append(c)
-        vals.append(v)
-    return SemanticGraph(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), n, k, kernel)
+        indptr[start + 1:start + m + 1] = np.bincount(r, minlength=m)
+        indices.append(c.astype(indptr.dtype))
+        data.append(v)
+    np.cumsum(indptr, out=indptr)
+    return SemanticGraph(sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n)))
 
 
 def adjacency_accuracy(graph: SemanticGraph, labels: np.ndarray) -> float:

@@ -39,11 +39,8 @@ class Sp2otProblem:
 
     def __post_init__(self):
         P = np.asarray(self.pred, dtype=float)
-        if sparse.issparse(self.adjacency):
-            A = sparse.csr_array(self.adjacency, dtype=float, copy=True)  # never alias the caller's arrays
-            A.eliminate_zeros()
-        else:
-            A = dense_to_csr(self.adjacency)
+        A = _as_csr(self.adjacency, copy=True)  # never alias the caller's arrays
+        A.eliminate_zeros()
         if A.shape != (P.shape[0], P.shape[0]):
             raise ValueError("adjacency must be N x N for N samples")
         if not np.all(np.isfinite(A.data)):
@@ -108,10 +105,10 @@ def sp2ot_objective(plan, pred, adjacency, lambda1, lambda2, rho, epsilon) -> fl
     return val
 
 
-def _as_csr(adjacency) -> sparse.csr_array:
+def _as_csr(adjacency, copy: bool = False) -> sparse.csr_array:
     if sparse.issparse(adjacency):
-        return sparse.csr_array(adjacency, dtype=float)
-    return dense_to_csr(adjacency)
+        return sparse.csr_array(adjacency, dtype=float, copy=copy)
+    return dense_to_csr(adjacency)  # owns its arrays
 
 
 def lambda1_decayed(lambda1_0: float, rho: float) -> float:

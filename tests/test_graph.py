@@ -242,10 +242,19 @@ class TestGramProducts:
         assert np.array_equal(pairwise_sq_dists(z), sq_dists_reference(z))
 
 
+def assert_knn_csr(g, n, k):
+    """The kNN graph's CSR is canonical, n x n and float64, with min(k, n - 1) edges in every row."""
+    A = g.adjacency
+    assert A.format == "csr" and A.shape == (n, n) and A.has_canonical_format and A.dtype == np.float64
+    assert np.all(np.diff(A.indptr) == min(k, n - 1))
+    assert g.rows.dtype == g.cols.dtype == np.intp and g.values.dtype == np.float64
+
+
 class TestKnnGraph:
     def test_k_edges_per_row_no_self(self):
         f = features(12, 3, seed=3)
         g = build_knn_graph(gaussian_similarity(f, 1.0), k=4)
+        assert_knn_csr(g, 12, 4)
         assert g.rows.size == 12 * 4
         for i in range(12):
             cols = g.cols[g.rows == i]
@@ -269,21 +278,28 @@ class TestKnnGraph:
     def test_k_capped_at_n_minus_one(self):
         f = features(4, 2, seed=4)
         g = build_knn_graph(gaussian_similarity(f, 1.0), k=10)
+        assert_knn_csr(g, 4, 10)
         assert g.rows.size == 4 * 3
 
     def test_negative_survivors_clamped(self):
         S = -np.ones((3, 3))
         g = build_knn_graph(S, k=2)
         assert np.all(g.values == 0.0)
+        assert g.adjacency.nnz == 6  # zero-weight edges stay as explicit zeros
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             build_knn_graph(np.eye(3), k=0)
 
+    @pytest.mark.parametrize("shape, k", [((3, 5), 3), ((3, 5), 4), ((5, 3), 3), ((5, 3), 4), ((4,), 3)])
+    def test_rejects_non_square_gram(self, shape, k):
+        with pytest.raises(ValueError, match="square"):
+            build_knn_graph(np.ones(shape), k)
+
     def test_dense_roundtrip(self):
         f = features(9, 3, seed=5)
         g = build_knn_graph(gaussian_similarity(f, 1.0), k=3)
-        back = SemanticGraph.from_dense(g.to_dense())
+        back = SemanticGraph(dense_to_csr(g.to_dense()))
         npt.assert_allclose(back.to_dense(), g.to_dense())
 
     def test_zero_diagonal_dense(self):
@@ -323,6 +339,7 @@ class TestKnnSelectionMatchesReference:
     def test_array_equal_to_stable_argsort(self, make_gram, n, k):
         S = make_gram(n, seed=n + k)
         g = build_knn_graph(S, k)
+        assert_knn_csr(g, n, k)
         for got, want in zip((g.rows, g.cols, g.values), knn_reference(S, k)):
             assert np.array_equal(got, want)
 
@@ -332,6 +349,7 @@ class TestKnnSelectionMatchesReference:
         monkeypatch.setattr(graph, "KNN_BLOCK_ENTRIES", block)
         S = tie_heavy_gram(40, seed=3)
         g = build_knn_graph(S, 6)
+        assert_knn_csr(g, 40, 6)
         for got, want in zip((g.rows, g.cols, g.values), knn_reference(S, 6)):
             assert np.array_equal(got, want)
 
@@ -342,6 +360,8 @@ class TestKnnSelectionMatchesReference:
     def test_single_node_has_no_edges(self):
         g = build_knn_graph(np.ones((1, 1)), k=3)
         assert g.rows.size == g.cols.size == g.values.size == 0
+        assert_knn_csr(g, 1, 3)
+        assert_knn_csr(build_knn_graph(np.ones((0, 0)), k=3), 0, 3)
 
     def test_rejects_nan_similarity(self):
         S = np.ones((4, 4))
@@ -374,6 +394,7 @@ class TestKnnSelectionMatchesReference:
         excess = np.count_nonzero(off >= np.sort(off, axis=1)[:, -3, None], axis=1) > 3
         assert excess.tolist() == [True, False] * 20
         g = build_knn_graph(S, 3)
+        assert_knn_csr(g, 40, 3)
         for got, want in zip((g.rows, g.cols, g.values), knn_reference(S, 3)):
             assert np.array_equal(got, want)
 
@@ -385,6 +406,7 @@ class TestKnnSelectionMatchesReference:
         S[0, 1:] = [0.5, 0.25, -np.inf, 0.75]
         S[3, 4] = 1.0
         g = build_knn_graph(S, k)
+        assert_knn_csr(g, 5, k)
         for got, want in zip((g.rows, g.cols, g.values), knn_reference(S, k)):
             assert np.array_equal(got, want)
         assert np.any(g.rows == g.cols) and np.all(g.values[g.rows == g.cols] == 0.0)
@@ -402,35 +424,57 @@ class TestKnnSelectionMatchesReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the edge triplets twice (per block, then joined) and a few row blocks; no N x N temporary
+        # the edges' columns and weights twice (per block, then joined) and a few row blocks; no N x N temporary
         assert peak <= 2 * n * k * 24 + 3 * block_bytes
 
 
-class TestToCsr:
+class TestFromTriplets:
     def test_matches_dense(self):
         f = features(15, 3, seed=9)
         g = build_knn_graph(gaussian_similarity(f, 1.0), k=4)
-        A = g.to_csr()
+        A = SemanticGraph.from_triplets(g.rows, g.cols, g.values, 15).adjacency
         assert A.format == "csr" and A.shape == (15, 15)
         npt.assert_array_equal(A.toarray(), g.to_dense())
 
     def test_repeated_edge_keeps_last_value(self):
-        g = SemanticGraph(np.array([0, 1, 0, 2, 0]), np.array([1, 2, 1, 0, 1]),
-                          np.array([0.5, 0.7, 0.25, 0.1, 0.75]), n=3, k=0, kernel="file")
-        A = g.to_csr()
+        rows, cols = np.array([0, 1, 0, 2, 0]), np.array([1, 2, 1, 0, 1])
+        values = np.array([0.5, 0.7, 0.25, 0.1, 0.75])
+        A = SemanticGraph.from_triplets(rows, cols, values, n=3).adjacency
         assert A.nnz == 3
-        npt.assert_array_equal(A.toarray(), g.to_dense())
+        last_wins = np.zeros((3, 3))
+        last_wins[rows, cols] = values
+        npt.assert_array_equal(A.toarray(), last_wins)
         assert A[0, 1] == 0.75
 
     @pytest.mark.parametrize("rows, cols", [([0], [3]), ([3], [0]), ([-1], [0]), ([0], [-2])])
     def test_rejects_endpoint_outside_graph(self, rows, cols):
-        g = SemanticGraph(np.array(rows), np.array(cols), np.array([1.0]), n=3, k=0, kernel="file")
         with pytest.raises(ValueError, match="node indices"):
-            g.to_csr()
+            SemanticGraph.from_triplets(np.array(rows), np.array(cols), np.array([1.0]), n=3)
 
     def test_empty_graph(self):
-        g = SemanticGraph(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0), n=4, k=0, kernel="file")
-        assert g.to_csr().shape == (4, 4) and g.to_csr().nnz == 0
+        A = SemanticGraph.from_triplets(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0), n=4).adjacency
+        assert A.shape == (4, 4) and A.nnz == 0
+
+
+class TestSemanticGraph:
+    @pytest.mark.parametrize("make", [
+        lambda: np.eye(3),
+        lambda: sparse.coo_array(np.eye(3)),
+        lambda: sparse.csr_array(np.ones((3, 4))),
+        lambda: sparse.csr_array(np.ones(3)),
+    ], ids=["dense", "coo", "non-square", "1-d"])
+    def test_rejects_anything_but_a_square_csr(self, make):
+        with pytest.raises(ValueError, match="square N x N CSR"):
+            SemanticGraph(make())
+
+    def test_views_read_the_csr(self):
+        A = dense_to_csr(signed_zero_matrix())
+        g = SemanticGraph(A)
+        assert g.n == 7 and g.adjacency is A
+        npt.assert_array_equal(g.rows, np.repeat(np.arange(7), np.diff(A.indptr)))
+        npt.assert_array_equal(g.cols, A.indices)
+        assert g.values is A.data
+        npt.assert_array_equal(g.to_dense(), A.toarray())
 
 
 def csr_reference(A):
@@ -503,16 +547,16 @@ class TestDenseToCsr:
         with pytest.raises(ValueError, match="square"):
             dense_to_csr(np.ones(shape))
         with pytest.raises(ValueError, match="square"):
-            SemanticGraph.from_dense(np.ones(shape))
+            SemanticGraph(np.ones(shape))
 
     def test_from_dense_keeps_nonzero_order_and_negatives(self):
         A = signed_zero_matrix()
-        g = SemanticGraph.from_dense(A, k=2)
+        g = SemanticGraph(dense_to_csr(A))
         r, c = np.nonzero(A)
         npt.assert_array_equal(g.rows, r)
         npt.assert_array_equal(g.cols, c)
         npt.assert_array_equal(g.values, A[r, c])
-        assert g.values.min() == -0.5 and (g.n, g.k, g.kernel) == (7, 2, "imported")
+        assert g.values.min() == -0.5 and g.n == 7
 
 
 class TestAdjacencyAccuracy:
