@@ -132,12 +132,9 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     of a sweep over a tall, narrow matrix are fastest; the plan is returned
     C-contiguous.
 
-    Returns (Q, iterations, converged, b_change_history, col_potential),
-    where the history holds max|b_plain/b - 1| of every sweep (how far the
-    plain update lies from the sweep's iterate; after a momentum move the
-    iterate itself changes by more) and col_potential = v + eps log(b) is
-    the final column potential, the `v0` that warm-starts a solve of a
-    nearby problem.
+    Returns (Q, iterations, converged, col_potential), where col_potential
+    = v + eps log(b) is the final column potential, the `v0` that
+    warm-starts a solve of a nearby problem.
     """
     C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
@@ -149,24 +146,20 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     if soft.size == 0 or m_soft <= 0 or np.any(f[soft] != f[soft[0]]) or upper is not None:
         soft = None
     cap = None if upper is None else _upper_cap(v, upper, epsilon)
-    a_bound = _row_scaling_bound(alpha, M)
     a = np.ones(m)
     b = np.ones(n)
     step = np.ones(n)  # the last move of the absolute column scaling, as a ratio: the momentum
     last_plain = step  # the last sweep's b_plain / b
     momentum = _Momentum()
-    errs = np.empty(max_iter)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         a = alpha / (M @ b)
-        a_may_pass = not a_bound < threshold * b.min()  # False proves max(a) <= threshold unread
         col = M.T @ a
         b_new = w * (beta / col) ** f
         _project(b_new, col, cap, upper, soft, m_soft)
         ratio = b_new / b
         err = float(np.abs(ratio - 1.0).max())
-        errs[it - 1] = err
         # a non-finite change: the scalings have under- or overflowed
         if err < tol or not math.isfinite(err) or it == max_iter:
             b = b_new
@@ -182,12 +175,11 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
         last_plain = ratio
         step = b_new / b
         b = b_new
-        if b.max() > threshold or (a_may_pass and a.max() > threshold):
+        if b.max() > threshold or a.max() > threshold:
             u += epsilon * np.log(a)
             v += epsilon * np.log(b)
             w = np.where(hard, 1.0, w * b ** (f - 1.0))
             M = np.exp((u[:, None] - C + v[None, :]) / epsilon)
-            a_bound = _row_scaling_bound(alpha, M)
             a = np.ones(m)
             b = np.ones(n)
             if upper is not None:
@@ -199,7 +191,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
         if soft is not None:  # remove the offset the mass step leaves (see the docstring)
             lam = epsilon * f[soft] / (1.0 - f[soft])
             potential -= np.mean(potential[soft] - lam * np.log(beta[soft] / (b[soft] * col[soft])))
-    return Q, it, converged, errs[:it].copy(), potential
+    return Q, it, converged, potential
 
 
 def _project(b, col, cap, upper, soft, m_soft):
@@ -261,21 +253,6 @@ class _Momentum:
         return self.current
 
 
-def _row_scaling_bound(alpha, M):
-    """R with alpha / (M b) <= R / min(b) entrywise for every b > 0: max_i alpha_i / rowsum_i(M).
-
-    Since (M b)_i >= min(b) rowsum_i(M) for a nonnegative kernel, a sweep
-    whose R < threshold * min(b) cannot have a row scaling above `threshold`,
-    and the loop skips reading all N of them. R is widened by 1e-12 plus a
-    few units in the last place per column, more than the rounding of the two
-    row sums, so the skip never hides an absorption. A zero row sum or a NaN
-    makes R inf or NaN, and then no sweep skips.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = float(np.max(alpha / M.sum(axis=1)))
-    return bound * (1.0 + 1e-12 + 4.0 * M.shape[1] * np.finfo(np.float64).eps)
-
-
 def _upper_cap(v, upper, epsilon):
     """exp(-v/eps) on the upper-bounded columns: the largest scaling their prox allows."""
     with np.errstate(over="ignore"):
@@ -330,8 +307,7 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
     sweep, and for rho < 1 the L1 error of the row marginal plus slack is
     then at most tol * sum(alpha).
 
-    Returns (Q, iterations, converged, b_change_history), where the history
-    holds the relative change of every sweep.
+    Returns (Q, iterations, converged).
     """
     C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
@@ -339,7 +315,6 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
     b = np.ones(n)
     s = 1.0
     relaxed = rho < 1.0
-    errs = np.empty(max_iter)
     converged = False
     it = 0
     a = np.ones(m)
@@ -351,7 +326,6 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
         b_new = (beta / (s * (M.T @ a))) ** f
         s_new = rho / float(a @ (M @ b_new))
         err = float(np.max(np.abs(s_new * b_new / (s * b) - 1.0)))
-        errs[it - 1] = err
         b = b_new
         s = s_new
         if err < tol:
@@ -359,4 +333,4 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
             break
     Q = np.multiply(s * a[:, None], M, order="C")
     Q *= b
-    return Q, it, converged, errs[:it].copy()
+    return Q, it, converged

@@ -206,7 +206,6 @@ class TrainConfig:
     epsilon: float = 0.1
     lambda2: float = 1.0
     lambda1_0: float = 1000.0
-    schedule: Schedule | None = None  # total_steps filled in from the loop
     schedule_kind: str = "sigmoid"
     rho0: float = 0.1
     sla_upper: float | None = None  # default 1/K
@@ -307,7 +306,7 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
 
     iters_per_epoch = max(1, N // cfg.batch_size)
     total_steps = cfg.epochs * iters_per_epoch
-    schedule = cfg.schedule or Schedule(cfg.schedule_kind, cfg.rho0, total_steps)
+    schedule = Schedule(cfg.schedule_kind, cfg.rho0, total_steps)
 
     history = RunHistory(config={"solver": solver_choice, "seed": cfg.seed})
     step = 0

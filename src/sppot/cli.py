@@ -285,17 +285,12 @@ ABLATE_SCHEMA = {
 
 
 def _run_from_config(cfg: dict, solver: str, seed: int) -> tuple:
+    """Generate the dataset and train on it. A config that passes the schema
+    but cannot run (a ValueError from the dataset or a solve) raises
+    click.ClickException, so the command exits 1 before writing anything."""
     ds = cfg["dataset"]
     root = np.random.default_rng(np.random.SeedSequence(seed))
     data_seed = int(root.integers(2**63))
-    dataset = bench_mod.generate_imbalanced_mixture(
-        K=ds["k"],
-        R=ds.get("imbalance", 10.0),
-        N=ds["n"],
-        dim=ds.get("dim", 16),
-        separation=ds.get("separation", 6.0),
-        seed=data_seed,
-    )
     train_opts = dict(cfg.get("train", {}))
     if "eps" in train_opts:
         train_opts["epsilon"] = train_opts.pop("eps")
@@ -308,7 +303,18 @@ def _run_from_config(cfg: dict, solver: str, seed: int) -> tuple:
     )
     if "rho0" in sched:
         tc = replace(tc, rho0=sched["rho0"])
-    return dataset, bench_mod.train(dataset, solver, tc), tc
+    try:
+        dataset = bench_mod.generate_imbalanced_mixture(
+            K=ds["k"],
+            R=ds.get("imbalance", 10.0),
+            N=ds["n"],
+            dim=ds.get("dim", 16),
+            separation=ds.get("separation", 6.0),
+            seed=data_seed,
+        )
+        return dataset, bench_mod.train(dataset, solver, tc), tc
+    except ValueError as exc:
+        raise click.ClickException(f"cannot run config: {exc}") from exc
 
 
 @cli.group("cluster")
@@ -334,7 +340,6 @@ def cluster_run(config_path, out_path):
         cfg,
         seed=cfg["seed"],
     )
-    payload["resolved_train_config"].pop("schedule", None)
     io_mod.write_json(out_path, payload)
     fields = ["epoch", "acc", "nmi", "f1", "ari", "acc_head", "acc_medium", "acc_tail",
               "rho", "precision", "recall", "weighted_precision", "weighted_recall"]

@@ -17,6 +17,8 @@ class Schedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not 0 <= self.rho0 <= 1:
             raise ValueError("rho0 must be in [0, 1]")
+        if self.kind == "fixed" and self.rho0 == 0:  # the other kinds rise above rho0 after step 0
+            raise ValueError("rho must be in (0, 1]: a fixed schedule needs rho0 > 0")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
 

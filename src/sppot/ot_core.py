@@ -25,7 +25,7 @@ support log-domain absorption of the scaling vectors to avoid overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,11 +82,14 @@ class ScalingConfig:
 
 @dataclass
 class TransportPlan:
+    """The plan of one solve, its objective, the kernel sweeps it took (summed
+    over the inner solves for SP2OT), and whether the last sweep's change fell
+    under `tol` (see `ScalingConfig`)."""
+
     coupling: np.ndarray
     objective: float
     iterations: int
     converged: bool
-    b_change: np.ndarray = field(default_factory=lambda: np.empty(0))
     # final column potential of the solved (virtual-column) problem; pass it
     # as `init=` to warm-start a nearby solve. None where a solver has none.
     col_potential: np.ndarray | None = None
@@ -109,24 +112,14 @@ def _solve_row_eq(C, alpha, beta, f, cfg, v0=None, upper=None) -> tuple:
     Raises NumericalOverflowError rather than return a plan with a
     non-finite entry.
     """
-    Q, iters, conv, errs, v = kernels.scaling_weighted_kl(
-        np.asfortranarray(C, dtype=np.float64),
-        np.ascontiguousarray(alpha, dtype=np.float64),
-        np.ascontiguousarray(beta, dtype=np.float64),
-        np.ascontiguousarray(f, dtype=np.float64),
-        cfg.epsilon,
-        cfg.tol,
-        cfg.max_iter,
-        cfg.stabilization_threshold,
-        v0,
-        upper,
-    )
+    Q, iters, conv, v = kernels.scaling_weighted_kl(
+        C, alpha, beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, cfg.stabilization_threshold, v0, upper)
     if not np.all(np.isfinite(Q)):
         raise NumericalOverflowError(
             f"non-finite plan after {iters} iterations at epsilon={cfg.epsilon}; "
             "the kernel exp(-C/epsilon) under- or overflows at this scale"
         )
-    return Q, iters, conv, errs, v
+    return Q, iters, conv, v
 
 
 def entropic_objective(plan: np.ndarray, cost: np.ndarray, penalties, epsilon: float) -> float:
@@ -246,13 +239,13 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     ext = extend_virtual(C0, rho, lam)
     f = _exponents(ext.weights, cfg.epsilon)
     v0 = None if init is None or np.shape(init) != ext.beta.shape else init
-    Q, iters, converged, errs, v = _solve_row_eq(ext.cost_ext, ext.alpha, ext.beta, f, cfg, v0)
+    Q, iters, converged, v = _solve_row_eq(ext.cost_ext, ext.alpha, ext.beta, f, cfg, v0)
     K = C0.shape[1]
     if Q.shape[1] > K:
         Q = Q[:, :K].copy()
     penalties = [(1, ext.beta[:K], ext.weights[:K])]
     obj = entropic_objective(Q, C0, penalties, cfg.epsilon)  # C-order cost, like Q: the fast product
-    return TransportPlan(Q, obj, iters, converged, np.asarray(errs), v)
+    return TransportPlan(Q, obj, iters, converged, v)
 
 
 def solve_balanced_ot(pred: np.ndarray, cfg: ScalingConfig, init: np.ndarray | None = None) -> TransportPlan:
@@ -295,7 +288,7 @@ def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) ->
     if K * upper > rho * (1 + MASS_RTOL):
         beta = np.append(np.full(K, upper), ext.beta[K:])
         up_col = np.arange(beta.size) < K
-    Q, iters, converged, errs, _ = _solve_row_eq(ext.cost_ext, ext.alpha, beta, np.ones(beta.size), cfg, upper=up_col)
+    Q, iters, converged, _ = _solve_row_eq(ext.cost_ext, ext.alpha, beta, np.ones(beta.size), cfg, upper=up_col)
     real = Q[:, :K].copy()
     obj = entropic_objective(real, C0, [], cfg.epsilon)
-    return TransportPlan(real, obj, iters, converged, np.asarray(errs))
+    return TransportPlan(real, obj, iters, converged)

@@ -87,11 +87,11 @@ def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None) -> Tran
     alpha = np.full(N, 1.0 / N)
     beta = np.full(K, problem.rho / K)
     f = np.full(K, problem.lam / (problem.lam + eps))
-    Q, iters, converged, errs = kernels.gsa_total_mass(
+    Q, iters, converged = kernels.gsa_total_mass(
         np.asfortranarray(C), alpha, beta, f, problem.rho, eps, cfg.tol, cfg.max_iter
     )
     obj = entropic_objective(Q, C, [(1, beta, np.full(K, problem.lam))], eps)
-    return TransportPlan(Q, obj, iters, converged, np.asarray(errs))
+    return TransportPlan(Q, obj, iters, converged)
 
 
 def random_problem(n: int, k: int, rho: float, seed: int, lam: float = 1.0, epsilon: float = 0.1,

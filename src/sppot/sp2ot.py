@@ -35,7 +35,7 @@ class Sp2otProblem:
     epsilon: float
     outer_tol: float = 1e-5
     outer_max_iter: int = 10
-    inner: ScalingConfig | None = None
+    inner: ScalingConfig | None = None  # the inner solves' stopping rule; its epsilon must be `epsilon`
 
     def __post_init__(self):
         P = np.asarray(self.pred, dtype=float)
@@ -49,6 +49,8 @@ class Sp2otProblem:
             raise ValueError("adjacency entries must be nonnegative")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be >= 0")
+        if self.inner is not None and self.inner.epsilon != self.epsilon:
+            raise ValueError(f"inner.epsilon {self.inner.epsilon} differs from epsilon {self.epsilon}")
         object.__setattr__(self, "pred", P)
         object.__setattr__(self, "adjacency", A)
         if self.inner is None:
@@ -156,6 +158,5 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
     if trace.ascents:
         log.warning("objective increased in %d of %d outer steps (largest rise %.3e); adjacency may not be PSD",
                     trace.ascents, len(trace.objectives), float(np.max(np.diff(trace.objectives))))
-    final = TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.b_change,
-                          plan.col_potential)
+    final = TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.col_potential)
     return final, trace

@@ -19,7 +19,6 @@ from sppot.bench import (
     swapped_loss,
     train,
 )
-from sppot.curriculum import Schedule
 
 
 class TestClassCounts:
@@ -294,7 +293,7 @@ class TestTrain:
     def test_fixed_schedule_override(self, tiny_dataset):
         cfg = TrainConfig.from_defaults(
             solver="P2OT", epochs=2, batch_size=30, buffer_size=0, knn_k=5,
-            schedule=Schedule("fixed", 0.3, 6), seed=4,
+            schedule_kind="fixed", rho0=0.3, seed=4,
         )
         history = train(tiny_dataset, "P2OT", cfg)
         assert all(rec["rho"] == 0.3 for rec in history.epochs)

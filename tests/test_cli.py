@@ -275,6 +275,23 @@ class TestMetricsEval:
         assert exc.value.code == 1
 
 
+UNRUNNABLE = {
+    # configs that pass the schema: more clusters than samples, and a fixed schedule selecting no mass
+    "n_below_k": ({"dataset": {"n": 5, "k": 10}}, "need K >= 2, R >= 1 and N >= K"),
+    "fixed_rho0_zero": ({"schedule": {"kind": "fixed", "rho0": 0}}, "rho must be in (0, 1]"),
+}
+
+
+def assert_cannot_run(capsys, command, cfg_path, message):
+    """`cluster <command>` exits 1 with one error line and no traceback, and writes nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", command, "--config", str(cfg_path), "--out", str(cfg_path.parent / "out.json")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
+    assert list(cfg_path.parent.iterdir()) == [cfg_path]
+
+
 class TestClusterRun:
     def run_config(self, tmp_path, extra=None):
         cfg = {
@@ -318,6 +335,11 @@ class TestClusterRun:
         assert result.exit_code == 0, result.output
         payload = json.loads(out.read_text())
         assert all(e["rho"] == 0.25 for e in payload["epochs"])
+
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+    def test_config_that_cannot_run_exits_1_without_output(self, capsys, tmp_path, case):
+        extra, message = UNRUNNABLE[case]
+        assert_cannot_run(capsys, "run", self.run_config(tmp_path, extra), message)
 
     def test_unknown_train_key_rejected(self, tmp_path):
         cfg_path = self.run_config(tmp_path)
@@ -410,6 +432,21 @@ class TestClusterAblate:
         assert rows[0][:4] == ["schema_version", "solver", "seed", "acc"]
         assert len(rows) == 1 + 4
         assert {(r[1], r[2]) for r in rows[1:]} == {("OT", "0"), ("OT", "1"), ("P2OT", "0"), ("P2OT", "1")}
+
+    @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+    def test_config_that_cannot_run_exits_1_without_output(self, capsys, tmp_path, case):
+        extra, message = UNRUNNABLE[case]
+        cfg = {
+            "dataset": {"n": 60, "k": 3, "imbalance": 4.0, "dim": 4, "separation": 8.0},
+            "solvers": ["OT", "P2OT"],
+            "seeds": [0, 1],
+            "train": {"epochs": 1, "batch_size": 30, "buffer_size": 0, "knn_k": 4},
+            "workers": 2,
+            **extra,
+        }
+        cfg_path = tmp_path / "ablate.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert_cannot_run(capsys, "ablate", cfg_path, message)
 
 
 class TestOracleCheck:

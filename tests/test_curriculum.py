@@ -14,6 +14,13 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule("sigmoid", 1.5, 10)
 
+    def test_fixed_schedule_rejects_zero_rho0(self):
+        # it would select no mass at any step; a ramp from 0 rises after step 0
+        with pytest.raises(ValueError, match=r"rho must be in \(0, 1\]"):
+            Schedule("fixed", 0.0, 10)
+        assert rho_at(Schedule("linear", 0.0, 10), 1) == 0.1
+        assert rho_at(Schedule("sigmoid", 0.0, 10), 1) > 0
+
     def test_rejects_bad_total_steps(self):
         with pytest.raises(ValueError):
             Schedule("sigmoid", 0.1, 0)

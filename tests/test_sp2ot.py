@@ -59,6 +59,15 @@ class TestValidation:
         dense = Sp2otProblem(random_pred(3, 2, 0), A.toarray(), 1.0, 1.0, 0.5, 0.1)
         assert dense.adjacency.format == "csr" and dense.adjacency.nnz == 1
 
+    def test_inner_epsilon_must_be_epsilon(self):
+        # the objective is evaluated at `epsilon`, the inner solves run at inner.epsilon
+        P, A = np.full((4, 2), 0.5), np.eye(4)
+        with pytest.raises(ValueError, match="inner.epsilon 0.01 differs from epsilon 0.1"):
+            Sp2otProblem(P, A, 1.0, 1.0, 0.5, 0.1, inner=ScalingConfig(epsilon=0.01))
+        problem = Sp2otProblem(P, A, 1.0, 1.0, 0.5, 0.1, inner=ScalingConfig(epsilon=0.1, tol=1e-9))
+        assert problem.inner.tol == 1e-9
+        assert Sp2otProblem(P, A, 1.0, 1.0, 0.5, 0.1).inner == ScalingConfig(epsilon=0.1)
+
     def test_negative_weights_rejected(self):
         A = np.zeros((4, 4))
         with pytest.raises(ValueError):
