@@ -267,12 +267,12 @@ def _solve_pseudo_labels(choice, P, rho, lam1, cfg: TrainConfig, A_sub, scfg, in
     raise ValueError(f"unknown solver {choice!r}")
 
 
-def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) -> RunHistory:
+def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
     """Two-view swapped-prediction training with OT pseudo-labels.
 
     Per iteration: compute rho and lambda1 from the schedules, draw a batch,
     make two noisy views, append buffered predictions, generate pseudo-labels
-    with the chosen solver per view, apply the swapped loss to the prototype
+    with `config.solver` per view, apply the swapped loss to the prototype
     weights. Per epoch: full-dataset metrics and pseudo-label quality.
 
     Each solve is warm-started from the column potential of the one before:
@@ -281,9 +281,10 @@ def train(dataset: SyntheticDataset, solver_choice: str, config: TrainConfig) ->
     previous epoch's. A failed epoch-end solve records NaN pseudo-label
     quality for that epoch.
     """
+    cfg = config
+    solver_choice = cfg.solver
     if solver_choice not in SOLVER_CHOICES:
         raise ValueError(f"solver must be one of {SOLVER_CHOICES}")
-    cfg = config
     rng = np.random.default_rng(cfg.seed)
     N, D = dataset.features.shape
     K = dataset.k

@@ -312,7 +312,7 @@ def _run_from_config(cfg: dict, solver: str, seed: int) -> tuple:
             separation=ds.get("separation", 6.0),
             seed=data_seed,
         )
-        return dataset, bench_mod.train(dataset, solver, tc), tc
+        return dataset, bench_mod.train(dataset, tc), tc
     except ValueError as exc:
         raise click.ClickException(f"cannot run config: {exc}") from exc
 

@@ -20,14 +20,18 @@ class OracleFailure(RuntimeError):
     """PGD did not reach its tolerance; treat the check as inconclusive."""
 
 
+# Euclidean projections: entry floor, Dykstra's round budget and its stop
+# change. The floor keeps the entropy gradient finite at the boundary.
+DELTA = 1e-12
+PROJ_ROUNDS = 2_000
+PROJ_TOL = 1e-14
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     step_size: float = 0.05  # maximum (initial) step; backtracking shrinks it
     max_iter: int = 50_000
     tol: float = 1e-6
-    proj_rounds: int = 2_000
-    proj_tol: float = 1e-14
-    delta: float = 1e-12
 
     def __post_init__(self):
         if self.step_size <= 0:
@@ -43,81 +47,69 @@ class OracleResult:
     objective_trace: list = field(default_factory=list)
 
 
-def project_rows_to_sum(Q, row_sums, delta):
-    """Per-row Euclidean projection onto {x >= delta, sum(x) = s_i}."""
-    out = np.empty_like(Q)
-    for i in range(Q.shape[0]):
-        out[i] = _project_capped_simplex(Q[i], row_sums[i], delta, equality=True)
-    return out
+def _row_thresholds(Y, sums, lo):
+    """Per row i, the shift tau_i with sum_j max(Y_ij - tau_i, lo) = sums_i.
+
+    One descending sort and cumsum per row (Held, Wolfe & Crowder 1974). The
+    count of active entries is clamped at >= 1, so a row whose sum is at most
+    K*lo gets a tau that puts every entry at lo.
+    """
+    k = Y.shape[1]
+    U = np.sort(Y - lo, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1)
+    budget = np.asarray(sums, dtype=float) - k * lo
+    active = U - (css - budget[:, None]) / np.arange(1, k + 1) > 0  # a True prefix
+    count = np.maximum(active.sum(axis=1), 1)
+    return (css[np.arange(len(count)), count - 1] - budget) / count
 
 
-def _project_capped_simplex(v, s, lo, equality):
-    """Project v onto {x >= lo, sum x = s} (or <= s when equality=False)."""
-    n = v.size
-    if not equality and np.sum(np.maximum(v, lo)) <= s:
-        return np.maximum(v, lo)
-    w = v - lo
-    budget = s - n * lo
-    if budget <= 0:
-        return np.full(n, lo)
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, n + 1)
-    cond = u - (css - budget) / ks > 0
-    k = int(np.max(ks[cond]))
-    tau = (css[k - 1] - budget) / k
-    return np.maximum(w - tau, 0.0) + lo
-
-
-def _project_rows_capped(Y, caps, lo):
-    """Row-wise projection onto {x >= lo, sum(x) <= cap_i}, vectorized."""
-    n, k = Y.shape
-    clipped = np.maximum(Y, lo)
-    needs_eq = clipped.sum(axis=1) > caps
-    out = clipped
-    if np.any(needs_eq):
-        W = Y[needs_eq] - lo
-        budget = np.asarray(caps, dtype=float)[needs_eq] - k * lo
-        budget = np.maximum(budget, 0.0)
-        U = np.sort(W, axis=1)[:, ::-1]
-        css = np.cumsum(U, axis=1)
-        ks = np.arange(1, k + 1)
-        cond = U - (css - budget[:, None]) / ks > 0
-        kk = cond.sum(axis=1)  # cond is monotone: True prefix
-        tau = (css[np.arange(len(kk)), kk - 1] - budget) / kk
-        out[needs_eq] = np.maximum(W - tau[:, None], 0.0) + lo
-    return out
+def _project_rows(Y, sums, lo, equality):
+    """Row-wise projection onto {x >= lo, sum(x) = s_i}, or sum(x) <= s_i
+    when `equality` is False (then the shift is never negative)."""
+    tau = _row_thresholds(Y, sums, lo)
+    if not equality:
+        tau = np.maximum(tau, 0.0)
+    # shifted by lo, so that every clamped entry is lo exactly
+    return np.maximum(Y - lo - tau[:, None], 0.0) + lo
 
 
 def _project_cap_mass(Y, caps, mass, lo):
     """Exact projection onto {Q >= lo, row sums <= caps, total mass = mass}.
 
-    Dualizing the single mass constraint leaves independent per-row capped
-    projections of Y - tau; the attained total is continuous and
-    nonincreasing in tau, so tau is found by bisection.
+    Dualizing the mass constraint with multiplier tau leaves per-row capped
+    projections of Y - tau, which are max(Y - max(tau, r_i), lo) with r_i the
+    row's cap threshold. Their total is continuous, nonincreasing and linear
+    in tau between the knots {Y - lo} and {r_i} (Condat 2016), so a binary
+    search over the sorted knots finds the piece where it crosses the mass,
+    and tau is solved on that piece.
     """
     n, k = Y.shape
     if n * k * lo > mass or float(np.sum(caps)) < mass - 1e-12:
         raise ValueError("mass constraint infeasible for the given caps")
+    W = Y - lo
+    r = _row_thresholds(Y, caps, lo)
+    excess = mass - n * k * lo  # the mass above the floor
 
-    def total(tau):
-        return float(_project_rows_capped(Y - tau, caps, lo).sum())
+    def above_floor(tau):
+        return np.maximum(W - np.maximum(tau, r)[:, None], 0.0)
 
-    span = float(np.max(np.abs(Y))) + abs(mass) + 1.0
-    t_lo, t_hi = -span, span
-    while total(t_lo) < mass:
-        t_lo *= 2.0
-    while total(t_hi) > mass:
-        t_hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if total(mid) > mass:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if t_hi - t_lo < 1e-15 * span:
-            break
-    Q = _project_rows_capped(Y - 0.5 * (t_lo + t_hi), caps, lo)
+    knots = np.sort(np.concatenate([W.ravel(), r]))
+    a, b = 0, knots.size - 1  # every entry is at the floor from knots[-1] on
+    t_a = float(above_floor(knots[a]).sum())
+    if t_a <= excess:
+        tau = knots[a]
+    else:
+        while b - a > 1:  # invariant: total(knots[a]) > excess >= total(knots[b])
+            mid = (a + b) // 2
+            t_mid = float(above_floor(knots[mid]).sum())
+            if t_mid > excess:
+                a, t_a = mid, t_mid
+            else:
+                b = mid
+        # entries that move with tau on the piece: in uncapped rows, above the floor
+        slope = int(((r <= knots[a])[:, None] & (W >= knots[b])).sum())
+        tau = min(knots[a] + (t_a - excess) / slope, knots[b])
+    Q = above_floor(tau) + lo
     # absorb the residual rounding on unclamped entries
     free = (Q > lo) & (Q < caps[:, None])
     n_free = int(free.sum())
@@ -126,7 +118,7 @@ def _project_cap_mass(Y, caps, mass, lo):
     return Q
 
 
-def _project_feasible(Q, row_eq, row_cap, col_eq, total_mass, cfg):
+def _project_feasible(Q, row_eq, row_cap, col_eq, total_mass):
     """Exact Euclidean projection onto the intersection of the requested
     constraint sets. The row-cap + total-mass pair (the partial-transport
     feasible set) has a direct dual solution; other combinations use
@@ -134,7 +126,7 @@ def _project_feasible(Q, row_eq, row_cap, col_eq, total_mass, cfg):
     point, not the nearest one, which biases gradient steps)."""
     n, k = Q.shape
     if row_cap is not None and total_mass is not None and row_eq is None and col_eq is None:
-        return _project_cap_mass(Q, row_cap, total_mass, cfg.delta)
+        return _project_cap_mass(Q, row_cap, total_mass, DELTA)
     sets = []
     if row_eq is not None:
         sets.append(("row_eq", row_eq))
@@ -145,26 +137,24 @@ def _project_feasible(Q, row_eq, row_cap, col_eq, total_mass, cfg):
     if total_mass is not None:
         sets.append(("mass", total_mass))
     if not sets:
-        return np.maximum(Q, cfg.delta)
+        return np.maximum(Q, DELTA)
     corrections = [np.zeros_like(Q) for _ in sets]
-    for _ in range(cfg.proj_rounds):
+    for _ in range(PROJ_ROUNDS):
         Q_prev_round = Q.copy()
         for idx, (kind, target) in enumerate(sets):
             Y = Q + corrections[idx]
             if kind == "row_eq":
-                Q = project_rows_to_sum(Y, target, cfg.delta)
+                Q = _project_rows(Y, target, DELTA, equality=True)
             elif kind == "row_cap":
-                Q = np.empty_like(Y)
-                for i in range(n):
-                    Q[i] = _project_capped_simplex(Y[i], target[i], cfg.delta, equality=False)
+                Q = _project_rows(Y, target, DELTA, equality=False)
             elif kind == "col_eq":
-                Q = project_rows_to_sum(Y.T, target, cfg.delta).T
+                Q = _project_rows(Y.T, target, DELTA, equality=True).T
             else:
                 # affine set {sum Q = target}: projection is a uniform shift;
                 # nonnegativity is carried by the row/column sets
                 Q = Y + (target - Y.sum()) / (n * k)
             corrections[idx] = Y - Q
-        if float(np.max(np.abs(Q - Q_prev_round))) <= cfg.proj_tol:
+        if float(np.max(np.abs(Q - Q_prev_round))) <= PROJ_TOL:
             break
     return Q
 
@@ -229,7 +219,7 @@ def pgd_entropic(
             Q = np.full((n, k), 1.0 / (n * k))
     else:
         Q = np.asarray(init, dtype=float).copy()
-    Q = _project_feasible(Q, row_eq, row_cap, col_eq, total_mass, cfg)
+    Q = _project_feasible(Q, row_eq, row_cap, col_eq, total_mass)
 
     slack_cap = row_cap if slack_entropy else None
 
@@ -237,13 +227,13 @@ def pgd_entropic(
         return oracle_objective(Qx, C, epsilon, col_kl, slack_cap)
 
     def gradient(Qx):
-        g = C + epsilon * (np.log(np.maximum(Qx, cfg.delta)) + 1.0)
+        g = C + epsilon * (np.log(np.maximum(Qx, DELTA)) + 1.0)
         if col_kl is not None:
             target, lam = col_kl
-            col = np.maximum(Qx.sum(axis=0), cfg.delta)
+            col = np.maximum(Qx.sum(axis=0), DELTA)
             g = g + lam * (np.log(col / target) + 1.0)[None, :]
         if slack_entropy:
-            slack = np.maximum(row_cap - Qx.sum(axis=1), cfg.delta)
+            slack = np.maximum(row_cap - Qx.sum(axis=1), DELTA)
             g = g - epsilon * (np.log(slack) + 1.0)[:, None]
         return g
 
@@ -257,7 +247,7 @@ def pgd_entropic(
         grad = gradient(Q)
         eta = min(eta * 2.0, cfg.step_size)
         while True:
-            Q_new = _project_feasible(Q - eta * grad, row_eq, row_cap, col_eq, total_mass, cfg)
+            Q_new = _project_feasible(Q - eta * grad, row_eq, row_cap, col_eq, total_mass)
             diff = Q_new - Q
             f_new = objective(Q_new)
             model = f_val + float(np.sum(grad * diff)) + float(np.sum(diff * diff)) / (2.0 * eta)

@@ -25,9 +25,10 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class Sp2otProblem:
     pred: np.ndarray
-    # N x N finite nonnegative weights, dense ndarray or scipy sparse; stored as a CSR copy
-    # without explicit zeros. A dense matrix is scanned once (`graph.dense_to_csr`, O(N^2)); a
-    # sparse one is copied in O(nnz). Diagonal and asymmetric entries are kept.
+    # N x N finite nonnegative weights, dense ndarray or scipy sparse; stored as a canonical
+    # CSR copy (sorted indices, duplicates summed) without explicit zeros. A dense matrix is
+    # scanned once (`graph.dense_to_csr`, O(N^2)); a sparse one is copied in O(nnz). Diagonal
+    # and asymmetric entries are kept.
     adjacency: sparse.csr_array
     lambda1: float
     lambda2: float
@@ -41,6 +42,7 @@ class Sp2otProblem:
         P = np.asarray(self.pred, dtype=float)
         A = _as_csr(self.adjacency, copy=True)  # never alias the caller's arrays
         A.eliminate_zeros()
+        A.sum_duplicates()  # fixes the summation order of every product with A
         if A.shape != (P.shape[0], P.shape[0]):
             raise ValueError("adjacency must be N x N for N samples")
         if not np.all(np.isfinite(A.data)):
@@ -75,7 +77,7 @@ def sp2ot_gradient(cost0: np.ndarray, adjacency, lambda1: float, plan: np.ndarra
     C0 = np.asarray(cost0, dtype=float)
     A = _as_csr(adjacency)
     Q = np.asarray(plan, dtype=float)
-    if lambda1 == 0 or A.count_nonzero() == 0:
+    if lambda1 == 0:
         return C0.copy()
     return C0 - lambda1 * (A @ Q + A.T @ Q)
 

@@ -336,7 +336,7 @@ def test_criterion_10_end_to_end_clustering():
         for s in range(5)
     )
     cfg = bench.TrainConfig.from_defaults(solver="P2OT", epochs=12, seed=7)
-    history = bench.train(ds, "P2OT", cfg)
+    history = bench.train(ds, cfg)
     final_acc = history.final["acc"]
 
     # degenerate-assignment check: upper-bounded variant with a column bound
@@ -347,7 +347,7 @@ def test_criterion_10_end_to_end_clustering():
             solver="SLA", epochs=1, seed=seed, sla_upper=0.2,
             schedule_kind="fixed", batch_size=128, buffer_size=0, temperature=2.0,
         )
-        h = bench.train(ds, "SLA", sla_cfg)
+        h = bench.train(ds, sla_cfg)
         if h.epochs[0]["max_cluster_share"] >= 0.9:
             collapses += 1
 
@@ -364,7 +364,7 @@ def test_criterion_11_weighted_precision():
     t0 = time.monotonic()
     ds = bench.generate_imbalanced_mixture(K=10, R=10.0, N=2000, dim=16, separation=6.0, seed=12345)
     cfg = bench.TrainConfig.from_defaults(solver="P2OT", epochs=1, seed=7, schedule_kind="fixed")
-    history = bench.train(ds, "P2OT", cfg)
+    history = bench.train(ds, cfg)
     rec = history.epochs[0]
     ok = rec["weighted_precision"] >= rec["precision"] - 0.01
     check(

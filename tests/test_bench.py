@@ -238,14 +238,14 @@ def tiny_dataset():
 class TestTrain:
     def test_unknown_solver_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
-            train(tiny_dataset, "FOO", TrainConfig.from_defaults())
+            train(tiny_dataset, TrainConfig.from_defaults(solver="FOO"))
 
     @pytest.mark.parametrize("solver", ["OT", "UOT", "POT", "SLA", "P2OT"])
     def test_smoke_all_solvers(self, tiny_dataset, solver):
         cfg = TrainConfig.from_defaults(
             solver=solver, epochs=2, batch_size=30, buffer_size=60, knn_k=5, seed=1
         )
-        history = train(tiny_dataset, solver, cfg)
+        history = train(tiny_dataset, cfg)
         assert len(history.epochs) == 2
         rec = history.final
         for key in ("acc", "nmi", "f1", "ari", "rho", "precision", "weighted_precision", "max_cluster_share"):
@@ -257,7 +257,7 @@ class TestTrain:
         cfg = TrainConfig.from_defaults(
             solver="SP2OT", epochs=1, batch_size=30, buffer_size=0, knn_k=5, seed=2, lambda1_0=10.0
         )
-        history = train(tiny_dataset, "SP2OT", cfg)
+        history = train(tiny_dataset, cfg)
         assert len(history.epochs) == 1
 
     @pytest.mark.parametrize("solver", ["OT", "UOT", "POT", "SLA", "P2OT"])
@@ -267,7 +267,7 @@ class TestTrain:
 
         monkeypatch.setattr(bench, "build_knn_graph", refuse)
         cfg = TrainConfig.from_defaults(solver=solver, epochs=1, batch_size=30, buffer_size=60, knn_k=5, seed=1)
-        assert len(train(tiny_dataset, solver, cfg).epochs) == 1
+        assert len(train(tiny_dataset, cfg).epochs) == 1
 
     def test_buffer_adjacency_matches_dense_slice(self):
         rng = np.random.default_rng(12)
@@ -285,7 +285,7 @@ class TestTrain:
         cfg = TrainConfig.from_defaults(
             solver="P2OT", epochs=3, batch_size=30, buffer_size=0, knn_k=5, seed=3
         )
-        history = train(tiny_dataset, "P2OT", cfg)
+        history = train(tiny_dataset, cfg)
         rhos = [rec["rho"] for rec in history.epochs]
         assert rhos[-1] == 1.0
         assert all(b >= a for a, b in zip(rhos, rhos[1:]))
@@ -295,13 +295,13 @@ class TestTrain:
             solver="P2OT", epochs=2, batch_size=30, buffer_size=0, knn_k=5,
             schedule_kind="fixed", rho0=0.3, seed=4,
         )
-        history = train(tiny_dataset, "P2OT", cfg)
+        history = train(tiny_dataset, cfg)
         assert all(rec["rho"] == 0.3 for rec in history.epochs)
 
     def test_seed_reproducibility(self, tiny_dataset):
         cfg = TrainConfig.from_defaults(solver="P2OT", epochs=1, batch_size=30, buffer_size=0, knn_k=5, seed=5)
-        h1 = train(tiny_dataset, "P2OT", cfg)
-        h2 = train(tiny_dataset, "P2OT", cfg)
+        h1 = train(tiny_dataset, cfg)
+        h2 = train(tiny_dataset, cfg)
         assert h1.loss_trace == h2.loss_trace
         for a, b in zip(h1.epochs, h2.epochs):
             assert set(a) == set(b)
@@ -313,8 +313,8 @@ class TestTrain:
         # the warm-start potentials live in the call, so a second run starts
         # from the same state as the first
         cfg = TrainConfig.from_defaults(solver=solver, epochs=2, batch_size=30, buffer_size=60, knn_k=5, seed=7)
-        h1 = train(tiny_dataset, solver, cfg)
-        h2 = train(tiny_dataset, solver, cfg)
+        h1 = train(tiny_dataset, cfg)
+        h2 = train(tiny_dataset, cfg)
         assert h1.loss_trace == h2.loss_trace
         for a, b in zip(h1.epochs, h2.epochs):
             assert a.keys() == b.keys()
@@ -335,7 +335,7 @@ class TestTrain:
         monkeypatch.setattr(p2ot, "solve_p2ot_fast", spy)
         # a step solves at most 60 rows (batch + buffer), the epoch end all 90
         cfg = TrainConfig.from_defaults(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=8)
-        train(tiny_dataset, "P2OT", cfg)
+        train(tiny_dataset, cfg)
         steps = [c for c in calls if c[0] < tiny_dataset.n]
         full = [c for c in calls if c[0] == tiny_dataset.n]
         assert steps[0][1] is None and full[0][1] is None
@@ -355,7 +355,7 @@ class TestTrain:
 
         monkeypatch.setattr(p2ot, "solve_p2ot_fast", fail_on_full_dataset)
         cfg = TrainConfig.from_defaults(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=9)
-        history = train(tiny_dataset, "P2OT", cfg)
+        history = train(tiny_dataset, cfg)
         assert len(history.epochs) == 2
         assert len(history.loss_trace) == 2 * (tiny_dataset.n // 30)
         for rec in history.epochs:
@@ -365,5 +365,5 @@ class TestTrain:
 
     def test_learning_improves_over_init(self, tiny_dataset):
         cfg = TrainConfig.from_defaults(solver="P2OT", epochs=6, batch_size=30, buffer_size=60, knn_k=5, seed=6)
-        history = train(tiny_dataset, "P2OT", cfg)
+        history = train(tiny_dataset, cfg)
         assert history.final["acc"] > 0.8

@@ -9,12 +9,10 @@ from sppot.oracle import (
     OracleConfig,
     OracleFailure,
     _project_cap_mass,
-    _project_capped_simplex,
-    _project_rows_capped,
+    _project_rows,
     lp_exact_tiny,
     oracle_objective,
     pgd_entropic,
-    project_rows_to_sum,
 )
 from sppot.ot_core import ScalingConfig, clamp_probabilities, solve_balanced_ot
 
@@ -44,16 +42,23 @@ def qp_projection(Y, constraints_builder, x0=None):
     return res.x.reshape(shape)
 
 
+def row_cap_constraints(caps):
+    return lambda shape: [
+        {"type": "ineq", "fun": (lambda i: lambda x: caps[i] - np.sum(x.reshape(shape)[i]))(i)}
+        for i in range(shape[0])
+    ]
+
+
 class TestSimplexProjection:
     def test_equality_sum_and_bound(self):
         v = np.array([0.5, -0.2, 0.1])
-        out = _project_capped_simplex(v, 0.3, 0.0, equality=True)
+        out = _project_rows(v[None, :], [0.3], 0.0, equality=True)[0]
         npt.assert_allclose(out.sum(), 0.3, atol=1e-12)
         assert np.all(out >= 0)
 
     def test_inequality_noop_when_inside(self):
         v = np.array([0.05, 0.05])
-        out = _project_capped_simplex(v, 1.0, 0.0, equality=False)
+        out = _project_rows(v[None, :], [1.0], 0.0, equality=False)[0]
         npt.assert_allclose(out, v)
 
     def test_matches_qp(self):
@@ -61,7 +66,7 @@ class TestSimplexProjection:
         for _ in range(10):
             v = rng.normal(size=5)
             s = float(rng.uniform(0.1, 1.0))
-            out = _project_capped_simplex(v, s, 0.0, equality=True)
+            out = _project_rows(v[None, :], [s], 0.0, equality=True)[0]
             ref = qp_projection(
                 v[None, :],
                 lambda shape: [{"type": "eq", "fun": lambda x: np.sum(x) - s}],
@@ -70,7 +75,7 @@ class TestSimplexProjection:
 
     def test_floor_respected(self):
         v = np.array([-1.0, -1.0, 2.0])
-        out = _project_capped_simplex(v, 0.5, 0.01, equality=True)
+        out = _project_rows(v[None, :], [0.5], 0.01, equality=True)[0]
         assert np.all(out >= 0.01 - 1e-15)
         npt.assert_allclose(out.sum(), 0.5, atol=1e-12)
 
@@ -80,17 +85,24 @@ class TestRowProjections:
         rng = np.random.default_rng(1)
         Q = rng.normal(size=(4, 3))
         sums = np.array([0.2, 0.4, 0.1, 0.3])
-        out = project_rows_to_sum(Q, sums, 1e-12)
+        out = _project_rows(Q, sums, 1e-12, equality=True)
         npt.assert_allclose(out.sum(axis=1), sums, atol=1e-10)
 
-    def test_rows_capped_vectorized_matches_scalar(self):
+    def test_rows_capped_matches_qp(self):
         rng = np.random.default_rng(2)
         Y = rng.normal(size=(6, 4))
         caps = rng.uniform(0.1, 0.5, size=6)
-        out = _project_rows_capped(Y.copy(), caps, 0.0)
-        for i in range(6):
-            ref = _project_capped_simplex(Y[i], caps[i], 0.0, equality=False)
-            npt.assert_allclose(out[i], ref, atol=1e-12)
+        out = _project_rows(Y.copy(), caps, 0.0, equality=False)
+        ref = qp_projection(Y, row_cap_constraints(caps))
+        npt.assert_allclose(out, ref, atol=1e-6)
+        assert np.all(out.sum(axis=1) <= caps + 1e-12)
+
+    @pytest.mark.parametrize("equality", [True, False])
+    def test_sum_at_most_floor_puts_row_at_floor(self, equality):
+        lo = 1e-3
+        Y = np.array([[0.4, -0.1, 0.2], [0.3, 0.3, -0.2], [0.1, 0.5, 0.0]])
+        sums = np.array([3 * lo, 2 * lo, 0.0])
+        npt.assert_array_equal(_project_rows(Y, sums, lo, equality), np.full((3, 3), lo))
 
 
 class TestCapMassProjection:
@@ -101,26 +113,36 @@ class TestCapMassProjection:
         out = _project_cap_mass(Q.copy(), caps, float(Q.sum()), 0.0)
         npt.assert_allclose(out, Q, atol=1e-9)
 
-    def test_matches_qp(self):
-        rng = np.random.default_rng(4)
+    @pytest.mark.parametrize("lo", [0.0, 1e-12])
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_matches_qp(self, seed, lo):
+        rng = np.random.default_rng(seed)
         n, k = 4, 3
         Y = rng.normal(scale=0.3, size=(n, k))
-        caps = np.full(n, 0.25)
-        mass = 0.6
-        out = _project_cap_mass(Y.copy(), caps, mass, 0.0)
+        # the second set's last cap binds only at the full mass
+        for caps in (np.full(n, 0.25), np.array([0.25, 0.25, 0.25, 2.0])):
+            for mass in (n * k * lo, 0.6, float(caps.sum())):
+                out = _project_cap_mass(Y.copy(), caps, mass, lo)
 
-        def cons(shape):
-            return [
-                {"type": "eq", "fun": lambda x: np.sum(x) - mass},
-            ] + [
-                {"type": "ineq", "fun": (lambda i: lambda x: caps[i] - np.sum(x.reshape(shape)[i]))(i)}
-                for i in range(n)
-            ]
+                def cons(shape):
+                    return [{"type": "eq", "fun": lambda x: np.sum(x) - mass}] + row_cap_constraints(caps)(shape)
 
-        ref = qp_projection(Y, cons, x0=np.full(n * k, mass / (n * k)))
-        npt.assert_allclose(out, ref, atol=1e-6)
-        npt.assert_allclose(out.sum(), mass, atol=1e-10)
-        assert np.all(out.sum(axis=1) <= caps + 1e-10)
+                ref = qp_projection(Y, cons, x0=np.full(n * k, mass / (n * k)))
+                npt.assert_allclose(out, ref, atol=1e-6)
+                npt.assert_allclose(out.sum(), mass, atol=1e-10)
+                assert np.all(out.sum(axis=1) <= caps + 1e-10)
+                assert np.all(out >= lo)
+                if caps[-1] > 1 and mass == 0.6:
+                    assert out[-1].sum() < caps[-1] - 1e-3
+
+    def test_row_capped_at_most_floor_sits_at_floor(self):
+        lo = 1e-3
+        Y = np.random.default_rng(9).normal(scale=0.3, size=(4, 3))
+        caps = np.array([0.5, 3 * lo, 2 * lo, 0.5])
+        out = _project_cap_mass(Y.copy(), caps, 0.6, lo)
+        npt.assert_array_equal(out[1:3], np.full((2, 3), lo))
+        npt.assert_allclose(out.sum(), 0.6, atol=1e-12)
+        assert np.all(out.sum(axis=1)[[0, 3]] <= caps[[0, 3]] + 1e-12)
 
     def test_infeasible_raises(self):
         with pytest.raises(ValueError):

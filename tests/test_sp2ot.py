@@ -59,6 +59,15 @@ class TestValidation:
         dense = Sp2otProblem(random_pred(3, 2, 0), A.toarray(), 1.0, 1.0, 0.5, 0.1)
         assert dense.adjacency.format == "csr" and dense.adjacency.nnz == 1
 
+    def test_stored_in_canonical_form(self):
+        # row 0 holds unsorted columns and a duplicate
+        A = sparse.csr_array(([1.0, 2.0, 0.5], [2, 0, 2], [0, 3, 3, 3]), shape=(3, 3))
+        problem = Sp2otProblem(random_pred(3, 2, 0), A, 1.0, 1.0, 0.5, 0.1)
+        assert problem.adjacency.has_canonical_format
+        npt.assert_array_equal(problem.adjacency.indices, [0, 2])
+        npt.assert_array_equal(problem.adjacency.data, [2.0, 1.5])
+        npt.assert_array_equal(A.indices, [2, 0, 2])  # the caller's matrix is left as it was
+
     def test_inner_epsilon_must_be_epsilon(self):
         # the objective is evaluated at `epsilon`, the inner solves run at inner.epsilon
         P, A = np.full((4, 2), 0.5), np.eye(4)
@@ -102,6 +111,25 @@ class TestGradient:
         out = sp2ot_gradient(C, A, 0.0, np.ones((4, 3)))
         npt.assert_array_equal(out, C)
         assert out is not C  # defensive copy
+
+    @pytest.mark.parametrize("lam1", [0.5, 1000.0])
+    def test_graph_without_edges_returns_cost(self, lam1):
+        C = np.arange(12.0).reshape(4, 3) - 5.0
+        Q = np.random.default_rng(3).uniform(0.01, 0.1, size=(4, 3))
+        explicit_zeros = sparse.csr_array((np.zeros(3), ([0, 1, 3], [1, 2, 0])), shape=(4, 4))
+        assert explicit_zeros.nnz == 3
+        for A in (explicit_zeros, sparse.csr_array((4, 4)), np.zeros((4, 4))):
+            out = sp2ot_gradient(C, A, lam1, Q)
+            assert np.array_equal(out, C)
+            assert out is not C
+
+    def test_leaves_the_callers_graph_as_it_was(self):
+        A = sparse.csr_array(([1.0, 2.0, 0.5], [2, 0, 2], [0, 3, 3, 3]), shape=(3, 3))
+        C, Q = np.zeros((3, 2)), np.full((3, 2), 0.1)
+        out = sp2ot_gradient(C, A, 2.0, Q)
+        npt.assert_array_equal(A.indices, [2, 0, 2])
+        dense = A.toarray()
+        npt.assert_allclose(out, -2.0 * (dense @ Q + dense.T @ Q), rtol=1e-15)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(1)
