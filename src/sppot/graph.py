@@ -25,9 +25,10 @@ DENSE_SCAN_BLOCK_ENTRIES = 1 << 20
 def dense_to_csr(A) -> sparse.csr_array:
     """The square matrix `A` as a float64 CSR array of its nonzero entries.
 
-    One scan of the mask `A != 0`, a block of rows at a time: each block's
-    nonzero flat positions give rows and columns by divmod with N, the row
-    counts give `indptr`, and the entries are gathered straight into `data`.
+    One scan of the mask `A != 0`, a block of rows at a time into one reused
+    buffer: each block's nonzero flat positions give rows and columns by
+    divmod with N, the row counts give `indptr`, and the entries are gathered
+    by those flat positions straight into `data`.
     The result equals `sparse.csr_array(A, dtype=float)` array for array
     (columns ascending within a row, no explicit zeros, -0.0 dropped, NaN
     kept) without scipy's COO round trip, which costs several times the scan
@@ -42,12 +43,14 @@ def dense_to_csr(A) -> sparse.csr_array:
     block = max(1, DENSE_SCAN_BLOCK_ENTRIES // max(n, 1))
     counts = np.zeros(n, dtype=np.int64)
     indices, data = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    mask = np.empty((min(block, n), n), dtype=bool)
     for start in range(0, n, block):
         B = A[start:start + block]
-        r, c = np.divmod(np.flatnonzero(B != 0), n)
+        flat = np.flatnonzero(np.not_equal(B, 0, out=mask[:B.shape[0]]))
+        r, c = np.divmod(flat, n)
         counts[start:start + B.shape[0]] = np.bincount(r, minlength=B.shape[0])
         indices.append(c)
-        data.append(B[r, c].astype(np.float64, copy=False))
+        data.append(B.ravel()[flat].astype(np.float64, copy=False))
     # scipy's index dtype for the same matrix: int32 while the indices and nnz fit in it
     index_dtype = np.int32 if max(n, int(counts.sum())) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(n + 1, dtype=index_dtype)

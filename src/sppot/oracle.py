@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .ot_core import weighted_kl_value, xlogx
 
@@ -281,6 +280,9 @@ def lp_exact_tiny(
     n, k = C.shape
     if n * k > 24:
         raise ValueError("lp_exact_tiny is restricted to N*K <= 24 variables")
+    # imported when called: scipy.optimize would add ~0.3 s to every `import sppot`
+    from scipy.optimize import linprog
+
     A_eq, b_eq, A_ub, b_ub = [], [], [], []
 
     def row_indicator(i):

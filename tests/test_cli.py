@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +276,30 @@ class TestMetricsEval:
         with pytest.raises(SystemExit) as exc:
             main(["metrics", "eval", "--predicted", str(truth), "--truth", str(truth)])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("side", ["predicted", "truth"])
+    def test_negative_label_exits_1(self, capsys, tmp_path, side):
+        labels = {"predicted": [0, 1, 1], "truth": [0, 1, 1]}
+        labels[side] = [0, 1, -1]
+        for name, values in labels.items():
+            io_mod.write_labels(tmp_path / f"{name}.txt", values)
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "eval", "--predicted", str(tmp_path / "predicted.txt"),
+                  "--truth", str(tmp_path / "truth.txt")])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "labels must be nonnegative integers" in captured.err and "acc=" not in captured.out
+
+
+@pytest.mark.parametrize("module", ["sppot", "sppot.cli"])
+def test_import_leaves_scipy_optimize_unloaded(module):
+    """scipy.optimize took ~0.3 s of a ~0.7 s `import sppot.cli`; only `oracle.lp_exact_tiny` needs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 UNRUNNABLE = {

@@ -44,6 +44,16 @@ class TestConfusion:
         conf = confusion_counts([0, 3], [0, 1])
         assert conf.shape == (4, 4)
 
+    @pytest.mark.parametrize("side", ["predicted", "truth"])
+    def test_negative_label_rejected(self, side):
+        # -1 ("unassigned") would index the last row or column and count as a match there
+        labels = {"predicted": [0, 1, 1], "truth": [0, 1, 1]}
+        labels[side] = [0, 1, -1]
+        with pytest.raises(ValueError, match="nonnegative"):
+            confusion_counts(labels["predicted"], labels["truth"])
+        with pytest.raises(ValueError, match="nonnegative"):
+            evaluate(labels["predicted"], labels["truth"])
+
 
 class TestHungarian:
     def test_matches_brute_force_scores(self):
@@ -69,6 +79,37 @@ class TestHungarian:
         assert len(mapping) == max(shape)  # the padded square's bijection
         labels = rng.integers(0, max(shape), size=200)
         npt.assert_array_equal(map_labels(mapping, labels), [mapping[int(p)] for p in labels])
+
+
+class TestHungarianMatchesScipy:
+    """The in-module assignment returns scipy's mapping, on the tie-heavy count matrices of
+    clustering too, so that every metric built on it is unchanged."""
+
+    @pytest.mark.parametrize("high", [1, 3, 1000, None], ids=["0-1", "0-3", "0-1000", "float-ties"])
+    def test_mapping_equals_linear_sum_assignment(self, high):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(11)
+        for trial in range(1800):
+            k = trial % 30 + 1
+            # every third matrix is rectangular, which hungarian_match zero-pads to square
+            shape = (k, int(rng.integers(1, 31))) if trial % 3 == 1 else (k, k)
+            conf = rng.integers(0, high + 1, size=shape) if high else np.round(rng.normal(size=shape), 1)
+            if trial % 4 == 0:
+                conf[rng.random(k) < 0.3] = 0  # some all-zero rows
+            n = max(shape)
+            padded = np.zeros((n, n), dtype=conf.dtype)
+            padded[:shape[0], :shape[1]] = conf
+            _, cols = linear_sum_assignment(padded, maximize=True)
+            assert hungarian_match(conf) == dict(enumerate(cols.tolist())), (trial, conf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hungarian_match_rejects_non_finite(bad):
+    conf = np.eye(3)
+    conf[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hungarian_match(conf)
 
 
 class TestAccuracy:
