@@ -113,6 +113,10 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     not finite, whose soft-column weights lie beyond `threshold` in either
     direction, or that leaves a column with every kernel entry under the
     floor that the lift does not raise (an absorption would zero it).
+    The start builds the kernel in place: v0 - C, its row maxima subtracted
+    (and any lift added), is divided by eps, exponentiated and floored in
+    that one N x K buffer, and every absorption recomputes M in the same
+    buffer, so a solve holds one N x K array besides C until it forms the plan.
 
     The loop stops once the largest relative change of the column scaling,
     max|b_plain/b - 1|, falls below `tol`; the measure does not depend on the
@@ -130,7 +134,9 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
 
     C and the kernel are held in Fortran order, where the two BLAS mat-vecs
     of a sweep over a tall, narrow matrix are fastest; the plan is returned
-    C-contiguous.
+    C-contiguous. M b and the row scaling a are written into two N-vectors
+    allocated once a call, and a contiguous run of soft columns is read
+    through a slice, so a sweep allocates only K-vectors.
 
     Returns (Q, iterations, converged, col_potential), where col_potential
     = v + eps log(b) is the final column potential, the `v0` that
@@ -145,8 +151,11 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     m_soft = float(alpha.sum() - beta[hard].sum())
     if soft.size == 0 or m_soft <= 0 or np.any(f[soft] != f[soft[0]]) or upper is not None:
         soft = None
+    elif soft[-1] - soft[0] + 1 == soft.size:  # a contiguous run (all but the virtual column): a view, no gather
+        soft = slice(soft[0], soft[-1] + 1)
     cap = None if upper is None else _upper_cap(v, upper, epsilon)
     a = np.ones(m)
+    Mb = np.empty(m)  # M b, written in place every sweep, as is a
     b = np.ones(n)
     step = np.ones(n)  # the last move of the absolute column scaling, as a ratio: the momentum
     last_plain = step  # the last sweep's b_plain / b
@@ -154,7 +163,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        a = alpha / (M @ b)
+        np.divide(alpha, np.matmul(M, b, out=Mb), out=a)
         col = M.T @ a
         b_new = w * (beta / col) ** f
         _project(b_new, col, cap, upper, soft, m_soft)
@@ -179,8 +188,12 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
             u += epsilon * np.log(a)
             v += epsilon * np.log(b)
             w = np.where(hard, 1.0, w * b ** (f - 1.0))
-            M = np.exp((u[:, None] - C + v[None, :]) / epsilon)
-            a = np.ones(m)
+            # M = exp((u - C + v)/eps), in M's own buffer and in that operation order
+            np.subtract(u[:, None], C, out=M)
+            M += v
+            M /= epsilon
+            np.exp(M, out=M)
+            a.fill(1.0)
             b = np.ones(n)
             if upper is not None:
                 cap = _upper_cap(v, upper, epsilon)
@@ -274,18 +287,22 @@ def _start(C, v0, f, lift, epsilon, threshold):
             v0 = None
     if v0 is None:
         v = np.zeros(C.shape[1])
-    shifted = v[None, :] - C  # Fortran order, like C
+    shifted = v[None, :] - C  # Fortran order, like C; it becomes the kernel in place
     row_max = shifted.max(axis=1)  # the row potential is u0 = min_j (C_ij - v_j) = -row_max
     shifted -= row_max[:, None]
     col_max = shifted.max(axis=0)  # <= 0, as every row's largest entry is 0
-    lifted = np.where(lift & (col_max / epsilon < LOG_FLOOR), -col_max, 0.0)
-    v += lifted
-    shifted += lifted[None, :]
-    col_max += lifted
+    low = lift & (col_max / epsilon < LOG_FLOOR)
+    if low.any():
+        lifted = np.where(low, -col_max, 0.0)
+        v += lifted
+        shifted += lifted[None, :]
+        col_max += lifted
     if v0 is not None and col_max.min() / epsilon < LOG_FLOOR:
         return _start(C, None, f, lift, epsilon, threshold)
-    M = np.maximum(np.exp(shifted / epsilon, out=shifted), KERNEL_FLOOR)
-    return -row_max, v, M
+    shifted /= epsilon
+    np.exp(shifted, out=shifted)
+    np.maximum(shifted, KERNEL_FLOOR, out=shifted)
+    return -row_max, v, shifted
 
 
 def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):

@@ -8,7 +8,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import metrics as metrics_mod
 from . import ot_core, p2ot, sp2ot
@@ -96,8 +95,8 @@ def predict_probs(model: PrototypeModel, features: np.ndarray) -> np.ndarray:
 
 def swapped_loss(q1, q2, p1, p2) -> float:
     """Cross-view loss <Q2, -log P1> + <Q1, -log P2>."""
-    lp1 = -np.log(ot_core.clamp_probabilities(p1))
-    lp2 = -np.log(ot_core.clamp_probabilities(p2))
+    lp1 = ot_core.prediction_cost(p1)
+    lp2 = ot_core.prediction_cost(p2)
     return float(np.sum(q2 * lp1) + np.sum(q1 * lp2))
 
 

@@ -427,7 +427,7 @@ def oracle_check(pred_path, rho, lam, eps, tol):
     except (io_mod.FormatError, ValueError, ot_core.DimensionMismatchError, ot_core.NumericalOverflowError) as exc:
         raise click.ClickException(str(exc)) from exc
     n, k = P.shape
-    cost = -np.log(ot_core.clamp_probabilities(P))
+    cost = ot_core.prediction_cost(P)
     caps = np.full(n, 1.0 / n)
     col_kl = (np.full(k, rho / k), lam)
     try:

@@ -1,11 +1,15 @@
-"""K-nearest-neighbor semantic affinity graphs over sample features."""
+"""K-nearest-neighbor semantic affinity graphs over sample features.
+
+`scipy.sparse` is imported inside the functions that build or check a CSR
+array, not with the module: loading it takes ~0.1 s, and a process that runs
+only P2OT or the OT family never builds a graph.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 # Entries per block of the graph set-up's blockwise passes (512 KB of float64): the rows of
 # `build_knn_graph`, `pairwise_sq_dists` and `gaussian_similarity`, and the median's pass.
@@ -36,6 +40,8 @@ def dense_to_csr(A) -> sparse.csr_array:
 
     Raises ValueError unless `A` is a 2-D square matrix.
     """
+    from scipy import sparse
+
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency must be a square N x N matrix, got shape {A.shape}")
@@ -90,6 +96,8 @@ class SemanticGraph:
     adjacency: sparse.csr_array
 
     def __post_init__(self):
+        from scipy import sparse
+
         A = self.adjacency
         if not (sparse.issparse(A) and A.format == "csr" and A.ndim == 2 and A.shape[0] == A.shape[1]):
             raise ValueError(f"adjacency must be a square N x N CSR array, got {type(A).__name__}")
@@ -119,6 +127,8 @@ class SemanticGraph:
 
         Raises ValueError when an endpoint is not a node index in [0, n).
         """
+        from scipy import sparse
+
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
@@ -292,6 +302,8 @@ def build_knn_graph(gram: np.ndarray, k: int) -> SemanticGraph:
     Each block's row counts fill `indptr`; its columns, ascending within a
     row, and its weights are joined into `indices` and `data`.
     """
+    from scipy import sparse
+
     if k < 1:
         raise ValueError("k must be >= 1")
     S = np.asarray(gram, dtype=float)

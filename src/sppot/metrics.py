@@ -117,10 +117,17 @@ def _max_weight_assignment(W: np.ndarray) -> list[int]:
 
 
 def map_labels(mapping: dict, labels) -> np.ndarray:
-    """`labels` sent through a `hungarian_match` mapping, by one gather from a lookup array."""
+    """`labels` sent through a `hungarian_match` mapping, by one gather from a lookup array.
+
+    Raises ValueError on a negative label, as `confusion_counts` does: the
+    gather would wrap it to the last cluster's class.
+    """
+    labels = np.asarray(labels, dtype=int)
+    if labels.size and labels.min() < 0:
+        raise ValueError("labels must be nonnegative integers")
     lookup = np.zeros(max(mapping) + 1, dtype=int)
     lookup[np.fromiter(mapping.keys(), dtype=int)] = np.fromiter(mapping.values(), dtype=int)
-    return lookup[np.asarray(labels, dtype=int)]
+    return lookup[labels]
 
 
 def mapped_predictions(assignment: LabelAssignment) -> np.ndarray:

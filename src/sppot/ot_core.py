@@ -135,13 +135,17 @@ def entropic_objective(plan: np.ndarray, cost: np.ndarray, penalties, epsilon: f
     C = np.asarray(cost, dtype=float)
     if Q.shape != C.shape:
         raise DimensionMismatchError("plan and cost shapes differ")
-    val = float(np.sum(Q * C))
+    val = float(np.vdot(Q, C))
     for axis, target, weights in penalties or []:
         if axis not in (0, 1):
             raise ValueError(f"penalty axis must be 0 (rows) or 1 (columns), got {axis!r}")
-        marg = Q.sum(axis=1 - axis)
+        # a BLAS mat-vec with a ones vector: several times faster than Q.sum on a tall, narrow Q
+        marg = Q @ np.ones(Q.shape[1]) if axis == 0 else np.ones(Q.shape[0]) @ Q
         val += weighted_kl_value(marg, target, weights)
-    val += epsilon * float(np.sum(xlogx(Q)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.log(Q)
+    np.copyto(log_q, 0.0, where=Q <= 0)  # 0 log 0 := 0, as in xlogx; a NaN entry already makes <Q,C> NaN
+    val += epsilon * float(np.vdot(Q, log_q))
     return val
 
 
@@ -179,6 +183,16 @@ def clamp_probabilities(pred: np.ndarray) -> np.ndarray:
     if P.ndim != 2:
         raise DimensionMismatchError("prediction matrix must be 2-D")
     return np.maximum(P, PROB_FLOOR)
+
+
+def prediction_cost(pred: np.ndarray) -> np.ndarray:
+    """The pseudo-label cost -log(max(P, PROB_FLOOR)), computed in one buffer.
+
+    Raises DimensionMismatchError unless `pred` is 2-D.
+    """
+    C = clamp_probabilities(pred)
+    np.log(C, out=C)
+    return np.negative(C, out=C)
 
 
 @dataclass(frozen=True)
@@ -250,17 +264,17 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
 
 def solve_balanced_ot(pred: np.ndarray, cfg: ScalingConfig, init: np.ndarray | None = None) -> TransportPlan:
     """Balanced OT pseudo-labels: uniform row mass 1/N, uniform columns 1/K."""
-    return solve_virtual(-np.log(clamp_probabilities(pred)), 1.0, np.inf, cfg, init)
+    return solve_virtual(prediction_cost(pred), 1.0, np.inf, cfg, init)
 
 
 def solve_uot(pred: np.ndarray, lam: float, cfg: ScalingConfig, init: np.ndarray | None = None) -> TransportPlan:
     """Unbalanced OT: hard uniform rows, KL(column marginal, 1/K) with weight lam."""
-    return solve_virtual(-np.log(clamp_probabilities(pred)), 1.0, lam, cfg, init)
+    return solve_virtual(prediction_cost(pred), 1.0, lam, cfg, init)
 
 
 def solve_pot(pred: np.ndarray, rho: float, cfg: ScalingConfig, init: np.ndarray | None = None) -> TransportPlan:
     """Partial OT: row sums <= 1/N, column sums = rho/K, total mass rho."""
-    return solve_virtual(-np.log(clamp_probabilities(pred)), rho, np.inf, cfg, init)
+    return solve_virtual(prediction_cost(pred), rho, np.inf, cfg, init)
 
 
 def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) -> TransportPlan:
@@ -278,11 +292,10 @@ def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) ->
         raise ValueError("rho must be in (0, 1]")
     if not upper > 0:  # NaN fails too
         raise ValueError("upper must be > 0")
-    P = clamp_probabilities(pred)
-    K = P.shape[1]
+    C0 = prediction_cost(pred)
+    K = C0.shape[1]
     if K * upper < rho - 1e-12:
         raise InfeasibleProblemError(f"column bound too small: K*upper = {K * upper} < rho = {rho}")
-    C0 = -np.log(P)
     ext = extend_virtual(C0, rho, np.inf)  # the virtual column (absent at rho = 1) is hard at 1-rho
     beta, up_col = ext.beta, None
     if K * upper > rho * (1 + MASS_RTOL):

@@ -35,8 +35,8 @@ from .ot_core import (
     DimensionMismatchError,
     ScalingConfig,
     TransportPlan,
-    clamp_probabilities,
     entropic_objective,
+    prediction_cost,
     solve_virtual,
 )
 
@@ -52,7 +52,9 @@ class P2otProblem:
         P = np.asarray(self.pred, dtype=float)
         if P.ndim != 2:
             raise ValueError("pred must be a 2-D probability matrix")
-        if not np.allclose(P.sum(axis=1), 1.0, atol=1e-6):
+        # the tolerance of np.allclose(row sums, 1, atol=1e-6), its default rtol 1e-5 included,
+        # with the row sums as one mat-vec; a NaN row fails the comparison
+        if not np.all(np.abs(P @ np.ones(P.shape[1]) - 1.0) <= 1e-6 + 1e-5):
             raise ValueError("pred rows must sum to 1 within 1e-6")
         if not 0 < self.rho <= 1:
             raise ValueError("rho must be in (0, 1]")
@@ -71,7 +73,7 @@ def solve_p2ot_fast(problem: P2otProblem, cost: np.ndarray | None = None,
     `ot_core.solve_virtual`).
     """
     if cost is None:
-        cost = -np.log(clamp_probabilities(problem.pred))
+        cost = prediction_cost(problem.pred)
     elif np.shape(cost) != problem.pred.shape:
         raise DimensionMismatchError(f"cost shape {np.shape(cost)} differs from pred {problem.pred.shape}")
     return solve_virtual(cost, problem.rho, problem.lam, problem.cfg, init)
@@ -79,9 +81,8 @@ def solve_p2ot_fast(problem: P2otProblem, cost: np.ndarray | None = None,
 
 def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None) -> TransportPlan:
     """Generalized scaling baseline on the unextended problem."""
-    P = clamp_probabilities(problem.pred)
-    N, K = P.shape
-    C = -np.log(P) if cost is None else np.asarray(cost, dtype=float)
+    N, K = problem.pred.shape
+    C = prediction_cost(problem.pred) if cost is None else np.asarray(cost, dtype=float)
     cfg = problem.cfg
     eps = cfg.epsilon
     alpha = np.full(N, 1.0 / N)

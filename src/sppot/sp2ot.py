@@ -13,10 +13,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .graph import dense_to_csr
-from .ot_core import ScalingConfig, TransportPlan, clamp_probabilities, weighted_kl_value, xlogx
+from .ot_core import ScalingConfig, TransportPlan, prediction_cost, weighted_kl_value, xlogx
 from .p2ot import P2otProblem, solve_p2ot_fast
 
 log = logging.getLogger(__name__)
@@ -95,9 +94,8 @@ def sp2ot_objective(plan, pred, adjacency, lambda1, lambda2, rho, epsilon) -> fl
     is first converted by `graph.dense_to_csr`, an O(N^2) scan on every call.
     """
     Q = np.asarray(plan, dtype=float)
-    P = clamp_probabilities(pred)
     N, K = Q.shape
-    val = float(np.sum(Q * -np.log(P)))
+    val = float(np.sum(Q * prediction_cost(pred)))
     if lambda1 != 0:
         A = _as_csr(adjacency)
         val -= lambda1 * float(np.sum(Q * (A @ Q)))
@@ -110,6 +108,8 @@ def sp2ot_objective(plan, pred, adjacency, lambda1, lambda2, rho, epsilon) -> fl
 
 
 def _as_csr(adjacency, copy: bool = False) -> sparse.csr_array:
+    from scipy import sparse  # here, not at import: P2OT and the OT family never load it
+
     if sparse.issparse(adjacency):
         return sparse.csr_array(adjacency, dtype=float, copy=copy)
     return dense_to_csr(adjacency)  # owns its arrays
@@ -133,9 +133,8 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
     when the relative Frobenius change of Q drops below outer_tol or
     outer_max_iter is hit.
     """
-    P = clamp_probabilities(problem.pred)
-    N, K = P.shape
-    C0 = -np.log(P)
+    C0 = prediction_cost(problem.pred)
+    N, K = C0.shape
     Q = np.full((N, K), problem.rho / (N * K))
     inner_problem = P2otProblem(problem.pred, problem.rho, problem.lambda2, problem.inner)
     trace = PmdTrace()
@@ -147,7 +146,7 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
         plan = solve_p2ot_fast(inner_problem, cost=C, init=None if plan is None else plan.col_potential)
         change = float(np.linalg.norm(plan.coupling - Q) / max(np.linalg.norm(Q), 1e-300))
         Q = plan.coupling
-        obj = sp2ot_objective(Q, P, problem.adjacency, problem.lambda1, problem.lambda2,
+        obj = sp2ot_objective(Q, problem.pred, problem.adjacency, problem.lambda1, problem.lambda2,
                               problem.rho, problem.epsilon)
         trace.objectives.append(obj)
         trace.inner_iterations.append(plan.iterations)

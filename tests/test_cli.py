@@ -291,15 +291,39 @@ class TestMetricsEval:
         assert "labels must be nonnegative integers" in captured.err and "acc=" not in captured.out
 
 
+def loaded_scipy_modules(code, *args):
+    """Run `code` in a fresh interpreter that imports sppot from this checkout; the scipy.optimize
+    and scipy.sparse modules loaded when it ends."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "; import sys; print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code + probe, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
 @pytest.mark.parametrize("module", ["sppot", "sppot.cli"])
 def test_import_leaves_scipy_optimize_unloaded(module):
-    """scipy.optimize took ~0.3 s of a ~0.7 s `import sppot.cli`; only `oracle.lp_exact_tiny` needs it."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    """Of a ~0.7 s `import sppot.cli`, scipy.optimize took ~0.3 s and scipy.sparse ~0.1 s.
+    Only `oracle.lp_exact_tiny` needs the first, and only graph and SP2OT code the second."""
+    assert loaded_scipy_modules(f"import {module}") == "[]"
+
+
+def test_p2ot_cluster_run_leaves_scipy_sparse_unloaded(tmp_path):
+    """A P2OT `cluster run` builds no graph, so the process never loads scipy.sparse."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"n": 60, "k": 3, "imbalance": 4.0, "dim": 4, "separation": 8.0},
+        "solver": "P2OT",
+        "seed": 5,
+        "train": {"epochs": 2, "batch_size": 30, "buffer_size": 0},
+    }))
+    out = tmp_path / "out.json"
+    code = "import sys; from sppot.cli import main; main(sys.argv[1:])"
+    loaded = loaded_scipy_modules(code, "cluster", "run", "--config", str(cfg), "--out", str(out))
+    assert len(json.loads(out.read_text())["epochs"]) == 2
+    assert loaded == "[]"
 
 
 UNRUNNABLE = {

@@ -54,6 +54,11 @@ class TestConfusion:
         with pytest.raises(ValueError, match="nonnegative"):
             evaluate(labels["predicted"], labels["truth"])
 
+    def test_map_labels_rejects_negative_label(self):
+        # the lookup gather would wrap -1 to the last cluster's class
+        with pytest.raises(ValueError, match="nonnegative"):
+            map_labels(hungarian_match(5 * np.eye(3)), [0, 1, -1])
+
 
 class TestHungarian:
     def test_matches_brute_force_scores(self):

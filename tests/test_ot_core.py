@@ -134,6 +134,36 @@ class TestHelpers:
         expected = 2.5 + np.sum(Q * np.log(Q))
         npt.assert_allclose(val, expected)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_entropic_objective_matches_plain_reference(self, order):
+        # exact zeros, a penalty on each axis, sentinel (hard) weights, and both memory orders
+        rng = np.random.default_rng(3)
+        Q = rng.random((50, 7)) / 350
+        Q[rng.random(Q.shape) < 0.2] = 0.0
+        Q[:, 4] = 0.0
+        C = rng.normal(size=Q.shape)
+        penalties = [(1, np.full(7, 1 / 7), np.array([1.0, 2.0, np.inf, 0.5, 1.0, np.inf, 3.0])),
+                     (0, np.full(50, 1 / 50), np.where(np.arange(50) % 3 == 0, np.inf, 0.7))]
+        eps = 0.1
+        expected = (np.sum(Q * C) + sum(weighted_kl_value(Q.sum(axis=1 - axis), t, w) for axis, t, w in penalties)
+                    + eps * np.sum(xlogx(Q)))
+        Q, C = np.asarray(Q, order=order), np.asarray(C, order=order)
+        for plan, cost in ((Q, C), (Q, np.asfortranarray(C)), (np.ascontiguousarray(Q), C)):
+            val = entropic_objective(plan, cost, penalties, eps)
+            assert abs(val - expected) <= 1e-13 * abs(expected)
+
+    def test_prediction_cost_is_negative_log_of_clamped(self):
+        P = random_pred(30, 4, seed=5)
+        P[0, 1] = 0.0
+        P[3, 2] = 1e-12
+        before = P.copy()
+        C = ot_core.prediction_cost(P)
+        npt.assert_array_equal(C, -np.log(clamp_probabilities(P)))
+        npt.assert_array_equal(P, before)  # the input is not written
+        assert C[0, 1] == -np.log(ot_core.PROB_FLOOR)
+        with pytest.raises(DimensionMismatchError):
+            ot_core.prediction_cost(np.ones(3))
+
 
 class TestBalanced:
     def test_uniform_cost_gives_uniform_plan(self):

@@ -41,6 +41,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             P2otProblem(np.ones((3, 3)), 0.5, 1.0, ScalingConfig(epsilon=0.1))
 
+    @pytest.mark.parametrize("off, accepted", [(1.05e-5, True), (-1.05e-5, True), (1.15e-5, False),
+                                               (-1.15e-5, False), (np.nan, False)])
+    def test_row_sum_tolerance_is_allclose(self, off, accepted):
+        # the row check accepts and rejects what np.allclose(row sums, 1, atol=1e-6) did
+        P = random_pred(6, 3, seed=0)
+        P[2] *= 1.0 + off
+        assert np.allclose(P.sum(axis=1), 1.0, atol=1e-6) == accepted
+        if accepted:
+            P2otProblem(P, 0.5, 1.0, ScalingConfig(epsilon=0.1))
+        else:
+            with pytest.raises(ValueError, match="rows must sum to 1"):
+                P2otProblem(P, 0.5, 1.0, ScalingConfig(epsilon=0.1))
+
     def test_rejects_bad_rho(self):
         P = random_pred(4, 2, 0)
         for rho in (0.0, -0.1, 1.1):
