@@ -2,7 +2,7 @@
 
 The stabilized row-equality scaling recursion, whose columns each carry a
 Hadamard exponent or an upper bound on their mass, runs every balanced,
-unbalanced, partial, P2OT and SLA solve, through `ot_core._solve_row_eq`.
+unbalanced, partial, P2OT and SLA solve, through `ot_core.solve_virtual`.
 The generalized scaling baseline serves `p2ot.solve_p2ot_gsa` only. Both
 end a sweep with one exact scalar mass step: the recursion rescales its
 soft (KL-penalized) columns to the mass that the rows and hard columns
@@ -22,6 +22,11 @@ import numpy as np
 
 KERNEL_FLOOR = 1e-300
 LOG_FLOOR = math.log(KERNEL_FLOOR)
+
+# The `threshold` that `ot_core.solve_virtual` passes: a scaling above it is
+# absorbed into its potential, which leaves the iterates unchanged up to
+# rounding. Read at call time, so a test may set it on the module.
+ABSORB_THRESHOLD = 1e6
 
 # Heavy-ball extrapolation of the column scaling (see `_Momentum`): plain
 # sweeps before a rate estimate, the smallest rate worth accelerating, and

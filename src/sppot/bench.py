@@ -196,36 +196,30 @@ def pseudo_label_quality(plan: np.ndarray, labels: np.ndarray) -> PseudoLabelQua
     )
 
 
+_DEFAULTS = default_hyperparameters()
+
+
 @dataclass
 class TrainConfig:
+    """One training run; the shared hyperparameters default to `default_hyperparameters()`."""
+
     solver: str = "P2OT"
     epochs: int = 50
-    batch_size: int = 512
-    buffer_size: int = 5120
-    epsilon: float = 0.1
-    lambda2: float = 1.0
-    lambda1_0: float = 1000.0
+    batch_size: int = _DEFAULTS["batch_size"]
+    buffer_size: int = _DEFAULTS["buffer_size"]
+    epsilon: float = _DEFAULTS["epsilon"]
+    lambda2: float = _DEFAULTS["lambda2"]
+    lambda1_0: float = _DEFAULTS["lambda1_0"]
     schedule_kind: str = "sigmoid"
-    rho0: float = 0.1
+    rho0: float = _DEFAULTS["rho0"]
     sla_upper: float | None = None  # default 1/K
-    knn_k: int = 20
+    knn_k: int = _DEFAULTS["k"]
     temperature: float = 0.5
     learning_rate: float = 1.0
     noise_scale: float = 0.1
-    tol: float = 1e-6
-    max_iter: int = 1000
+    tol: float = _DEFAULTS["tol"]
+    max_iter: int = _DEFAULTS["max_iter"]
     seed: int = 0
-
-    @classmethod
-    def from_defaults(cls, **overrides) -> "TrainConfig":
-        d = default_hyperparameters()
-        base = dict(
-            epsilon=d["epsilon"], lambda2=d["lambda2"], lambda1_0=d["lambda1_0"],
-            rho0=d["rho0"], knn_k=d["k"], buffer_size=d["buffer_size"],
-            batch_size=d["batch_size"], tol=d["tol"], max_iter=d["max_iter"],
-        )
-        base.update(overrides)
-        return cls(**base)
 
 
 @dataclass

@@ -150,24 +150,29 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def nmi(predicted, truth) -> float:
-    """2 I(Y;C) / (H(Y) + H(C)), with 0 log 0 := 0."""
+def _contingency(predicted, truth) -> np.ndarray:
+    """Float counts joint[i, j] of samples in the i-th distinct predicted and j-th distinct true label."""
     predicted = np.asarray(predicted, dtype=int)
     truth = np.asarray(truth, dtype=int)
-    n = predicted.size
-    if n == 0:
+    if predicted.size == 0:
         raise ValueError("labels must be nonempty")
     _, pi = np.unique(predicted, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
     joint = np.zeros((pi.max() + 1, ti.max() + 1))
     np.add.at(joint, (pi, ti), 1.0)
-    pj = joint / n
+    return joint
+
+
+def nmi(predicted, truth) -> float:
+    """2 I(Y;C) / (H(Y) + H(C)), with 0 log 0 := 0."""
+    joint = _contingency(predicted, truth)
+    pj = joint / joint.sum()
     pp = pj.sum(axis=1)
     pt = pj.sum(axis=0)
     nz = pj > 0
     mi = float(np.sum(pj[nz] * np.log(pj[nz] / np.outer(pp, pt)[nz])))
-    hp = _entropy(np.bincount(pi).astype(float))
-    ht = _entropy(np.bincount(ti).astype(float))
+    hp = _entropy(joint.sum(axis=1))
+    ht = _entropy(joint.sum(axis=0))
     if hp + ht == 0:
         return 1.0
     return float(np.clip(2.0 * mi / (hp + ht), 0.0, 1.0))
@@ -188,13 +193,8 @@ def macro_f1(assignment: LabelAssignment) -> float:
 
 def ari(predicted, truth) -> float:
     """Adjusted Rand index by pair counting."""
-    predicted = np.asarray(predicted, dtype=int)
-    truth = np.asarray(truth, dtype=int)
-    n = predicted.size
-    _, pi = np.unique(predicted, return_inverse=True)
-    _, ti = np.unique(truth, return_inverse=True)
-    joint = np.zeros((pi.max() + 1, ti.max() + 1))
-    np.add.at(joint, (pi, ti), 1.0)
+    joint = _contingency(predicted, truth)
+    n = float(joint.sum())
 
     def comb2(x):
         return x * (x - 1) / 2.0

@@ -5,19 +5,18 @@ OT, unbalanced OT with a KL penalty on cluster sizes, partial OT with a
 hard total-mass constraint, the partial solver with a KL penalty on cluster
 sizes (P2OT), and the upper-bounded relaxation (SLA).
 
-Balanced, unbalanced, partial and P2OT are one solve, `solve_virtual`,
-with two parameters: the selected mass rho and the column penalty weight
-lam (np.inf is the sentinel for a hard column). It appends a zero-cost
-virtual column that absorbs the unselected 1-rho mass, runs the
-row-equality scaling kernel once on the extended plan, and drops the
-virtual column again. Balanced OT is (1, inf), unbalanced OT (1, lam),
-partial OT (rho, inf) and P2OT (rho, lam). Each sweep of that kernel
-ends with an exact scalar mass step that sets the total of the soft
-(finite-lam) columns to the mass that the rows and hard columns leave
-them, so unbalanced OT and P2OT converge in tens of sweeps at every rho
-(see `_kernels.py.scaling_weighted_kl`). SLA runs the same kernel on the
-same extension, with the real columns upper-bounded instead of penalized;
-the kernel's one other column update is the prox of that bound.
+All five are one solve, `solve_virtual`, with two parameters: the
+selected mass rho and the column penalty weight lam (np.inf is the
+sentinel for a hard column). It appends a zero-cost virtual column that
+absorbs the unselected 1-rho mass, runs the row-equality scaling kernel
+once on the extended plan, and drops the virtual column again. Balanced OT
+is (1, inf), unbalanced OT (1, lam), partial OT (rho, inf) and P2OT
+(rho, lam). Each sweep of that kernel ends with an exact scalar mass step
+that sets the total of the soft (finite-lam) columns to the mass that the
+rows and hard columns leave them, so unbalanced OT and P2OT converge in
+tens of sweeps at every rho (see `_kernels.py.scaling_weighted_kl`). SLA
+is (rho, inf) with the real columns upper-bounded instead of pinned; the
+kernel's one other column update is the prox of that bound.
 
 All solvers work on Q = diag(a) * M * diag(b) with M = exp(-C/eps) and
 support log-domain absorption of the scaling vectors to avoid overflow.
@@ -59,14 +58,14 @@ class ScalingConfig:
     upper-bounded columns hold exactly, so the selected mass of a partial
     plan is within tol of rho.
 
-    `epsilon` and `tol` must be finite and > 0, `stabilization_threshold`
-    > 0 (np.inf: never absorb).
+    `epsilon` and `tol` must be finite and > 0. The kernel absorbs its
+    scalings into log-domain potentials past `kernels.ABSORB_THRESHOLD`,
+    which leaves the iterates unchanged and so is not a setting here.
     """
 
     epsilon: float
     tol: float = 1e-6
     max_iter: int = 1000
-    stabilization_threshold: float = 1e6
 
     def __post_init__(self):
         # NaN fails every comparison, so these reject it too
@@ -76,8 +75,6 @@ class ScalingConfig:
             raise ValueError("tol must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (self.stabilization_threshold > 0):
-            raise ValueError("stabilization_threshold must be > 0")
 
 
 @dataclass
@@ -102,24 +99,6 @@ class TransportPlan:
 
     def total_mass(self) -> float:
         return float(self.coupling.sum())
-
-
-def _solve_row_eq(C, alpha, beta, f, cfg, v0=None, upper=None) -> tuple:
-    """Row-equality scaling with stabilization: columns with Hadamard
-    exponents `f`, or upper-bounded where the boolean mask `upper` is set
-    (None: no such column; f must be 1 there). Every target in `beta` is
-    > 0. `v0` is the column potential the kernel starts from (None: zeros).
-    Raises NumericalOverflowError rather than return a plan with a
-    non-finite entry.
-    """
-    Q, iters, conv, v = kernels.scaling_weighted_kl(
-        C, alpha, beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, cfg.stabilization_threshold, v0, upper)
-    if not np.all(np.isfinite(Q)):
-        raise NumericalOverflowError(
-            f"non-finite plan after {iters} iterations at epsilon={cfg.epsilon}; "
-            "the kernel exp(-C/epsilon) under- or overflows at this scale"
-        )
-    return Q, iters, conv, v
 
 
 def entropic_objective(plan: np.ndarray, cost: np.ndarray, penalties, epsilon: float) -> float:
@@ -239,7 +218,7 @@ def _exponents(weights: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
-                  init: np.ndarray | None = None) -> TransportPlan:
+                  init: np.ndarray | None = None, upper: float | None = None) -> TransportPlan:
     """Rows <= 1/N (= 1/N at rho = 1), total mass rho, KL(column marginal,
     rho/K) with weight lam (np.inf: hard columns).
 
@@ -248,18 +227,45 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     column potential of the extension. `init`, the `col_potential` of an
     earlier plan, warm-starts the kernel; an `init` whose length is not the
     extension's column count (K+1 for rho < 1, K at rho = 1) is ignored.
+
+    `upper` (SLA; lam must be np.inf) bounds each real column's mass by
+    `upper` instead of pinning it at rho/K; the caller checks that
+    K * upper >= rho. When K * upper <= rho (1 + MASS_RTOL) every bound
+    binds, so the program is partial OT's and the columns are solved as
+    hard ones. Such a plan carries no column potential.
+
+    Raises NumericalOverflowError rather than return a plan with a
+    non-finite entry.
     """
     C0 = np.asarray(C0, dtype=float)  # validated by extend_virtual
     ext = extend_virtual(C0, rho, lam)
-    f = _exponents(ext.weights, cfg.epsilon)
-    v0 = None if init is None or np.shape(init) != ext.beta.shape else init
-    Q, iters, converged, v = _solve_row_eq(ext.cost_ext, ext.alpha, ext.beta, f, cfg, v0)
     K = C0.shape[1]
+    f = _exponents(ext.weights, cfg.epsilon)
+    beta, up_col = ext.beta, None
+    if upper is not None:
+        if lam != np.inf:
+            raise ValueError("an upper column bound needs hard columns (lam = np.inf)")
+        if K * upper > rho * (1 + MASS_RTOL):
+            beta = np.append(np.full(K, upper), ext.beta[K:])
+            up_col = np.arange(beta.size) < K
+    v0 = None if init is None or np.shape(init) != beta.shape else init
+    Q, iters, converged, v = kernels.scaling_weighted_kl(
+        ext.cost_ext, ext.alpha, beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, kernels.ABSORB_THRESHOLD, v0, up_col)
+    _check_finite(Q, iters, cfg.epsilon)
     if Q.shape[1] > K:
         Q = Q[:, :K].copy()
     penalties = [(1, ext.beta[:K], ext.weights[:K])]
     obj = entropic_objective(Q, C0, penalties, cfg.epsilon)  # C-order cost, like Q: the fast product
-    return TransportPlan(Q, obj, iters, converged, v)
+    return TransportPlan(Q, obj, iters, converged, v if upper is None else None)
+
+
+def _check_finite(Q: np.ndarray, iters: int, epsilon: float) -> None:
+    """Raise NumericalOverflowError unless every entry of the plan `Q` is finite."""
+    if not np.all(np.isfinite(Q)):
+        raise NumericalOverflowError(
+            f"non-finite plan after {iters} iterations at epsilon={epsilon}; "
+            "the kernel exp(-C/epsilon) under- or overflows at this scale"
+        )
 
 
 def solve_balanced_ot(pred: np.ndarray, cfg: ScalingConfig, init: np.ndarray | None = None) -> TransportPlan:
@@ -282,11 +288,9 @@ def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) ->
     total mass rho. Degenerates to a single dominant cluster when the bound
     is slack relative to rho.
 
-    One kernel solve on the virtual-column extension of partial OT, with the
-    real columns upper-bounded instead of pinned to rho/K. When
-    K * upper <= rho (1 + MASS_RTOL) every bound binds, so the program is
-    partial OT's and the real columns are solved as hard ones at rho/K. The
-    plan carries no column potential.
+    `solve_virtual` with partial OT's extension and the real columns
+    upper-bounded instead of pinned to rho/K. The plan carries no column
+    potential.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
@@ -296,12 +300,4 @@ def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) ->
     K = C0.shape[1]
     if K * upper < rho - 1e-12:
         raise InfeasibleProblemError(f"column bound too small: K*upper = {K * upper} < rho = {rho}")
-    ext = extend_virtual(C0, rho, np.inf)  # the virtual column (absent at rho = 1) is hard at 1-rho
-    beta, up_col = ext.beta, None
-    if K * upper > rho * (1 + MASS_RTOL):
-        beta = np.append(np.full(K, upper), ext.beta[K:])
-        up_col = np.arange(beta.size) < K
-    Q, iters, converged, _ = _solve_row_eq(ext.cost_ext, ext.alpha, beta, np.ones(beta.size), cfg, upper=up_col)
-    real = Q[:, :K].copy()
-    obj = entropic_objective(real, C0, [], cfg.epsilon)
-    return TransportPlan(real, obj, iters, converged)
+    return solve_virtual(C0, rho, np.inf, cfg, upper=upper)

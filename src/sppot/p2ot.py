@@ -35,6 +35,8 @@ from .ot_core import (
     DimensionMismatchError,
     ScalingConfig,
     TransportPlan,
+    _check_finite,
+    _exponents,
     entropic_objective,
     prediction_cost,
     solve_virtual,
@@ -58,8 +60,8 @@ class P2otProblem:
             raise ValueError("pred rows must sum to 1 within 1e-6")
         if not 0 < self.rho <= 1:
             raise ValueError("rho must be in (0, 1]")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not self.lam >= 0:  # NaN fails too
+            raise ValueError("lam must be >= 0 (np.inf: hard columns)")
         object.__setattr__(self, "pred", P)
 
 
@@ -80,28 +82,20 @@ def solve_p2ot_fast(problem: P2otProblem, cost: np.ndarray | None = None,
 
 
 def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None) -> TransportPlan:
-    """Generalized scaling baseline on the unextended problem."""
+    """Generalized scaling baseline on the unextended problem.
+
+    Raises NumericalOverflowError rather than return a non-finite plan.
+    """
     N, K = problem.pred.shape
     C = prediction_cost(problem.pred) if cost is None else np.asarray(cost, dtype=float)
     cfg = problem.cfg
     eps = cfg.epsilon
     alpha = np.full(N, 1.0 / N)
     beta = np.full(K, problem.rho / K)
-    f = np.full(K, problem.lam / (problem.lam + eps))
+    weights = np.full(K, float(problem.lam))
     Q, iters, converged = kernels.gsa_total_mass(
-        np.asfortranarray(C), alpha, beta, f, problem.rho, eps, cfg.tol, cfg.max_iter
+        np.asfortranarray(C), alpha, beta, _exponents(weights, eps), problem.rho, eps, cfg.tol, cfg.max_iter
     )
-    obj = entropic_objective(Q, C, [(1, beta, np.full(K, problem.lam))], eps)
+    _check_finite(Q, iters, eps)
+    obj = entropic_objective(Q, C, [(1, beta, weights)], eps)
     return TransportPlan(Q, obj, iters, converged)
-
-
-def random_problem(n: int, k: int, rho: float, seed: int, lam: float = 1.0, epsilon: float = 0.1,
-                   cfg: ScalingConfig | None = None) -> P2otProblem:
-    """Seeded random instance: row-softmax of Gaussian logits."""
-    rng = np.random.default_rng(seed)
-    logits = rng.normal(size=(n, k))
-    P = np.exp(logits - logits.max(axis=1, keepdims=True))
-    P /= P.sum(axis=1, keepdims=True)
-    if cfg is None:
-        cfg = ScalingConfig(epsilon=epsilon)
-    return P2otProblem(P, rho, lam, cfg)

@@ -48,7 +48,7 @@ class Sp2otProblem:
             raise ValueError("adjacency entries must be finite")
         if np.any(A.data < 0):
             raise ValueError("adjacency entries must be nonnegative")
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):  # NaN fails too
             raise ValueError("lambda1 and lambda2 must be >= 0")
         if self.inner is not None and self.inner.epsilon != self.epsilon:
             raise ValueError(f"inner.epsilon {self.inner.epsilon} differs from epsilon {self.epsilon}")
@@ -117,7 +117,7 @@ def _as_csr(adjacency, copy: bool = False) -> sparse.csr_array:
 
 def lambda1_decayed(lambda1_0: float, rho: float) -> float:
     """Semantic weight decay: lambda1_0 * (1 - rho)."""
-    if lambda1_0 < 0:
+    if not lambda1_0 >= 0:  # NaN fails too
         raise ValueError("lambda1_0 must be >= 0")
     if not 0 <= rho <= 1:
         raise ValueError("rho must be in [0, 1]")

@@ -335,7 +335,7 @@ def test_criterion_10_end_to_end_clustering():
         metrics.evaluate(kmeans2(ds.features, 10, minit="++", seed=s)[1], ds.labels)["acc"]
         for s in range(5)
     )
-    cfg = bench.TrainConfig.from_defaults(solver="P2OT", epochs=12, seed=7)
+    cfg = bench.TrainConfig(solver="P2OT", epochs=12, seed=7)
     history = bench.train(ds, cfg)
     final_acc = history.final["acc"]
 
@@ -343,7 +343,7 @@ def test_criterion_10_end_to_end_clustering():
     # larger than the early selected mass concentrates into one cluster
     collapses = 0
     for seed in (0, 1, 2):
-        sla_cfg = bench.TrainConfig.from_defaults(
+        sla_cfg = bench.TrainConfig(
             solver="SLA", epochs=1, seed=seed, sla_upper=0.2,
             schedule_kind="fixed", batch_size=128, buffer_size=0, temperature=2.0,
         )
@@ -363,7 +363,7 @@ def test_criterion_10_end_to_end_clustering():
 def test_criterion_11_weighted_precision():
     t0 = time.monotonic()
     ds = bench.generate_imbalanced_mixture(K=10, R=10.0, N=2000, dim=16, separation=6.0, seed=12345)
-    cfg = bench.TrainConfig.from_defaults(solver="P2OT", epochs=1, seed=7, schedule_kind="fixed")
+    cfg = bench.TrainConfig(solver="P2OT", epochs=1, seed=7, schedule_kind="fixed")
     history = bench.train(ds, cfg)
     rec = history.epochs[0]
     ok = rec["weighted_precision"] >= rec["precision"] - 0.01

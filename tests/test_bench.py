@@ -19,6 +19,7 @@ from sppot.bench import (
     swapped_loss,
     train,
 )
+from sppot.curriculum import default_hyperparameters
 
 
 class TestClassCounts:
@@ -217,7 +218,10 @@ class TestPseudoLabelQuality:
 
 class TestTrainConfig:
     def test_defaults_pulled_in(self):
-        tc = TrainConfig.from_defaults()
+        tc, d = TrainConfig(), default_hyperparameters()
+        assert (tc.epsilon, tc.lambda2, tc.lambda1_0, tc.rho0, tc.knn_k, tc.batch_size, tc.buffer_size,
+                tc.tol, tc.max_iter) == (d["epsilon"], d["lambda2"], d["lambda1_0"], d["rho0"], d["k"],
+                                         d["batch_size"], d["buffer_size"], d["tol"], d["max_iter"])
         assert tc.epsilon == 0.1
         assert tc.lambda2 == 1.0
         assert tc.rho0 == 0.1
@@ -226,7 +230,7 @@ class TestTrainConfig:
         assert tc.buffer_size == 5120
 
     def test_overrides(self):
-        tc = TrainConfig.from_defaults(solver="UOT", epochs=3, epsilon=0.2)
+        tc = TrainConfig(solver="UOT", epochs=3, epsilon=0.2)
         assert tc.solver == "UOT" and tc.epochs == 3 and tc.epsilon == 0.2
 
 
@@ -238,11 +242,11 @@ def tiny_dataset():
 class TestTrain:
     def test_unknown_solver_rejected(self, tiny_dataset):
         with pytest.raises(ValueError):
-            train(tiny_dataset, TrainConfig.from_defaults(solver="FOO"))
+            train(tiny_dataset, TrainConfig(solver="FOO"))
 
     @pytest.mark.parametrize("solver", ["OT", "UOT", "POT", "SLA", "P2OT"])
     def test_smoke_all_solvers(self, tiny_dataset, solver):
-        cfg = TrainConfig.from_defaults(
+        cfg = TrainConfig(
             solver=solver, epochs=2, batch_size=30, buffer_size=60, knn_k=5, seed=1
         )
         history = train(tiny_dataset, cfg)
@@ -254,7 +258,7 @@ class TestTrain:
         assert history.loss_trace  # every iteration logged
 
     def test_smoke_semantic_solver(self, tiny_dataset):
-        cfg = TrainConfig.from_defaults(
+        cfg = TrainConfig(
             solver="SP2OT", epochs=1, batch_size=30, buffer_size=0, knn_k=5, seed=2, lambda1_0=10.0
         )
         history = train(tiny_dataset, cfg)
@@ -266,7 +270,7 @@ class TestTrain:
             raise AssertionError("the kNN graph is built for a solver that never reads it")
 
         monkeypatch.setattr(bench, "build_knn_graph", refuse)
-        cfg = TrainConfig.from_defaults(solver=solver, epochs=1, batch_size=30, buffer_size=60, knn_k=5, seed=1)
+        cfg = TrainConfig(solver=solver, epochs=1, batch_size=30, buffer_size=60, knn_k=5, seed=1)
         assert len(train(tiny_dataset, cfg).epochs) == 1
 
     def test_buffer_adjacency_matches_dense_slice(self):
@@ -282,7 +286,7 @@ class TestTrain:
         npt.assert_array_equal(sub.toarray(), dense)
 
     def test_rho_follows_schedule(self, tiny_dataset):
-        cfg = TrainConfig.from_defaults(
+        cfg = TrainConfig(
             solver="P2OT", epochs=3, batch_size=30, buffer_size=0, knn_k=5, seed=3
         )
         history = train(tiny_dataset, cfg)
@@ -291,7 +295,7 @@ class TestTrain:
         assert all(b >= a for a, b in zip(rhos, rhos[1:]))
 
     def test_fixed_schedule_override(self, tiny_dataset):
-        cfg = TrainConfig.from_defaults(
+        cfg = TrainConfig(
             solver="P2OT", epochs=2, batch_size=30, buffer_size=0, knn_k=5,
             schedule_kind="fixed", rho0=0.3, seed=4,
         )
@@ -299,7 +303,7 @@ class TestTrain:
         assert all(rec["rho"] == 0.3 for rec in history.epochs)
 
     def test_seed_reproducibility(self, tiny_dataset):
-        cfg = TrainConfig.from_defaults(solver="P2OT", epochs=1, batch_size=30, buffer_size=0, knn_k=5, seed=5)
+        cfg = TrainConfig(solver="P2OT", epochs=1, batch_size=30, buffer_size=0, knn_k=5, seed=5)
         h1 = train(tiny_dataset, cfg)
         h2 = train(tiny_dataset, cfg)
         assert h1.loss_trace == h2.loss_trace
@@ -312,7 +316,7 @@ class TestTrain:
     def test_repeated_runs_are_identical(self, tiny_dataset, solver):
         # the warm-start potentials live in the call, so a second run starts
         # from the same state as the first
-        cfg = TrainConfig.from_defaults(solver=solver, epochs=2, batch_size=30, buffer_size=60, knn_k=5, seed=7)
+        cfg = TrainConfig(solver=solver, epochs=2, batch_size=30, buffer_size=60, knn_k=5, seed=7)
         h1 = train(tiny_dataset, cfg)
         h2 = train(tiny_dataset, cfg)
         assert h1.loss_trace == h2.loss_trace
@@ -334,7 +338,7 @@ class TestTrain:
 
         monkeypatch.setattr(p2ot, "solve_p2ot_fast", spy)
         # a step solves at most 60 rows (batch + buffer), the epoch end all 90
-        cfg = TrainConfig.from_defaults(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=8)
+        cfg = TrainConfig(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=8)
         train(tiny_dataset, cfg)
         steps = [c for c in calls if c[0] < tiny_dataset.n]
         full = [c for c in calls if c[0] == tiny_dataset.n]
@@ -354,7 +358,7 @@ class TestTrain:
             return real(problem, cost, init)
 
         monkeypatch.setattr(p2ot, "solve_p2ot_fast", fail_on_full_dataset)
-        cfg = TrainConfig.from_defaults(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=9)
+        cfg = TrainConfig(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=9)
         history = train(tiny_dataset, cfg)
         assert len(history.epochs) == 2
         assert len(history.loss_trace) == 2 * (tiny_dataset.n // 30)
@@ -364,6 +368,6 @@ class TestTrain:
             assert np.isfinite(rec["acc"])
 
     def test_learning_improves_over_init(self, tiny_dataset):
-        cfg = TrainConfig.from_defaults(solver="P2OT", epochs=6, batch_size=30, buffer_size=60, knn_k=5, seed=6)
+        cfg = TrainConfig(solver="P2OT", epochs=6, batch_size=30, buffer_size=60, knn_k=5, seed=6)
         history = train(tiny_dataset, cfg)
         assert history.final["acc"] > 0.8

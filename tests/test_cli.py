@@ -13,7 +13,6 @@ from click.testing import CliRunner
 from conftest import random_pred
 from sppot import io as io_mod
 from sppot.cli import cli, main
-from sppot.p2ot import random_problem
 
 
 @pytest.fixture
@@ -64,7 +63,7 @@ class TestP2otSolve:
     def test_non_finite_plan_exits_1_without_output(self, tmp_path):
         # at eps = 3e-4 and rho 0.5 this instance's kernel underflows and the plan turns NaN
         pred = tmp_path / "pred.csv"
-        io_mod.write_matrix_csv(pred, random_problem(512, 10, 0.5, seed=0).pred)
+        io_mod.write_matrix_csv(pred, random_pred(512, 10, seed=0))
         out = tmp_path / "o.csv"
         with np.errstate(all="ignore"), pytest.raises(SystemExit) as exc:
             main(["p2ot", "solve", "--pred", str(pred), "--rho", "0.5", "--eps", "3e-4", "--out", str(out)])

@@ -18,7 +18,6 @@ from sppot.ot_core import (
     weighted_kl_value,
     xlogx,
 )
-from sppot.p2ot import random_problem
 
 
 class TestValidation:
@@ -36,9 +35,7 @@ class TestValidation:
                 ScalingConfig(epsilon=eps)
 
     @pytest.mark.parametrize("kwargs", [
-        {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": -1e-6},
-        {"stabilization_threshold": np.nan}, {"stabilization_threshold": 0.0},
-        {"stabilization_threshold": -1.0}, {"max_iter": 0},
+        {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": -1e-6}, {"max_iter": 0},
     ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_config_rejects_bad_stopping_rule(self, kwargs):
         with pytest.raises(ValueError):
@@ -288,7 +285,7 @@ class TestSla:
     def test_slack_bounds_at_small_epsilon_give_the_row_softmax(self):
         # every bound is slack, so each row is (1/N) softmax(-C/eps); a kernel
         # taken from exp(-C/eps) floors whole rows at eps = 1e-3
-        P = random_problem(512, 10, 1.0, seed=0).pred
+        P = random_pred(512, 10, seed=0)
         eps = 1e-3
         plan = solve_sla(P, 1.0, 0.2, ScalingConfig(epsilon=eps))
         z = np.log(clamp_probabilities(P)) / eps
@@ -312,13 +309,14 @@ class TestSla:
         assert np.any(plan.col_marginal() > upper * (1 - 1e-6))
         npt.assert_allclose(plan.coupling, ref[:, :k], rtol=0, atol=1e-12 * ref.max())
 
-    def test_absorption_leaves_the_iterates_unchanged(self):
+    def test_absorption_leaves_the_iterates_unchanged(self, monkeypatch):
         # a threshold of 1 absorbs the scalings into the potentials in most
         # sweeps; the upper bound's cap exp(-v/eps) must follow the potential
         P = random_pred(25, 2, seed=1074, temperature=0.3)
-        plans = [solve_sla(P, 0.2, 0.105, ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=3000,
-                                                         stabilization_threshold=threshold))
-                 for threshold in (np.inf, 1.0)]
+        plans = []
+        for threshold in (np.inf, 1.0):
+            monkeypatch.setattr(kernels, "ABSORB_THRESHOLD", threshold)
+            plans.append(solve_sla(P, 0.2, 0.105, ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=3000)))
         assert plans[0].converged and plans[1].iterations == plans[0].iterations
         ref = plans[0].coupling
         npt.assert_allclose(plans[1].coupling, ref, rtol=0, atol=1e-12 * ref.max())
@@ -333,6 +331,11 @@ class TestSla:
         assert np.array_equal(sla.coupling, ref.coupling)
         assert sla.iterations == ref.iterations and sla.objective == ref.objective
         assert sla.col_potential is None
+
+    def test_upper_bound_needs_hard_columns(self):
+        # the kernel's upper-bound prox holds only for columns with exponent 1
+        with pytest.raises(ValueError, match="upper column bound needs hard columns"):
+            ot_core.solve_virtual(np.zeros((4, 2)), 0.5, 1.0, ScalingConfig(epsilon=0.1), upper=0.3)
 
     def test_slack_bound_concentrates(self):
         # one globally preferred column and a bound larger than the mass:
@@ -403,7 +406,7 @@ def _virtual_kernel_args(P, rho, lam, cfg):
     ext = ot_core.extend_virtual(-np.log(clamp_probabilities(P)), rho, lam)
     f = ot_core._exponents(ext.weights, cfg.epsilon)
     return (ext.cost_ext, ext.alpha, ext.beta, f, cfg.epsilon, cfg.tol, cfg.max_iter,
-            cfg.stabilization_threshold)
+            kernels.ABSORB_THRESHOLD)
 
 
 def _nearby(P, seed, scale=0.05):
@@ -692,7 +695,8 @@ class TestAbsorption:
         P = random_pred(200, 6, seed=44, temperature=0.3)
 
         def solve(threshold):
-            cfg = ScalingConfig(epsilon=0.002, tol=1e-12, max_iter=3000, stabilization_threshold=threshold)
+            monkeypatch.setattr(kernels, "ABSORB_THRESHOLD", threshold)
+            cfg = ScalingConfig(epsilon=0.002, tol=1e-12, max_iter=3000)
             return solve_sla(P, 0.4, 0.1, cfg) if name == "sla" else solve_virtual_named(name, P, cfg)
 
         _assert_absorption_leaves_the_iterates_unchanged(monkeypatch, 10.0, solve)

@@ -19,7 +19,6 @@ from sppot.ot_core import (
 )
 from sppot.p2ot import (
     P2otProblem,
-    random_problem,
     solve_p2ot_fast,
     solve_p2ot_gsa,
 )
@@ -27,6 +26,11 @@ from sppot.p2ot import (
 
 def make_problem(n, k, rho, seed, lam=1.0, eps=0.1, tol=1e-8, max_iter=5000):
     return P2otProblem(random_pred(n, k, seed), rho, lam, ScalingConfig(epsilon=eps, tol=tol, max_iter=max_iter))
+
+
+def random_problem(n, k, rho, seed, lam=1.0, epsilon=0.1):
+    """Seeded instance on `random_pred(n, k, seed)` at the default stopping rule."""
+    return P2otProblem(random_pred(n, k, seed), rho, lam, ScalingConfig(epsilon=epsilon))
 
 
 def dead_cluster_pred(P):
@@ -63,6 +67,12 @@ class TestValidation:
     def test_rejects_negative_lam(self):
         with pytest.raises(ValueError):
             P2otProblem(random_pred(4, 2, 0), 0.5, -1.0, ScalingConfig(epsilon=0.1))
+
+    @pytest.mark.parametrize("lam", [-np.inf, np.nan])
+    def test_rejects_nan_lam(self, lam):
+        # NaN passed `lam < 0` and solved to a NaN plan
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            P2otProblem(random_pred(4, 2, 0), 0.5, lam, ScalingConfig(epsilon=0.1))
 
 
 class TestExtension:
@@ -259,6 +269,22 @@ class TestBaselineAgreement:
         plan = solve_p2ot_gsa(prob)
         assert np.all(plan.row_marginal() <= 1 / 40 + 1e-7)
         npt.assert_allclose(plan.total_mass(), 0.6, atol=1e-6)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_gsa_with_hard_columns_is_partial_ot(self, rho):
+        # lam = inf (hard columns) took f = inf/(inf + eps) = NaN, and the
+        # baseline returned an all-NaN plan after max_iter sweeps
+        prob = make_problem(50, 4, rho, seed=0, lam=np.inf, tol=1e-9)
+        gsa, pot = solve_p2ot_gsa(prob), solve_pot(prob.pred, rho, prob.cfg)
+        assert gsa.converged and pot.converged
+        npt.assert_allclose(gsa.coupling, pot.coupling, rtol=0, atol=1e-7 * pot.coupling.max())
+
+    def test_gsa_non_finite_plan_raises(self):
+        # a cost far below zero overflows exp(-C/eps); the baseline raises
+        # rather than return the NaN plan
+        prob = make_problem(20, 3, 0.5, seed=0, max_iter=50)
+        with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError, match="after 50 iterations"):
+            solve_p2ot_gsa(prob, cost=np.full((20, 3), -1e3))
 
     def test_agreement_exact_at_full_mass(self):
         # at rho = 1 the virtual column is empty, so the two entropic

@@ -82,6 +82,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             Sp2otProblem(random_pred(4, 2, 0), A, -1.0, 1.0, 0.5, 0.1)
 
+    @pytest.mark.parametrize("lambda1, lambda2", [(np.nan, 1.0), (1.0, np.nan), (-np.inf, 1.0), (1.0, -np.inf)])
+    def test_nan_weights_rejected(self, lambda1, lambda2):
+        # NaN passed `< 0`: lambda1 failed later on a finite-cost check, lambda2 at solve time
+        A = np.zeros((4, 4))
+        with pytest.raises(ValueError, match="lambda1 and lambda2 must be >= 0"):
+            Sp2otProblem(random_pred(4, 2, 0), A, lambda1, lambda2, 0.5, 0.1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("fmt", ["dense", "csr"])
     def test_nonfinite_adjacency_rejected(self, bad, fmt):
@@ -212,6 +219,12 @@ class TestDecay:
             lambda1_decayed(-1.0, 0.5)
         with pytest.raises(ValueError):
             lambda1_decayed(1.0, 1.5)
+
+    @pytest.mark.parametrize("lambda1_0", [-np.inf, np.nan])
+    def test_rejects_nan_weight(self, lambda1_0):
+        # NaN passed `< 0` and decayed to NaN
+        with pytest.raises(ValueError, match="lambda1_0 must be >= 0"):
+            lambda1_decayed(lambda1_0, 0.5)
 
 
 class TestObjective:
