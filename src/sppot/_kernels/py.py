@@ -23,9 +23,9 @@ import numpy as np
 KERNEL_FLOOR = 1e-300
 LOG_FLOOR = math.log(KERNEL_FLOOR)
 
-# The `threshold` that `ot_core.solve_virtual` passes: a scaling above it is
-# absorbed into its potential, which leaves the iterates unchanged up to
-# rounding. Read at call time, so a test may set it on the module.
+# A scaling above this is absorbed into its potential, which leaves the
+# iterates unchanged up to rounding. `scaling_weighted_kl` reads it at call
+# time, so a test may set it on the module.
 ABSORB_THRESHOLD = 1e6
 
 # Heavy-ball extrapolation of the column scaling (see `_Momentum`): plain
@@ -36,12 +36,12 @@ MOMENTUM_MIN_RATE = 0.3
 MOMENTUM_RESTART = 2.0
 
 
-def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0=None, upper=None):
+def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, upper=None):
     """Stabilized scaling recursion, started from a column potential.
 
     a <- alpha/(M b); b <- w * (beta/(M^T a))^f, then the mass step below,
     with log-domain absorption of (a, b) into potentials (u, v) whenever
-    either vector exceeds `threshold`. Targets in `beta` must be strictly
+    either vector exceeds ABSORB_THRESHOLD. Targets in `beta` must be strictly
     positive.
 
     Upper-bounded columns. `upper` (default None: none) is a boolean column
@@ -115,7 +115,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     turned NaN. Other columns start as they are. Soft columns (f < 1) start
     from the weight w0 = exp(v0 (f-1)/eps). A `v0` the recursion could not
     recover from is ignored, and the solve starts from zeros: one that is
-    not finite, whose soft-column weights lie beyond `threshold` in either
+    not finite, whose soft-column weights lie beyond ABSORB_THRESHOLD in either
     direction, or that leaves a column with every kernel entry under the
     floor that the lift does not raise (an absorption would zero it).
     The start builds the kernel in place: v0 - C, its row maxima subtracted
@@ -150,7 +150,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
     C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
     hard = f == 1.0
-    u, v, M = _start(C, v0, f, hard if upper is None else hard & ~upper, epsilon, threshold)
+    u, v, M = _start(C, v0, f, hard if upper is None else hard & ~upper, epsilon)
     w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
     soft = np.flatnonzero(~hard)  # the mass step's columns, None where it is skipped
     m_soft = float(alpha.sum() - beta[hard].sum())
@@ -189,7 +189,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, threshold, v0
         last_plain = ratio
         step = b_new / b
         b = b_new
-        if b.max() > threshold or a.max() > threshold:
+        if b.max() > ABSORB_THRESHOLD or a.max() > ABSORB_THRESHOLD:
             u += epsilon * np.log(a)
             v += epsilon * np.log(b)
             w = np.where(hard, 1.0, w * b ** (f - 1.0))
@@ -277,7 +277,7 @@ def _upper_cap(v, upper, epsilon):
         return np.exp(-v[upper] / epsilon)
 
 
-def _start(C, v0, f, lift, epsilon, threshold):
+def _start(C, v0, f, lift, epsilon):
     """Row potential, column potential and Fortran-order kernel a solve starts from.
 
     From `v0` when the recursion can recover from it (see
@@ -288,7 +288,7 @@ def _start(C, v0, f, lift, epsilon, threshold):
     if v0 is not None:
         v = np.array(v0, dtype=np.float64)  # a copy: the loop updates it in place
         log_w = v * (f - 1.0) / epsilon
-        if not np.all(np.isfinite(v)) or np.any(np.abs(log_w) > math.log(threshold)):
+        if not np.all(np.isfinite(v)) or np.any(np.abs(log_w) > math.log(ABSORB_THRESHOLD)):
             v0 = None
     if v0 is None:
         v = np.zeros(C.shape[1])
@@ -303,7 +303,7 @@ def _start(C, v0, f, lift, epsilon, threshold):
         shifted += lifted[None, :]
         col_max += lifted
     if v0 is not None and col_max.min() / epsilon < LOG_FLOOR:
-        return _start(C, None, f, lift, epsilon, threshold)
+        return _start(C, None, f, lift, epsilon)
     shifted /= epsilon
     np.exp(shifted, out=shifted)
     np.maximum(shifted, KERNEL_FLOOR, out=shifted)

@@ -25,9 +25,11 @@ from . import bench as bench_mod
 from . import io as io_mod
 from . import metrics as metrics_mod
 from . import ot_core, oracle, p2ot, sp2ot
+from .curriculum import default_hyperparameters
 from .graph import FeatureSet, SemanticGraph, build_knn_graph, cosine_similarity, gaussian_similarity, median_bandwidth
 
 SCHEMA_VERSION = 1
+_DEFAULTS = default_hyperparameters()
 
 
 class NonConvergenceError(RuntimeError):
@@ -82,10 +84,10 @@ def p2ot_group():
 @p2ot_group.command("solve")
 @click.option("--pred", "pred_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--rho", type=float, required=True)
-@click.option("--lambda", "lam", type=float, default=1.0, show_default=True)
-@click.option("--eps", type=float, default=0.1, show_default=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True)
-@click.option("--max-iter", type=int, default=1000, show_default=True)
+@click.option("--lambda", "lam", type=float, default=_DEFAULTS["lambda2"], show_default=True)
+@click.option("--eps", type=float, default=_DEFAULTS["epsilon"], show_default=True)
+@click.option("--tol", type=float, default=_DEFAULTS["tol"], show_default=True)
+@click.option("--max-iter", type=int, default=_DEFAULTS["max_iter"], show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--strict", is_flag=True, help="Exit 2 if the solver does not converge.")
 def p2ot_solve(pred_path, rho, lam, eps, tol, max_iter, out_path, strict):
@@ -135,9 +137,9 @@ def sp2ot_group():
 @click.option("--pred", "pred_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--lambda1", type=float, required=True)
-@click.option("--lambda2", type=float, default=1.0, show_default=True)
+@click.option("--lambda2", type=float, default=_DEFAULTS["lambda2"], show_default=True)
 @click.option("--rho", type=float, required=True)
-@click.option("--eps", type=float, default=0.1, show_default=True)
+@click.option("--eps", type=float, default=_DEFAULTS["epsilon"], show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--strict", is_flag=True)
 def sp2ot_solve(pred_path, graph_path, lambda1, lambda2, rho, eps, out_path, strict):
@@ -187,7 +189,7 @@ def graph_group():
 @click.option("--features", "feat_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--kernel", type=click.Choice(["gaussian", "cosine"]), default="gaussian", show_default=True)
 @click.option("--sigma", default="median", show_default=True, help="Bandwidth value, or 'median'.")
-@click.option("--k", type=int, default=20, show_default=True)
+@click.option("--k", type=int, default=_DEFAULTS["k"], show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def graph_build(feat_path, kernel, sigma, k, out_path):
     """Build a top-k similarity graph from a feature matrix file."""

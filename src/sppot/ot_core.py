@@ -101,26 +101,21 @@ class TransportPlan:
         return float(self.coupling.sum())
 
 
-def entropic_objective(plan: np.ndarray, cost: np.ndarray, penalties, epsilon: float) -> float:
-    """<Q,C> + sum of KL penalties - eps*H(Q), with 0 log 0 := 0.
+def entropic_objective(plan: np.ndarray, cost: np.ndarray, target: np.ndarray, weights, epsilon: float) -> float:
+    """<Q,C> + KL penalty on the column marginal - eps*H(Q), with 0 log 0 := 0.
 
-    `penalties` is a list of (axis, target, weights) triples; axis 0 penalizes
-    the row marginal Q 1, axis 1 the column marginal Q^T 1. The KL terms use
-    the x*log(x/target) form (entries with x = 0 contribute 0); entries with
-    the sentinel infinite weight are hard constraints the solver enforces,
-    and contribute 0.
+    The penalty is `weighted_kl_value(Q^T 1, target, weights)`: the
+    x*log(x/target) form (entries with x = 0 contribute 0); entries with the
+    sentinel infinite weight are hard constraints the solver enforces, and
+    contribute 0.
     """
     Q = np.asarray(plan, dtype=float)
     C = np.asarray(cost, dtype=float)
     if Q.shape != C.shape:
         raise DimensionMismatchError("plan and cost shapes differ")
     val = float(np.vdot(Q, C))
-    for axis, target, weights in penalties or []:
-        if axis not in (0, 1):
-            raise ValueError(f"penalty axis must be 0 (rows) or 1 (columns), got {axis!r}")
-        # a BLAS mat-vec with a ones vector: several times faster than Q.sum on a tall, narrow Q
-        marg = Q @ np.ones(Q.shape[1]) if axis == 0 else np.ones(Q.shape[0]) @ Q
-        val += weighted_kl_value(marg, target, weights)
+    # a BLAS mat-vec with a ones vector: several times faster than Q.sum on a tall, narrow Q
+    val += weighted_kl_value(np.ones(Q.shape[0]) @ Q, target, weights)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q = np.log(Q)
     np.copyto(log_q, 0.0, where=Q <= 0)  # 0 log 0 := 0, as in xlogx; a NaN entry already makes <Q,C> NaN
@@ -250,12 +245,12 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
             up_col = np.arange(beta.size) < K
     v0 = None if init is None or np.shape(init) != beta.shape else init
     Q, iters, converged, v = kernels.scaling_weighted_kl(
-        ext.cost_ext, ext.alpha, beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, kernels.ABSORB_THRESHOLD, v0, up_col)
+        ext.cost_ext, ext.alpha, beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, v0, up_col)
     _check_finite(Q, iters, cfg.epsilon)
     if Q.shape[1] > K:
         Q = Q[:, :K].copy()
-    penalties = [(1, ext.beta[:K], ext.weights[:K])]
-    obj = entropic_objective(Q, C0, penalties, cfg.epsilon)  # C-order cost, like Q: the fast product
+    # C-order cost, like Q: the fast product
+    obj = entropic_objective(Q, C0, ext.beta[:K], ext.weights[:K], cfg.epsilon)
     return TransportPlan(Q, obj, iters, converged, v if upper is None else None)
 
 

@@ -97,5 +97,5 @@ def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None) -> Tran
         np.asfortranarray(C), alpha, beta, _exponents(weights, eps), problem.rho, eps, cfg.tol, cfg.max_iter
     )
     _check_finite(Q, iters, eps)
-    obj = entropic_objective(Q, C, [(1, beta, weights)], eps)
+    obj = entropic_objective(Q, C, beta, weights, eps)
     return TransportPlan(Q, obj, iters, converged)

@@ -1,10 +1,13 @@
 """Semantic-regularized partial transport via projected mirror descent.
 
-The outer loop alternates linearization of the smooth objective
-f(Q) = <Q, -log P> - lambda1 <A, Q Q^T> (whose gradient serves as the cost)
-with a KL projection onto the partial-transport polytope, realized by the
-fast virtual-column solver. When A is PSD, f is concave on the feasible set
-and each outer step is a majorization-minimization descent step.
+The objective is P2OT's entropic program minus one graph term,
+lambda1 <A, Q Q^T>. The outer loop alternates linearization of the smooth
+part f(Q) = <Q, C0> - lambda1 <A, Q Q^T>, C0 = -log P (whose gradient serves
+as the cost) with a KL projection onto the partial-transport polytope,
+realized by the fast virtual-column solver. When A is PSD, f is concave on
+the feasible set and each outer step is a majorization-minimization descent
+step. `Sp2otProblem` converts the graph to canonical CSR once, and is the
+only part of this module that loads `scipy.sparse`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import dense_to_csr
-from .ot_core import ScalingConfig, TransportPlan, prediction_cost, weighted_kl_value, xlogx
+from .ot_core import ScalingConfig, TransportPlan, entropic_objective, prediction_cost, xlogx
 from .p2ot import P2otProblem, solve_p2ot_fast
 
 log = logging.getLogger(__name__)
@@ -38,8 +41,13 @@ class Sp2otProblem:
     inner: ScalingConfig | None = None  # the inner solves' stopping rule; its epsilon must be `epsilon`
 
     def __post_init__(self):
+        from scipy import sparse  # here, not at import: P2OT and the OT family never load it
+
         P = np.asarray(self.pred, dtype=float)
-        A = _as_csr(self.adjacency, copy=True)  # never alias the caller's arrays
+        if sparse.issparse(self.adjacency):
+            A = sparse.csr_array(self.adjacency, dtype=float, copy=True)  # never alias the caller's arrays
+        else:
+            A = dense_to_csr(self.adjacency)  # owns its arrays
         A.eliminate_zeros()
         A.sum_duplicates()  # fixes the summation order of every product with A
         if A.shape != (P.shape[0], P.shape[0]):
@@ -50,6 +58,10 @@ class Sp2otProblem:
             raise ValueError("adjacency entries must be nonnegative")
         if not (self.lambda1 >= 0 and self.lambda2 >= 0):  # NaN fails too
             raise ValueError("lambda1 and lambda2 must be >= 0")
+        if not self.outer_max_iter >= 1:
+            raise ValueError("outer_max_iter must be >= 1")
+        if not self.outer_tol >= 0:  # NaN fails too
+            raise ValueError("outer_tol must be >= 0")
         if self.inner is not None and self.inner.epsilon != self.epsilon:
             raise ValueError(f"inner.epsilon {self.inner.epsilon} differs from epsilon {self.epsilon}")
         object.__setattr__(self, "pred", P)
@@ -69,50 +81,36 @@ class PmdTrace:
 def sp2ot_gradient(cost0: np.ndarray, adjacency, lambda1: float, plan: np.ndarray) -> np.ndarray:
     """Gradient of the smooth part: C0 - lambda1 (A Q + A^T Q).
 
-    `adjacency` is a dense ndarray or a scipy sparse matrix; the products cost
-    O(nnz K) on CSR input. A dense one is first converted by `graph.dense_to_csr`,
-    an O(N^2) scan on every call: pass CSR (`Sp2otProblem.adjacency`) in a loop.
+    `adjacency` is multiplied as given: O(nnz K) for the CSR graph of
+    `Sp2otProblem.adjacency`, O(N^2 K) for a dense array.
     """
     C0 = np.asarray(cost0, dtype=float)
-    A = _as_csr(adjacency)
     Q = np.asarray(plan, dtype=float)
     if lambda1 == 0:
         return C0.copy()
-    return C0 - lambda1 * (A @ Q + A.T @ Q)
+    return C0 - lambda1 * (adjacency @ Q + adjacency.T @ Q)
 
 
-def sp2ot_objective(plan, pred, adjacency, lambda1, lambda2, rho, epsilon) -> float:
-    """<Q,-log P> - lambda1 <A, QQ^T> + lambda2 KL(col(Q), rho/K) - eps H(Q, xi).
+def sp2ot_objective(plan, cost0, adjacency, lambda1, lambda2, rho, epsilon) -> float:
+    """<Q,C0> - lambda1 <A, QQ^T> + lambda2 KL(col(Q), rho/K) - eps H(Q, xi).
 
-    The entropy covers both the plan and the per-row slack xi = 1/N - row(Q),
-    matching the program the inner virtual-column solver minimizes; dropping
-    the slack term would break the monotone-descent guarantee of the outer
-    loop by exactly its variation between iterates.
+    P2OT's entropic objective (`ot_core.entropic_objective`) on the cost
+    C0 = -log P, plus the semantic term. The entropy also covers the per-row
+    slack xi = 1/N - row(Q), matching the program the inner virtual-column
+    solver minimizes; dropping the slack term would break the monotone-descent
+    guarantee of the outer loop by exactly its variation between iterates.
 
-    `adjacency` is a dense ndarray or a scipy sparse matrix; the semantic
-    term <A, Q Q^T> = sum(Q * (A Q)) costs O(nnz K) on CSR input. A dense one
-    is first converted by `graph.dense_to_csr`, an O(N^2) scan on every call.
+    `adjacency` is multiplied as given: <A, Q Q^T> = sum(Q * (A Q)) costs
+    O(nnz K) for the CSR graph of `Sp2otProblem.adjacency`.
     """
     Q = np.asarray(plan, dtype=float)
     N, K = Q.shape
-    val = float(np.sum(Q * prediction_cost(pred)))
+    val = entropic_objective(Q, cost0, np.full(K, rho / K), np.full(K, lambda2), epsilon)
     if lambda1 != 0:
-        A = _as_csr(adjacency)
-        val -= lambda1 * float(np.sum(Q * (A @ Q)))
-    col = Q.sum(axis=0)
-    val += weighted_kl_value(col, np.full(K, rho / K), np.full(K, lambda2))
-    val += epsilon * float(np.sum(xlogx(Q)))
+        val -= lambda1 * float(np.sum(Q * (adjacency @ Q)))
     slack = np.maximum(1.0 / N - Q.sum(axis=1), 0.0)
     val += epsilon * float(np.sum(xlogx(slack)))
     return val
-
-
-def _as_csr(adjacency, copy: bool = False) -> sparse.csr_array:
-    from scipy import sparse  # here, not at import: P2OT and the OT family never load it
-
-    if sparse.issparse(adjacency):
-        return sparse.csr_array(adjacency, dtype=float, copy=copy)
-    return dense_to_csr(adjacency)  # owns its arrays
 
 
 def lambda1_decayed(lambda1_0: float, rho: float) -> float:
@@ -146,8 +144,7 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
         plan = solve_p2ot_fast(inner_problem, cost=C, init=None if plan is None else plan.col_potential)
         change = float(np.linalg.norm(plan.coupling - Q) / max(np.linalg.norm(Q), 1e-300))
         Q = plan.coupling
-        obj = sp2ot_objective(Q, problem.pred, problem.adjacency, problem.lambda1, problem.lambda2,
-                              problem.rho, problem.epsilon)
+        obj = sp2ot_objective(Q, C0, problem.adjacency, problem.lambda1, problem.lambda2, problem.rho, problem.epsilon)
         trace.objectives.append(obj)
         trace.inner_iterations.append(plan.iterations)
         trace.frobenius_changes.append(change)

@@ -325,6 +325,14 @@ def test_p2ot_cluster_run_leaves_scipy_sparse_unloaded(tmp_path):
     assert loaded == "[]"
 
 
+def test_sp2ot_gradient_and_objective_on_a_dense_graph_leave_scipy_sparse_unloaded():
+    """Both functions multiply the graph they are given; only `Sp2otProblem` converts one to CSR."""
+    code = ("import numpy as np; from sppot.sp2ot import sp2ot_gradient, sp2ot_objective; "
+            "A = np.ones((6, 6)) - np.eye(6); Q = np.full((6, 3), 0.5 / 18); C0 = np.ones((6, 3)); "
+            "sp2ot_gradient(C0, A, 2.0, Q); sp2ot_objective(Q, C0, A, 2.0, 1.0, 0.5, 0.1)")
+    assert loaded_scipy_modules(code) == "[]"
+
+
 UNRUNNABLE = {
     # configs that pass the schema: more clusters than samples, and a fixed schedule selecting no mass
     "n_below_k": ({"dataset": {"n": 5, "k": 10}}, "need K >= 2, R >= 1 and N >= K"),

@@ -70,12 +70,11 @@ class TestValidation:
                 weighted_kl_value(x, t, w)
 
     def test_marginal_length_mismatch(self):
-        # a column target against the row marginal of a 2x3 plan
+        # a row-length target against the column marginal of a 2x3 plan
         Q = np.full((2, 3), 1 / 6)
-        target, weights = np.full(3, 1 / 3), np.ones(3)
         with pytest.raises(DimensionMismatchError):
-            entropic_objective(Q, np.zeros((2, 3)), [(0, target, weights)], 0.1)
-        assert np.isfinite(entropic_objective(Q, np.zeros((2, 3)), [(1, target, weights)], 0.1))
+            entropic_objective(Q, np.zeros((2, 3)), np.full(2, 1 / 2), np.ones(2), 0.1)
+        assert np.isfinite(entropic_objective(Q, np.zeros((2, 3)), np.full(3, 1 / 3), np.ones(3), 0.1))
 
     def test_inconsistent_equality_masses_infeasible(self):
         # rows carry mass rho; K column bounds below rho/K cannot hold it, and
@@ -89,13 +88,6 @@ class TestValidation:
             plan = solve_sla(P, rho, rho / 4, cfg)
             assert plan.converged
             npt.assert_allclose(plan.col_marginal(), np.full(4, rho / 4), rtol=0, atol=1e-9)
-
-    def test_constraint_rejects_unknown_kind(self):
-        # axis 2 would sum Q over axis -1 and price the row marginal as a column one
-        Q = np.full((2, 2), 0.25)
-        for axis in (2, -1):
-            with pytest.raises(ValueError, match="penalty axis must be 0"):
-                entropic_objective(Q, np.zeros((2, 2)), [(axis, np.full(2, 0.5), np.ones(2))], 0.1)
 
 
 class TestHelpers:
@@ -122,31 +114,29 @@ class TestHelpers:
 
     def test_entropic_objective_shape_check(self):
         with pytest.raises(DimensionMismatchError):
-            entropic_objective(np.ones((2, 2)), np.ones((2, 3)), [], 0.1)
+            entropic_objective(np.ones((2, 2)), np.ones((2, 3)), np.ones(3), np.zeros(3), 0.1)
 
     def test_entropic_objective_value(self):
         Q = np.array([[0.25, 0.25], [0.25, 0.25]])
         C = np.array([[1.0, 2.0], [3.0, 4.0]])
-        val = entropic_objective(Q, C, [], 1.0)
+        val = entropic_objective(Q, C, np.full(2, 0.5), np.ones(2), 1.0)  # columns on target: no penalty
         expected = 2.5 + np.sum(Q * np.log(Q))
         npt.assert_allclose(val, expected)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_entropic_objective_matches_plain_reference(self, order):
-        # exact zeros, a penalty on each axis, sentinel (hard) weights, and both memory orders
+        # exact zeros, an empty column, sentinel (hard) weights, and both memory orders
         rng = np.random.default_rng(3)
         Q = rng.random((50, 7)) / 350
         Q[rng.random(Q.shape) < 0.2] = 0.0
         Q[:, 4] = 0.0
         C = rng.normal(size=Q.shape)
-        penalties = [(1, np.full(7, 1 / 7), np.array([1.0, 2.0, np.inf, 0.5, 1.0, np.inf, 3.0])),
-                     (0, np.full(50, 1 / 50), np.where(np.arange(50) % 3 == 0, np.inf, 0.7))]
+        target, weights = np.full(7, 1 / 7), np.array([1.0, 2.0, np.inf, 0.5, 1.0, np.inf, 3.0])
         eps = 0.1
-        expected = (np.sum(Q * C) + sum(weighted_kl_value(Q.sum(axis=1 - axis), t, w) for axis, t, w in penalties)
-                    + eps * np.sum(xlogx(Q)))
+        expected = np.sum(Q * C) + weighted_kl_value(Q.sum(axis=0), target, weights) + eps * np.sum(xlogx(Q))
         Q, C = np.asarray(Q, order=order), np.asarray(C, order=order)
         for plan, cost in ((Q, C), (Q, np.asfortranarray(C)), (np.ascontiguousarray(Q), C)):
-            val = entropic_objective(plan, cost, penalties, eps)
+            val = entropic_objective(plan, cost, target, weights, eps)
             assert abs(val - expected) <= 1e-13 * abs(expected)
 
     def test_prediction_cost_is_negative_log_of_clamped(self):
@@ -405,8 +395,7 @@ def _reference_cold_kernel(C, alpha, beta, f, eps, tol, max_iter):
 def _virtual_kernel_args(P, rho, lam, cfg):
     ext = ot_core.extend_virtual(-np.log(clamp_probabilities(P)), rho, lam)
     f = ot_core._exponents(ext.weights, cfg.epsilon)
-    return (ext.cost_ext, ext.alpha, ext.beta, f, cfg.epsilon, cfg.tol, cfg.max_iter,
-            kernels.ABSORB_THRESHOLD)
+    return ext.cost_ext, ext.alpha, ext.beta, f, cfg.epsilon, cfg.tol, cfg.max_iter
 
 
 def _nearby(P, seed, scale=0.05):
@@ -467,7 +456,7 @@ class TestKernelLayout:
         cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
         args = _virtual_kernel_args(random_pred(60, 5, seed=32, temperature=0.5), 0.5, 1.0, cfg)
         Q, iters, converged, _ = kernels.scaling_weighted_kl(*args)
-        ref, ref_iters = _reference_cold_kernel(*args[:7])
+        ref, ref_iters = _reference_cold_kernel(*args)
         assert converged and iters == ref_iters
         npt.assert_allclose(Q, ref, rtol=0, atol=1e-12 * ref.max())
 
@@ -550,7 +539,7 @@ class TestSlaStopping:
         assert np.all(plan.col_marginal() <= 0.1 * (1 + tol))
 
 
-def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter, threshold):
+def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter):
     """The scaling kernel's loop without the mass step: the same start,
     momentum and log-domain absorption, and the unshifted column potential."""
     from sppot._kernels import py as kernels
@@ -558,7 +547,8 @@ def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter, threshold):
     C = np.asfortranarray(C)
     m, n = C.shape
     hard = f == 1.0
-    u, v, M = kernels._start(C, None, f, hard, eps, threshold)
+    threshold = kernels.ABSORB_THRESHOLD
+    u, v, M = kernels._start(C, None, f, hard, eps)
     w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / eps))
     a, b, step = np.ones(m), np.ones(n), np.ones(n)
     momentum = kernels._Momentum()
@@ -613,7 +603,7 @@ class TestMassStep:
         C = -np.log(clamp_probabilities(random_pred(100, 4, seed=41)))
         beta = np.full(4, 0.25)
         f = ot_core._exponents(np.array([0.5, 1.0, 2.0, np.inf]), 0.1)
-        args = (C, np.full(100, 0.01), beta, f, 0.1, 1e-8, 3000, 1e6)
+        args = (C, np.full(100, 0.01), beta, f, 0.1, 1e-8, 3000)
         for x, y in zip(kernels.scaling_weighted_kl(*args), _step_free_kernel(*args)):
             npt.assert_array_equal(x, y)
 
@@ -622,7 +612,7 @@ class TestMassStep:
         from sppot._kernels import py as kernels
 
         C, alpha, beta, f = _hard_targets_over_row_mass()
-        args = (C, alpha, beta, f, 0.1, 1e-6, 1000, 1e6)
+        args = (C, alpha, beta, f, 0.1, 1e-6, 1000)
         out = kernels.scaling_weighted_kl(*args)
         for x, y in zip(out, _step_free_kernel(*args)):
             npt.assert_array_equal(x, y)

@@ -4,7 +4,7 @@ import pytest
 from scipy import sparse
 
 from conftest import random_pred
-from sppot.ot_core import ScalingConfig
+from sppot.ot_core import ScalingConfig, prediction_cost, weighted_kl_value, xlogx
 from sppot.p2ot import P2otProblem, solve_p2ot_fast
 from sppot.sp2ot import (
     Sp2otProblem,
@@ -103,6 +103,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             Sp2otProblem(random_pred(4, 2, 0), np.ones(shape), 1.0, 1.0, 0.5, 0.1)
 
+    @pytest.mark.parametrize("outer_max_iter", [0, -2])
+    def test_outer_max_iter_below_one_rejected(self, outer_max_iter):
+        # the solve used to raise IndexError on an empty trace
+        with pytest.raises(ValueError, match="outer_max_iter must be >= 1"):
+            Sp2otProblem(random_pred(4, 2, 0), np.eye(4), 1.0, 1.0, 0.5, 0.1, outer_max_iter=outer_max_iter)
+
+    @pytest.mark.parametrize("outer_tol", [np.nan, -1e-5, -np.inf])
+    def test_outer_tol_below_zero_rejected(self, outer_tol):
+        # a NaN tolerance used to be accepted, and no change is below it
+        with pytest.raises(ValueError, match="outer_tol must be >= 0"):
+            Sp2otProblem(random_pred(4, 2, 0), np.eye(4), 1.0, 1.0, 0.5, 0.1, outer_tol=outer_tol)
+
     def test_dense_adjacency_copied(self):
         A = knn_like_adjacency(6, seed=4)
         before = A.copy()
@@ -175,18 +187,10 @@ class TestDenseAndSparseAgree:
         npt.assert_allclose(sp, dense, rtol=1e-12, atol=0)
 
     def test_objective(self):
-        dense = sp2ot_objective(self.Q, self.P, self.A, 3.0, 1.0, 0.5, 0.1)
-        sp = sp2ot_objective(self.Q, self.P, sparse.csr_array(self.A), 3.0, 1.0, 0.5, 0.1)
+        C0 = prediction_cost(self.P)
+        dense = sp2ot_objective(self.Q, C0, self.A, 3.0, 1.0, 0.5, 0.1)
+        sp = sp2ot_objective(self.Q, C0, sparse.csr_array(self.A), 3.0, 1.0, 0.5, 0.1)
         npt.assert_allclose(sp, dense, rtol=1e-12, atol=0)
-
-    def test_gradient_and_objective_bit_equal_on_dense_input(self):
-        A = self.A.copy()
-        A[3, 3], A[5, 9] = -0.0, 0.0
-        csr = sparse.csr_array(A)
-        csr.eliminate_zeros()
-        assert np.array_equal(sp2ot_gradient(self.C, A, 3.0, self.Q), sp2ot_gradient(self.C, csr, 3.0, self.Q))
-        assert (sp2ot_objective(self.Q, self.P, A, 3.0, 1.0, 0.5, 0.1)
-                == sp2ot_objective(self.Q, self.P, csr, 3.0, 1.0, 0.5, 0.1))
 
     def test_gradient_rejects_non_square_dense(self):
         with pytest.raises(ValueError):
@@ -233,7 +237,7 @@ class TestObjective:
         P = random_pred(6, 3, seed=4)
         Q = rng.uniform(0.01, 0.05, size=(6, 3))
         A = np.zeros((6, 6))
-        val = sp2ot_objective(Q, P, A, 0.0, 1.0, 0.5, 0.1)
+        val = sp2ot_objective(Q, prediction_cost(P), A, 0.0, 1.0, 0.5, 0.1)
         Pc = np.maximum(P, 1e-8)
         col = Q.sum(axis=0)
         slack = 1.0 / 6 - Q.sum(axis=1)
@@ -250,9 +254,28 @@ class TestObjective:
         P = random_pred(6, 3, seed=6)
         Q = rng.uniform(0.01, 0.05, size=(6, 3))
         A = knn_like_adjacency(6, seed=7)
-        with_sem = sp2ot_objective(Q, P, A, 2.0, 1.0, 0.5, 0.1)
-        without = sp2ot_objective(Q, P, A, 0.0, 1.0, 0.5, 0.1)
+        with_sem = sp2ot_objective(Q, prediction_cost(P), A, 2.0, 1.0, 0.5, 0.1)
+        without = sp2ot_objective(Q, prediction_cost(P), A, 0.0, 1.0, 0.5, 0.1)
         assert with_sem < without  # similarity reward is subtracted
+
+    @pytest.mark.parametrize("lambda2", [0.0, 1.0, np.inf])
+    @pytest.mark.parametrize("fmt", ["dense", "csr", "csc", "coo"])
+    def test_matches_the_written_out_formula(self, fmt, lambda2):
+        # <Q,C0> - lambda1 <Q, A Q> + lambda2 KL(col, rho/K) + eps (H(Q) + H(slack)), term by term
+        rng = np.random.default_rng(21)
+        n, k, lam1, rho, eps = 40, 4, 3.0, 0.5, 0.1
+        P = random_pred(n, k, seed=22)
+        Q = rng.uniform(0.0, 0.3 / (n * k), size=(n, k))
+        Q[rng.random(Q.shape) < 0.1] = 0.0
+        A = knn_like_adjacency(n, seed=23, k=5)
+        C0 = prediction_cost(P)
+        slack = np.maximum(1.0 / n - Q.sum(axis=1), 0.0)
+        expected = (np.sum(Q * C0) - lam1 * np.sum(Q * (A @ Q))
+                    + weighted_kl_value(Q.sum(axis=0), np.full(k, rho / k), np.full(k, lambda2))
+                    + eps * np.sum(xlogx(Q)) + eps * np.sum(xlogx(slack)))
+        graph = A if fmt == "dense" else sparse.csr_array(A).asformat(fmt)
+        val = sp2ot_objective(Q, C0, graph, lam1, lambda2, rho, eps)
+        assert abs(val - expected) <= 1e-13 * abs(expected)
 
 
 class TestSolve:
