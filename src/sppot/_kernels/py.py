@@ -11,12 +11,21 @@ Each sweep is two (baseline: three) BLAS mat-vecs over the N x K kernel,
 which both hold in Fortran order; the recursion's step and its momentum
 cost O(K) more.
 
+The recursion allocates only the plan it returns. Each thread keeps two
+Fortran-order N x n float64 buffers (`workspace`): the kernel, which the
+start and every absorption write in place, and the extended cost, which
+`ot_core.solve_virtual` writes into. A buffer is reused while the shape
+fits it and replaced when it does not, so a solve at a repeated size maps
+no fresh N x n memory, and threads never share one. No returned array is a
+view of a buffer.
+
 Callers look these functions up on the module (`kernels.scaling_weighted_kl`)
 at call time, never through a name bound at import, so a wrapper installed
 on this module (the perfbench tracer) sees every call.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -35,8 +44,26 @@ MOMENTUM_WARMUP = 3
 MOMENTUM_MIN_RATE = 0.3
 MOMENTUM_RESTART = 2.0
 
+_buffers = threading.local()
 
-def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, upper=None):
+
+def workspace(slot, shape):
+    """This thread's buffer `slot` ("kernel" or "cost"), as a Fortran-order float64 array of `shape`.
+
+    A view of one flat array per slot and thread, kept while it holds the
+    shape in at most twice its entries (so the N x K of a rho = 1 solve and
+    the N x (K+1) of a partial one share it) and replaced otherwise. Its
+    entries are what its last user left; the caller writes every one.
+    """
+    size = shape[0] * shape[1]
+    flat = getattr(_buffers, slot, None)
+    if flat is None or not size <= flat.size <= 2 * size:
+        flat = np.empty(size)
+        setattr(_buffers, slot, flat)
+    return flat[:size].reshape(shape, order="F")
+
+
+def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, upper=None, n_real=None):
     """Stabilized scaling recursion, started from a column potential.
 
     a <- alpha/(M b); b <- w * (beta/(M^T a))^f, then the mass step below,
@@ -120,8 +147,9 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     floor that the lift does not raise (an absorption would zero it).
     The start builds the kernel in place: v0 - C, its row maxima subtracted
     (and any lift added), is divided by eps, exponentiated and floored in
-    that one N x K buffer, and every absorption recomputes M in the same
-    buffer, so a solve holds one N x K array besides C until it forms the plan.
+    this thread's kernel buffer (`workspace`), and every absorption
+    recomputes M in the same buffer. The plan is the only N x K array a
+    solve allocates.
 
     The loop stops once the largest relative change of the column scaling,
     max|b_plain/b - 1|, falls below `tol`; the measure does not depend on the
@@ -143,9 +171,20 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     allocated once a call, and a contiguous run of soft columns is read
     through a slice, so a sweep allocates only K-vectors.
 
-    Returns (Q, iterations, converged, col_potential), where col_potential
-    = v + eps log(b) is the final column potential, the `v0` that
-    warm-starts a solve of a nearby problem.
+    Returns (Q, iterations, converged, col_potential, entropic). Q is the
+    plan's first `n_real` columns (default: all), formed as
+    a[:, None] * M[:, :n_real], then times b[:n_real]; the columns after
+    them (the virtual column) are never formed. col_potential = v + eps
+    log(b) is the final column potential, the `v0` that warm-starts a solve
+    of a nearby problem. entropic is <Q, C> - eps H(Q) over the returned
+    columns, with 0 log 0 := 0, read from the final scalings in O(N + K):
+    in the absorbed frame eps log Q_ij = U_i - C_ij + V_j with
+    U = u + eps log(a) and V = v + eps log(b) (before the mass step's
+    offset is removed), so the term is sum_i U_i r_i + sum_j V_j c_j over
+    the returned plan's row sums r and column sums c. An entry clamped at
+    KERNEL_FLOOR is off that identity by at most ~1e-288. A non-finite
+    entry of the plan, in the columns not returned too, makes entropic
+    non-finite, so one scalar checks the whole plan.
     """
     C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
@@ -202,14 +241,27 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
             b = np.ones(n)
             if upper is not None:
                 cap = _upper_cap(v, upper, epsilon)
-    Q = np.multiply(a[:, None], M, order="C")
-    Q *= b
+    k = n if n_real is None else n_real
+    Q = np.multiply(a[:, None], M[:, :k], order="C")
+    Q *= b[:k]
     with np.errstate(divide="ignore", invalid="ignore"):
         potential = v + epsilon * np.log(b)
+        entropic = _entropic_term(Q, u + epsilon * np.log(a), potential[:k], b[:k] * col[:k])
+        if k < n and not math.isfinite(float(a @ (M[:, k:] @ b[k:]))):  # the unformed columns' mass
+            entropic = math.nan
         if soft is not None:  # remove the offset the mass step leaves (see the docstring)
             lam = epsilon * f[soft] / (1.0 - f[soft])
             potential -= np.mean(potential[soft] - lam * np.log(beta[soft] / (b[soft] * col[soft])))
-    return Q, it, converged, potential
+    return Q, it, converged, potential, entropic
+
+
+def _entropic_term(Q, U, V, c):
+    """sum_i U_i r_i + sum_j V_j c_j, r the row sums of Q, with 0 log 0 := 0 on empty rows and columns.
+
+    A non-finite entry of Q makes its row sum, and so the term, non-finite.
+    """
+    r = Q @ np.ones(Q.shape[1])
+    return float(np.where(r == 0, 0.0, U) @ r + np.where(c == 0, 0.0, V) @ c)
 
 
 def _project(b, col, cap, upper, soft, m_soft):
@@ -278,7 +330,7 @@ def _upper_cap(v, upper, epsilon):
 
 
 def _start(C, v0, f, lift, epsilon):
-    """Row potential, column potential and Fortran-order kernel a solve starts from.
+    """Row potential, column potential and kernel a solve starts from, the kernel in this thread's buffer.
 
     From `v0` when the recursion can recover from it (see
     `scaling_weighted_kl`), else from zeros. A column in the boolean mask
@@ -292,7 +344,7 @@ def _start(C, v0, f, lift, epsilon):
             v0 = None
     if v0 is None:
         v = np.zeros(C.shape[1])
-    shifted = v[None, :] - C  # Fortran order, like C; it becomes the kernel in place
+    shifted = np.subtract(v[None, :], C, out=workspace("kernel", C.shape))  # it becomes the kernel in place
     row_max = shifted.max(axis=1)  # the row potential is u0 = min_j (C_ij - v_j) = -row_max
     shifted -= row_max[:, None]
     col_max = shifted.max(axis=0)  # <= 0, as every row's largest entry is 0
@@ -327,7 +379,8 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
     The loop stops once the largest relative change of the effective column
     scaling s*b falls below `tol`; the total mass is exact after every
     sweep, and for rho < 1 the L1 error of the row marginal plus slack is
-    then at most tol * sum(alpha).
+    then at most tol * sum(alpha). Like the recursion, it also stops at the
+    first sweep whose change is not finite.
 
     Returns (Q, iterations, converged).
     """
@@ -350,8 +403,9 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
         err = float(np.max(np.abs(s_new * b_new / (s * b) - 1.0)))
         b = b_new
         s = s_new
-        if err < tol:
-            converged = True
+        # a non-finite change: the scalings have under- or overflowed
+        if err < tol or not math.isfinite(err):
+            converged = err < tol
             break
     Q = np.multiply(s * a[:, None], M, order="C")
     Q *= b

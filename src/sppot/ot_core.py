@@ -81,7 +81,11 @@ class ScalingConfig:
 class TransportPlan:
     """The plan of one solve, its objective, the kernel sweeps it took (summed
     over the inner solves for SP2OT), and whether the last sweep's change fell
-    under `tol` (see `ScalingConfig`)."""
+    under `tol` (see `ScalingConfig`).
+
+    The objective is `entropic_objective` of the plan (SP2OT: `sp2ot_objective`).
+    The kernel-backed solvers read it from the final scalings, so it equals
+    `entropic_objective` up to rounding."""
 
     coupling: np.ndarray
     objective: float
@@ -182,8 +186,13 @@ def extend_virtual(C0: np.ndarray, rho: float, lam: float) -> ExtendedProblem:
 
     The virtual column absorbs the unselected 1-rho mass under a hard
     (sentinel-weight) equality. At rho = 1 its target is 0, so it is left out.
-    The extended cost is built in Fortran order, the kernel's layout.
+    The extended cost is a fresh array in Fortran order, the kernel's layout.
     """
+    return _extend_virtual(C0, rho, lam, lambda shape: np.empty(shape, order="F"))
+
+
+def _extend_virtual(C0, rho, lam, empty) -> ExtendedProblem:
+    """`extend_virtual`, with the extended cost written into `empty(shape)`, a Fortran-order float64 array."""
     if not 0 < rho <= 1:
         raise ValueError("rho must be in (0, 1]")
     if not lam >= 0:  # NaN fails too
@@ -196,13 +205,12 @@ def extend_virtual(C0: np.ndarray, rho: float, lam: float) -> ExtendedProblem:
     N, K = C0.shape
     beta = np.full(K, rho / K)
     weights = np.full(K, float(lam))
+    C = empty((N, K + 1) if rho < 1 else (N, K))
+    C[:, :K] = C0
     if rho < 1:
-        C = np.zeros((N, K + 1), order="F")
-        C[:, :K] = C0
+        C[:, K] = 0.0
         beta = np.append(beta, 1.0 - rho)
         weights = np.append(weights, np.inf)
-    else:
-        C = np.asfortranarray(C0)
     return ExtendedProblem(C, beta, weights, np.full(N, 1.0 / N))
 
 
@@ -217,9 +225,14 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     """Rows <= 1/N (= 1/N at rho = 1), total mass rho, KL(column marginal,
     rho/K) with weight lam (np.inf: hard columns).
 
-    One kernel solve on the virtual-column extension; returns the plan with
-    the virtual column dropped, the objective of that plan, and the final
-    column potential of the extension. `init`, the `col_potential` of an
+    One kernel solve on the virtual-column extension; returns the plan
+    without the virtual column, the objective of that plan, and the final
+    column potential of the extension. The extended cost goes into this
+    thread's cost buffer (`kernels.workspace`), and the kernel forms only
+    the plan's real columns, so the plan is the only N x K array the solve
+    keeps. The objective is the kernel's entropic term, read from the final
+    scalings, plus the column penalty: `entropic_objective` of the plan up
+    to rounding. `init`, the `col_potential` of an
     earlier plan, warm-starts the kernel; an `init` whose length is not the
     extension's column count (K+1 for rho < 1, K at rho = 1) is ignored.
 
@@ -232,8 +245,8 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     Raises NumericalOverflowError rather than return a plan with a
     non-finite entry.
     """
-    C0 = np.asarray(C0, dtype=float)  # validated by extend_virtual
-    ext = extend_virtual(C0, rho, lam)
+    C0 = np.asarray(C0, dtype=float)  # validated by _extend_virtual
+    ext = _extend_virtual(C0, rho, lam, lambda shape: kernels.workspace("cost", shape))
     K = C0.shape[1]
     f = _exponents(ext.weights, cfg.epsilon)
     beta, up_col = ext.beta, None
@@ -244,18 +257,15 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
             beta = np.append(np.full(K, upper), ext.beta[K:])
             up_col = np.arange(beta.size) < K
     v0 = None if init is None or np.shape(init) != beta.shape else init
-    Q, iters, converged, v = kernels.scaling_weighted_kl(
-        ext.cost_ext, ext.alpha, beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, v0, up_col)
-    _check_finite(Q, iters, cfg.epsilon)
-    if Q.shape[1] > K:
-        Q = Q[:, :K].copy()
-    # C-order cost, like Q: the fast product
-    obj = entropic_objective(Q, C0, ext.beta[:K], ext.weights[:K], cfg.epsilon)
+    Q, iters, converged, v, entropic = kernels.scaling_weighted_kl(
+        ext.cost_ext, ext.alpha, beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, v0, up_col, n_real=K)
+    _check_finite(entropic, iters, cfg.epsilon)  # non-finite where any entry of the plan is
+    obj = entropic + weighted_kl_value(np.ones(Q.shape[0]) @ Q, ext.beta[:K], ext.weights[:K])
     return TransportPlan(Q, obj, iters, converged, v if upper is None else None)
 
 
-def _check_finite(Q: np.ndarray, iters: int, epsilon: float) -> None:
-    """Raise NumericalOverflowError unless every entry of the plan `Q` is finite."""
+def _check_finite(Q, iters: int, epsilon: float) -> None:
+    """Raise NumericalOverflowError unless every entry of the plan `Q` (or the scalar standing for it) is finite."""
     if not np.all(np.isfinite(Q)):
         raise NumericalOverflowError(
             f"non-finite plan after {iters} iterations at epsilon={epsilon}; "

@@ -14,6 +14,13 @@ def random_pred(n: int, k: int, seed: int, temperature: float = 1.0) -> np.ndarr
     return softmax_rows(rng.normal(size=(n, k)) / temperature)
 
 
+def dead_cluster_pred(P: np.ndarray) -> np.ndarray:
+    """P with cluster 0 predicted by no row (probability 1e-9 everywhere)."""
+    P = P.copy()
+    P[:, 0] = 1e-9
+    return P / P.sum(axis=1, keepdims=True)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -1,8 +1,15 @@
+import subprocess
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_pred
+from conftest import dead_cluster_pred, random_pred
+import sppot
 from sppot import ot_core
 from sppot._kernels import py as kernels
 from sppot.ot_core import (
@@ -455,7 +462,7 @@ class TestKernelLayout:
 
         cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
         args = _virtual_kernel_args(random_pred(60, 5, seed=32, temperature=0.5), 0.5, 1.0, cfg)
-        Q, iters, converged, _ = kernels.scaling_weighted_kl(*args)
+        Q, iters, converged, _, _ = kernels.scaling_weighted_kl(*args)
         ref, ref_iters = _reference_cold_kernel(*args)
         assert converged and iters == ref_iters
         npt.assert_allclose(Q, ref, rtol=0, atol=1e-12 * ref.max())
@@ -626,7 +633,7 @@ class TestMassStep:
         cfg = ScalingConfig(epsilon=0.1, tol=1e-13, max_iter=20000)
         rho, lam = SOLVES[name]
         args = _virtual_kernel_args(random_pred(300, 6, seed=42), rho, lam, cfg)
-        Q, iters, converged, v = kernels.scaling_weighted_kl(*args)
+        Q, iters, converged, v, _ = kernels.scaling_weighted_kl(*args)
         ref_Q, ref_iters, ref_converged, ref_v = _step_free_kernel(*args)
         assert converged and ref_converged and iters < ref_iters
         npt.assert_allclose(Q, ref_Q, rtol=0, atol=1e-10 * ref_Q.max())
@@ -712,14 +719,17 @@ SUBLINEAR = {(name, 1e-3, 0.3, 1.0) for name in ("balanced", "pot", "sla")}
 
 
 def _kernel_call(monkeypatch, solve):
-    """Run `solve` and return the positional and keyword arguments of its one kernel call."""
+    """Run `solve` and return the positional and keyword arguments of its one kernel call,
+    less `n_real`: called with them, the kernel returns the whole plan, virtual column included."""
     kernel = kernels.scaling_weighted_kl
     calls = []
     monkeypatch.setattr(kernels, "scaling_weighted_kl", lambda *a, **k: calls.append((a, k)) or kernel(*a, **k))
     solve()
     monkeypatch.setattr(kernels, "scaling_weighted_kl", kernel)
     (call,) = calls
-    return call
+    args, kwargs = call
+    kwargs.pop("n_real")
+    return args, kwargs
 
 
 def _plain_kernel(monkeypatch, *args, **kwargs):
@@ -735,12 +745,12 @@ class TestMomentum:
         cfg = ScalingConfig(epsilon=eps, tol=tol, max_iter=30000)
         P = random_pred(300, 4, seed=61, temperature=temperature)
         args, kwargs = _kernel_call(monkeypatch, lambda: MOMENTUM_FAMILY[name](P, rho, cfg))
-        Q, iters, converged, v = kernels.scaling_weighted_kl(*args, **kwargs)
+        Q, iters, converged, v, entropic = kernels.scaling_weighted_kl(*args, **kwargs)
         again = kernels.scaling_weighted_kl(*args, **kwargs)
         assert again[1] == iters
-        for x, y in zip(again, (Q, iters, converged, v)):
+        for x, y in zip(again, (Q, iters, converged, v, entropic)):
             npt.assert_array_equal(x, y)
-        ref_Q, ref_iters, ref_converged, _ = _plain_kernel(monkeypatch, *args, **kwargs)
+        ref_Q, ref_iters, ref_converged, _, _ = _plain_kernel(monkeypatch, *args, **kwargs)
         assert iters <= ref_iters
         alpha = args[1]
         if converged:  # each row within a factor 1 +- tol of its target, to rounding
@@ -778,8 +788,8 @@ class TestMomentum:
         P = random_pred(300, 4, seed=61, temperature=1.0)
         args, kwargs = _kernel_call(monkeypatch, lambda: solve_sla(P, 0.1, 0.25, cfg))
         monkeypatch.setattr(kernels._Momentum, "weights", spy)
-        Q, iters, converged, _ = kernels.scaling_weighted_kl(*args, **kwargs)
-        ref_Q, ref_iters, ref_converged, _ = _plain_kernel(monkeypatch, *args, **kwargs)
+        Q, iters, converged, _, _ = kernels.scaling_weighted_kl(*args, **kwargs)
+        ref_Q, ref_iters, ref_converged, _, _ = _plain_kernel(monkeypatch, *args, **kwargs)
         assert restarts and converged and ref_converged and iters < ref_iters
         npt.assert_allclose(Q, ref_Q, rtol=0, atol=1e-8 * ref_Q.max())
 
@@ -809,3 +819,151 @@ class TestSweepBudget:
                           solve_sla(P, rho, 1.0 / k, cfg)]
         assert all(plan.converged for plan in plans)
         assert sum(plan.iterations for plan in plans) <= self.CEILING
+
+
+# MOMENTUM_FAMILY at K = 10 columns, with SLA's bound at 1.2 rho/K, where it
+# binds on the popular clusters.
+KERNEL_FAMILY = {**MOMENTUM_FAMILY, "sla": lambda P, rho, cfg: solve_sla(P, rho, 1.2 * rho / 10, cfg)}
+POSTERIORS = {
+    "flat": lambda: random_pred(512, 10, seed=0),
+    "peaked": lambda: random_pred(512, 10, seed=0, temperature=0.3),
+    "dead": lambda: dead_cluster_pred(random_pred(512, 10, seed=0)),  # no row predicts cluster 0
+}
+OBJECTIVE_GRID = [f"{name}-{eps}-{posterior}-{rho}"
+                  for name in KERNEL_FAMILY
+                  for eps in (0.1, 1e-2, 1e-3)
+                  for posterior in POSTERIORS
+                  for rho in ((1.0,) if name in ("balanced", "uot") else (0.1, 0.5, 1.0))]
+# Cells that raise: the soft dead column is not lifted at the start, and the
+# first absorption zeroes it (ROADMAP direction 8).
+RAISES = {f"{name}-{eps}-dead-{rho}" for eps in (1e-2, 1e-3)
+          for name, rhos in (("uot", (1.0,)), ("p2ot", (0.1, 0.5, 1.0))) for rho in rhos}
+# Cells that solve but warn: an absorption zeroes the dead upper-bounded column's
+# kernel, and its bound update divides by its zero mass; the plan leaves it empty.
+EMPTY_COLUMN_WARNS = {"sla-0.01-dead-0.1", "sla-0.01-dead-0.5", "sla-0.001-dead-0.1", "sla-0.001-dead-0.5",
+                      "sla-0.001-dead-1.0"}
+
+
+class TestObjectiveFromScalings:
+    @pytest.mark.parametrize("cell", OBJECTIVE_GRID)
+    def test_equals_the_entropic_objective_of_the_plan(self, cell):
+        name, eps, posterior, rho = cell.split("-")
+        eps, rho = float(eps), float(rho)
+        P = POSTERIORS[posterior]()
+        cfg = ScalingConfig(epsilon=eps)
+        if cell in RAISES:
+            with np.errstate(all="ignore"), pytest.raises(ot_core.NumericalOverflowError):
+                KERNEL_FAMILY[name](P, rho, cfg)
+            return
+        if cell in EMPTY_COLUMN_WARNS:
+            with pytest.warns(RuntimeWarning, match="divide by zero"):
+                plan = KERNEL_FAMILY[name](P, rho, cfg)
+            assert np.any(plan.col_marginal() == 0)
+        else:
+            plan = KERNEL_FAMILY[name](P, rho, cfg)
+        K = P.shape[1]
+        lam = 1.0 if name in ("uot", "p2ot") else np.inf
+        ref = entropic_objective(plan.coupling, ot_core.prediction_cost(P), np.full(K, rho / K), np.full(K, lam), eps)
+        assert np.isfinite(plan.objective)
+        assert abs(plan.objective - ref) <= 1e-12 * abs(ref)
+        if name == "sla" and rho < 1:  # the bound holds and binds
+            upper = 1.2 * rho / K
+            col = plan.col_marginal()
+            assert col.max() <= upper * (1 + 1e-12) and np.any(col >= upper * (1 - cfg.tol))
+
+
+    def test_a_non_finite_virtual_column_still_raises(self, monkeypatch):
+        # the kernel never forms the virtual column, yet a NaN there raises:
+        # a zero virtual kernel column sends its scaling to inf in sweep 1
+        start = kernels._start
+
+        def zero_virtual_column(*args):
+            u, v, M = start(*args)
+            M[:, -1] = 0.0
+            return u, v, M
+
+        monkeypatch.setattr(kernels, "_start", zero_virtual_column)
+        with np.errstate(all="ignore"), pytest.raises(ot_core.NumericalOverflowError, match="after 1 iterations"):
+            solve_pot(random_pred(50, 4, seed=66), 0.5, ScalingConfig(epsilon=0.1))
+
+
+class TestAllocation:
+    # A warm solve allocates the cost -log P, the plan it returns and
+    # vectors; the extended cost and the kernel live in this thread's
+    # workspace, which N x K (rho = 1) and N x (K+1) solves share. Before
+    # the workspace and the real-column plan it peaked at 5.25-5.55x the
+    # plan's bytes.
+    @pytest.mark.parametrize("name", ["balanced", "uot", "pot", "sla", "p2ot"])
+    def test_a_warm_solve_peaks_under_3_5_plans(self, name):
+        P = random_pred(2000, 10, seed=62)
+        cfg = ScalingConfig(epsilon=0.1)
+        KERNEL_FAMILY[name](P, 0.5, cfg)
+        KERNEL_FAMILY["p2ot"](P, 0.5, cfg)  # the last solve before the traced one extends the cost
+        tracemalloc.start()
+        try:
+            plan = KERNEL_FAMILY[name](P, 0.5, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * plan.coupling.nbytes
+
+
+def _p2ot_solve(P):
+    return ot_core.solve_virtual(ot_core.prediction_cost(P), 0.5, 1.0, ScalingConfig(epsilon=0.1))
+
+
+def _assert_owns_its_arrays(plan):
+    """Neither the plan nor its potential is a view of this thread's workspace."""
+    for slot in ("kernel", "cost"):
+        buf = getattr(kernels._buffers, slot)
+        assert not np.shares_memory(plan.coupling, buf)
+        assert not np.shares_memory(plan.col_potential, buf)
+
+
+class TestWorkspace:
+    def test_threads_solving_at_once_get_the_serial_plans(self):
+        inputs = [random_pred(512, 10, seed=63), random_pred(512, 10, seed=64)]
+        serial = [_p2ot_solve(P) for P in inputs]
+
+        def solve_many(P):
+            plans = []
+            for _ in range(100):
+                plans.append(_p2ot_solve(P))
+                _assert_owns_its_arrays(plans[-1])
+            return plans
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(solve_many, P) for P in inputs]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for ref, plans in zip(serial, results):
+            assert len(plans) == 100
+            for plan in plans:
+                npt.assert_array_equal(plan.coupling, ref.coupling)
+                npt.assert_array_equal(plan.col_potential, ref.col_potential)
+                assert plan.iterations == ref.iterations and plan.objective == ref.objective
+
+    def test_a_shape_change_gives_the_plans_of_fresh_processes(self, tmp_path):
+        # the workspace is replaced at 5632 rows and again at 512
+        sizes = (512, 5632, 512)
+        plans = [_p2ot_solve(random_pred(n, 10, seed=65)) for n in sizes]
+        for plan in plans:
+            _assert_owns_its_arrays(plan)
+        src = Path(sppot.__file__).resolve().parents[1]
+        tests = Path(__file__).resolve().parent
+        for n in sorted(set(sizes)):
+            script = (f"import sys; sys.path[:0] = [{str(src)!r}, {str(tests)!r}]\n"
+                      "import numpy as np\n"
+                      "from conftest import random_pred\n"
+                      "from test_ot_core import _p2ot_solve\n"
+                      f"plan = _p2ot_solve(random_pred({n}, 10, seed=65))\n"
+                      f"np.savez({str(tmp_path / f'{n}.npz')!r}, Q=plan.coupling, v=plan.col_potential)\n")
+            subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
+        for n, plan in zip(sizes, plans):
+            with np.load(tmp_path / f"{n}.npz") as fresh:
+                npt.assert_array_equal(plan.coupling, fresh["Q"])
+                npt.assert_array_equal(plan.col_potential, fresh["v"])

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_pred
+from conftest import dead_cluster_pred, random_pred
 import sppot
 from sppot import oracle, p2ot
 from sppot.ot_core import (
@@ -31,13 +31,6 @@ def make_problem(n, k, rho, seed, lam=1.0, eps=0.1, tol=1e-8, max_iter=5000):
 def random_problem(n, k, rho, seed, lam=1.0, epsilon=0.1):
     """Seeded instance on `random_pred(n, k, seed)` at the default stopping rule."""
     return P2otProblem(random_pred(n, k, seed), rho, lam, ScalingConfig(epsilon=epsilon))
-
-
-def dead_cluster_pred(P):
-    """P with cluster 0 predicted by no row (probability 1e-9 everywhere)."""
-    P = P.copy()
-    P[:, 0] = 1e-9
-    return P / P.sum(axis=1, keepdims=True)
 
 
 class TestValidation:
@@ -201,8 +194,8 @@ class TestFastSolver:
         real = kernels.scaling_weighted_kl
         iterations = []
 
-        def spy(*args):
-            out = real(*args)
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
             iterations.append(out[1])
             return out
 
@@ -283,7 +276,7 @@ class TestBaselineAgreement:
         # a cost far below zero overflows exp(-C/eps); the baseline raises
         # rather than return the NaN plan
         prob = make_problem(20, 3, 0.5, seed=0, max_iter=50)
-        with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError, match="after 50 iterations"):
+        with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError, match="after 1 iterations"):
             solve_p2ot_gsa(prob, cost=np.full((20, 3), -1e3))
 
     def test_agreement_exact_at_full_mass(self):
