@@ -7,17 +7,20 @@ The generalized scaling baseline serves `p2ot.solve_p2ot_gsa` only. Both
 end a sweep with one exact scalar mass step: the recursion rescales its
 soft (KL-penalized) columns to the mass that the rows and hard columns
 leave them, the baseline rescales the whole plan to the total mass rho.
-Each sweep is two (baseline: three) BLAS mat-vecs over the N x K kernel,
-which both hold in Fortran order; the recursion's step and its momentum
-cost O(K) more.
+Each sweep is two BLAS mat-vecs over the N x K kernel, which both hold in
+Fortran order; the recursion's step and its momentum cost O(K) more.
+
+One floored exponentiation, `_floored_exp`, builds every kernel: the
+recursion's start, each of its absorptions, and the baseline's.
 
 The recursion allocates only the plan it returns. Each thread keeps two
 Fortran-order N x n float64 buffers (`workspace`): the kernel, which the
 start and every absorption write in place, and the extended cost, which
-`ot_core.solve_virtual` writes into. A buffer is reused while the shape
-fits it and replaced when it does not, so a solve at a repeated size maps
-no fresh N x n memory, and threads never share one. No returned array is a
-view of a buffer.
+`ot_core.solve_virtual` writes into. A buffer is kept while the shape fits
+it and replaced by one of the shape's size when it does not, so a thread
+holds at most its largest solve's two buffers, a solve no larger than an
+earlier one maps no fresh N x n memory, and threads never share a buffer.
+No returned array is a view of a buffer.
 
 Callers look these functions up on the module (`kernels.scaling_weighted_kl`)
 at call time, never through a name bound at import, so a wrapper installed
@@ -50,14 +53,14 @@ _buffers = threading.local()
 def workspace(slot, shape):
     """This thread's buffer `slot` ("kernel" or "cost"), as a Fortran-order float64 array of `shape`.
 
-    A view of one flat array per slot and thread, kept while it holds the
-    shape in at most twice its entries (so the N x K of a rho = 1 solve and
-    the N x (K+1) of a partial one share it) and replaced otherwise. Its
-    entries are what its last user left; the caller writes every one.
+    A view of the front of one flat array per slot and thread, kept while
+    the shape fits in it and replaced by one of the shape's size otherwise,
+    so a thread holds at most its largest solve's two buffers. Its entries
+    are what its last user left; the caller writes every one.
     """
     size = shape[0] * shape[1]
     flat = getattr(_buffers, slot, None)
-    if flat is None or not size <= flat.size <= 2 * size:
+    if flat is None or flat.size < size:
         flat = np.empty(size)
         setattr(_buffers, slot, flat)
     return flat[:size].reshape(shape, order="F")
@@ -138,18 +141,25 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     every kernel entry under the floor (a cluster that no row predicts, at
     small eps) is lifted: its start potential rises until its largest entry
     is 1. The column scaling takes the difference up, so the fixed point is
-    the same; unlifted, the first absorption zeroed the column and the plan
-    turned NaN. Other columns start as they are. Soft columns (f < 1) start
-    from the weight w0 = exp(v0 (f-1)/eps). A `v0` the recursion could not
-    recover from is ignored, and the solve starts from zeros: one that is
-    not finite, whose soft-column weights lie beyond ABSORB_THRESHOLD in either
-    direction, or that leaves a column with every kernel entry under the
-    floor that the lift does not raise (an absorption would zero it).
-    The start builds the kernel in place: v0 - C, its row maxima subtracted
-    (and any lift added), is divided by eps, exponentiated and floored in
-    this thread's kernel buffer (`workspace`), and every absorption
-    recomputes M in the same buffer. The plan is the only N x K array a
-    solve allocates.
+    the same. Other columns start as they are: a soft or upper-bounded
+    column with every entry at the floor climbs off it through the
+    absorptions, and at eps 1e-3 a soft one overflows first. Soft columns
+    (f < 1) start from the weight w0 = exp(v0 (f-1)/eps). A `v0` the
+    recursion could not recover from is ignored, and the solve starts from
+    zeros: one that is not finite, whose soft-column weights lie beyond
+    ABSORB_THRESHOLD in either direction, or that leaves a column with every
+    kernel entry under the floor that the lift does not raise.
+    Every kernel is built in place in this thread's kernel buffer
+    (`workspace`) by one floored exponentiation, `_floored_exp`: its
+    argument is divided by eps, exponentiated and floored at KERNEL_FLOOR.
+    The start's argument is v0 - C less its row maxima (plus any lift), an
+    absorption's is (u - C) + v, in that order, so a stabilized absorption
+    rebuilds the kernel the start would (Schmitzer, "Stabilized sparse
+    scaling algorithms for entropy regularized transport problems", SIAM J.
+    Sci. Comput. 2019). The floor keeps a column whose entries all
+    underflow nonzero, so its update never divides by a zero mass; where
+    no entry falls under it, it moves no iterate. The plan is the only
+    N x K array a solve allocates.
 
     The loop stops once the largest relative change of the column scaling,
     max|b_plain/b - 1|, falls below `tol`; the measure does not depend on the
@@ -232,11 +242,10 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
             u += epsilon * np.log(a)
             v += epsilon * np.log(b)
             w = np.where(hard, 1.0, w * b ** (f - 1.0))
-            # M = exp((u - C + v)/eps), in M's own buffer and in that operation order
+            # the start's floored kernel, exp((u - C + v)/eps), in M's own buffer and in that operation order
             np.subtract(u[:, None], C, out=M)
             M += v
-            M /= epsilon
-            np.exp(M, out=M)
+            _floored_exp(M, epsilon)
             a.fill(1.0)
             b = np.ones(n)
             if upper is not None:
@@ -333,9 +342,10 @@ def _start(C, v0, f, lift, epsilon):
     """Row potential, column potential and kernel a solve starts from, the kernel in this thread's buffer.
 
     From `v0` when the recursion can recover from it (see
-    `scaling_weighted_kl`), else from zeros. A column in the boolean mask
-    `lift` whose every kernel entry would fall under the floor has its
-    potential raised so that its largest entry is 1.
+    `scaling_weighted_kl`), else from zeros. The kernel is `_floored_exp`
+    of v - C less its row maxima. A column in the boolean mask `lift` whose
+    every kernel entry would fall under the floor has its potential raised
+    so that its largest entry is 1.
     """
     if v0 is not None:
         v = np.array(v0, dtype=np.float64)  # a copy: the loop updates it in place
@@ -356,10 +366,19 @@ def _start(C, v0, f, lift, epsilon):
         col_max += lifted
     if v0 is not None and col_max.min() / epsilon < LOG_FLOOR:
         return _start(C, None, f, lift, epsilon)
-    shifted /= epsilon
-    np.exp(shifted, out=shifted)
-    np.maximum(shifted, KERNEL_FLOOR, out=shifted)
-    return -row_max, v, shifted
+    return -row_max, v, _floored_exp(shifted, epsilon)
+
+
+def _floored_exp(M, epsilon):
+    """M <- max(exp(M/eps), KERNEL_FLOOR) in place, and M: a kernel from its exponent's argument.
+
+    The one build of every kernel: the recursion's start and absorptions,
+    and the baseline's. The floor keeps a column whose entries all underflow
+    nonzero, so its scaling update never divides by a zero mass.
+    """
+    M /= epsilon
+    np.exp(M, out=M)
+    return np.maximum(M, KERNEL_FLOOR, out=M)
 
 
 def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
@@ -380,14 +399,16 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
     scaling s*b falls below `tol`; the total mass is exact after every
     sweep, and for rho < 1 the L1 error of the row marginal plus slack is
     then at most tol * sum(alpha). Like the recursion, it also stops at the
-    first sweep whose change is not finite.
+    first sweep whose change is not finite. The mass step's M b_new is the
+    next sweep's M b, so a sweep runs two mat-vecs, not three.
 
     Returns (Q, iterations, converged).
     """
     C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
-    M = np.maximum(np.exp(-C / epsilon), KERNEL_FLOOR)
+    M = _floored_exp(np.negative(C), epsilon)
     b = np.ones(n)
+    Mb = M @ b
     s = 1.0
     relaxed = rho < 1.0
     converged = False
@@ -395,11 +416,12 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
     a = np.ones(m)
     for it in range(1, max_iter + 1):
         if relaxed:
-            a = alpha / (1.0 + s * (M @ b))
+            a = alpha / (1.0 + s * Mb)
         else:
-            a = np.minimum(alpha / (s * (M @ b)), 1.0)
+            a = np.minimum(alpha / (s * Mb), 1.0)
         b_new = (beta / (s * (M.T @ a))) ** f
-        s_new = rho / float(a @ (M @ b_new))
+        Mb = M @ b_new
+        s_new = rho / float(a @ Mb)
         err = float(np.max(np.abs(s_new * b_new / (s * b) - 1.0)))
         b = b_new
         s = s_new

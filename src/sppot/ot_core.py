@@ -155,63 +155,17 @@ def weighted_kl_value(x: np.ndarray, target: np.ndarray, weights) -> float:
     return val
 
 
-def clamp_probabilities(pred: np.ndarray) -> np.ndarray:
-    """Floor probabilities so -log stays finite."""
-    P = np.asarray(pred, dtype=float)
-    if P.ndim != 2:
-        raise DimensionMismatchError("prediction matrix must be 2-D")
-    return np.maximum(P, PROB_FLOOR)
-
-
 def prediction_cost(pred: np.ndarray) -> np.ndarray:
     """The pseudo-label cost -log(max(P, PROB_FLOOR)), computed in one buffer.
 
     Raises DimensionMismatchError unless `pred` is 2-D.
     """
-    C = clamp_probabilities(pred)
+    P = np.asarray(pred, dtype=float)
+    if P.ndim != 2:
+        raise DimensionMismatchError("prediction matrix must be 2-D")
+    C = np.maximum(P, PROB_FLOOR)
     np.log(C, out=C)
     return np.negative(C, out=C)
-
-
-@dataclass(frozen=True)
-class ExtendedProblem:
-    cost_ext: np.ndarray  # N x (K+1) in Fortran order, last column identically zero; N x K at rho = 1
-    beta: np.ndarray  # [rho/K * 1_K ; 1-rho]
-    weights: np.ndarray  # [lam, ..., lam, inf]
-    alpha: np.ndarray  # (1/N) * 1_N
-
-
-def extend_virtual(C0: np.ndarray, rho: float, lam: float) -> ExtendedProblem:
-    """Append the zero-cost virtual column and build the extended marginals.
-
-    The virtual column absorbs the unselected 1-rho mass under a hard
-    (sentinel-weight) equality. At rho = 1 its target is 0, so it is left out.
-    The extended cost is a fresh array in Fortran order, the kernel's layout.
-    """
-    return _extend_virtual(C0, rho, lam, lambda shape: np.empty(shape, order="F"))
-
-
-def _extend_virtual(C0, rho, lam, empty) -> ExtendedProblem:
-    """`extend_virtual`, with the extended cost written into `empty(shape)`, a Fortran-order float64 array."""
-    if not 0 < rho <= 1:
-        raise ValueError("rho must be in (0, 1]")
-    if not lam >= 0:  # NaN fails too
-        raise ValueError("lam must be >= 0 (np.inf: hard columns)")
-    C0 = np.asarray(C0, dtype=float)
-    if C0.ndim != 2 or C0.shape[0] < 1 or C0.shape[1] < 1:
-        raise DimensionMismatchError(f"cost matrix must be 2-D and nonempty, got shape {C0.shape}")
-    if not np.all(np.isfinite(C0)):
-        raise ValueError("cost matrix entries must be finite")
-    N, K = C0.shape
-    beta = np.full(K, rho / K)
-    weights = np.full(K, float(lam))
-    C = empty((N, K + 1) if rho < 1 else (N, K))
-    C[:, :K] = C0
-    if rho < 1:
-        C[:, K] = 0.0
-        beta = np.append(beta, 1.0 - rho)
-        weights = np.append(weights, np.inf)
-    return ExtendedProblem(C, beta, weights, np.full(N, 1.0 / N))
 
 
 def _exponents(weights: np.ndarray, epsilon: float) -> np.ndarray:
@@ -227,40 +181,64 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
 
     One kernel solve on the virtual-column extension; returns the plan
     without the virtual column, the objective of that plan, and the final
-    column potential of the extension. The extended cost goes into this
-    thread's cost buffer (`kernels.workspace`), and the kernel forms only
-    the plan's real columns, so the plan is the only N x K array the solve
-    keeps. The objective is the kernel's entropic term, read from the final
-    scalings, plus the column penalty: `entropic_objective` of the plan up
-    to rounding. `init`, the `col_potential` of an
-    earlier plan, warm-starts the kernel; an `init` whose length is not the
-    extension's column count (K+1 for rho < 1, K at rho = 1) is ignored.
+    column potential of the extension. The extension is C0 with a zero-cost
+    virtual column appended, which holds the unselected 1-rho mass under a
+    hard equality; at rho = 1 its target is 0, so it is left out. It is
+    written straight into this thread's cost buffer (`kernels.workspace`),
+    and the kernel forms only the plan's real columns, so the plan is the
+    only N x K array the solve keeps. The objective is the kernel's
+    entropic term, read from the final scalings, plus the column penalty:
+    `entropic_objective` of the plan up to rounding. `init`, the
+    `col_potential` of an earlier plan, warm-starts the kernel; an `init`
+    whose length is not the extension's column count (K+1 for rho < 1, K at
+    rho = 1) is ignored.
 
     `upper` (SLA; lam must be np.inf) bounds each real column's mass by
-    `upper` instead of pinning it at rho/K; the caller checks that
-    K * upper >= rho. When K * upper <= rho (1 + MASS_RTOL) every bound
-    binds, so the program is partial OT's and the columns are solved as
-    hard ones. Such a plan carries no column potential.
+    `upper` instead of pinning it at rho/K. It must be > 0, and K * upper
+    must reach rho (to 1e-12), else InfeasibleProblemError. When
+    K * upper <= rho (1 + MASS_RTOL) every bound binds, so the program is
+    partial OT's and the columns are solved as hard ones. Such a plan
+    carries no column potential.
 
-    Raises NumericalOverflowError rather than return a plan with a
-    non-finite entry.
+    Raises ValueError on rho outside (0, 1], a negative or NaN lam, a
+    non-finite cost entry or a bad `upper`, DimensionMismatchError unless
+    C0 is 2-D and nonempty, and NumericalOverflowError rather than return a
+    plan with a non-finite entry.
     """
-    C0 = np.asarray(C0, dtype=float)  # validated by _extend_virtual
-    ext = _extend_virtual(C0, rho, lam, lambda shape: kernels.workspace("cost", shape))
-    K = C0.shape[1]
-    f = _exponents(ext.weights, cfg.epsilon)
-    beta, up_col = ext.beta, None
+    if not 0 < rho <= 1:
+        raise ValueError("rho must be in (0, 1]")
+    if not lam >= 0:  # NaN fails too
+        raise ValueError("lam must be >= 0 (np.inf: hard columns)")
+    C0 = np.asarray(C0, dtype=float)
+    if C0.ndim != 2 or C0.shape[0] < 1 or C0.shape[1] < 1:
+        raise DimensionMismatchError(f"cost matrix must be 2-D and nonempty, got shape {C0.shape}")
+    if not np.all(np.isfinite(C0)):
+        raise ValueError("cost matrix entries must be finite")
+    N, K = C0.shape
     if upper is not None:
+        if not upper > 0:  # NaN fails too
+            raise ValueError("upper must be > 0")
         if lam != np.inf:
             raise ValueError("an upper column bound needs hard columns (lam = np.inf)")
-        if K * upper > rho * (1 + MASS_RTOL):
-            beta = np.append(np.full(K, upper), ext.beta[K:])
-            up_col = np.arange(beta.size) < K
+        if K * upper < rho - 1e-12:
+            raise InfeasibleProblemError(f"column bound too small: K*upper = {K * upper} < rho = {rho}")
+    n = K + 1 if rho < 1 else K
+    C = kernels.workspace("cost", (N, n))
+    C[:, :K] = C0
+    C[:, K:] = 0.0  # the virtual column
+    target = np.full(K, rho / K)
+    weights = np.full(K, float(lam))
+    beta = np.append(target, 1.0 - rho)[:n]
+    f = np.append(_exponents(weights, cfg.epsilon), 1.0)[:n]
+    up_col = None
+    if upper is not None and K * upper > rho * (1 + MASS_RTOL):
+        beta[:K] = upper
+        up_col = np.arange(n) < K
     v0 = None if init is None or np.shape(init) != beta.shape else init
     Q, iters, converged, v, entropic = kernels.scaling_weighted_kl(
-        ext.cost_ext, ext.alpha, beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, v0, up_col, n_real=K)
+        C, np.full(N, 1.0 / N), beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, v0, up_col, n_real=K)
     _check_finite(entropic, iters, cfg.epsilon)  # non-finite where any entry of the plan is
-    obj = entropic + weighted_kl_value(np.ones(Q.shape[0]) @ Q, ext.beta[:K], ext.weights[:K])
+    obj = entropic + weighted_kl_value(np.ones(N) @ Q, target, weights)
     return TransportPlan(Q, obj, iters, converged, v if upper is None else None)
 
 
@@ -297,12 +275,4 @@ def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) ->
     upper-bounded instead of pinned to rho/K. The plan carries no column
     potential.
     """
-    if not 0 < rho <= 1:
-        raise ValueError("rho must be in (0, 1]")
-    if not upper > 0:  # NaN fails too
-        raise ValueError("upper must be > 0")
-    C0 = prediction_cost(pred)
-    K = C0.shape[1]
-    if K * upper < rho - 1e-12:
-        raise InfeasibleProblemError(f"column bound too small: K*upper = {K * upper} < rho = {rho}")
-    return solve_virtual(C0, rho, np.inf, cfg, upper=upper)
+    return solve_virtual(prediction_cost(pred), rho, np.inf, cfg, upper=upper)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sppot._kernels import py as kernels
+
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
@@ -19,6 +21,24 @@ def dead_cluster_pred(P: np.ndarray) -> np.ndarray:
     P = P.copy()
     P[:, 0] = 1e-9
     return P / P.sum(axis=1, keepdims=True)
+
+
+def _kernel_call(monkeypatch, solve):
+    """Run `solve` and return the positional and keyword arguments of its one kernel call,
+    less `n_real`: called with them, the kernel returns the whole plan, virtual column included.
+
+    The cost, the first argument, is copied at the call: it is this thread's cost buffer,
+    which the next solve overwrites."""
+    kernel = kernels.scaling_weighted_kl
+    calls = []
+    monkeypatch.setattr(kernels, "scaling_weighted_kl",
+                        lambda C, *a, **k: calls.append(((np.array(C), *a), dict(k))) or kernel(C, *a, **k))
+    solve()
+    monkeypatch.setattr(kernels, "scaling_weighted_kl", kernel)
+    (call,) = calls
+    args, kwargs = call
+    kwargs.pop("n_real")
+    return args, kwargs
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ import conftest
 from conftest import random_pred
 from sppot import bench, metrics, oracle
 from sppot.curriculum import Schedule, rho_at
-from sppot.ot_core import ScalingConfig, clamp_probabilities, solve_balanced_ot, solve_uot
+from sppot.ot_core import ScalingConfig, prediction_cost, solve_balanced_ot, solve_uot
 from sppot.p2ot import P2otProblem, solve_p2ot_fast, solve_p2ot_gsa
 from sppot.sp2ot import Sp2otProblem, lambda1_decayed, solve_sp2ot, sp2ot_gradient
 
@@ -106,7 +106,7 @@ def test_criterion_03_oracle_equivalence():
         P = rng.dirichlet(np.full(k, 2.0), size=n)
         prob = P2otProblem(P, rho, 1.0, ScalingConfig(epsilon=eps, tol=1e-11, max_iter=200000))
         plan = solve_p2ot_fast(prob)
-        C = -np.log(clamp_probabilities(P))
+        C = prediction_cost(P)
         caps = np.full(n, 1.0 / n)
         col_kl = (np.full(k, rho / k), 1.0)
         ref = oracle.pgd_entropic(
@@ -117,7 +117,7 @@ def test_criterion_03_oracle_equivalence():
         worst = max(worst, abs(solver_obj - ref.objective) / max(abs(ref.objective), 1e-12))
     # part B: balanced solver's transport cost approaches the exact LP from above
     P = np.random.default_rng(8).dirichlet(np.full(3, 2.0), size=8)
-    C = -np.log(clamp_probabilities(P))
+    C = prediction_cost(P)
     lp = oracle.lp_exact_tiny(C, row_eq=np.full(8, 1 / 8), col_eq=np.full(3, 1 / 3))
     lp_gaps = []
     for eps in (0.5, 0.1, 0.02):

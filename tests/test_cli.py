@@ -61,12 +61,12 @@ class TestP2otSolve:
         assert exc.value.code == 1
 
     def test_non_finite_plan_exits_1_without_output(self, tmp_path):
-        # at eps = 3e-4 and rho 0.5 this instance's kernel underflows and the plan turns NaN
+        # at eps = 1e-4 and rho 0.5 this instance's kernel underflows and the plan turns NaN
         pred = tmp_path / "pred.csv"
         io_mod.write_matrix_csv(pred, random_pred(512, 10, seed=0))
         out = tmp_path / "o.csv"
         with np.errstate(all="ignore"), pytest.raises(SystemExit) as exc:
-            main(["p2ot", "solve", "--pred", str(pred), "--rho", "0.5", "--eps", "3e-4", "--out", str(out)])
+            main(["p2ot", "solve", "--pred", str(pred), "--rho", "0.5", "--eps", "1e-4", "--out", str(out)])
         assert exc.value.code == 1
         assert not out.exists()
 

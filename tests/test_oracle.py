@@ -14,7 +14,7 @@ from sppot.oracle import (
     oracle_objective,
     pgd_entropic,
 )
-from sppot.ot_core import ScalingConfig, clamp_probabilities, solve_balanced_ot
+from sppot.ot_core import ScalingConfig, prediction_cost, solve_balanced_ot
 
 
 def qp_projection(Y, constraints_builder, x0=None):
@@ -152,7 +152,7 @@ class TestCapMassProjection:
 class TestPgd:
     def test_balanced_matches_scaling_solver(self):
         P = random_pred(6, 3, seed=5)
-        C = -np.log(clamp_probabilities(P))
+        C = prediction_cost(P)
         eps = 0.5
         plan = solve_balanced_ot(P, ScalingConfig(epsilon=eps, tol=1e-12, max_iter=20000))
         res = pgd_entropic(
@@ -167,7 +167,7 @@ class TestPgd:
 
     def test_failure_raised_when_budget_too_small(self):
         P = random_pred(6, 3, seed=6)
-        C = -np.log(clamp_probabilities(P))
+        C = prediction_cost(P)
         with pytest.raises(OracleFailure):
             pgd_entropic(
                 C, 0.5,
@@ -178,7 +178,7 @@ class TestPgd:
 
     def test_objective_trace_decreases(self):
         P = random_pred(8, 3, seed=7)
-        C = -np.log(clamp_probabilities(P))
+        C = prediction_cost(P)
         res = pgd_entropic(
             C, 0.5,
             row_cap=np.full(8, 1 / 8),

@@ -4,14 +4,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import dead_cluster_pred, random_pred
+from conftest import _kernel_call, dead_cluster_pred, random_pred
 import sppot
 from sppot import oracle, p2ot
 from sppot.ot_core import (
     NumericalOverflowError,
     ScalingConfig,
-    clamp_probabilities,
-    extend_virtual,
+    prediction_cost,
     solve_balanced_ot,
     solve_pot,
     solve_uot,
@@ -69,23 +68,28 @@ class TestValidation:
 
 
 class TestExtension:
-    def test_extended_shapes_and_values(self):
+    def test_extended_shapes_and_values(self, monkeypatch):
+        # the kernel's arguments: the extended cost, row and column targets and column exponents
         C0 = np.arange(18.0).reshape(6, 3)
-        ext = extend_virtual(C0, 0.4, 2.0)
-        assert ext.cost_ext.shape == (6, 4)
-        npt.assert_array_equal(ext.cost_ext[:, :3], C0)
-        npt.assert_array_equal(ext.cost_ext[:, 3], np.zeros(6))
-        npt.assert_allclose(ext.beta, [0.4 / 3] * 3 + [0.6])
-        npt.assert_array_equal(ext.weights, [2.0, 2.0, 2.0, np.inf])
-        npt.assert_allclose(ext.alpha, np.full(6, 1 / 6))
+        eps = 0.1
+        (C, alpha, beta, f, *_), _ = _kernel_call(
+            monkeypatch, lambda: solve_virtual(C0, 0.4, 2.0, ScalingConfig(epsilon=eps)))
+        assert C.shape == (6, 4)
+        npt.assert_array_equal(C[:, :3], C0)
+        npt.assert_array_equal(C[:, 3], np.zeros(6))
+        npt.assert_allclose(beta, [0.4 / 3] * 3 + [0.6])
+        npt.assert_array_equal(f, [2.0 / (2.0 + eps)] * 3 + [1.0])
+        npt.assert_allclose(alpha, np.full(6, 1 / 6))
 
-    def test_full_mass_has_no_virtual_column(self):
+    def test_full_mass_has_no_virtual_column(self, monkeypatch):
         # at rho = 1 the virtual column's target is 0, so it is left out
         C0 = np.arange(8.0).reshape(4, 2)
-        ext = extend_virtual(C0, 1.0, 3.0)
-        npt.assert_array_equal(ext.cost_ext, C0)
-        npt.assert_allclose(ext.beta, [0.5, 0.5])
-        npt.assert_array_equal(ext.weights, [3.0, 3.0])
+        eps = 0.1
+        (C, _, beta, f, *_), _ = _kernel_call(
+            monkeypatch, lambda: solve_virtual(C0, 1.0, 3.0, ScalingConfig(epsilon=eps)))
+        npt.assert_array_equal(C, C0)
+        npt.assert_allclose(beta, [0.5, 0.5])
+        npt.assert_array_equal(f, [3.0 / (3.0 + eps)] * 2)
 
     def test_cost_override(self):
         prob = make_problem(4, 2, 0.5, seed=2)
@@ -152,7 +156,7 @@ class TestFastSolver:
         assert abs(plan.total_mass() - 0.1) <= tol
 
     def test_non_finite_plan_raises(self, monkeypatch):
-        # at eps = 3e-4 and rho < 1 the zero-cost virtual column is every
+        # at eps = 1e-4 and rho < 1 the zero-cost virtual column is every
         # row's cheapest, so the real columns of the kernel underflow and the
         # plan turns NaN. The solvers raise instead of returning the plan.
         # Balanced OT on a cluster that no row predicts no longer turns NaN
@@ -160,7 +164,7 @@ class TestFastSolver:
         # entry is set to NaN there.
         from sppot._kernels import py as kernels
 
-        prob = random_problem(512, 10, 0.5, seed=0, epsilon=3e-4)
+        prob = random_problem(512, 10, 0.5, seed=0, epsilon=1e-4)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
             solve_p2ot_fast(prob)
         start = kernels._start
@@ -190,7 +194,7 @@ class TestFastSolver:
         # the kernel stops at the first NaN sweep instead of running to max_iter
         from sppot._kernels import py as kernels
 
-        prob = random_problem(512, 10, 0.5, seed=0, epsilon=3e-4)
+        prob = random_problem(512, 10, 0.5, seed=0, epsilon=1e-4)
         real = kernels.scaling_weighted_kl
         iterations = []
 
@@ -315,7 +319,7 @@ class TestBaselineAgreement:
             prob = P2otProblem(P, rho, 1.0, ScalingConfig(epsilon=eps, tol=1e-11, max_iter=200000))
             plan = solve_p2ot_gsa(prob)
             assert plan.converged
-            C = -np.log(clamp_probabilities(P))
+            C = prediction_cost(P)
             caps = np.full(n, 1.0 / n)
             col_kl = (np.full(k, rho / k), 1.0)
             ref = oracle.pgd_entropic(
