@@ -174,7 +174,8 @@ def pseudo_label_quality(plan: np.ndarray, labels: np.ndarray) -> PseudoLabelQua
     Precision is over selected samples, recall over all samples; weighted
     variants weight correctness by row mass (recall against the ideal total
     mass of 1). Clusters are matched to classes by count-maximizing
-    assignment on the selected samples.
+    assignment on the selected samples (`metrics.LabelAssignment`), over the
+    clusters and classes they hold; a cluster matched to no class is wrong.
     """
     Q = np.asarray(plan, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -182,14 +183,14 @@ def pseudo_label_quality(plan: np.ndarray, labels: np.ndarray) -> PseudoLabelQua
     sel = w > 0
     if not np.any(sel):
         return PseudoLabelQuality.no_selection()
-    hard = np.argmax(Q[sel], axis=1)
-    mapping = metrics_mod.hungarian_match(metrics_mod.confusion_counts(hard, labels[sel]))
-    mapped = metrics_mod.map_labels(mapping, hard)
-    correct = mapped == labels[sel]
+    truth = labels[sel]
+    assignment = metrics_mod.LabelAssignment.build(np.argmax(Q[sel], axis=1), truth)
+    n_correct = int(assignment.matched.sum())
+    correct = metrics_mod.mapped_predictions(assignment) == truth
     ws = w[sel]
     return PseudoLabelQuality(
-        precision=float(np.mean(correct)),
-        recall=float(np.sum(correct)) / labels.size,
+        precision=n_correct / truth.size,
+        recall=n_correct / labels.size,
         weighted_precision=float(np.sum(ws * correct) / ws.sum()),
         weighted_recall=float(np.sum(ws * correct)),
         n_selected=int(sel.sum()),

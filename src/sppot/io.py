@@ -74,7 +74,7 @@ def read_matrix_csv(path) -> np.ndarray:
                 raise FormatError(f"line {lineno}: non-numeric value") from exc
     if len(data) != rows:
         raise FormatError(f"expected {rows} data rows, got {len(data)}")
-    return np.asarray(data, dtype=float)
+    return np.asarray(data, dtype=float).reshape(rows, cols)
 
 
 def write_matrix_bin(path, matrix: np.ndarray) -> None:
@@ -90,7 +90,10 @@ def read_matrix_bin(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}; expected {MAGIC!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
+        dims = fh.read(16)
+        if len(dims) != 16:
+            raise FormatError(f"truncated header: expected 16 dimension bytes, got {len(dims)}")
+        rows, cols = struct.unpack("<QQ", dims)
         payload = fh.read()
     expected = rows * cols * 8
     if len(payload) != expected:

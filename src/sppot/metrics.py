@@ -1,4 +1,8 @@
-"""Clustering evaluation: matched accuracy, NMI, macro-F1, ARI, size splits."""
+"""Clustering evaluation: matched accuracy, NMI, macro-F1, ARI, size splits.
+
+Every metric reads one contingency table over the labels in use, so its cost
+is set by the number of distinct labels, not by the largest label id.
+"""
 
 from __future__ import annotations
 
@@ -8,36 +12,54 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class LabelAssignment:
-    predicted: np.ndarray
-    truth: np.ndarray
-    mapping: dict  # cluster id -> class id
+def _table(predicted, truth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct true ids, each sample's cluster row, and joint[row, column].
 
-    @classmethod
-    def build(cls, predicted, truth) -> "LabelAssignment":
-        predicted = np.asarray(predicted, dtype=int)
-        truth = np.asarray(truth, dtype=int)
-        if predicted.size != truth.size or predicted.size == 0:
-            raise ValueError("predicted and truth must be nonempty and equal length")
-        conf = confusion_counts(predicted, truth)
-        return cls(predicted, truth, hungarian_match(conf))
-
-
-def confusion_counts(predicted, truth) -> np.ndarray:
-    """Square count matrix conf[cluster, class], zero-padded if needed.
-
-    Raises ValueError on a negative label, which would otherwise index from
-    the end and count as the last cluster or class.
+    Rows are the distinct predicted ids and columns the distinct true ids, both
+    ascending; joint[i, j] counts the samples in the i-th cluster and j-th class.
+    Raises ValueError on labelings of unequal length, on an empty one, and on a
+    negative label (such as -1 for "unassigned").
     """
     predicted = np.asarray(predicted, dtype=int)
     truth = np.asarray(truth, dtype=int)
+    if predicted.size != truth.size or predicted.size == 0:
+        raise ValueError("predicted and truth must be nonempty and equal length")
     if predicted.min() < 0 or truth.min() < 0:
         raise ValueError("labels must be nonnegative integers")
-    k = int(max(predicted.max(), truth.max())) + 1
-    conf = np.zeros((k, k), dtype=int)
-    np.add.at(conf, (predicted, truth), 1)
-    return conf
+    clusters, rows = np.unique(predicted, return_inverse=True)
+    classes, cols = np.unique(truth, return_inverse=True)
+    k = classes.size
+    joint = np.bincount(rows * k + cols, minlength=clusters.size * k).reshape(clusters.size, k)
+    return classes, rows, joint
+
+
+@dataclass(frozen=True)
+class LabelAssignment:
+    """One labeling pair's contingency table and its count-maximizing matching.
+
+    `joint` is `_table`'s count table, `classes` its column ids and `rows`
+    each sample's row. `match[i]` is the column that row i is matched to, or
+    -1 when the matching gives it no class (more clusters than classes), and
+    `matched[j]` counts the samples of class j in its matched cluster (0 when
+    no cluster is matched to it). Ties between matchings of equal total go
+    the way `hungarian_match` breaks them on the table.
+    """
+
+    classes: np.ndarray
+    rows: np.ndarray
+    joint: np.ndarray
+    match: np.ndarray
+    matched: np.ndarray
+
+    @classmethod
+    def build(cls, predicted, truth) -> "LabelAssignment":
+        classes, rows, joint = _table(predicted, truth)
+        match = np.fromiter(hungarian_match(joint).values(), dtype=int)[: joint.shape[0]]
+        match[match >= classes.size] = -1
+        hit = np.flatnonzero(match >= 0)
+        matched = np.zeros(classes.size, dtype=int)
+        matched[match[hit]] = joint[hit, match[hit]]
+        return cls(classes, rows, joint, match, matched)
 
 
 def hungarian_match(confusion: np.ndarray) -> dict:
@@ -116,32 +138,15 @@ def _max_weight_assignment(W: np.ndarray) -> list[int]:
     return col4row
 
 
-def map_labels(mapping: dict, labels) -> np.ndarray:
-    """`labels` sent through a `hungarian_match` mapping, by one gather from a lookup array.
-
-    Raises ValueError on a negative label, as `confusion_counts` does: the
-    gather would wrap it to the last cluster's class.
-    """
-    labels = np.asarray(labels, dtype=int)
-    if labels.size and labels.min() < 0:
-        raise ValueError("labels must be nonnegative integers")
-    lookup = np.zeros(max(mapping) + 1, dtype=int)
-    lookup[np.fromiter(mapping.keys(), dtype=int)] = np.fromiter(mapping.values(), dtype=int)
-    return lookup[labels]
-
-
 def mapped_predictions(assignment: LabelAssignment) -> np.ndarray:
-    return map_labels(assignment.mapping, assignment.predicted)
+    """Each sample's matched class id, or -1 where its cluster is matched to no class."""
+    a = assignment
+    return np.where(a.match >= 0, a.classes[a.match], -1)[a.rows]
 
 
 def class_averaged_acc(assignment: LabelAssignment) -> float:
     """Mean over true classes of within-class accuracy under the matching."""
-    mapped = mapped_predictions(assignment)
-    accs = []
-    for c in np.unique(assignment.truth):
-        mask = assignment.truth == c
-        accs.append(float(np.mean(mapped[mask] == c)))
-    return float(np.mean(accs))
+    return float(np.mean(assignment.matched / assignment.joint.sum(axis=0)))
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -150,22 +155,7 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _contingency(predicted, truth) -> np.ndarray:
-    """Float counts joint[i, j] of samples in the i-th distinct predicted and j-th distinct true label."""
-    predicted = np.asarray(predicted, dtype=int)
-    truth = np.asarray(truth, dtype=int)
-    if predicted.size == 0:
-        raise ValueError("labels must be nonempty")
-    _, pi = np.unique(predicted, return_inverse=True)
-    _, ti = np.unique(truth, return_inverse=True)
-    joint = np.zeros((pi.max() + 1, ti.max() + 1))
-    np.add.at(joint, (pi, ti), 1.0)
-    return joint
-
-
-def nmi(predicted, truth) -> float:
-    """2 I(Y;C) / (H(Y) + H(C)), with 0 log 0 := 0."""
-    joint = _contingency(predicted, truth)
+def _nmi(joint: np.ndarray) -> float:
     pj = joint / joint.sum()
     pp = pj.sum(axis=1)
     pt = pj.sum(axis=0)
@@ -178,22 +168,25 @@ def nmi(predicted, truth) -> float:
     return float(np.clip(2.0 * mi / (hp + ht), 0.0, 1.0))
 
 
+def nmi(predicted, truth) -> float:
+    """2 I(Y;C) / (H(Y) + H(C)), with 0 log 0 := 0."""
+    return _nmi(_table(predicted, truth)[2])
+
+
 def macro_f1(assignment: LabelAssignment) -> float:
-    """Per-true-class F1 under the matched labels, averaged over classes."""
-    mapped = mapped_predictions(assignment)
-    scores = []
-    for c in np.unique(assignment.truth):
-        tp = float(np.sum((mapped == c) & (assignment.truth == c)))
-        fp = float(np.sum((mapped == c) & (assignment.truth != c)))
-        fn = float(np.sum((mapped != c) & (assignment.truth == c)))
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(scores))
+    """Per-true-class F1 under the matched labels, averaged over classes.
+
+    A class's F1 is 2 tp / (|matched cluster| + |class|), with an empty
+    cluster for a class that no cluster is matched to.
+    """
+    a = assignment
+    hit = a.match >= 0
+    predicted_as = np.zeros(a.classes.size, dtype=int)
+    predicted_as[a.match[hit]] = a.joint.sum(axis=1)[hit]
+    return float(np.mean(2 * a.matched / (predicted_as + a.joint.sum(axis=0))))
 
 
-def ari(predicted, truth) -> float:
-    """Adjusted Rand index by pair counting."""
-    joint = _contingency(predicted, truth)
+def _ari(joint: np.ndarray) -> float:
     n = float(joint.sum())
 
     def comb2(x):
@@ -210,6 +203,11 @@ def ari(predicted, truth) -> float:
     return float((sum_ij - expected) / (max_index - expected))
 
 
+def ari(predicted, truth) -> float:
+    """Adjusted Rand index by pair counting."""
+    return _ari(_table(predicted, truth)[2])
+
+
 def hmt_split(class_counts) -> tuple[list[int], list[int], list[int]]:
     """Head/medium/tail class partition by descending size, 3:4:3 by count.
 
@@ -218,36 +216,29 @@ def hmt_split(class_counts) -> tuple[list[int], list[int], list[int]]:
     """
     counts = np.asarray(class_counts)
     k = counts.size
-    order = sorted(range(k), key=lambda i: (-counts[i], i))
+    order = np.argsort(-counts, kind="stable").tolist()
     n_edge = int(0.3 * k)
-    head = order[:n_edge]
-    tail = order[k - n_edge :] if n_edge else []
-    medium = order[n_edge : k - n_edge] if n_edge else order
-    return list(head), list(medium), list(tail)
+    return order[:n_edge], order[n_edge : k - n_edge], order[k - n_edge :]
 
 
 def hmt_accuracies(assignment: LabelAssignment) -> dict:
     """Class-averaged accuracy restricted to head/medium/tail classes."""
-    counts = np.bincount(assignment.truth)
-    classes = np.unique(assignment.truth)
-    head, medium, tail = hmt_split(counts[classes])
-    mapped = mapped_predictions(assignment)
-    out = {}
-    for name, idxs in (("head", head), ("medium", medium), ("tail", tail)):
-        cls = classes[idxs] if len(idxs) else []
-        accs = [float(np.mean(mapped[assignment.truth == c] == c)) for c in cls]
-        out[name] = float(np.mean(accs)) if accs else float("nan")
-    return out
+    sizes = assignment.joint.sum(axis=0)
+    accs = assignment.matched / sizes
+    return {
+        name: float(np.mean(accs[idxs])) if idxs else float("nan")
+        for name, idxs in zip(("head", "medium", "tail"), hmt_split(sizes))
+    }
 
 
 def evaluate(predicted, truth) -> dict:
-    """All clustering metrics in one record."""
+    """All clustering metrics in one record, read from one table."""
     assignment = LabelAssignment.build(predicted, truth)
     out = {
         "acc": class_averaged_acc(assignment),
-        "nmi": nmi(predicted, truth),
+        "nmi": _nmi(assignment.joint),
         "f1": macro_f1(assignment),
-        "ari": ari(predicted, truth),
+        "ari": _ari(assignment.joint),
     }
     out.update({f"acc_{k}": v for k, v in hmt_accuracies(assignment).items()})
     return out

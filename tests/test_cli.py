@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from conftest import random_pred
 from sppot import io as io_mod
 from sppot.cli import cli, main
+from sppot.metrics import evaluate
 
 
 @pytest.fixture
@@ -59,6 +60,15 @@ class TestP2otSolve:
         with pytest.raises(SystemExit) as exc:
             main(["p2ot", "solve", "--pred", str(bad), "--rho", "0.5", "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 1
+
+    def test_truncated_binary_matrix_exits_1_with_one_line(self, capsys, tmp_path):
+        bad = tmp_path / "short.bin"
+        bad.write_bytes(b"OTM1" + b"\x00" * 3)
+        with pytest.raises(SystemExit) as exc:
+            main(["p2ot", "solve", "--pred", str(bad), "--rho", "0.5", "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "truncated header" in err[0], err
 
     def test_non_finite_plan_exits_1_without_output(self, tmp_path):
         # at eps = 1e-4 and rho 0.5 this instance's kernel underflows and the plan turns NaN
@@ -268,6 +278,20 @@ class TestMetricsEval:
         assert "acc=1.000000" in result.output
         record = json.loads(out.read_text())["metrics"]
         assert record["acc"] == 1.0
+
+    def test_large_label_id(self, runner, tmp_path):
+        # one predicted id of 40,000 among 2,000 labels: the record of the compacted labels
+        rng = np.random.default_rng(40)
+        truth = rng.integers(0, 10, size=2000)
+        pred = np.where(rng.random(2000) < 0.8, truth, rng.integers(0, 10, size=2000))
+        pred[3] = 40_000
+        io_mod.write_labels(tmp_path / "truth.txt", truth)
+        io_mod.write_labels(tmp_path / "pred.txt", pred)
+        result = runner.invoke(cli, ["metrics", "eval", "--predicted", str(tmp_path / "pred.txt"),
+                                     "--truth", str(tmp_path / "truth.txt")])
+        assert result.exit_code == 0, result.output
+        compacted = evaluate(np.unique(pred, return_inverse=True)[1], truth)
+        assert result.output.splitlines() == [f"{k}={v:.6f}" for k, v in compacted.items()]
 
     def test_empty_labels_exit_1(self, tmp_path):
         truth = tmp_path / "truth.txt"

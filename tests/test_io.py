@@ -59,6 +59,14 @@ class TestMatrixCsv:
         with pytest.raises(FormatError):
             read_matrix_csv(p)
 
+    def test_no_rows_keeps_the_header_shape(self, tmp_path):
+        # as the binary reader does for the same matrix
+        p = tmp_path / "m.csv"
+        p.write_text("0,3\n")
+        assert read_matrix_csv(p).shape == (0, 3)
+        write_matrix_bin(tmp_path / "m.bin", np.zeros((0, 3)))
+        assert read_matrix_bin(tmp_path / "m.bin").shape == (0, 3)
+
 
 class TestMatrixBin:
     def test_roundtrip_exact(self, tmp_path):
@@ -80,6 +88,13 @@ class TestMatrixBin:
         data = p.read_bytes()
         p.write_bytes(data[:-4])
         with pytest.raises(FormatError):
+            read_matrix_bin(p)
+
+    def test_truncated_header(self, tmp_path):
+        # shorter than the 20-byte header: a FormatError, not struct.error
+        p = tmp_path / "m.bin"
+        p.write_bytes(b"OTM1" + b"\x00" * 3)
+        with pytest.raises(FormatError, match="truncated header"):
             read_matrix_bin(p)
 
     def test_dispatch_by_extension(self, tmp_path):

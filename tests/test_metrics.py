@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,13 +10,11 @@ from sppot.metrics import (
     LabelAssignment,
     ari,
     class_averaged_acc,
-    confusion_counts,
     evaluate,
     hmt_accuracies,
     hmt_split,
     hungarian_match,
     macro_f1,
-    map_labels,
     mapped_predictions,
     nmi,
 )
@@ -36,28 +35,76 @@ class TestConfusion:
     def test_counts(self):
         pred = [0, 0, 1, 2]
         truth = [1, 1, 0, 2]
-        conf = confusion_counts(pred, truth)
+        a = LabelAssignment.build(pred, truth)
         expected = np.array([[0, 2, 0], [1, 0, 0], [0, 0, 1]])
-        npt.assert_array_equal(conf, expected)
+        npt.assert_array_equal(a.joint, expected)
+        npt.assert_array_equal(a.matched, [1, 2, 1])
 
-    def test_square_padding(self):
-        conf = confusion_counts([0, 3], [0, 1])
-        assert conf.shape == (4, 4)
+    def test_table_is_over_the_labels_in_use(self):
+        # ids 0 and 3 make a 2 x 2 table, not a 4 x 4 one sized by the largest id
+        a = LabelAssignment.build([0, 3, 3], [0, 1, 1])
+        npt.assert_array_equal(a.joint, [[1, 0], [0, 2]])
+        npt.assert_array_equal(mapped_predictions(a), [0, 1, 1])
+
+    def test_unmatched_cluster_maps_to_minus_one(self):
+        # three clusters, two classes: the matching leaves the smallest cluster without a class
+        a = LabelAssignment.build([0, 0, 1, 1, 2], [0, 0, 1, 1, 1])
+        npt.assert_array_equal(mapped_predictions(a), [0, 0, 1, 1, -1])
+        npt.assert_array_equal(a.matched, [2, 2])
 
     @pytest.mark.parametrize("side", ["predicted", "truth"])
     def test_negative_label_rejected(self, side):
-        # -1 ("unassigned") would index the last row or column and count as a match there
+        # -1 ("unassigned") is not a label: it must not be counted as a cluster or class
         labels = {"predicted": [0, 1, 1], "truth": [0, 1, 1]}
         labels[side] = [0, 1, -1]
-        with pytest.raises(ValueError, match="nonnegative"):
-            confusion_counts(labels["predicted"], labels["truth"])
-        with pytest.raises(ValueError, match="nonnegative"):
-            evaluate(labels["predicted"], labels["truth"])
+        for fn in (LabelAssignment.build, evaluate, nmi):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(labels["predicted"], labels["truth"])
 
-    def test_map_labels_rejects_negative_label(self):
-        # the lookup gather would wrap -1 to the last cluster's class
-        with pytest.raises(ValueError, match="nonnegative"):
-            map_labels(hungarian_match(5 * np.eye(3)), [0, 1, -1])
+    @pytest.mark.parametrize("fn", [nmi, ari, evaluate])
+    @pytest.mark.parametrize("truth", [[1], [0, 1, 2]], ids=["one", "three"])
+    def test_unequal_lengths_rejected(self, fn, truth):
+        # a single truth label used to broadcast, and nmi and ari returned 0.0
+        with pytest.raises(ValueError, match="nonempty and equal length"):
+            fn([0, 1, 2, 0], truth)
+
+
+def rank(labels):
+    return np.unique(labels, return_inverse=True)[1]
+
+
+class TestLabelIds:
+    """Every metric depends on which samples share a label, not on the label ids."""
+
+    def test_record_equals_the_ranked_labels_record(self):
+        rng = np.random.default_rng(27)
+        for trial in range(60):
+            kp, kt = (int(k) for k in rng.integers(2, 31, size=2))
+            n = int(rng.integers(kp + kt, 400))
+            truth = rng.integers(0, kt, size=n)
+            pred = np.where(rng.random(n) < 0.6, truth % kp, rng.integers(0, kp, size=n))
+            # strictly increasing id maps, with gaps and ids up to 10**9
+            ids_p = np.sort(rng.choice(10**9, size=kp, replace=False))
+            ids_t = np.sort(rng.choice(10**9, size=kt, replace=False))
+            if trial % 2:
+                ids_t = np.arange(kt) * 7 + 3
+            # exact equality, NaN (an empty head/tail group) included
+            npt.assert_equal(evaluate(ids_p[pred], ids_t[truth]), evaluate(rank(pred), rank(truth)), err_msg=str(trial))
+
+    def test_large_id_costs_no_memory(self):
+        rng = np.random.default_rng(4)
+        truth = rng.integers(0, 10, size=2000)
+        pred = truth.copy()
+        pred[7] = 10**9
+        evaluate(pred, truth)  # warm
+        tracemalloc.start()
+        try:
+            record = evaluate(pred, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+        npt.assert_equal(record, evaluate(rank(pred), truth))
 
 
 class TestHungarian:
@@ -75,15 +122,6 @@ class TestHungarian:
         conf = np.array([[5, 0], [0, 5], [1, 1]])
         mapping = hungarian_match(conf)
         assert mapping[0] == 0 and mapping[1] == 1
-
-    @pytest.mark.parametrize("shape", [(3, 5), (6, 2)])
-    def test_lookup_mapping_equals_dict_mapping_when_padded(self, shape):
-        rng = np.random.default_rng(1)
-        conf = rng.integers(0, 20, size=shape)
-        mapping = hungarian_match(conf)
-        assert len(mapping) == max(shape)  # the padded square's bijection
-        labels = rng.integers(0, max(shape), size=200)
-        npt.assert_array_equal(map_labels(mapping, labels), [mapping[int(p)] for p in labels])
 
 
 class TestHungarianMatchesScipy:
