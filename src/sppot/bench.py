@@ -137,11 +137,8 @@ class MemoryBuffer:
         if self._p1 is None:
             self._p1 = np.empty((cap, p1.shape[1]), dtype=p1.dtype)
             self._p2 = np.empty((cap, p2.shape[1]), dtype=p2.dtype)
+        p1, p2, indices = p1[-cap:], p2[-cap:], indices[-cap:]  # only the newest `cap` rows survive
         n = len(indices)
-        if n >= cap:  # only the newest `cap` rows survive; they fill the ring from slot 0
-            self._p1[:], self._p2[:], self._idx[:] = p1[n - cap:], p2[n - cap:], indices[n - cap:]
-            self._head, self._size = 0, cap
-            return
         first = min(n, cap - self._head)  # rows before the write wraps to slot 0
         for ring, rows in ((self._p1, p1), (self._p2, p2), (self._idx, indices)):
             ring[self._head:self._head + first] = rows[:first]
@@ -150,24 +147,10 @@ class MemoryBuffer:
         self._size = min(self._size + n, cap)
 
 
-@dataclass(frozen=True)
-class PseudoLabelQuality:
-    precision: float
-    recall: float
-    weighted_precision: float
-    weighted_recall: float
-    n_selected: int
-
-    @property
-    def empty(self) -> bool:
-        return self.n_selected == 0
-
-    @classmethod
-    def no_selection(cls) -> "PseudoLabelQuality":
-        return cls(float("nan"), float("nan"), float("nan"), float("nan"), 0)
+QUALITY_FIELDS = ("precision", "recall", "weighted_precision", "weighted_recall")
 
 
-def pseudo_label_quality(plan: np.ndarray, labels: np.ndarray) -> PseudoLabelQuality:
+def pseudo_label_quality(plan: np.ndarray, labels: np.ndarray) -> dict:
     """Precision/recall of hard pseudo-labels, plus mass-weighted variants.
 
     Hard label = row argmax (zero-mass rows excluded); weights = row sums.
@@ -176,25 +159,22 @@ def pseudo_label_quality(plan: np.ndarray, labels: np.ndarray) -> PseudoLabelQua
     mass of 1). Clusters are matched to classes by count-maximizing
     assignment on the selected samples (`metrics.LabelAssignment`), over the
     clusters and classes they hold; a cluster matched to no class is wrong.
+    Returns a dict keyed by `QUALITY_FIELDS`, all NaN when no row carries mass.
     """
     Q = np.asarray(plan, dtype=float)
     labels = np.asarray(labels, dtype=int)
     w = Q.sum(axis=1)
     sel = w > 0
     if not np.any(sel):
-        return PseudoLabelQuality.no_selection()
+        return dict.fromkeys(QUALITY_FIELDS, float("nan"))
     truth = labels[sel]
     assignment = metrics_mod.LabelAssignment.build(np.argmax(Q[sel], axis=1), truth)
     n_correct = int(assignment.matched.sum())
     correct = metrics_mod.mapped_predictions(assignment) == truth
     ws = w[sel]
-    return PseudoLabelQuality(
-        precision=n_correct / truth.size,
-        recall=n_correct / labels.size,
-        weighted_precision=float(np.sum(ws * correct) / ws.sum()),
-        weighted_recall=float(np.sum(ws * correct)),
-        n_selected=int(sel.sum()),
-    )
+    values = (n_correct / truth.size, n_correct / labels.size,
+              float(np.sum(ws * correct) / ws.sum()), float(np.sum(ws * correct)))
+    return dict(zip(QUALITY_FIELDS, values))
 
 
 _DEFAULTS = default_hyperparameters()
@@ -227,7 +207,6 @@ class TrainConfig:
 class RunHistory:
     epochs: list = field(default_factory=list)  # one metrics record per epoch
     loss_trace: list = field(default_factory=list)  # (epoch, iter, loss, loss/rho, rho)
-    config: dict = field(default_factory=dict)
 
     @property
     def final(self) -> dict:
@@ -241,8 +220,9 @@ def buffer_adjacency(A: sparse.csr_array, idx: np.ndarray) -> sparse.csr_array:
     return A_sub
 
 
-def _solve_pseudo_labels(choice, P, rho, lam1, cfg: TrainConfig, A_sub, scfg, init=None) -> ot_core.TransportPlan:
-    """One pseudo-label solve; `init` warm-starts OT, UOT, POT and P2OT (the others ignore it)."""
+def _solve_pseudo_labels(P, rho, cfg: TrainConfig, A_sub, scfg, init=None) -> ot_core.TransportPlan:
+    """One `cfg.solver` pseudo-label solve; `init` warm-starts OT, UOT, POT and P2OT (the others ignore it)."""
+    choice = cfg.solver
     if choice == "OT":
         return ot_core.solve_balanced_ot(P, scfg, init)
     if choice == "UOT":
@@ -255,6 +235,7 @@ def _solve_pseudo_labels(choice, P, rho, lam1, cfg: TrainConfig, A_sub, scfg, in
     if choice == "P2OT":
         return p2ot.solve_p2ot_fast(p2ot.P2otProblem(P, rho, cfg.lambda2, scfg), init=init)
     if choice == "SP2OT":
+        lam1 = sp2ot.lambda1_decayed(cfg.lambda1_0, rho)
         problem = sp2ot.Sp2otProblem(P, A_sub, lam1, cfg.lambda2, rho, cfg.epsilon, inner=scfg)
         plan, _ = sp2ot.solve_sp2ot(problem)
         return plan
@@ -276,8 +257,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
     quality for that epoch.
     """
     cfg = config
-    solver_choice = cfg.solver
-    if solver_choice not in SOLVER_CHOICES:
+    if cfg.solver not in SOLVER_CHOICES:
         raise ValueError(f"solver must be one of {SOLVER_CHOICES}")
     rng = np.random.default_rng(cfg.seed)
     N, D = dataset.features.shape
@@ -287,7 +267,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
 
     # adjacency frozen from the raw features, built once up front; only SP2OT reads it
     A = None
-    if solver_choice == "SP2OT":
+    if cfg.solver == "SP2OT":
         feats = FeatureSet(X)
         A = build_knn_graph(gaussian_similarity(feats, median_bandwidth(feats)), cfg.knn_k).adjacency
 
@@ -303,14 +283,13 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
     total_steps = cfg.epochs * iters_per_epoch
     schedule = Schedule(cfg.schedule_kind, cfg.rho0, total_steps)
 
-    history = RunHistory(config={"solver": solver_choice, "seed": cfg.seed})
+    history = RunHistory()
     step = 0
     step_potential = full_potential = None  # warm starts of the step and epoch-end solves
     for epoch in range(1, cfg.epochs + 1):
         for it in range(iters_per_epoch):
             step += 1
             rho = rho_at(schedule, min(step, schedule.total_steps))
-            lam1 = sp2ot.lambda1_decayed(cfg.lambda1_0, rho) if solver_choice == "SP2OT" else 0.0
             batch = rng.choice(N, size=min(cfg.batch_size, N), replace=False)
             noise = rng.normal(size=(2, batch.size, D)) * (cfg.noise_scale * feat_std)
             X1 = X[batch] + noise[0]
@@ -321,9 +300,9 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
             assert idx.shape[0] == M1.shape[0] == M2.shape[0]
             A_sub = None if A is None else buffer_adjacency(A, idx)
             try:
-                plan1 = _solve_pseudo_labels(solver_choice, M1, rho, lam1, cfg, A_sub, scfg, step_potential)
+                plan1 = _solve_pseudo_labels(M1, rho, cfg, A_sub, scfg, step_potential)
                 step_potential = plan1.col_potential
-                plan2 = _solve_pseudo_labels(solver_choice, M2, rho, lam1, cfg, A_sub, scfg, step_potential)
+                plan2 = _solve_pseudo_labels(M2, rho, cfg, A_sub, scfg, step_potential)
                 step_potential = plan2.col_potential
             except (ot_core.NumericalOverflowError, ot_core.InfeasibleProblemError) as exc:
                 log.warning("solver failed at epoch %d iter %d: %s", epoch, it, exc)
@@ -346,24 +325,15 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
         predicted = np.argmax(P_full, axis=1)
         record = metrics_mod.evaluate(predicted, dataset.labels)
         rho_epoch = rho_at(schedule, min(step, schedule.total_steps))
-        lam1_epoch = sp2ot.lambda1_decayed(cfg.lambda1_0, rho_epoch) if solver_choice == "SP2OT" else 0.0
         try:
-            full = _solve_pseudo_labels(solver_choice, P_full, rho_epoch, lam1_epoch, cfg, A, scfg, full_potential)
+            full = _solve_pseudo_labels(P_full, rho_epoch, cfg, A, scfg, full_potential)
         except (ot_core.NumericalOverflowError, ot_core.InfeasibleProblemError) as exc:
             log.warning("full-dataset solve failed at epoch %d: %s", epoch, exc)
-            quality, max_share = PseudoLabelQuality.no_selection(), float("nan")
+            quality, max_share = dict.fromkeys(QUALITY_FIELDS, float("nan")), float("nan")
         else:
             full_potential, Q_full = full.col_potential, full.coupling
             quality = pseudo_label_quality(Q_full, dataset.labels)
             max_share = float(np.max(Q_full.sum(axis=0)) / max(Q_full.sum(), 1e-300))
-        record.update(
-            epoch=epoch,
-            rho=rho_epoch,
-            precision=quality.precision,
-            recall=quality.recall,
-            weighted_precision=quality.weighted_precision,
-            weighted_recall=quality.weighted_recall,
-            max_cluster_share=max_share,
-        )
+        record.update(epoch=epoch, rho=rho_epoch, **quality, max_cluster_share=max_share)
         history.epochs.append(record)
     return history

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -43,6 +43,17 @@ def _out_dir(path) -> Path:
     if base and not path.is_absolute():
         return Path(base) / path
     return path
+
+
+def _out_paths(out_path, suffix) -> tuple[Path, Path]:
+    """The resolved output path and its companion file, which takes `suffix` in
+    its place. Raises click.ClickException if the two coincide, so a command
+    checks this before it solves or writes anything."""
+    out = _out_dir(out_path)
+    companion = out.with_suffix(suffix)
+    if companion == out:
+        raise click.ClickException(f"--out {out_path} would be overwritten by its companion {suffix} file")
+    return out, companion
 
 
 def _load_config(path, schema) -> dict:
@@ -92,6 +103,7 @@ def p2ot_group():
 @click.option("--strict", is_flag=True, help="Exit 2 if the solver does not converge.")
 def p2ot_solve(pred_path, rho, lam, eps, tol, max_iter, out_path, strict):
     """Solve one instance from a prediction matrix file."""
+    out_path, summary_path = _out_paths(out_path, ".json")
     try:
         P = io_mod.read_matrix(pred_path)
         cfg = ot_core.ScalingConfig(epsilon=eps, tol=tol, max_iter=max_iter)
@@ -101,7 +113,6 @@ def p2ot_solve(pred_path, rho, lam, eps, tol, max_iter, out_path, strict):
         raise click.ClickException(str(exc)) from exc
     if strict and not plan.converged:
         raise NonConvergenceError(f"solver stopped after {plan.iterations} iterations without converging")
-    out_path = _out_dir(out_path)
     io_mod.write_matrix(out_path, plan.coupling)
     residuals = {
         "max_row_excess": float(np.max(plan.row_marginal() - 1.0 / P.shape[0])),
@@ -109,7 +120,7 @@ def p2ot_solve(pred_path, rho, lam, eps, tol, max_iter, out_path, strict):
     }
     config = {"pred": str(pred_path), "rho": rho, "lambda": lam, "eps": eps, "tol": tol, "max_iter": max_iter}
     io_mod.write_json(
-        Path(out_path).with_suffix(".json"),
+        summary_path,
         _summary(
             {
                 "objective": plan.objective,
@@ -144,6 +155,7 @@ def sp2ot_group():
 @click.option("--strict", is_flag=True)
 def sp2ot_solve(pred_path, graph_path, lambda1, lambda2, rho, eps, out_path, strict):
     """Solve one instance from a prediction matrix and a triplet adjacency."""
+    out_path, summary_path = _out_paths(out_path, ".json")
     try:
         P = io_mod.read_matrix(pred_path)
         rows, cols, vals = io_mod.read_triplets_csv(graph_path)
@@ -154,14 +166,13 @@ def sp2ot_solve(pred_path, graph_path, lambda1, lambda2, rho, eps, out_path, str
         raise click.ClickException(str(exc)) from exc
     if strict and not plan.converged:
         raise NonConvergenceError("inner solver did not converge at the final outer iteration")
-    out_path = _out_dir(out_path)
     io_mod.write_matrix(out_path, plan.coupling)
     config = {
         "pred": str(pred_path), "graph": str(graph_path), "lambda1": lambda1,
         "lambda2": lambda2, "rho": rho, "eps": eps,
     }
     io_mod.write_json(
-        Path(out_path).with_suffix(".json"),
+        summary_path,
         _summary(
             {
                 "objective": plan.objective,
@@ -292,18 +303,10 @@ def _run_from_config(cfg: dict, solver: str, seed: int) -> tuple:
     ds = cfg["dataset"]
     root = np.random.default_rng(np.random.SeedSequence(seed))
     data_seed = int(root.integers(2**63))
-    train_opts = dict(cfg.get("train", {}))
-    if "eps" in train_opts:
-        train_opts["epsilon"] = train_opts.pop("eps")
-    sched = cfg.get("schedule", {})
-    tc = bench_mod.TrainConfig(
-        solver=solver,
-        seed=int(root.integers(2**63)),
-        schedule_kind=sched.get("kind", "sigmoid"),
-        **train_opts,
-    )
-    if "rho0" in sched:
-        tc = replace(tc, rho0=sched["rho0"])
+    # the train and schedule keys are disjoint; two of them take their TrainConfig names
+    renames = {"eps": "epsilon", "kind": "schedule_kind"}
+    opts = {renames.get(key, key): value for key, value in {**cfg.get("train", {}), **cfg.get("schedule", {})}.items()}
+    tc = bench_mod.TrainConfig(solver=solver, seed=int(root.integers(2**63)), **opts)
     try:
         dataset = bench_mod.generate_imbalanced_mixture(
             K=ds["k"],
@@ -329,8 +332,8 @@ def cluster_group():
 def cluster_run(config_path, out_path):
     """One training run; emits history JSON and a per-epoch metrics CSV."""
     cfg = _load_config(config_path, RUN_SCHEMA)
+    out_path, csv_path = _out_paths(out_path, ".csv")
     dataset, history, tc = _run_from_config(cfg, cfg["solver"], cfg["seed"])
-    out_path = _out_dir(out_path)
     payload = _summary(
         {
             "class_counts": dataset.class_counts.tolist(),
@@ -342,11 +345,10 @@ def cluster_run(config_path, out_path):
         seed=cfg["seed"],
     )
     io_mod.write_json(out_path, payload)
-    fields = ["epoch", "acc", "nmi", "f1", "ari", "acc_head", "acc_medium", "acc_tail",
-              "rho", "precision", "recall", "weighted_precision", "weighted_recall"]
+    fields = ["epoch", *metrics_mod.METRIC_FIELDS, "rho", *bench_mod.QUALITY_FIELDS]
     rows = [["schema_version"] + fields]
     rows += [[SCHEMA_VERSION] + [rec[f] for f in fields] for rec in history.epochs]
-    io_mod.write_csv_rows(Path(out_path).with_suffix(".csv"), rows)
+    io_mod.write_csv_rows(csv_path, rows)
     final = history.final
     click.echo(f"final acc={final['acc']:.4f} nmi={final['nmi']:.4f} f1={final['f1']:.4f}")
 
@@ -361,19 +363,12 @@ def cluster_ablate(config_path, out_path):
 
     def one(job):
         solver, seed = job
-        _, history, _ = _run_from_config(cfg, solver, seed)
-        f = history.final
-        return [SCHEMA_VERSION, solver, seed, f["acc"], f["nmi"], f["f1"], f["ari"],
-                f["acc_head"], f["acc_medium"], f["acc_tail"]]
+        final = _run_from_config(cfg, solver, seed)[1].final
+        return [SCHEMA_VERSION, solver, seed, *(final[f] for f in metrics_mod.METRIC_FIELDS)]
 
-    workers = cfg.get("workers", 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
-    header = ["schema_version", "solver", "seed", "acc", "nmi", "f1", "ari",
-              "acc_head", "acc_medium", "acc_tail"]
+    with ThreadPoolExecutor(max_workers=cfg.get("workers", 1)) as pool:
+        results = list(pool.map(one, jobs))
+    header = ["schema_version", "solver", "seed", *metrics_mod.METRIC_FIELDS]
     io_mod.write_csv_rows(_out_dir(out_path), [header] + results)
     click.echo(f"wrote {len(results)} rows to {out_path}")
 
@@ -417,8 +412,8 @@ def oracle_group():
 @click.option("--pred", "pred_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--rho", type=float, required=True)
 @click.option("--lambda", "lam", type=float, default=1.0, show_default=True)
-@click.option("--eps", type=float, default=0.1, show_default=True)
-@click.option("--tol", type=float, default=1e-7, show_default=True)
+@click.option("--eps", type=float, default=0.5, show_default=True)
+@click.option("--tol", type=float, default=5e-6, show_default=True)
 def oracle_check(pred_path, rho, lam, eps, tol):
     """Cross-check the fast solver against projected gradient descent."""
     try:
@@ -438,7 +433,7 @@ def oracle_check(pred_path, rho, lam, eps, tol):
             col_kl=col_kl,
             total_mass=rho,
             slack_entropy=True,
-            cfg=oracle.OracleConfig(tol=tol),
+            cfg=oracle.OracleConfig(step_size=0.5, tol=tol, max_iter=60000),
         )
     except oracle.OracleFailure as exc:
         raise click.ClickException(str(exc)) from exc

@@ -231,14 +231,12 @@ def hmt_accuracies(assignment: LabelAssignment) -> dict:
     }
 
 
+METRIC_FIELDS = ("acc", "nmi", "f1", "ari", "acc_head", "acc_medium", "acc_tail")
+
+
 def evaluate(predicted, truth) -> dict:
-    """All clustering metrics in one record, read from one table."""
+    """All clustering metrics in one record keyed by `METRIC_FIELDS`, read from one table."""
     assignment = LabelAssignment.build(predicted, truth)
-    out = {
-        "acc": class_averaged_acc(assignment),
-        "nmi": _nmi(assignment.joint),
-        "f1": macro_f1(assignment),
-        "ari": _ari(assignment.joint),
-    }
-    out.update({f"acc_{k}": v for k, v in hmt_accuracies(assignment).items()})
-    return out
+    values = (class_averaged_acc(assignment), _nmi(assignment.joint), macro_f1(assignment), _ari(assignment.joint),
+              *hmt_accuracies(assignment).values())
+    return dict(zip(METRIC_FIELDS, values))

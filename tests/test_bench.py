@@ -9,7 +9,7 @@ from sppot import bench
 from sppot.bench import (
     MemoryBuffer,
     PrototypeModel,
-    PseudoLabelQuality,
+    QUALITY_FIELDS,
     TrainConfig,
     buffer_adjacency,
     generate_imbalanced_mixture,
@@ -190,11 +190,11 @@ class TestPseudoLabelQuality:
         )
         labels = np.array([1, 1, 0, 0])
         q = pseudo_label_quality(Q, labels)
-        assert q.n_selected == 3
-        assert q.precision == 1.0
-        assert q.recall == pytest.approx(3 / 4)
-        assert q.weighted_precision == 1.0
-        assert q.weighted_recall == pytest.approx(1.0)  # all mass on correct cells
+        assert tuple(q) == QUALITY_FIELDS
+        assert q["precision"] == 1.0
+        assert q["recall"] == pytest.approx(3 / 4)
+        assert q["weighted_precision"] == 1.0
+        assert q["weighted_recall"] == pytest.approx(1.0)  # all mass on correct cells
 
     def test_partial_correctness_weighting(self):
         # the wrong row carries little mass, so the weighted precision
@@ -207,13 +207,13 @@ class TestPseudoLabelQuality:
         )
         labels = np.array([0, 1])
         q = pseudo_label_quality(Q, labels)
-        assert q.precision == 0.5
-        assert q.weighted_precision == pytest.approx(0.50 / 0.51)
+        assert q["precision"] == 0.5
+        assert q["weighted_precision"] == pytest.approx(0.50 / 0.51)
 
     def test_empty_selection(self):
         q = pseudo_label_quality(np.zeros((3, 2)), np.array([0, 1, 0]))
-        assert q.empty
-        assert np.isnan(q.precision)
+        assert tuple(q) == QUALITY_FIELDS
+        assert all(np.isnan(v) for v in q.values())
 
 
 class TestTrainConfig:
@@ -363,7 +363,7 @@ class TestTrain:
         assert len(history.epochs) == 2
         assert len(history.loss_trace) == 2 * (tiny_dataset.n // 30)
         for rec in history.epochs:
-            for key in ("precision", "recall", "weighted_precision", "weighted_recall", "max_cluster_share"):
+            for key in (*QUALITY_FIELDS, "max_cluster_share"):
                 assert np.isnan(rec[key])
             assert np.isfinite(rec["acc"])
 

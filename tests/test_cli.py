@@ -26,6 +26,18 @@ def write_pred(path, n=12, k=3, seed=0):
     return path
 
 
+def assert_out_collision_refused(capsys, argv, out):
+    """`--out` also names the command's companion file, which would overwrite it:
+    the command exits 1 with one error line and writes nothing."""
+    before = sorted(out.parent.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "companion" in err[0], err
+    assert sorted(out.parent.iterdir()) == before
+
+
 class TestP2otSolve:
     def test_happy_path_artifacts(self, runner, tmp_path):
         pred = write_pred(tmp_path / "pred.csv")
@@ -89,6 +101,11 @@ class TestP2otSolve:
         assert result.exit_code == 1
         assert "tol must be finite and > 0" in result.output
         assert not out.exists()
+
+    def test_out_colliding_with_summary_exits_1(self, capsys, tmp_path):
+        pred = write_pred(tmp_path / "pred.csv")
+        assert_out_collision_refused(capsys, ["p2ot", "solve", "--pred", str(pred), "--rho", "0.5"],
+                                     tmp_path / "plan.json")
 
     def test_strict_nonconvergence_exits_2(self, tmp_path):
         pred = write_pred(tmp_path / "pred.csv", n=32, k=5, seed=1)
@@ -254,6 +271,13 @@ class TestSp2otSolve:
             plans.append(io_mod.read_matrix(out))
         assert np.array_equal(plans[0], plans[1])
 
+    def test_out_colliding_with_summary_exits_1(self, capsys, tmp_path):
+        pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)
+        gpath = tmp_path / "graph.csv"
+        io_mod.write_triplets_csv(gpath, [0, 1, 2], [1, 2, 3], [1.0, 0.5, 0.25])
+        argv = ["sp2ot", "solve", "--pred", str(pred), "--graph", str(gpath), "--lambda1", "1.0", "--rho", "0.5"]
+        assert_out_collision_refused(capsys, argv, tmp_path / "plan.json")
+
     def test_out_of_range_edge_exits_1(self, tmp_path):
         pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)
         gpath = tmp_path / "graph.csv"
@@ -399,8 +423,13 @@ class TestClusterRun:
         assert payload["resolved_train_config"]["solver"] == "P2OT"
         with out.with_suffix(".csv").open() as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][:3] == ["schema_version", "epoch", "acc"]
+        assert rows[0] == ["schema_version", "epoch", "acc", "nmi", "f1", "ari", "acc_head", "acc_medium",
+                           "acc_tail", "rho", "precision", "recall", "weighted_precision", "weighted_recall"]
         assert len(rows) == 3
+
+    def test_out_colliding_with_csv_exits_1(self, capsys, tmp_path):
+        cfg_path = self.run_config(tmp_path)
+        assert_out_collision_refused(capsys, ["cluster", "run", "--config", str(cfg_path)], tmp_path / "out.csv")
 
     def test_deterministic_across_invocations(self, runner, tmp_path):
         cfg_path = self.run_config(tmp_path)
@@ -496,24 +525,32 @@ class TestSemanticClusterRun:
 
 
 class TestClusterAblate:
-    def test_ablation_table(self, runner, tmp_path):
+    def ablate(self, runner, tmp_path, workers):
         cfg = {
             "dataset": {"n": 60, "k": 3, "imbalance": 4.0, "dim": 4, "separation": 8.0},
             "solvers": ["OT", "P2OT"],
             "seeds": [0, 1],
             "train": {"epochs": 1, "batch_size": 30, "buffer_size": 0, "knn_k": 4},
-            "workers": 2,
+            "workers": workers,
         }
-        cfg_path = tmp_path / "ablate.json"
+        cfg_path = tmp_path / f"ablate{workers}.json"
         cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "table.csv"
+        out = tmp_path / f"table{workers}.csv"
         result = runner.invoke(cli, ["cluster", "ablate", "--config", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 0, result.output
-        with out.open() as fh:
+        return out
+
+    def test_ablation_table(self, runner, tmp_path):
+        with self.ablate(runner, tmp_path, workers=2).open() as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][:4] == ["schema_version", "solver", "seed", "acc"]
+        assert rows[0] == ["schema_version", "solver", "seed", "acc", "nmi", "f1", "ari",
+                           "acc_head", "acc_medium", "acc_tail"]
         assert len(rows) == 1 + 4
-        assert {(r[1], r[2]) for r in rows[1:]} == {("OT", "0"), ("OT", "1"), ("P2OT", "0"), ("P2OT", "1")}
+        assert [(r[1], r[2]) for r in rows[1:]] == [("OT", "0"), ("OT", "1"), ("P2OT", "0"), ("P2OT", "1")]
+
+    def test_workers_do_not_change_the_table(self, runner, tmp_path):
+        one, two = (self.ablate(runner, tmp_path, workers) for workers in (1, 2))
+        assert one.read_bytes() == two.read_bytes()
 
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
     def test_config_that_cannot_run_exits_1_without_output(self, capsys, tmp_path, case):
@@ -540,6 +577,15 @@ class TestOracleCheck:
         assert result.exit_code == 0, result.output
         gap = float(result.output.split("relative_gap=")[1].strip())
         assert gap < 1e-5
+
+    def test_defaults_converge(self, runner, tmp_path):
+        # the defaults lie where PGD converges; at eps 0.1 (and at tol 1e-7 with
+        # PGD step 0.05) it stops short of tol on this input and the command exits 1
+        pred = write_pred(tmp_path / "pred.csv", n=6, k=3, seed=0)
+        result = runner.invoke(cli, ["oracle", "check", "--pred", str(pred), "--rho", "0.5"])
+        assert result.exit_code == 0, result.output
+        gap = float(result.output.split("relative_gap=")[1].strip())
+        assert gap < 1e-8
 
 
 def test_readme_commands_parse():
