@@ -10,6 +10,7 @@ configuration and seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +18,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 import numpy as np
 
 from . import bench as bench_mod
@@ -56,17 +55,72 @@ def _out_paths(out_path, suffix) -> tuple[Path, Path]:
     return out, companion
 
 
+def _is_json_type(value, name) -> bool:
+    """Whether `value`, as `json` parses it, is of JSON Schema type `name`. As in
+    jsonschema, a bool is no number and an integral float (4.0) is an integer.
+    Unlike jsonschema, an infinite or NaN float is neither: Python's `json` reads
+    `Infinity` and `NaN`, which are not JSON, and no config setting means them."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, float) and name in ("number", "integer"):
+        return math.isfinite(value) and (name == "number" or value.is_integer())
+    return isinstance(value, {"object": dict, "array": list, "string": str, "number": int, "integer": int}[name])
+
+
+# the JSON Schema keywords `_schema_faults` interprets; a config schema may use no other
+# (a test walks both schemas)
+SCHEMA_KEYWORDS = ("type", "enum", "minimum", "maximum", "exclusiveMinimum",
+                   "required", "additionalProperties", "properties", "minItems", "items")
+
+
+def _schema_faults(value, schema):
+    """The faults of `value` against `schema`, in jsonschema's words, in a fixed
+    order: each keyword in the order the schema lists it, going depth first into
+    properties (in schema order) and list items. A config with one fault gets
+    the message jsonschema's `best_match` gives; with several, the first here.
+    Numbers must be finite (see `_is_json_type`); `additionalProperties` may
+    only be false."""
+    number, obj, array = _is_json_type(value, "number"), isinstance(value, dict), isinstance(value, list)
+    for keyword, arg in schema.items():
+        if keyword == "type" and not _is_json_type(value, arg):
+            finite = not isinstance(value, float) or math.isfinite(value)
+            yield f"{value!r} is not of type {arg!r}" if finite else f"{value!r} is not a finite number"
+        elif keyword == "enum" and value not in arg:
+            yield f"{value!r} is not one of {arg!r}"
+        elif keyword == "minimum" and number and value < arg:
+            yield f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "maximum" and number and value > arg:
+            yield f"{value!r} is greater than the maximum of {arg!r}"
+        elif keyword == "exclusiveMinimum" and number and value <= arg:
+            yield f"{value!r} is less than or equal to the minimum of {arg!r}"
+        elif keyword == "required" and obj:
+            yield from (f"{key!r} is a required property" for key in arg if key not in value)
+        elif keyword == "additionalProperties" and obj:
+            extras = sorted(key for key in value if key not in schema.get("properties", {}))
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+        elif keyword == "properties" and obj:
+            for key, subschema in arg.items():
+                if key in value:
+                    yield from _schema_faults(value[key], subschema)
+        elif keyword == "minItems" and array and len(value) < arg:
+            yield f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "items" and array:
+            for item in value:
+                yield from _schema_faults(item, arg)
+
+
 def _load_config(path, schema) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not JSON, or not UTF-8; RecursionError: nested too deep to parse
         raise click.ClickException(f"cannot read config {path}: {exc}") from exc
-    # the schemas are constants, checked against their metaschema by a test
-    # (`jsonschema.validate` re-checks the schema on every call, ~14 ms)
-    error = best_match(validator_for(schema)(schema).iter_errors(cfg))
-    if error is not None:
-        raise click.ClickException(f"config {path} invalid: {error.message}")
+    fault = next(_schema_faults(cfg, schema), None)
+    if fault is not None:
+        raise click.ClickException(f"config {path} invalid: {fault}")
     return cfg
 
 
@@ -271,7 +325,7 @@ RUN_SCHEMA = {
     "properties": {
         "dataset": DATASET_SCHEMA,
         "solver": {"type": "string", "enum": list(bench_mod.SOLVER_CHOICES)},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "schedule": SCHEDULE_SCHEMA,
         "train": TRAIN_SCHEMA,
     },
@@ -288,7 +342,7 @@ ABLATE_SCHEMA = {
             "minItems": 1,
             "items": {"type": "string", "enum": list(bench_mod.SOLVER_CHOICES)},
         },
-        "seeds": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
+        "seeds": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 0}},
         "schedule": SCHEDULE_SCHEMA,
         "train": TRAIN_SCHEMA,
         "workers": {"type": "integer", "minimum": 1},

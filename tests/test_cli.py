@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -338,11 +340,11 @@ class TestMetricsEval:
         assert "labels must be nonnegative integers" in captured.err and "acc=" not in captured.out
 
 
-def loaded_scipy_modules(code, *args):
-    """Run `code` in a fresh interpreter that imports sppot from this checkout; the scipy.optimize
-    and scipy.sparse modules loaded when it ends."""
+def loaded_modules(code, *args, prefixes=("scipy.optimize", "scipy.sparse")):
+    """Run `code` in a fresh interpreter that imports sppot from this checkout; the modules
+    named by `prefixes` (by default scipy.optimize and scipy.sparse) loaded when it ends."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    probe = "; import sys; print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))"
+    probe = f"; import sys; print(sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r})))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code + probe, *args], env=env, capture_output=True, text=True,
                           timeout=120)
@@ -353,8 +355,11 @@ def loaded_scipy_modules(code, *args):
 @pytest.mark.parametrize("module", ["sppot", "sppot.cli"])
 def test_import_leaves_scipy_optimize_unloaded(module):
     """Of a ~0.7 s `import sppot.cli`, scipy.optimize took ~0.3 s and scipy.sparse ~0.1 s.
-    Only `oracle.lp_exact_tiny` needs the first, and only graph and SP2OT code the second."""
-    assert loaded_scipy_modules(f"import {module}") == "[]"
+    Only `oracle.lp_exact_tiny` needs the first, and only graph and SP2OT code the second.
+    The configs are checked in the package: jsonschema and its `referencing` took
+    another ~50 ms, and only the tests use them."""
+    prefixes = ("scipy.optimize", "scipy.sparse", "jsonschema", "referencing")
+    assert loaded_modules(f"import {module}", prefixes=prefixes) == "[]"
 
 
 def test_p2ot_cluster_run_leaves_scipy_sparse_unloaded(tmp_path):
@@ -368,7 +373,7 @@ def test_p2ot_cluster_run_leaves_scipy_sparse_unloaded(tmp_path):
     }))
     out = tmp_path / "out.json"
     code = "import sys; from sppot.cli import main; main(sys.argv[1:])"
-    loaded = loaded_scipy_modules(code, "cluster", "run", "--config", str(cfg), "--out", str(out))
+    loaded = loaded_modules(code, "cluster", "run", "--config", str(cfg), "--out", str(out))
     assert len(json.loads(out.read_text())["epochs"]) == 2
     assert loaded == "[]"
 
@@ -378,7 +383,7 @@ def test_sp2ot_gradient_and_objective_on_a_dense_graph_leave_scipy_sparse_unload
     code = ("import numpy as np; from sppot.sp2ot import sp2ot_gradient, sp2ot_objective; "
             "A = np.ones((6, 6)) - np.eye(6); Q = np.full((6, 3), 0.5 / 18); C0 = np.ones((6, 3)); "
             "sp2ot_gradient(C0, A, 2.0, Q); sp2ot_objective(Q, C0, A, 2.0, 1.0, 0.5, 0.1)")
-    assert loaded_scipy_modules(code) == "[]"
+    assert loaded_modules(code) == "[]"
 
 
 UNRUNNABLE = {
@@ -461,12 +466,39 @@ class TestClusterRun:
             main(["cluster", "run", "--config", str(cfg_path), "--out", str(cfg_path) + ".out"])
         assert exc.value.code == 1
 
-    def test_invalid_json_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00{", b"[" * 100_000],
+                             ids=["malformed", "not-utf8", "nested-too-deep"])
+    def test_invalid_json_rejected(self, capsys, tmp_path, command, content):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text("{not json")
+        cfg_path.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", command, "--config", str(cfg_path), "--out", str(tmp_path / "run.out")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"cannot read config {cfg_path}: " in err, err
+
+    @pytest.mark.parametrize("solver, section, key, value", [
+        ("P2OT", "dataset", "imbalance", math.inf),  # ran, and exited 0
+        ("SLA", "train", "sla_upper", math.inf),  # ran, and exited 0
+        ("P2OT", "dataset", "separation", math.inf),
+        ("P2OT", "dataset", "imbalance", math.nan),
+        ("SP2OT", "train", "lambda1_0", math.inf),
+    ])
+    def test_non_finite_number_rejected(self, capsys, tmp_path, solver, section, key, value):
+        """Python's `json` reads `Infinity` and `NaN`, which are not JSON; jsonschema
+        passes them wherever a number is due, and the run then failed far from the cause."""
+        cfg = {"dataset": {"n": 200, "k": 3, "separation": 10.0}, "solver": solver, "seed": 1,
+               "train": {"epochs": 2}}
+        cfg[section][key] = value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg))
         with pytest.raises(SystemExit) as exc:
             main(["cluster", "run", "--config", str(cfg_path), "--out", str(tmp_path / "run.out")])
         assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"config {cfg_path} invalid: {value!r} is not a finite number" in err, err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     @pytest.mark.parametrize("schema", ["RUN_SCHEMA", "ABLATE_SCHEMA"])
     def test_config_schemas_are_valid(self, schema):
@@ -492,6 +524,115 @@ class TestClusterRun:
         result = runner.invoke(cli, ["cluster", "run", "--config", str(cfg_path), "--out", str(tmp_path / "o.json")])
         assert result.exit_code == 1
         assert f"config {cfg_path} invalid: {exc.value.message}" in result.output
+
+
+# every property of the two config schemas, each at a valid value
+VALID_CONFIGS = {
+    "RUN_SCHEMA": {
+        "dataset": {"n": 60, "k": 3, "imbalance": 4.0, "dim": 4, "separation": 8.0},
+        "solver": "P2OT",
+        "seed": 5,
+        "schedule": {"kind": "linear", "rho0": 0.5},
+        "train": {"epochs": 2, "batch_size": 30, "buffer_size": 0, "eps": 0.1, "lambda2": 1.0, "lambda1_0": 10.0,
+                  "sla_upper": 0.5, "knn_k": 4, "temperature": 0.5, "learning_rate": 0.1, "tol": 1e-6,
+                  "max_iter": 100},
+    },
+}
+VALID_CONFIGS["ABLATE_SCHEMA"] = {
+    **{key: VALID_CONFIGS["RUN_SCHEMA"][key] for key in ("dataset", "schedule", "train")},
+    "solvers": ["OT", "P2OT"],
+    "seeds": [0, 1],
+    "workers": 2,
+}
+
+
+def subschemas(schema, path=()):
+    """(path, subschema) for `schema` and every schema nested in it; a list item's path ends in 0."""
+    yield path, schema
+    for key, subschema in schema.get("properties", {}).items():
+        yield from subschemas(subschema, path + (key,))
+    if "items" in schema:
+        yield from subschemas(schema["items"], path + (0,))
+
+
+def edits(schema):
+    """(path, value) edits that put one fault, or a value at a bound, at each keyword and
+    property of `schema`; value None deletes the key at `path`. Type edits include True where
+    a number is due, a fractional float where an integer is, and an integral float (4.0)."""
+    for path, sub in subschemas(schema):
+        kind = sub["type"]
+        wrong = {"object": [[], "x"], "array": [{}, "x"], "string": [1, True], "number": ["x", True, [1.0]],
+                 "integer": ["x", True, 4.5, 4.0, 7.0]}[kind]
+        yield from ((path, value) for value in wrong)
+        if "enum" in sub:
+            yield path, "nope"
+        if "minimum" in sub:
+            low = sub["minimum"]
+            yield from ((path, v) for v in (low - 1, low, float(low), math.nextafter(low, -math.inf)))
+        if "exclusiveMinimum" in sub:
+            low = sub["exclusiveMinimum"]
+            yield from ((path, v) for v in (math.nextafter(low, -math.inf), low, math.nextafter(low, math.inf)))
+        if "maximum" in sub:
+            high = sub["maximum"]
+            yield from ((path, v) for v in (high, math.nextafter(high, math.inf), high + 1))
+        yield from ((path + (key,), None) for key in sub.get("required", ()))
+        if "additionalProperties" in sub:
+            yield path + ("mystery",), 1
+        if "minItems" in sub:
+            yield path, []
+
+
+def at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+def edited(config, path, value):
+    if not path:
+        return value
+    config = copy.deepcopy(config)
+    target = at(config, path[:-1])
+    last = path[-1]
+    if value is None:
+        del target[last]
+    else:
+        target[last] = value
+    return config
+
+
+class TestConfigChecker:
+    """`cli._schema_faults` interprets the config schemas itself; jsonschema is the reference."""
+
+    @pytest.mark.parametrize("schema", ["RUN_SCHEMA", "ABLATE_SCHEMA"])
+    def test_uses_only_checked_keywords(self, schema):
+        from sppot import cli as cli_mod
+
+        for _, sub in subschemas(getattr(cli_mod, schema)):
+            assert set(sub) <= set(cli_mod.SCHEMA_KEYWORDS), sub
+            assert sub.get("additionalProperties", False) is False
+
+    @pytest.mark.parametrize("schema", ["RUN_SCHEMA", "ABLATE_SCHEMA"])
+    def test_single_faults_match_jsonschema(self, schema):
+        """Both accept and reject the same configs, with the same message: the valid config
+        and one edit of it at each keyword and property (see `edits`)."""
+        from jsonschema.exceptions import best_match
+        from jsonschema.validators import validator_for
+
+        from sppot import cli as cli_mod
+
+        config, schema = VALID_CONFIGS[schema], getattr(cli_mod, schema)
+        for path, _ in subschemas(schema):
+            at(config, path)  # the valid config sets every property
+        validator = validator_for(schema)(schema)
+        cases = [config] + [edited(config, path, value) for path, value in edits(schema)]
+        accepted = []
+        for cfg in cases:
+            reference = best_match(validator.iter_errors(cfg))
+            expected = None if reference is None else reference.message
+            assert next(cli_mod._schema_faults(cfg, schema), None) == expected, cfg
+            accepted.append(expected is None)
+        assert accepted[0] and 10 < accepted.count(True) < len(cases) - 10
 
 
 class TestSemanticClusterRun:
