@@ -111,6 +111,17 @@ def _schema_faults(value, schema):
                 yield from _schema_faults(item, arg)
 
 
+def _as_integers(value, schema):
+    """A checked `value` with each float at an `integer` position of `schema` made an int:
+    the check counts 4.0 as an integer, as jsonschema does, and `range` and `SeedSequence`
+    need 4."""
+    if isinstance(value, dict):
+        return {key: _as_integers(item, schema["properties"][key]) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_as_integers(item, schema["items"]) for item in value]
+    return int(value) if schema.get("type") == "integer" else value
+
+
 def _load_config(path, schema) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -121,7 +132,7 @@ def _load_config(path, schema) -> dict:
     fault = next(_schema_faults(cfg, schema), None)
     if fault is not None:
         raise click.ClickException(f"config {path} invalid: {fault}")
-    return cfg
+    return _as_integers(cfg, schema)
 
 
 def _summary(payload: dict, config: dict, seed) -> dict:

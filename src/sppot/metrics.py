@@ -54,7 +54,7 @@ class LabelAssignment:
     @classmethod
     def build(cls, predicted, truth) -> "LabelAssignment":
         classes, rows, joint = _table(predicted, truth)
-        match = np.fromiter(hungarian_match(joint).values(), dtype=int)[: joint.shape[0]]
+        match = _max_weight_assignment(joint)[: joint.shape[0]]
         match[match >= classes.size] = -1
         hit = np.flatnonzero(match >= 0)
         matched = np.zeros(classes.size, dtype=int)
@@ -63,25 +63,14 @@ class LabelAssignment:
 
 
 def hungarian_match(confusion: np.ndarray) -> dict:
-    """Count-maximizing bijection cluster -> class on a square count matrix.
-
-    A rectangular matrix is zero-padded to square first. The mapping is the
-    one `scipy.optimize.linear_sum_assignment(conf, maximize=True)` returns,
-    ties included. Raises ValueError on a non-finite entry.
-    """
-    conf = np.asarray(confusion)
-    if conf.shape[0] != conf.shape[1]:
-        n = max(conf.shape)
-        padded = np.zeros((n, n), dtype=conf.dtype)
-        padded[: conf.shape[0], : conf.shape[1]] = conf
-        conf = padded
-    if not np.isfinite(conf).all():
-        raise ValueError("confusion entries must be finite")
-    return dict(enumerate(_max_weight_assignment(conf)))
+    """Count-maximizing bijection cluster -> class as {row: column}, on the count
+    matrix zero-padded to square: `_max_weight_assignment`, which returns what
+    `scipy.optimize.linear_sum_assignment(conf, maximize=True)` does, ties included."""
+    return dict(enumerate(_max_weight_assignment(confusion).tolist()))
 
 
-def _max_weight_assignment(W: np.ndarray) -> list[int]:
-    """The column assigned to each row of the square matrix W, maximizing the total weight.
+def _max_weight_assignment(W: np.ndarray) -> np.ndarray:
+    """The column assigned to each row of W, zero-padded to square, maximizing the total weight.
 
     A port of scipy's `linear_sum_assignment(W, maximize=True)`: Crouse's
     shortest augmenting path ("On implementing 2D rectangular assignment
@@ -90,10 +79,14 @@ def _max_weight_assignment(W: np.ndarray) -> list[int]:
     cost is taken if it is unassigned), so it returns scipy's assignment on
     ties too. It is pure Python so that importing sppot does not load
     scipy.optimize (~0.3 s); on a 2-core x86-64 VM a 10 x 10 confusion
-    matrix takes ~0.05 ms, a 1000 x 1000 one ~0.2 s.
+    matrix takes ~0.05 ms, a 1000 x 1000 one ~0.2 s. Raises ValueError on a
+    non-finite entry.
     """
-    cost = (-np.asarray(W, dtype=np.float64)).tolist()
-    n = len(cost)
+    W = np.asarray(W)
+    if not np.isfinite(W).all():
+        raise ValueError("confusion entries must be finite")
+    n = max(W.shape)
+    cost = (-np.pad(W, ((0, n - W.shape[0]), (0, n - W.shape[1]))).astype(np.float64)).tolist()
     u, v = [0.0] * n, [0.0] * n
     path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
     for cur in range(n):
@@ -135,7 +128,7 @@ def _max_weight_assignment(W: np.ndarray) -> list[int]:
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    return col4row
+    return np.array(col4row)
 
 
 def mapped_predictions(assignment: LabelAssignment) -> np.ndarray:

@@ -185,7 +185,6 @@ def pgd_entropic(
     col_kl: tuple | None = None,
     total_mass: float | None = None,
     slack_entropy: bool = False,
-    init: np.ndarray | None = None,
     cfg: OracleConfig | None = None,
     track_objective: bool = False,
 ) -> OracleResult:
@@ -209,15 +208,12 @@ def pgd_entropic(
     cfg = cfg or OracleConfig()
     C = np.asarray(cost, dtype=float)
     n, k = C.shape
-    if init is None:
-        if total_mass is not None:
-            Q = np.full((n, k), total_mass / (n * k))
-        elif row_eq is not None:
-            Q = np.tile((row_eq / k)[:, None], (1, k))
-        else:
-            Q = np.full((n, k), 1.0 / (n * k))
+    if total_mass is not None:
+        Q = np.full((n, k), total_mass / (n * k))
+    elif row_eq is not None:
+        Q = np.tile((row_eq / k)[:, None], (1, k))
     else:
-        Q = np.asarray(init, dtype=float).copy()
+        Q = np.full((n, k), 1.0 / (n * k))
     Q = _project_feasible(Q, row_eq, row_cap, col_eq, total_mass)
 
     slack_cap = row_cap if slack_entropy else None

@@ -7,7 +7,8 @@ as the cost) with a KL projection onto the partial-transport polytope,
 realized by the fast virtual-column solver. When A is PSD, f is concave on
 the feasible set and each outer step is a majorization-minimization descent
 step. `Sp2otProblem` converts the graph to canonical CSR once, and is the
-only part of this module that loads `scipy.sparse`.
+only part of this module that loads `scipy.sparse`; `sp2ot_gradient` alone
+multiplies it.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def sp2ot_gradient(cost0: np.ndarray, adjacency, lambda1: float, plan: np.ndarra
     return C0 - lambda1 * (adjacency @ Q + adjacency.T @ Q)
 
 
-def sp2ot_objective(plan, cost0, adjacency, lambda1, lambda2, rho, epsilon) -> float:
+def sp2ot_objective(plan, cost0, cost, lambda2, rho, epsilon) -> float:
     """<Q,C0> - lambda1 <A, QQ^T> + lambda2 KL(col(Q), rho/K) - eps H(Q, xi).
 
     P2OT's entropic objective (`ot_core.entropic_objective`) on the cost
@@ -100,14 +101,13 @@ def sp2ot_objective(plan, cost0, adjacency, lambda1, lambda2, rho, epsilon) -> f
     solver minimizes; dropping the slack term would break the monotone-descent
     guarantee of the outer loop by exactly its variation between iterates.
 
-    `adjacency` is multiplied as given: <A, Q Q^T> = sum(Q * (A Q)) costs
-    O(nnz K) for the CSR graph of `Sp2otProblem.adjacency`.
+    `cost` is the plan's `sp2ot_gradient(C0, A, lambda1, Q)`: as <A, QQ^T> =
+    1/2 <Q, (A + A^T) Q>, the semantic term is 1/2 <Q, cost - C0>.
     """
     Q = np.asarray(plan, dtype=float)
     N, K = Q.shape
     val = entropic_objective(Q, cost0, np.full(K, rho / K), np.full(K, lambda2), epsilon)
-    if lambda1 != 0:
-        val -= lambda1 * float(np.sum(Q * (adjacency @ Q)))
+    val += 0.5 * float(np.sum(Q * (cost - cost0)))
     slack = np.maximum(1.0 / N - Q.sum(axis=1), 0.0)
     val += epsilon * float(np.sum(xlogx(slack)))
     return val
@@ -125,11 +125,11 @@ def lambda1_decayed(lambda1_0: float, rho: float) -> float:
 def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
     """Outer linearize-then-project loop.
 
-    Q starts uniform with total mass rho; each outer step builds the cost
-    C = C0 - lambda1 (A + A^T) Q and projects via the fast partial-transport
-    solver, warm-started from the previous step's column potential. Stops
-    when the relative Frobenius change of Q drops below outer_tol or
-    outer_max_iter is hit.
+    Q starts uniform with total mass rho; each outer step projects the cost
+    C = C0 - lambda1 (A + A^T) Q via the fast partial-transport solver,
+    warm-started from the previous step's column potential. The new plan's C
+    gives its objective and is the next step's cost. Stops when the relative
+    Frobenius change of Q drops below outer_tol or outer_max_iter is hit.
     """
     C0 = prediction_cost(problem.pred)
     N, K = C0.shape
@@ -138,19 +138,18 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
     trace = PmdTrace()
     plan = None
     semantic_on = problem.lambda1 != 0 and problem.adjacency.nnz > 0
-    prev_obj = np.inf
+    C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
     for _ in range(problem.outer_max_iter):
-        C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
         plan = solve_p2ot_fast(inner_problem, cost=C, init=None if plan is None else plan.col_potential)
         change = float(np.linalg.norm(plan.coupling - Q) / max(np.linalg.norm(Q), 1e-300))
         Q = plan.coupling
-        obj = sp2ot_objective(Q, C0, problem.adjacency, problem.lambda1, problem.lambda2, problem.rho, problem.epsilon)
+        C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
+        obj = sp2ot_objective(Q, C0, C, problem.lambda2, problem.rho, problem.epsilon)
+        if trace.objectives and obj > trace.objectives[-1] + 1e-12:
+            trace.ascents += 1
         trace.objectives.append(obj)
         trace.inner_iterations.append(plan.iterations)
         trace.frobenius_changes.append(change)
-        if obj > prev_obj + 1e-12:
-            trace.ascents += 1
-        prev_obj = obj
         if not semantic_on or change < problem.outer_tol:
             break
     if trace.ascents:

@@ -379,10 +379,10 @@ def test_p2ot_cluster_run_leaves_scipy_sparse_unloaded(tmp_path):
 
 
 def test_sp2ot_gradient_and_objective_on_a_dense_graph_leave_scipy_sparse_unloaded():
-    """Both functions multiply the graph they are given; only `Sp2otProblem` converts one to CSR."""
+    """The gradient multiplies the graph it is given; only `Sp2otProblem` converts one to CSR."""
     code = ("import numpy as np; from sppot.sp2ot import sp2ot_gradient, sp2ot_objective; "
             "A = np.ones((6, 6)) - np.eye(6); Q = np.full((6, 3), 0.5 / 18); C0 = np.ones((6, 3)); "
-            "sp2ot_gradient(C0, A, 2.0, Q); sp2ot_objective(Q, C0, A, 2.0, 1.0, 0.5, 0.1)")
+            "sp2ot_objective(Q, C0, sp2ot_gradient(C0, A, 2.0, Q), 1.0, 0.5, 0.1)")
     assert loaded_modules(code) == "[]"
 
 
@@ -443,6 +443,20 @@ class TestClusterRun:
         r2 = runner.invoke(cli, ["cluster", "run", "--config", str(cfg_path), "--out", str(out2)])
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert out1.read_text() == out2.read_text()
+
+    def test_integral_floats_run_as_integers(self, runner, tmp_path):
+        # the check counts 4.0 as an integer, as jsonschema does; the run must get 4, which
+        # SeedSequence and range need, and echo the config as the all-integer one
+        outputs = []
+        for number in (int, float):
+            cfg = {"dataset": {"n": number(60), "k": number(3), "dim": number(4)}, "solver": "P2OT",
+                   "seed": number(4), "train": {"epochs": number(1), "batch_size": 30, "buffer_size": 0}}
+            cfg_path, out = tmp_path / f"{number.__name__}.json", tmp_path / f"{number.__name__}_out.json"
+            cfg_path.write_text(json.dumps(cfg))
+            result = runner.invoke(cli, ["cluster", "run", "--config", str(cfg_path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_schedule_override(self, runner, tmp_path):
         cfg_path = self.run_config(tmp_path, {"schedule": {"kind": "fixed", "rho0": 0.25}})
@@ -666,11 +680,11 @@ class TestSemanticClusterRun:
 
 
 class TestClusterAblate:
-    def ablate(self, runner, tmp_path, workers):
+    def ablate(self, runner, tmp_path, workers, seeds=(0, 1)):
         cfg = {
             "dataset": {"n": 60, "k": 3, "imbalance": 4.0, "dim": 4, "separation": 8.0},
             "solvers": ["OT", "P2OT"],
-            "seeds": [0, 1],
+            "seeds": list(seeds),
             "train": {"epochs": 1, "batch_size": 30, "buffer_size": 0, "knn_k": 4},
             "workers": workers,
         }
@@ -692,6 +706,11 @@ class TestClusterAblate:
     def test_workers_do_not_change_the_table(self, runner, tmp_path):
         one, two = (self.ablate(runner, tmp_path, workers) for workers in (1, 2))
         assert one.read_bytes() == two.read_bytes()
+
+    def test_integral_floats_run_as_integers(self, runner, tmp_path):
+        # 2.0 workers and 0.0 seeds pass the check, as in jsonschema, and run as 2 and 0
+        ints = self.ablate(runner, tmp_path, 2).read_bytes()
+        assert self.ablate(runner, tmp_path, 2.0, seeds=(0.0, 1.0)).read_bytes() == ints
 
     @pytest.mark.parametrize("case", sorted(UNRUNNABLE))
     def test_config_that_cannot_run_exits_1_without_output(self, capsys, tmp_path, case):

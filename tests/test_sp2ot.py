@@ -188,8 +188,8 @@ class TestDenseAndSparseAgree:
 
     def test_objective(self):
         C0 = prediction_cost(self.P)
-        dense = sp2ot_objective(self.Q, C0, self.A, 3.0, 1.0, 0.5, 0.1)
-        sp = sp2ot_objective(self.Q, C0, sparse.csr_array(self.A), 3.0, 1.0, 0.5, 0.1)
+        dense = sp2ot_objective(self.Q, C0, sp2ot_gradient(C0, self.A, 3.0, self.Q), 1.0, 0.5, 0.1)
+        sp = sp2ot_objective(self.Q, C0, sp2ot_gradient(C0, sparse.csr_array(self.A), 3.0, self.Q), 1.0, 0.5, 0.1)
         npt.assert_allclose(sp, dense, rtol=1e-12, atol=0)
 
     def test_gradient_rejects_non_square_dense(self):
@@ -237,7 +237,8 @@ class TestObjective:
         P = random_pred(6, 3, seed=4)
         Q = rng.uniform(0.01, 0.05, size=(6, 3))
         A = np.zeros((6, 6))
-        val = sp2ot_objective(Q, prediction_cost(P), A, 0.0, 1.0, 0.5, 0.1)
+        C0 = prediction_cost(P)
+        val = sp2ot_objective(Q, C0, sp2ot_gradient(C0, A, 0.0, Q), 1.0, 0.5, 0.1)
         Pc = np.maximum(P, 1e-8)
         col = Q.sum(axis=0)
         slack = 1.0 / 6 - Q.sum(axis=1)
@@ -254,8 +255,9 @@ class TestObjective:
         P = random_pred(6, 3, seed=6)
         Q = rng.uniform(0.01, 0.05, size=(6, 3))
         A = knn_like_adjacency(6, seed=7)
-        with_sem = sp2ot_objective(Q, prediction_cost(P), A, 2.0, 1.0, 0.5, 0.1)
-        without = sp2ot_objective(Q, prediction_cost(P), A, 0.0, 1.0, 0.5, 0.1)
+        C0 = prediction_cost(P)
+        with_sem = sp2ot_objective(Q, C0, sp2ot_gradient(C0, A, 2.0, Q), 1.0, 0.5, 0.1)
+        without = sp2ot_objective(Q, C0, sp2ot_gradient(C0, A, 0.0, Q), 1.0, 0.5, 0.1)
         assert with_sem < without  # similarity reward is subtracted
 
     @pytest.mark.parametrize("lambda2", [0.0, 1.0, np.inf])
@@ -274,7 +276,7 @@ class TestObjective:
                     + weighted_kl_value(Q.sum(axis=0), np.full(k, rho / k), np.full(k, lambda2))
                     + eps * np.sum(xlogx(Q)) + eps * np.sum(xlogx(slack)))
         graph = A if fmt == "dense" else sparse.csr_array(A).asformat(fmt)
-        val = sp2ot_objective(Q, C0, graph, lam1, lambda2, rho, eps)
+        val = sp2ot_objective(Q, C0, sp2ot_gradient(C0, graph, lam1, Q), lambda2, rho, eps)
         assert abs(val - expected) <= 1e-13 * abs(expected)
 
 
@@ -326,6 +328,42 @@ class TestSolve:
         problem = Sp2otProblem(P, A, 50.0, 1.0, 0.5, 0.1, outer_tol=0.0, outer_max_iter=4)
         _, trace = solve_sp2ot(problem)
         assert len(trace.objectives) == 4
+
+
+class TestOneProductSite:
+    def test_objective_reads_the_next_steps_cost(self, monkeypatch):
+        # the graph is multiplied once per outer step plus once before the loop, and the cost a
+        # plan's objective reads is the very array the next inner solve projects
+        from sppot import sp2ot
+
+        gradients, objective_costs, inner_costs = [], [], []
+
+        def spy(calls, real, pick):
+            def wrapped(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls.append(pick(out, args, kwargs))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(sp2ot, "sp2ot_gradient", spy(gradients, sp2ot.sp2ot_gradient, lambda out, a, k: out))
+        monkeypatch.setattr(sp2ot, "sp2ot_objective", spy(objective_costs, sp2ot.sp2ot_objective,
+                                                          lambda out, a, k: a[2]))
+        monkeypatch.setattr(sp2ot, "solve_p2ot_fast", spy(inner_costs, sp2ot.solve_p2ot_fast,
+                                                          lambda out, a, k: k["cost"]))
+        problem = Sp2otProblem(random_pred(30, 4, seed=0), knn_like_adjacency(30, seed=100, k=5), 20.0, 1.0,
+                               0.5, 0.1, outer_tol=0.0, outer_max_iter=6)
+        _, trace = solve_sp2ot(problem)
+        steps = len(trace.objectives)
+        assert steps == 6
+        assert len(gradients) == steps + 1 and len(objective_costs) == len(inner_costs) == steps
+        assert inner_costs[0] is gradients[0]
+        for step in range(steps - 1):
+            assert objective_costs[step] is inner_costs[step + 1] is gradients[step + 1]
+
+    def test_graph_arguments_rejected(self):
+        Q, C0 = np.full((4, 2), 0.05), np.ones((4, 2))
+        with pytest.raises(TypeError):
+            sp2ot_objective(Q, C0, np.eye(4), 2.0, 1.0, 0.5, 0.1)
 
 
 class TestAscents:
