@@ -213,13 +213,6 @@ class RunHistory:
         return self.epochs[-1]
 
 
-def buffer_adjacency(A: sparse.csr_array, idx: np.ndarray) -> sparse.csr_array:
-    """Rows and columns `idx` of A (indices may repeat), with the diagonal zeroed."""
-    A_sub = A[idx][:, idx]
-    A_sub.setdiag(0.0)
-    return A_sub
-
-
 def _solve_pseudo_labels(P, rho, cfg: TrainConfig, A_sub, scfg, init=None) -> ot_core.TransportPlan:
     """One `cfg.solver` pseudo-label solve; `init` warm-starts OT, UOT, POT and P2OT (the others ignore it)."""
     choice = cfg.solver
@@ -298,7 +291,10 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
             P2 = predict_probs(model, X2)
             M1, M2, idx = buffer.concat(P1, P2, batch)
             assert idx.shape[0] == M1.shape[0] == M2.shape[0]
-            A_sub = None if A is None else buffer_adjacency(A, idx)
+            A_sub = None
+            if A is not None:  # rows and columns idx (repeats allowed), read by both views' solves
+                A_sub = A[idx][:, idx]
+                A_sub.sort_indices()  # once: each view's Sp2otProblem copy then finds it canonical
             try:
                 plan1 = _solve_pseudo_labels(M1, rho, cfg, A_sub, scfg, step_potential)
                 step_potential = plan1.col_potential

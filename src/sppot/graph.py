@@ -11,28 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Entries per block of the graph set-up's blockwise passes (512 KB of float64): the rows of
-# `build_knn_graph`, `pairwise_sq_dists` and `gaussian_similarity`, and the median's pass.
-# Larger blocks are no faster and leave more freed memory resident in the allocator's heap.
+# Entries per block of every blockwise pass over a graph (512 KB of float64): the rows of
+# `build_knn_graph`, `pairwise_sq_dists`, `gaussian_similarity` and `dense_to_csr`'s scan, and
+# the median's pass. Larger blocks are no faster (the scan of a 5632^2 graph is within ~3 ms
+# of its time at 1M-entry blocks) and leave more freed memory resident in the allocator's heap.
 KNN_BLOCK_ENTRIES = 1 << 16
 # Entries of the sorted sample whose ranks bracket the median in `median_bandwidth`. The
 # bracket spans 3 sqrt(s) sample ranks each side (six standard deviations of the sample's
 # median rank), about 3.3% of the distances at this size; inputs of under four samples'
 # worth of distances are partitioned whole.
 MEDIAN_SAMPLE = 1 << 15
-# Entries per block of rows that `dense_to_csr` scans (1 MB of boolean mask): the scan adds
-# no N x N temporary to the caller's peak memory, and at 5632^2 it runs faster than one
-# whole-matrix mask (~46 against ~60 ms).
-DENSE_SCAN_BLOCK_ENTRIES = 1 << 20
 
 
 def dense_to_csr(A) -> sparse.csr_array:
     """The square matrix `A` as a float64 CSR array of its nonzero entries.
 
-    One scan of the mask `A != 0`, a block of rows at a time into one reused
-    buffer: each block's nonzero flat positions give rows and columns by
-    divmod with N, the row counts give `indptr`, and the entries are gathered
-    by those flat positions straight into `data`.
+    One scan of the mask `A != 0`, a block of about KNN_BLOCK_ENTRIES entries
+    at a time into one reused buffer: each block's nonzero flat positions give
+    rows and columns by divmod with N, the row counts give `indptr`, and the
+    entries are gathered by those flat positions straight into `data`.
     The result equals `sparse.csr_array(A, dtype=float)` array for array
     (columns ascending within a row, no explicit zeros, -0.0 dropped, NaN
     kept) without scipy's COO round trip, which costs several times the scan
@@ -46,7 +43,7 @@ def dense_to_csr(A) -> sparse.csr_array:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency must be a square N x N matrix, got shape {A.shape}")
     n = A.shape[0]
-    block = max(1, DENSE_SCAN_BLOCK_ENTRIES // max(n, 1))
+    block = max(1, KNN_BLOCK_ENTRIES // max(n, 1))
     counts = np.zeros(n, dtype=np.int64)
     indices, data = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     mask = np.empty((min(block, n), n), dtype=bool)

@@ -40,6 +40,8 @@ class Sp2otProblem:
     outer_tol: float = 1e-5
     outer_max_iter: int = 10
     inner: ScalingConfig | None = None  # the inner solves' stopping rule; its epsilon must be `epsilon`
+    # the P2OT problem every inner solve projects onto; building it checks pred and rho
+    projection: P2otProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         from scipy import sparse  # here, not at import: P2OT and the OT family never load it
@@ -69,6 +71,7 @@ class Sp2otProblem:
         object.__setattr__(self, "adjacency", A)
         if self.inner is None:
             object.__setattr__(self, "inner", ScalingConfig(epsilon=self.epsilon))
+        object.__setattr__(self, "projection", P2otProblem(P, self.rho, self.lambda2, self.inner))
 
 
 @dataclass
@@ -134,13 +137,12 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
     C0 = prediction_cost(problem.pred)
     N, K = C0.shape
     Q = np.full((N, K), problem.rho / (N * K))
-    inner_problem = P2otProblem(problem.pred, problem.rho, problem.lambda2, problem.inner)
     trace = PmdTrace()
     plan = None
     semantic_on = problem.lambda1 != 0 and problem.adjacency.nnz > 0
     C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
     for _ in range(problem.outer_max_iter):
-        plan = solve_p2ot_fast(inner_problem, cost=C, init=None if plan is None else plan.col_potential)
+        plan = solve_p2ot_fast(problem.projection, cost=C, init=None if plan is None else plan.col_potential)
         change = float(np.linalg.norm(plan.coupling - Q) / max(np.linalg.norm(Q), 1e-300))
         Q = plan.coupling
         C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)

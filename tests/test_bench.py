@@ -3,15 +3,13 @@ from collections import deque
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import sparse
 
-from sppot import bench
+from sppot import bench, sp2ot
 from sppot.bench import (
     MemoryBuffer,
     PrototypeModel,
     QUALITY_FIELDS,
     TrainConfig,
-    buffer_adjacency,
     generate_imbalanced_mixture,
     geometric_class_counts,
     predict_probs,
@@ -273,17 +271,38 @@ class TestTrain:
         cfg = TrainConfig(solver=solver, epochs=1, batch_size=30, buffer_size=60, knn_k=5, seed=1)
         assert len(train(tiny_dataset, cfg).epochs) == 1
 
-    def test_buffer_adjacency_matches_dense_slice(self):
-        rng = np.random.default_rng(12)
-        A = sparse.random_array((20, 20), density=0.3, format="csr", rng=rng)
-        A.setdiag(rng.uniform(0.5, 1.0, size=20))  # self-loops, so zeroing the diagonal matters
-        idx = np.concatenate([rng.permutation(20)[:8], rng.integers(0, 20, size=12)])
-        assert np.unique(idx).size < idx.size
-        dense = A.toarray()[np.ix_(idx, idx)]
-        np.fill_diagonal(dense, 0.0)
-        sub = buffer_adjacency(A, idx)
-        assert sparse.issparse(sub)
-        npt.assert_array_equal(sub.toarray(), dense)
+    def test_sp2ot_step_views_share_one_sorted_slice(self, tiny_dataset, monkeypatch):
+        graphs, step_indices, received = [], [], []
+        real_build, real_concat, real_problem = bench.build_knn_graph, MemoryBuffer.concat, sp2ot.Sp2otProblem
+
+        def build(*args, **kwargs):
+            graphs.append(real_build(*args, **kwargs))
+            return graphs[-1]
+
+        def concat(self, *args):
+            out = real_concat(self, *args)
+            step_indices.append(out[2])
+            return out
+
+        def problem(pred, adjacency, *args, **kwargs):
+            received.append((adjacency, adjacency.has_sorted_indices))
+            return real_problem(pred, adjacency, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "build_knn_graph", build)
+        monkeypatch.setattr(MemoryBuffer, "concat", concat)
+        monkeypatch.setattr(sp2ot, "Sp2otProblem", problem)
+        cfg = TrainConfig(solver="SP2OT", epochs=2, batch_size=30, buffer_size=30, knn_k=5, seed=2, lambda1_0=10.0)
+        train(tiny_dataset, cfg)
+
+        (graph,) = graphs
+        A = graph.adjacency
+        steps = [(adjacency, is_sorted) for adjacency, is_sorted in received if adjacency is not A]
+        assert len(steps) == 2 * len(step_indices) == 12
+        assert any(np.unique(idx).size < idx.size for idx in step_indices)  # the buffer repeats samples
+        for (first, first_sorted), (second, _), idx in zip(steps[::2], steps[1::2], step_indices):
+            assert first is second
+            assert first_sorted
+            npt.assert_array_equal(first.toarray(), A.toarray()[np.ix_(idx, idx)])
 
     def test_rho_follows_schedule(self, tiny_dataset):
         cfg = TrainConfig(

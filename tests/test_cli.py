@@ -280,6 +280,17 @@ class TestSp2otSolve:
         argv = ["sp2ot", "solve", "--pred", str(pred), "--graph", str(gpath), "--lambda1", "1.0", "--rho", "0.5"]
         assert_out_collision_refused(capsys, argv, tmp_path / "plan.json")
 
+    def test_invalid_rho_exits_1_with_one_line(self, capsys, tmp_path):
+        pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)
+        gpath = tmp_path / "graph.csv"
+        io_mod.write_triplets_csv(gpath, [0, 1, 2], [1, 2, 3], [1.0, 0.5, 0.25])
+        with pytest.raises(SystemExit) as exc:
+            main(["sp2ot", "solve", "--pred", str(pred), "--graph", str(gpath),
+                  "--lambda1", "1.0", "--rho", "1.5", "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "rho must be in (0, 1]" in err[0], err
+
     def test_out_of_range_edge_exits_1(self, tmp_path):
         pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)
         gpath = tmp_path / "graph.csv"

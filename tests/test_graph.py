@@ -533,7 +533,7 @@ class TestDenseToCsr:
     @pytest.mark.parametrize("block", [1, 7, 20, 1 << 20])
     def test_blocks_do_not_change_the_result(self, monkeypatch, block):
         A = build_knn_graph(gaussian_similarity(features(30, 3, seed=14), 1.0), k=4).to_dense()
-        monkeypatch.setattr(graph, "DENSE_SCAN_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(graph, "KNN_BLOCK_ENTRIES", block)
         assert_same_csr(dense_to_csr(A), csr_reference(A))
 
     def test_result_owns_its_arrays(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -114,6 +116,26 @@ class TestValidation:
         # a NaN tolerance used to be accepted, and no change is below it
         with pytest.raises(ValueError, match="outer_tol must be >= 0"):
             Sp2otProblem(random_pred(4, 2, 0), np.eye(4), 1.0, 1.0, 0.5, 0.1, outer_tol=outer_tol)
+
+    @pytest.mark.parametrize("pred, rho, message", [
+        (random_pred(4, 2, 0), 1.5, "rho must be in (0, 1]"),
+        (random_pred(4, 2, 0), 0.0, "rho must be in (0, 1]"),
+        (random_pred(4, 2, 0), np.nan, "rho must be in (0, 1]"),
+        (0.6 * random_pred(4, 2, 0), 0.5, "pred rows must sum to 1 within 1e-6"),
+        (np.full(4, 0.25), 0.5, "pred must be a 2-D probability matrix"),
+    ])
+    def test_projection_inputs_rejected_at_construction(self, pred, rho, message):
+        # these used to pass construction and raise only when solve_sp2ot built its inner P2OT problem
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Sp2otProblem(pred, np.eye(4), 1.0, 1.0, rho, 0.1)
+
+    def test_projection_is_the_inner_p2ot_problem(self):
+        inner = ScalingConfig(epsilon=0.1, tol=1e-9)
+        problem = Sp2otProblem(random_pred(4, 2, 0), np.eye(4), 1.0, 2.0, 0.5, 0.1, inner=inner)
+        projection = problem.projection
+        assert isinstance(projection, P2otProblem)
+        assert projection.pred is problem.pred
+        assert (projection.rho, projection.lam, projection.cfg) == (0.5, 2.0, inner)
 
     def test_dense_adjacency_copied(self):
         A = knn_like_adjacency(6, seed=4)
