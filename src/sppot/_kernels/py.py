@@ -74,6 +74,10 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     either vector exceeds ABSORB_THRESHOLD. Targets in `beta` must be strictly
     positive.
 
+    Column model. The soft columns (f < 1) are one contiguous run sharing
+    one exponent, as `ot_core.solve_virtual` passes them (the K real columns
+    at lam/(lam+eps), then the hard virtual column); the kernel relies on it.
+
     Upper-bounded columns. `upper` (default None: none) is a boolean column
     mask; a masked column holds a mass of at most beta_j, and its entry of f
     must be 1. Its update is the KL prox of that bound in the absorbed frame,
@@ -101,10 +105,9 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     lam log(beta_j / x_j) with x_j its column mass and lam = eps f/(1 - f),
     the potential of the step-free fixed point. The step is skipped, and the
     loop is the step-free recursion bit for bit, when there is no soft
-    column (balanced and partial OT), when the soft columns' exponents
-    differ (the shift argument needs one shared exponent), when
-    m_soft <= 0 (hard targets above the row mass: no feasible plan), and
-    in a sweep whose soft mass is not positive and finite. It is also
+    column (balanced and partial OT), when m_soft <= 0 (hard targets above
+    the row mass: no feasible plan; or rounding, -2.2e-16 at rho = 1e-17 and
+    N = 7), and in a sweep whose soft mass is not positive and finite. It is also
     skipped when any column is upper-bounded: such a column's mass is not
     fixed, so neither is the soft columns'.
 
@@ -146,8 +149,8 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     absorptions, and at eps 1e-3 a soft one overflows first. Soft columns
     (f < 1) start from the weight w0 = exp(v0 (f-1)/eps). A `v0` the
     recursion could not recover from is ignored, and the solve starts from
-    zeros: one that is not finite, whose soft-column weights lie beyond
-    ABSORB_THRESHOLD in either direction, or that leaves a column with every
+    zeros: one of the wrong length or not finite, whose soft-column weights
+    lie beyond ABSORB_THRESHOLD in either direction, or that leaves a column with every
     kernel entry under the floor that the lift does not raise.
     Every kernel is built in place in this thread's kernel buffer
     (`workspace`) by one floored exponentiation, `_floored_exp`: its
@@ -178,8 +181,8 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     C and the kernel are held in Fortran order, where the two BLAS mat-vecs
     of a sweep over a tall, narrow matrix are fastest; the plan is returned
     C-contiguous. M b and the row scaling a are written into two N-vectors
-    allocated once a call, and a contiguous run of soft columns is read
-    through a slice, so a sweep allocates only K-vectors.
+    allocated once a call, and the soft columns are read through a slice,
+    so a sweep allocates only K-vectors.
 
     Returns (Q, iterations, converged, col_potential, entropic). Q is the
     plan's first `n_real` columns (default: all), formed as
@@ -201,12 +204,9 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     hard = f == 1.0
     u, v, M = _start(C, v0, f, hard if upper is None else hard & ~upper, epsilon)
     w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
-    soft = np.flatnonzero(~hard)  # the mass step's columns, None where it is skipped
+    soft = np.flatnonzero(~hard)  # one contiguous run (the column model), read through a slice
     m_soft = float(alpha.sum() - beta[hard].sum())
-    if soft.size == 0 or m_soft <= 0 or np.any(f[soft] != f[soft[0]]) or upper is not None:
-        soft = None
-    elif soft[-1] - soft[0] + 1 == soft.size:  # a contiguous run (all but the virtual column): a view, no gather
-        soft = slice(soft[0], soft[-1] + 1)
+    soft = slice(soft[0], soft[-1] + 1) if soft.size and m_soft > 0 and upper is None else None  # None: no step
     cap = None if upper is None else _upper_cap(v, upper, epsilon)
     a = np.ones(m)
     Mb = np.empty(m)  # M b, written in place every sweep, as is a
@@ -341,12 +341,14 @@ def _upper_cap(v, upper, epsilon):
 def _start(C, v0, f, lift, epsilon):
     """Row potential, column potential and kernel a solve starts from, the kernel in this thread's buffer.
 
-    From `v0` when the recursion can recover from it (see
-    `scaling_weighted_kl`), else from zeros. The kernel is `_floored_exp`
+    From `v0` when it has one entry per column and the recursion can recover
+    from it (see `scaling_weighted_kl`), else from zeros. The kernel is `_floored_exp`
     of v - C less its row maxima. A column in the boolean mask `lift` whose
     every kernel entry would fall under the floor has its potential raised
     so that its largest entry is 1.
     """
+    if v0 is not None and np.shape(v0) != f.shape:
+        v0 = None
     if v0 is not None:
         v = np.array(v0, dtype=np.float64)  # a copy: the loop updates it in place
         log_w = v * (f - 1.0) / epsilon

@@ -480,7 +480,12 @@ def oracle_group():
 @click.option("--eps", type=float, default=0.5, show_default=True)
 @click.option("--tol", type=float, default=5e-6, show_default=True)
 def oracle_check(pred_path, rho, lam, eps, tol):
-    """Cross-check the fast solver against projected gradient descent."""
+    """Cross-check the fast solver against projected gradient descent.
+
+    Exits 1 when PGD misses --tol in 60000 iterations. At the defaults PGD
+    converges on a 6x3 Dirichlet(2) posterior at --rho 0.5 (0.4 s, gap 1.9e-12),
+    not on 24x3 or 20x5 Dirichlet(1) ones, nor at --eps 0.1 (exit 1 after ~20 s).
+    """
     try:
         P = io_mod.read_matrix(pred_path)
         problem = p2ot.P2otProblem(P, rho, lam, ot_core.ScalingConfig(epsilon=eps, tol=1e-10, max_iter=100000))

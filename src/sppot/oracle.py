@@ -168,7 +168,7 @@ def oracle_objective(Q, cost, epsilon, col_kl=None, slack_entropy=None) -> float
     val = float(np.sum(Q * cost))
     if col_kl is not None:
         target, lam = col_kl
-        val += weighted_kl_value(Q.sum(axis=0), target, np.full_like(target, lam))
+        val += weighted_kl_value(Q.sum(axis=0), target, lam)
     val += epsilon * float(np.sum(xlogx(Q)))
     if slack_entropy is not None:
         val += epsilon * float(np.sum(xlogx(slack_entropy - Q.sum(axis=1))))

@@ -83,9 +83,9 @@ class TransportPlan:
     over the inner solves for SP2OT), and whether the last sweep's change fell
     under `tol` (see `ScalingConfig`).
 
-    The objective is `entropic_objective` of the plan (SP2OT: `sp2ot_objective`).
-    The kernel-backed solvers read it from the final scalings, so it equals
-    `entropic_objective` up to rounding."""
+    The objective is `entropic_objective(Q, C, rho / K, lam, eps)` (SP2OT:
+    `sp2ot_objective`). The kernel-backed solvers read it from the final
+    scalings, so it equals `entropic_objective` up to rounding."""
 
     coupling: np.ndarray
     objective: float
@@ -105,12 +105,12 @@ class TransportPlan:
         return float(self.coupling.sum())
 
 
-def entropic_objective(plan: np.ndarray, cost: np.ndarray, target: np.ndarray, weights, epsilon: float) -> float:
+def entropic_objective(plan: np.ndarray, cost: np.ndarray, target, lam: float, epsilon: float) -> float:
     """<Q,C> + KL penalty on the column marginal - eps*H(Q), with 0 log 0 := 0.
 
-    The penalty is `weighted_kl_value(Q^T 1, target, weights)`: the
-    x*log(x/target) form (entries with x = 0 contribute 0); entries with the
-    sentinel infinite weight are hard constraints the solver enforces, and
+    The penalty is `weighted_kl_value(Q^T 1, target, lam)`: lam times the
+    x*log(x/target) form (entries with x = 0 contribute 0); at the sentinel
+    lam = np.inf the columns are hard constraints the solver enforces, and
     contribute 0.
     """
     Q = np.asarray(plan, dtype=float)
@@ -119,7 +119,7 @@ def entropic_objective(plan: np.ndarray, cost: np.ndarray, target: np.ndarray, w
         raise DimensionMismatchError("plan and cost shapes differ")
     val = float(np.vdot(Q, C))
     # a BLAS mat-vec with a ones vector: several times faster than Q.sum on a tall, narrow Q
-    val += weighted_kl_value(np.ones(Q.shape[0]) @ Q, target, weights)
+    val += weighted_kl_value(np.ones(Q.shape[0]) @ Q, target, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q = np.log(Q)
     np.copyto(log_q, 0.0, where=Q <= 0)  # 0 log 0 := 0, as in xlogx; a NaN entry already makes <Q,C> NaN
@@ -135,24 +135,21 @@ def xlogx(x: np.ndarray) -> np.ndarray:
     return np.multiply(x, out, out=out, where=pos)
 
 
-def weighted_kl_value(x: np.ndarray, target: np.ndarray, weights) -> float:
-    """sum_i lam_i * x_i * log(x_i / t_i) with 0 log 0 := 0.
+def weighted_kl_value(x: np.ndarray, target, lam: float) -> float:
+    """lam * sum_i x_i * log(x_i / t_i) with 0 log 0 := 0, the target t one value or one per entry.
 
-    Sentinel entries (lam = inf) are treated as hard equalities: their
+    The sentinel lam = np.inf stands for hard equalities: their
     contribution is 0 (they are enforced by the solver, not priced).
     """
     x = np.asarray(x, dtype=float)
-    target = np.asarray(target, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if not x.shape == target.shape == w.shape:
-        raise DimensionMismatchError(
-            f"marginal, target and weights shapes differ: {x.shape}, {target.shape}, {w.shape}")
-    finite = ~np.isinf(w)
-    pos = (x > 0) & finite
-    val = 0.0
-    if np.any(pos):
-        val = float(np.sum(w[pos] * x[pos] * np.log(x[pos] / target[pos])))
-    return val
+    t = np.asarray(target, dtype=float)
+    lam = float(lam)
+    if t.ndim and t.shape != x.shape:
+        raise DimensionMismatchError(f"marginal and target shapes differ: {x.shape}, {t.shape}")
+    pos = x > 0
+    if lam == np.inf or not np.any(pos):
+        return 0.0
+    return float(np.sum(lam * x[pos] * np.log(x[pos] / (t[pos] if t.ndim else t))))
 
 
 def prediction_cost(pred: np.ndarray) -> np.ndarray:
@@ -168,10 +165,9 @@ def prediction_cost(pred: np.ndarray) -> np.ndarray:
     return np.negative(C, out=C)
 
 
-def _exponents(weights: np.ndarray, epsilon: float) -> np.ndarray:
-    """Hadamard exponents f = lam/(lam+eps) of KL-weighted columns; 1 where lam = inf (hard)."""
-    hard = np.isinf(weights)
-    return np.divide(weights, weights + epsilon, out=np.ones_like(weights), where=~hard)
+def _exponent(lam: float, epsilon: float) -> float:
+    """Hadamard exponent f = lam/(lam+eps) of KL-weighted columns; 1 at lam = inf (hard)."""
+    return 1.0 if lam == np.inf else lam / (lam + epsilon)
 
 
 def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
@@ -226,19 +222,16 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     C = kernels.workspace("cost", (N, n))
     C[:, :K] = C0
     C[:, K:] = 0.0  # the virtual column
-    target = np.full(K, rho / K)
-    weights = np.full(K, float(lam))
-    beta = np.append(target, 1.0 - rho)[:n]
-    f = np.append(_exponents(weights, cfg.epsilon), 1.0)[:n]
+    beta = np.append(np.full(K, rho / K), 1.0 - rho)[:n]
+    f = np.append(np.full(K, _exponent(lam, cfg.epsilon)), 1.0)[:n]
     up_col = None
     if upper is not None and K * upper > rho * (1 + MASS_RTOL):
         beta[:K] = upper
         up_col = np.arange(n) < K
-    v0 = None if init is None or np.shape(init) != beta.shape else init
     Q, iters, converged, v, entropic = kernels.scaling_weighted_kl(
-        C, np.full(N, 1.0 / N), beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, v0, up_col, n_real=K)
+        C, np.full(N, 1.0 / N), beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, init, up_col, n_real=K)
     _check_finite(entropic, iters, cfg.epsilon)  # non-finite where any entry of the plan is
-    obj = entropic + weighted_kl_value(np.ones(N) @ Q, target, weights)
+    obj = entropic + weighted_kl_value(np.ones(N) @ Q, rho / K, lam)
     return TransportPlan(Q, obj, iters, converged, v if upper is None else None)
 
 

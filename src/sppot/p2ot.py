@@ -2,9 +2,9 @@
 
 The fast solver is `ot_core.solve_virtual` at (rho, lam): it appends a
 zero-cost virtual column that absorbs the 1-rho unselected mass, turns the
-total-mass constraint into a column marginal with a per-column weighted KL
-penalty (sentinel weight on the virtual column), and runs the stabilized
-scaling recursion, the same solve as balanced, unbalanced and partial OT.
+total-mass constraint into that column's hard marginal, prices the K real
+columns with one KL weight lam, and runs the stabilized scaling recursion,
+the same solve as balanced, unbalanced and partial OT.
 Its entropy covers the virtual column too, i.e. the row slack 1/N - Q 1 of
 the selected plan. After each column update it takes a scalar mass step
 that rescales the K real columns to total mass rho (the virtual column is
@@ -36,7 +36,7 @@ from .ot_core import (
     ScalingConfig,
     TransportPlan,
     _check_finite,
-    _exponents,
+    _exponent,
     entropic_objective,
     prediction_cost,
     solve_virtual,
@@ -92,10 +92,9 @@ def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None) -> Tran
     eps = cfg.epsilon
     alpha = np.full(N, 1.0 / N)
     beta = np.full(K, problem.rho / K)
-    weights = np.full(K, float(problem.lam))
     Q, iters, converged = kernels.gsa_total_mass(
-        np.asfortranarray(C), alpha, beta, _exponents(weights, eps), problem.rho, eps, cfg.tol, cfg.max_iter
+        np.asfortranarray(C), alpha, beta, _exponent(problem.lam, eps), problem.rho, eps, cfg.tol, cfg.max_iter
     )
     _check_finite(Q, iters, eps)
-    obj = entropic_objective(Q, C, beta, weights, eps)
+    obj = entropic_objective(Q, C, problem.rho / K, problem.lam, eps)
     return TransportPlan(Q, obj, iters, converged)

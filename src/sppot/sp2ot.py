@@ -79,7 +79,10 @@ class PmdTrace:
     objectives: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     frobenius_changes: list[float] = field(default_factory=list)
-    ascents: int = 0  # outer steps whose objective rose by more than 1e-12 over the previous one
+
+    @property
+    def ascents(self) -> int:  # outer steps whose objective rose by more than 1e-12 over the previous one
+        return sum(b > a + 1e-12 for a, b in zip(self.objectives, self.objectives[1:]))
 
 
 def sp2ot_gradient(cost0: np.ndarray, adjacency, lambda1: float, plan: np.ndarray) -> np.ndarray:
@@ -109,7 +112,7 @@ def sp2ot_objective(plan, cost0, cost, lambda2, rho, epsilon) -> float:
     """
     Q = np.asarray(plan, dtype=float)
     N, K = Q.shape
-    val = entropic_objective(Q, cost0, np.full(K, rho / K), np.full(K, lambda2), epsilon)
+    val = entropic_objective(Q, cost0, rho / K, lambda2, epsilon)
     val += 0.5 * float(np.sum(Q * (cost - cost0)))
     slack = np.maximum(1.0 / N - Q.sum(axis=1), 0.0)
     val += epsilon * float(np.sum(xlogx(slack)))
@@ -146,10 +149,7 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
         change = float(np.linalg.norm(plan.coupling - Q) / max(np.linalg.norm(Q), 1e-300))
         Q = plan.coupling
         C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
-        obj = sp2ot_objective(Q, C0, C, problem.lambda2, problem.rho, problem.epsilon)
-        if trace.objectives and obj > trace.objectives[-1] + 1e-12:
-            trace.ascents += 1
-        trace.objectives.append(obj)
+        trace.objectives.append(sp2ot_objective(Q, C0, C, problem.lambda2, problem.rho, problem.epsilon))
         trace.inner_iterations.append(plan.iterations)
         trace.frobenius_changes.append(change)
         if not semantic_on or change < problem.outer_tol:

@@ -71,17 +71,20 @@ class TestValidation:
             assert solve_uot(P, lam, ScalingConfig(epsilon=0.1)).converged
 
     def test_weighted_kl_shape_mismatch(self):
-        for x, t, w in ((np.ones(3), np.ones(2), np.ones(3)), (np.ones(3), np.ones(3), np.ones(2)),
-                        (np.ones(2), np.ones(3), np.ones(3))):
+        # a target of another length; the weight is one value, and an array of them is refused
+        for x, t in ((np.ones(3), np.ones(2)), (np.ones(2), np.ones(3))):
             with pytest.raises(DimensionMismatchError, match="shapes differ"):
-                weighted_kl_value(x, t, w)
+                weighted_kl_value(x, t, 1.0)
+        with pytest.raises(TypeError):
+            weighted_kl_value(np.ones(3), np.ones(3), np.ones(3))
 
     def test_marginal_length_mismatch(self):
         # a row-length target against the column marginal of a 2x3 plan
         Q = np.full((2, 3), 1 / 6)
-        with pytest.raises(DimensionMismatchError):
-            entropic_objective(Q, np.zeros((2, 3)), np.full(2, 1 / 2), np.ones(2), 0.1)
-        assert np.isfinite(entropic_objective(Q, np.zeros((2, 3)), np.full(3, 1 / 3), np.ones(3), 0.1))
+        with pytest.raises(DimensionMismatchError, match="shapes differ"):
+            entropic_objective(Q, np.zeros((2, 3)), np.full(2, 1 / 2), 1.0, 0.1)
+        assert np.isfinite(entropic_objective(Q, np.zeros((2, 3)), np.full(3, 1 / 3), 1.0, 0.1))
+        assert np.isfinite(entropic_objective(Q, np.zeros((2, 3)), 1 / 3, 1.0, 0.1))  # one target for all
 
     def test_inconsistent_equality_masses_infeasible(self):
         # rows carry mass rho; K column bounds below rho/K cannot hold it, and
@@ -105,14 +108,16 @@ class TestHelpers:
     def test_weighted_kl_value_matches_formula(self):
         x = np.array([0.2, 0.0, 0.3])
         t = np.array([0.1, 0.5, 0.3])
-        w = np.array([2.0, 1.0, 1.0])
         expected = 2.0 * 0.2 * np.log(2.0)  # the zero entry and the matched entry drop out
-        npt.assert_allclose(weighted_kl_value(x, t, w), expected)
+        npt.assert_allclose(weighted_kl_value(x, t, 2.0), expected)
+        # one target for every entry equals that target repeated, bit for bit
+        assert weighted_kl_value(x, 0.1, 2.0) == weighted_kl_value(x, np.full(3, 0.1), 2.0)
 
     def test_weighted_kl_sentinel_contributes_zero(self):
-        x = np.array([0.4])
-        t = np.array([0.1])
-        assert weighted_kl_value(x, t, np.array([np.inf])) == 0.0
+        x = np.array([0.4, 0.2])
+        t = np.array([0.1, 0.3])
+        assert weighted_kl_value(x, t, np.inf) == 0.0
+        assert weighted_kl_value(x, 0.1, np.inf) == 0.0
 
     def test_prediction_cost_floor(self):
         P = np.array([[0.0, 1.0]])
@@ -121,30 +126,34 @@ class TestHelpers:
 
     def test_entropic_objective_shape_check(self):
         with pytest.raises(DimensionMismatchError):
-            entropic_objective(np.ones((2, 2)), np.ones((2, 3)), np.ones(3), np.zeros(3), 0.1)
+            entropic_objective(np.ones((2, 2)), np.ones((2, 3)), np.ones(3), 0.0, 0.1)
 
     def test_entropic_objective_value(self):
         Q = np.array([[0.25, 0.25], [0.25, 0.25]])
         C = np.array([[1.0, 2.0], [3.0, 4.0]])
-        val = entropic_objective(Q, C, np.full(2, 0.5), np.ones(2), 1.0)  # columns on target: no penalty
+        val = entropic_objective(Q, C, 0.5, 1.0, 1.0)  # columns on target: no penalty
         expected = 2.5 + np.sum(Q * np.log(Q))
         npt.assert_allclose(val, expected)
 
+    @pytest.mark.parametrize("lam", [2.0, np.inf])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_entropic_objective_matches_plain_reference(self, order):
-        # exact zeros, an empty column, sentinel (hard) weights, and both memory orders
+    def test_entropic_objective_matches_plain_reference(self, order, lam):
+        # exact zeros, an empty column, a finite and the sentinel (hard) weight, and both memory orders
         rng = np.random.default_rng(3)
         Q = rng.random((50, 7)) / 350
         Q[rng.random(Q.shape) < 0.2] = 0.0
         Q[:, 4] = 0.0
         C = rng.normal(size=Q.shape)
-        target, weights = np.full(7, 1 / 7), np.array([1.0, 2.0, np.inf, 0.5, 1.0, np.inf, 3.0])
-        eps = 0.1
-        expected = np.sum(Q * C) + weighted_kl_value(Q.sum(axis=0), target, weights) + eps * np.sum(xlogx(Q))
+        target, eps = np.full(7, 1 / 7), 0.1
+        col = Q.sum(axis=0)
+        pos = col > 0
+        penalty = 0.0 if lam == np.inf else lam * np.sum(col[pos] * np.log(col[pos] / target[pos]))
+        expected = np.sum(Q * C) + penalty + eps * np.sum(xlogx(Q))
         Q, C = np.asarray(Q, order=order), np.asarray(C, order=order)
         for plan, cost in ((Q, C), (Q, np.asfortranarray(C)), (np.ascontiguousarray(Q), C)):
-            val = entropic_objective(plan, cost, target, weights, eps)
-            assert abs(val - expected) <= 1e-13 * abs(expected)
+            for t in (target, 1 / 7):
+                val = entropic_objective(plan, cost, t, lam, eps)
+                assert abs(val - expected) <= 1e-13 * abs(expected)
 
     def test_prediction_cost_is_negative_log_of_clamped(self):
         P = random_pred(30, 4, seed=5)
@@ -602,7 +611,7 @@ def _hard_targets_over_row_mass():
     """20x4 kernel arguments whose hard columns ask for 0.6 + 0.5 of a row mass of 1."""
     C = prediction_cost(random_pred(20, 4, seed=39))
     beta = np.array([0.6, 0.5, 0.2, 0.2])
-    f = ot_core._exponents(np.array([np.inf, np.inf, 1.0, 1.0]), 0.1)
+    f = np.array([1.0, 1.0, 1.0 / 1.1, 1.0 / 1.1])  # two hard columns, then two soft ones at lam = 1, eps = 0.1
     return C, np.full(20, 1 / 20), beta, f
 
 
@@ -615,16 +624,6 @@ class TestMassStep:
         cfg = ScalingConfig(epsilon=eps, tol=1e-8, max_iter=3000)
         rho, lam = SOLVES[name]
         args = _virtual_kernel_args(monkeypatch, random_pred(200, 6, seed=40, temperature=0.5), rho, lam, cfg)
-        for x, y in zip(kernels.scaling_weighted_kl(*args), _step_free_kernel(*args)):
-            npt.assert_array_equal(x, y)
-
-    def test_soft_columns_with_differing_exponents_take_no_step(self):
-        from sppot._kernels import py as kernels
-
-        C = prediction_cost(random_pred(100, 4, seed=41))
-        beta = np.full(4, 0.25)
-        f = ot_core._exponents(np.array([0.5, 1.0, 2.0, np.inf]), 0.1)
-        args = (C, np.full(100, 0.01), beta, f, 0.1, 1e-8, 3000)
         for x, y in zip(kernels.scaling_weighted_kl(*args), _step_free_kernel(*args)):
             npt.assert_array_equal(x, y)
 
@@ -653,6 +652,15 @@ class TestMassStep:
         npt.assert_allclose(Q, ref_Q, rtol=0, atol=1e-10 * ref_Q.max())
         npt.assert_allclose(v, ref_v, rtol=0, atol=1e-8)
 
+    def test_row_mass_rounding_under_the_virtual_target_takes_no_step(self):
+        # at rho = 1e-17 the rows' 7 x 1/7 rounds under the virtual column's 1 - rho: the soft
+        # columns are left a mass of -2.2e-16, so the step is skipped and the solve still converges
+        assert np.full(7, 1 / 7).sum() - (1 - 1e-17) < 0
+        plan = ot_core.solve_virtual(prediction_cost(random_pred(7, 4, seed=46)), 1e-17, 1.0, ScalingConfig(0.1))
+        assert plan.converged and plan.iterations == 3
+        assert np.all(np.isfinite(plan.coupling)) and np.isfinite(plan.objective)
+        assert 0 < plan.total_mass() < 1e-15
+
     @pytest.mark.parametrize("rho", [0.1, 0.5, 1.0])
     def test_total_mass_is_exact(self, rho):
         # after the step the soft columns hold exactly the mass the rows and
@@ -660,6 +668,46 @@ class TestMassStep:
         cfg = ScalingConfig(epsilon=0.1, tol=1e-3)
         plan = ot_core.solve_virtual(-np.log(random_pred(500, 8, seed=43)), rho, 1.0, cfg)
         assert abs(plan.total_mass() - rho) <= 1e-12
+
+
+COLUMN_MODEL_SOLVES = {
+    # name: (rho, solve(P, rho, cfg)) with one kernel call each
+    "balanced": (1.0, lambda P, rho, cfg: solve_balanced_ot(P, cfg)),
+    "uot": (1.0, lambda P, rho, cfg: solve_uot(P, 1.0, cfg)),
+    "pot": (0.4, lambda P, rho, cfg: solve_pot(P, rho, cfg)),
+    "p2ot": (0.4, lambda P, rho, cfg: ot_core.solve_virtual(prediction_cost(P), rho, 1.0, cfg)),
+    "sla-slack": (0.4, lambda P, rho, cfg: solve_sla(P, rho, 1.2 * rho / P.shape[1], cfg)),
+    "sla-binding": (0.4, lambda P, rho, cfg: solve_sla(P, rho, rho / P.shape[1], cfg)),
+    "sp2ot-inner": (0.4, lambda P, rho, cfg: _one_sp2ot_inner_solve(P, rho, cfg)),
+}
+
+
+def _one_sp2ot_inner_solve(P, rho, cfg):
+    from sppot.sp2ot import Sp2otProblem, solve_sp2ot
+
+    N = P.shape[0]
+    A = np.ones((N, N)) - np.eye(N)
+    return solve_sp2ot(Sp2otProblem(P, A, 0.5, 1.0, rho, cfg.epsilon, outer_max_iter=1, inner=cfg))
+
+
+class TestColumnModel:
+    # the mass step reads the soft columns as one slice and prices them with one exponent:
+    # every solve passes K real columns sharing one exponent, then the hard virtual column
+    @pytest.mark.parametrize("name", sorted(COLUMN_MODEL_SOLVES))
+    def test_real_columns_share_one_exponent_before_the_virtual_column(self, monkeypatch, name):
+        K = 5
+        P = random_pred(40, K, seed=47)
+        rho, solve = COLUMN_MODEL_SOLVES[name]
+        args, _ = _kernel_call(monkeypatch, lambda: solve(P, rho, ScalingConfig(epsilon=0.1)))
+        beta, f = args[2], args[3]
+        assert np.all(f[:K] == f[0])
+        if rho < 1:
+            assert f.shape == (K + 1,) and f[K] == 1.0 and beta[K] == 1.0 - rho
+        else:
+            assert f.shape == (K,)
+        soft = np.flatnonzero(f < 1)
+        assert soft.size == 0 or np.array_equal(soft, np.arange(K))
+        assert soft.size == (K if name in ("uot", "p2ot", "sp2ot-inner") else 0)
 
 
 class _AbsorptionSpy:
@@ -854,7 +902,7 @@ class TestObjectiveFromScalings:
         plan = KERNEL_FAMILY[name](P, rho, cfg)
         K = P.shape[1]
         lam = 1.0 if name in ("uot", "p2ot") else np.inf
-        ref = entropic_objective(plan.coupling, ot_core.prediction_cost(P), np.full(K, rho / K), np.full(K, lam), eps)
+        ref = entropic_objective(plan.coupling, ot_core.prediction_cost(P), rho / K, lam, eps)
         assert np.isfinite(plan.objective)
         assert abs(plan.objective - ref) <= 1e-12 * abs(ref)
         if name == "sla" and rho < 1:  # the bound holds and binds

@@ -295,7 +295,7 @@ class TestObjective:
         C0 = prediction_cost(P)
         slack = np.maximum(1.0 / n - Q.sum(axis=1), 0.0)
         expected = (np.sum(Q * C0) - lam1 * np.sum(Q * (A @ Q))
-                    + weighted_kl_value(Q.sum(axis=0), np.full(k, rho / k), np.full(k, lambda2))
+                    + weighted_kl_value(Q.sum(axis=0), rho / k, lambda2)
                     + eps * np.sum(xlogx(Q)) + eps * np.sum(xlogx(slack)))
         graph = A if fmt == "dense" else sparse.csr_array(A).asformat(fmt)
         val = sp2ot_objective(Q, C0, sp2ot_gradient(C0, graph, lam1, Q), lambda2, rho, eps)
