@@ -94,6 +94,9 @@ class TransportPlan:
     # final column potential of the solved (virtual-column) problem; pass it
     # as `init=` to warm-start a nearby solve. None where a solver has none.
     col_potential: np.ndarray | None = None
+    # the kernel's Newton steps (summed over the inner solves for SP2OT); 0 where
+    # its Newton phase did not run, as on every cold start
+    newton_steps: int = 0
 
     def row_marginal(self) -> np.ndarray:
         return self.coupling.sum(axis=1)
@@ -187,7 +190,8 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     `entropic_objective` of the plan up to rounding. `init`, the
     `col_potential` of an earlier plan, warm-starts the kernel; an `init`
     whose length is not the extension's column count (K+1 for rho < 1, K at
-    rho = 1) is ignored.
+    rho = 1) is ignored. A warm start without `upper` may end with the
+    kernel's Newton phase, whose steps the plan counts in `newton_steps`.
 
     `upper` (SLA; lam must be np.inf) bounds each real column's mass by
     `upper` instead of pinning it at rho/K. It must be > 0, and K * upper
@@ -228,11 +232,11 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     if upper is not None and K * upper > rho * (1 + MASS_RTOL):
         beta[:K] = upper
         up_col = np.arange(n) < K
-    Q, iters, converged, v, entropic = kernels.scaling_weighted_kl(
+    Q, iters, converged, v, entropic, newton_steps = kernels.scaling_weighted_kl(
         C, np.full(N, 1.0 / N), beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, init, up_col, n_real=K)
     _check_finite(entropic, iters, cfg.epsilon)  # non-finite where any entry of the plan is
     obj = entropic + weighted_kl_value(np.ones(N) @ Q, rho / K, lam)
-    return TransportPlan(Q, obj, iters, converged, v if upper is None else None)
+    return TransportPlan(Q, obj, iters, converged, v if upper is None else None, newton_steps)
 
 
 def _check_finite(Q, iters: int, epsilon: float) -> None:

@@ -78,6 +78,7 @@ class Sp2otProblem:
 class PmdTrace:
     objectives: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
+    inner_newton_steps: list[int] = field(default_factory=list)
     frobenius_changes: list[float] = field(default_factory=list)
 
     @property
@@ -151,11 +152,13 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
         C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
         trace.objectives.append(sp2ot_objective(Q, C0, C, problem.lambda2, problem.rho, problem.epsilon))
         trace.inner_iterations.append(plan.iterations)
+        trace.inner_newton_steps.append(plan.newton_steps)
         trace.frobenius_changes.append(change)
         if not semantic_on or change < problem.outer_tol:
             break
     if trace.ascents:
         log.warning("objective increased in %d of %d outer steps (largest rise %.3e); adjacency may not be PSD",
                     trace.ascents, len(trace.objectives), float(np.max(np.diff(trace.objectives))))
-    final = TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.col_potential)
+    final = TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.col_potential,
+                          sum(trace.inner_newton_steps))
     return final, trace

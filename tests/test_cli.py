@@ -241,6 +241,9 @@ class TestSp2otSolve:
         assert len(summary["outer_objectives"]) >= 1
         objs = summary["outer_objectives"]
         assert summary["ascents"] == sum(b > a + 1e-12 for a, b in zip(objs, objs[1:]))
+        newton = summary["inner_newton_steps"]
+        assert len(newton) == len(summary["inner_iterations"]) == len(objs)
+        assert newton[0] == 0 and all(isinstance(steps, int) and steps >= 0 for steps in newton)  # the first is cold
 
     def test_nonfinite_edge_exits_1(self, runner, tmp_path):
         pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)

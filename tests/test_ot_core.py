@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -484,7 +485,7 @@ class TestKernelLayout:
 
         cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
         args = _virtual_kernel_args(monkeypatch, random_pred(60, 5, seed=32, temperature=0.5), 0.5, 1.0, cfg)
-        Q, iters, converged, _, _ = kernels.scaling_weighted_kl(*args)
+        Q, iters, converged, *_ = kernels.scaling_weighted_kl(*args)
         ref, ref_iters = _reference_cold_kernel(*args)
         assert converged and iters == ref_iters
         npt.assert_allclose(Q, ref, rtol=0, atol=1e-12 * ref.max())
@@ -556,6 +557,107 @@ class TestWarmStart:
         assert p2ot.solve_p2ot_gsa(p2ot.P2otProblem(P, 0.5, 1.0, cfg)).col_potential is None
 
 
+class _NewtonSpy:
+    """Wraps the kernel's `_newton`: `calls` holds the (entry, returned) column scalings and the steps of each call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real = kernels._newton
+
+        def spy(M, alpha, beta, f, v, b, *rest):
+            entry = b.copy()
+            out = real(M, alpha, beta, f, v, b, *rest)
+            self.calls.append((entry, out[0].copy(), out[1]))
+            return out
+
+        monkeypatch.setattr(kernels, "_newton", spy)
+
+
+def _warm_pair(name, cfg, temperature=1.0):
+    """The potential of a solve on one posterior and a nearby posterior to warm-start from it."""
+    P = random_pred(300, 6, seed=33, temperature=temperature)
+    return solve_virtual_named(name, P, cfg).col_potential, _nearby(P, seed=34)
+
+
+class TestNewtonPhase:
+    # A warm start that has not converged after NEWTON_ENTRY plain sweeps takes
+    # Newton steps on the column potentials, then one plain sweep, whose stop
+    # rule decides `converged`.
+    @pytest.mark.parametrize("eps, temperature", [(0.1, 1.0), (0.01, 0.3)])
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_warm_solves_end_no_further_from_the_reference_than_the_kernel(self, monkeypatch, name, eps,
+                                                                          temperature):
+        cfg = ScalingConfig(epsilon=eps, tol=1e-6, max_iter=20000)
+        init, P = _warm_pair(name, cfg, temperature)
+        cold = solve_virtual_named(name, P, cfg)
+        ref = solve_virtual_named(name, P, ScalingConfig(epsilon=eps, tol=1e-12, max_iter=200000))
+        spy = _NewtonSpy(monkeypatch)
+        warm = solve_virtual_named(name, P, cfg, init=init)
+        (_, _, steps), = spy.calls
+        assert warm.newton_steps == steps > 0 and cold.newton_steps == 0
+        assert warm.converged and ref.converged
+        assert warm.iterations == kernels.NEWTON_ENTRY + 1
+        tol = cfg.tol
+        assert np.all(warm.row_marginal() <= (1 + tol) / 300)
+        assert abs(warm.total_mass() - SOLVES[name][0]) <= tol
+        npt.assert_array_less(np.abs(warm.coupling - ref.coupling).max(),
+                              np.abs(cold.coupling - ref.coupling).max())
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_far_off_starts_raise_no_warning_and_hard_columns_pin_the_gauge(self, monkeypatch, name):
+        # a start 10 N(0, 1) off at eps 0.01 on a peaked posterior: P2OT's and UOT's trials
+        # overflow, divide by zero and turn NaN (seen with np.seterrcall), and every such trial is
+        # rejected without a warning, which tier-1 would turn into an error
+        tol = 1e-9
+        cfg = ScalingConfig(epsilon=0.01, tol=tol, max_iter=5000)
+        P = random_pred(60, 3, seed=35, temperature=0.3)
+        rho, lam = SOLVES[name]
+        init = 10 * np.random.default_rng(1).normal(size=3 if rho == 1 else 4)
+        spy = _NewtonSpy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = solve_virtual_named(name, P, cfg, init=init)
+        (entry, returned, steps), = spy.calls
+        assert steps > 0 and plan.converged
+        assert np.all(plan.row_marginal() <= (1 + tol) / 60)
+        assert abs(plan.total_mass() - rho) <= tol
+        if np.isinf(lam):  # hard columns only: the last column's potential is pinned
+            assert returned[-1] == entry[-1]
+            npt.assert_allclose(plan.col_marginal(), np.full(3, rho / 3), rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    def test_a_failed_line_search_hands_back_the_last_accepted_iterate(self, monkeypatch, name):
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=20000)
+        init, P = _warm_pair(name, cfg)
+        monkeypatch.setattr(kernels, "NEWTON_ARMIJO", np.inf)  # no trial rises enough
+        spy = _NewtonSpy(monkeypatch)
+        plan = solve_virtual_named(name, P, cfg, init=init)
+        (entry, returned, steps), = spy.calls
+        assert steps == 0 and plan.newton_steps == 0
+        npt.assert_array_equal(returned, entry)
+        ref = solve_virtual_named(name, P, cfg)
+        assert plan.converged and ref.converged
+        npt.assert_allclose(plan.coupling, ref.coupling, rtol=0, atol=1e-7 * ref.coupling.max())
+
+    def test_sla_cold_and_rejected_starts_never_enter(self, monkeypatch):
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=20000)
+        init, P = _warm_pair("pot", cfg)
+        C = prediction_cost(P)
+        spy = _NewtonSpy(monkeypatch)
+        plans = [solve_virtual_named(name, P, cfg) for name in SOLVES]
+        plans.append(ot_core.solve_virtual(C, 0.4, np.inf, cfg, init=init, upper=0.1))  # SLA, a warm start
+        plans.append(solve_sla(P, 0.4, 0.1, cfg))
+        cold = solve_virtual_named("pot", P, cfg)
+        for rejected in (init[:-1], np.where(np.arange(init.size) == 2, np.nan, init)):  # wrong length, non-finite
+            plan = solve_virtual_named("pot", P, cfg, init=rejected)
+            npt.assert_array_equal(plan.coupling, cold.coupling)
+            npt.assert_array_equal(plan.col_potential, cold.col_potential)
+            assert plan.iterations == cold.iterations
+            plans.append(plan)
+        assert spy.calls == []
+        assert all(plan.newton_steps == 0 for plan in plans)
+
+
 class TestSlaStopping:
     def test_converged_means_mass_holds_on_a_flat_posterior(self):
         # on flat posteriors the absolute |b_new - b| rule stopped with the
@@ -578,7 +680,7 @@ def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter):
     m, n = C.shape
     hard = f == 1.0
     threshold = kernels.ABSORB_THRESHOLD
-    u, v, M = kernels._start(C, None, f, hard, eps)
+    u, v, M, _ = kernels._start(C, None, f, hard, eps)
     w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / eps))
     a, b, step = np.ones(m), np.ones(n), np.ones(n)
     momentum = kernels._Momentum()
@@ -646,7 +748,7 @@ class TestMassStep:
         cfg = ScalingConfig(epsilon=0.1, tol=1e-13, max_iter=20000)
         rho, lam = SOLVES[name]
         args = _virtual_kernel_args(monkeypatch, random_pred(300, 6, seed=42), rho, lam, cfg)
-        Q, iters, converged, v, _ = kernels.scaling_weighted_kl(*args)
+        Q, iters, converged, v, *_ = kernels.scaling_weighted_kl(*args)
         ref_Q, ref_iters, ref_converged, ref_v = _step_free_kernel(*args)
         assert converged and ref_converged and iters < ref_iters
         npt.assert_allclose(Q, ref_Q, rtol=0, atol=1e-10 * ref_Q.max())
@@ -793,12 +895,12 @@ class TestMomentum:
         cfg = ScalingConfig(epsilon=eps, tol=tol, max_iter=30000)
         P = random_pred(300, 4, seed=61, temperature=temperature)
         args, kwargs = _kernel_call(monkeypatch, lambda: MOMENTUM_FAMILY[name](P, rho, cfg))
-        Q, iters, converged, v, entropic = kernels.scaling_weighted_kl(*args, **kwargs)
+        Q, iters, converged, v, entropic, _ = kernels.scaling_weighted_kl(*args, **kwargs)
         again = kernels.scaling_weighted_kl(*args, **kwargs)
         assert again[1] == iters
         for x, y in zip(again, (Q, iters, converged, v, entropic)):
             npt.assert_array_equal(x, y)
-        ref_Q, ref_iters, ref_converged, _, _ = _plain_kernel(monkeypatch, *args, **kwargs)
+        ref_Q, ref_iters, ref_converged, *_ = _plain_kernel(monkeypatch, *args, **kwargs)
         assert iters <= ref_iters
         alpha = args[1]
         if converged:  # each row within a factor 1 +- tol of its target, to rounding
@@ -836,8 +938,8 @@ class TestMomentum:
         P = random_pred(300, 4, seed=61, temperature=1.0)
         args, kwargs = _kernel_call(monkeypatch, lambda: solve_sla(P, 0.1, 0.25, cfg))
         monkeypatch.setattr(kernels._Momentum, "weights", spy)
-        Q, iters, converged, _, _ = kernels.scaling_weighted_kl(*args, **kwargs)
-        ref_Q, ref_iters, ref_converged, _, _ = _plain_kernel(monkeypatch, *args, **kwargs)
+        Q, iters, converged, *_ = kernels.scaling_weighted_kl(*args, **kwargs)
+        ref_Q, ref_iters, ref_converged, *_ = _plain_kernel(monkeypatch, *args, **kwargs)
         assert restarts and converged and ref_converged and iters < ref_iters
         npt.assert_allclose(Q, ref_Q, rtol=0, atol=1e-8 * ref_Q.max())
 
@@ -917,9 +1019,9 @@ class TestObjectiveFromScalings:
         start = kernels._start
 
         def zero_virtual_column(*args):
-            u, v, M = start(*args)
+            u, v, M, warm = start(*args)
             M[:, -1] = 0.0
-            return u, v, M
+            return u, v, M, warm
 
         monkeypatch.setattr(kernels, "_start", zero_virtual_column)
         with np.errstate(all="ignore"), pytest.raises(ot_core.NumericalOverflowError, match="after 1 iterations"):

@@ -170,9 +170,9 @@ class TestFastSolver:
         start = kernels._start
 
         def nan_start(*args):
-            u, v, M = start(*args)
+            u, v, M, warm = start(*args)
             M[0, 0] = np.nan
-            return u, v, M
+            return u, v, M, warm
 
         monkeypatch.setattr(kernels, "_start", nan_start)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):

@@ -426,3 +426,48 @@ class TestWarmStart:
         assert sum(warm_trace.inner_iterations) < sum(cold_trace.inner_iterations)
         npt.assert_allclose(warm.coupling, cold.coupling, rtol=0, atol=1e-8 / n)
         assert warm.col_potential.shape == (5,)
+
+
+def _knn_mixture_problem(rho, n=400, seed=0):
+    """SP2OT as the solve-sp2ot benchmark poses it, at n points: the Gaussian kNN graph (k = 10,
+    median bandwidth) of a seeded imbalanced mixture and the posteriors of a noisy prototype model."""
+    from sppot import bench, graph
+
+    rng = np.random.default_rng(seed)
+    data = bench.generate_imbalanced_mixture(K=10, R=10.0, N=n, dim=16, separation=10.0, seed=seed)
+    feats = graph.FeatureSet(data.features)
+    A = graph.build_knn_graph(graph.gaussian_similarity(feats, graph.median_bandwidth(feats)), 10).adjacency
+    means = np.stack([data.features[data.labels == k].mean(axis=0) for k in range(10)])
+    protos = 0.3 * means / np.linalg.norm(means, axis=1, keepdims=True) + rng.normal(scale=0.1, size=means.shape)
+    P = bench.predict_probs(bench.PrototypeModel(protos, temperature=0.5, learning_rate=1.0), data.features)
+    return Sp2otProblem(P, A, lambda1_decayed(70.0, rho), 1.0, rho, 0.1,
+                        inner=ScalingConfig(epsilon=0.1, tol=1e-6, max_iter=1000))
+
+
+class TestNewtonInnerSolves:
+    # Each outer step's inner solve is warm-started from the last one's column potential, so the
+    # kernel's Newton phase finishes it (see `_kernels.py._newton`).
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.9])
+    def test_warm_inner_solves_enter_the_newton_phase(self, monkeypatch, rho):
+        from sppot import sp2ot
+        from sppot._kernels import py as kernels
+
+        problem = _knn_mixture_problem(rho)
+        monkeypatch.setattr(kernels, "NEWTON_ENTRY", 0)  # no sweep is sweep 0: the plain kernel
+        _, plain = solve_sp2ot(problem)
+        monkeypatch.undo()
+
+        plans, entered = [], []
+        newton, solve = kernels._newton, sp2ot.solve_p2ot_fast
+        monkeypatch.setattr(kernels, "_newton", lambda *args: entered.append(len(plans)) or newton(*args))
+        monkeypatch.setattr(sp2ot, "solve_p2ot_fast", lambda *args, **kw: plans.append(solve(*args, **kw)) or plans[-1])
+        _, trace = solve_sp2ot(problem)
+        assert len(plans) == len(trace.objectives) >= 5
+        assert all(plan.converged for plan in plans)
+        assert trace.inner_newton_steps == [plan.newton_steps for plan in plans]
+        # the first solve is cold; a warm one enters unless it converged within NEWTON_ENTRY sweeps
+        assert entered == [i for i, plan in enumerate(plans[1:], 1) if plan.iterations > kernels.NEWTON_ENTRY]
+        if rho < 0.9:
+            assert entered == list(range(1, len(plans)))
+        assert all(plan.iterations <= kernels.NEWTON_ENTRY + 1 for plan in plans[1:])  # plain: 2-121 sweeps
+        assert trace.ascents <= plain.ascents  # 4 and 4, 0 and 0, 0 and 4 at rho 0.2, 0.5, 0.9
