@@ -83,9 +83,9 @@ class TransportPlan:
     over the inner solves for SP2OT), and whether the last sweep's change fell
     under `tol` (see `ScalingConfig`).
 
-    The objective is `entropic_objective(Q, C, rho / K, lam, eps)` (SP2OT:
-    `sp2ot_objective`). The kernel-backed solvers read it from the final
-    scalings, so it equals `entropic_objective` up to rounding."""
+    The objective is `entropic_objective(Q, C, rho / K, lam, eps)`, which the
+    kernel-backed solvers read from the final scalings (equal up to rounding).
+    SP2OT's is `sp2ot_objective`, built on its last inner plan's objective."""
 
     coupling: np.ndarray
     objective: float

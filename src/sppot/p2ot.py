@@ -65,6 +65,13 @@ class P2otProblem:
         object.__setattr__(self, "pred", P)
 
 
+def _cost(problem: P2otProblem, cost: np.ndarray | None) -> np.ndarray:
+    """-log P when `cost` is None; else `cost`, which must have pred's shape."""
+    if cost is not None and np.shape(cost) != problem.pred.shape:
+        raise DimensionMismatchError(f"cost shape {np.shape(cost)} differs from pred {problem.pred.shape}")
+    return prediction_cost(problem.pred) if cost is None else np.asarray(cost, dtype=float)
+
+
 def solve_p2ot_fast(problem: P2otProblem, cost: np.ndarray | None = None,
                     init: np.ndarray | None = None) -> TransportPlan:
     """Virtual-column solver; returns the plan with the virtual column dropped.
@@ -74,27 +81,21 @@ def solve_p2ot_fast(problem: P2otProblem, cost: np.ndarray | None = None,
     `col_potential` of an earlier plan, warm-starts the solve (see
     `ot_core.solve_virtual`).
     """
-    if cost is None:
-        cost = prediction_cost(problem.pred)
-    elif np.shape(cost) != problem.pred.shape:
-        raise DimensionMismatchError(f"cost shape {np.shape(cost)} differs from pred {problem.pred.shape}")
-    return solve_virtual(cost, problem.rho, problem.lam, problem.cfg, init)
+    return solve_virtual(_cost(problem, cost), problem.rho, problem.lam, problem.cfg, init)
 
 
 def solve_p2ot_gsa(problem: P2otProblem, cost: np.ndarray | None = None) -> TransportPlan:
-    """Generalized scaling baseline on the unextended problem.
+    """Generalized scaling baseline on the unextended problem; `cost` as in `solve_p2ot_fast`.
 
-    Raises NumericalOverflowError rather than return a non-finite plan.
+    Raises ValueError on a non-finite cost, NumericalOverflowError on a non-finite plan.
     """
-    N, K = problem.pred.shape
-    C = prediction_cost(problem.pred) if cost is None else np.asarray(cost, dtype=float)
+    C = _cost(problem, cost)
+    if not np.all(np.isfinite(C)):
+        raise ValueError("cost matrix entries must be finite")
+    N, K = C.shape
     cfg = problem.cfg
     eps = cfg.epsilon
-    alpha = np.full(N, 1.0 / N)
-    beta = np.full(K, problem.rho / K)
-    Q, iters, converged = kernels.gsa_total_mass(
-        np.asfortranarray(C), alpha, beta, _exponent(problem.lam, eps), problem.rho, eps, cfg.tol, cfg.max_iter
-    )
+    Q, iters, converged = kernels.gsa_total_mass(C, np.full(N, 1.0 / N), np.full(K, problem.rho / K),
+                                                 _exponent(problem.lam, eps), problem.rho, eps, cfg.tol, cfg.max_iter)
     _check_finite(Q, iters, eps)
-    obj = entropic_objective(Q, C, problem.rho / K, problem.lam, eps)
-    return TransportPlan(Q, obj, iters, converged)
+    return TransportPlan(Q, entropic_objective(Q, C, problem.rho / K, problem.lam, eps), iters, converged)

@@ -8,7 +8,7 @@ realized by the fast virtual-column solver. When A is PSD, f is concave on
 the feasible set and each outer step is a majorization-minimization descent
 step. `Sp2otProblem` converts the graph to canonical CSR once, and is the
 only part of this module that loads `scipy.sparse`; `sp2ot_gradient` alone
-multiplies it.
+multiplies it. Each step's objective takes its P2OT part from the inner plan.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import dense_to_csr
-from .ot_core import ScalingConfig, TransportPlan, entropic_objective, prediction_cost, xlogx
+from .ot_core import ScalingConfig, TransportPlan, prediction_cost, xlogx
 from .p2ot import P2otProblem, solve_p2ot_fast
 
 log = logging.getLogger(__name__)
@@ -79,6 +79,7 @@ class PmdTrace:
     objectives: list[float] = field(default_factory=list)
     inner_iterations: list[int] = field(default_factory=list)
     inner_newton_steps: list[int] = field(default_factory=list)
+    inner_converged: list[bool] = field(default_factory=list)
     frobenius_changes: list[float] = field(default_factory=list)
 
     @property
@@ -99,25 +100,21 @@ def sp2ot_gradient(cost0: np.ndarray, adjacency, lambda1: float, plan: np.ndarra
     return C0 - lambda1 * (adjacency @ Q + adjacency.T @ Q)
 
 
-def sp2ot_objective(plan, cost0, cost, lambda2, rho, epsilon) -> float:
+def sp2ot_objective(plan: TransportPlan, cost0, cost_in, cost, epsilon) -> float:
     """<Q,C0> - lambda1 <A, QQ^T> + lambda2 KL(col(Q), rho/K) - eps H(Q, xi).
 
-    P2OT's entropic objective (`ot_core.entropic_objective`) on the cost
-    C0 = -log P, plus the semantic term. The entropy also covers the per-row
-    slack xi = 1/N - row(Q), matching the program the inner virtual-column
-    solver minimizes; dropping the slack term would break the monotone-descent
-    guarantee of the outer loop by exactly its variation between iterates.
+    `plan` is the inner P2OT solve on `cost_in`, whose `objective` is
+    <Q, cost_in> + lambda2 KL(col(Q), rho/K) - eps H(Q): only its linear term
+    is swapped, with no pass over log Q. The entropy also covers the per-row
+    slack xi = 1/N - row(Q), as in the inner virtual-column program; dropping
+    it would break the outer loop's monotone descent by its variation.
 
     `cost` is the plan's `sp2ot_gradient(C0, A, lambda1, Q)`: as <A, QQ^T> =
     1/2 <Q, (A + A^T) Q>, the semantic term is 1/2 <Q, cost - C0>.
     """
-    Q = np.asarray(plan, dtype=float)
-    N, K = Q.shape
-    val = entropic_objective(Q, cost0, rho / K, lambda2, epsilon)
-    val += 0.5 * float(np.sum(Q * (cost - cost0)))
-    slack = np.maximum(1.0 / N - Q.sum(axis=1), 0.0)
-    val += epsilon * float(np.sum(xlogx(slack)))
-    return val
+    Q = plan.coupling
+    val = plan.objective + 0.5 * float(np.vdot(Q, cost0) + np.vdot(Q, cost)) - float(np.vdot(Q, cost_in))
+    return val + epsilon * float(np.sum(xlogx(1.0 / Q.shape[0] - Q @ np.ones(Q.shape[1]))))  # row sums as a BLAS mat-vec
 
 
 def lambda1_decayed(lambda1_0: float, rho: float) -> float:
@@ -134,13 +131,13 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
 
     Q starts uniform with total mass rho; each outer step projects the cost
     C = C0 - lambda1 (A + A^T) Q via the fast partial-transport solver,
-    warm-started from the previous step's column potential. The new plan's C
-    gives its objective and is the next step's cost. Stops when the relative
-    Frobenius change of Q drops below outer_tol or outer_max_iter is hit.
+    warm-started from the previous step's column potential. The inner plan
+    and the new plan's C give its objective; that C is the next step's cost.
+    Stops when the relative Frobenius change of Q drops below outer_tol or
+    outer_max_iter is hit.
     """
     C0 = prediction_cost(problem.pred)
-    N, K = C0.shape
-    Q = np.full((N, K), problem.rho / (N * K))
+    Q = np.full(C0.shape, problem.rho / C0.size)
     trace = PmdTrace()
     plan = None
     semantic_on = problem.lambda1 != 0 and problem.adjacency.nnz > 0
@@ -149,9 +146,10 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
         plan = solve_p2ot_fast(problem.projection, cost=C, init=None if plan is None else plan.col_potential)
         change = float(np.linalg.norm(plan.coupling - Q) / max(np.linalg.norm(Q), 1e-300))
         Q = plan.coupling
-        C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
-        trace.objectives.append(sp2ot_objective(Q, C0, C, problem.lambda2, problem.rho, problem.epsilon))
+        C_in, C = C, sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
+        trace.objectives.append(sp2ot_objective(plan, C0, C_in, C, problem.epsilon))
         trace.inner_iterations.append(plan.iterations)
+        trace.inner_converged.append(plan.converged)
         trace.inner_newton_steps.append(plan.newton_steps)
         trace.frobenius_changes.append(change)
         if not semantic_on or change < problem.outer_tol:
@@ -159,6 +157,5 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
     if trace.ascents:
         log.warning("objective increased in %d of %d outer steps (largest rise %.3e); adjacency may not be PSD",
                     trace.ascents, len(trace.objectives), float(np.max(np.diff(trace.objectives))))
-    final = TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.col_potential,
-                          sum(trace.inner_newton_steps))
-    return final, trace
+    return TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.col_potential,
+                         sum(trace.inner_newton_steps)), trace

@@ -244,6 +244,7 @@ class TestSp2otSolve:
         newton = summary["inner_newton_steps"]
         assert len(newton) == len(summary["inner_iterations"]) == len(objs)
         assert newton[0] == 0 and all(isinstance(steps, int) and steps >= 0 for steps in newton)  # the first is cold
+        assert summary["inner_converged"] == [True] * len(objs)
 
     def test_nonfinite_edge_exits_1(self, runner, tmp_path):
         pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)
@@ -394,9 +395,11 @@ def test_p2ot_cluster_run_leaves_scipy_sparse_unloaded(tmp_path):
 
 def test_sp2ot_gradient_and_objective_on_a_dense_graph_leave_scipy_sparse_unloaded():
     """The gradient multiplies the graph it is given; only `Sp2otProblem` converts one to CSR."""
-    code = ("import numpy as np; from sppot.sp2ot import sp2ot_gradient, sp2ot_objective; "
+    code = ("import numpy as np; from sppot.ot_core import TransportPlan, entropic_objective; "
+            "from sppot.sp2ot import sp2ot_gradient, sp2ot_objective; "
             "A = np.ones((6, 6)) - np.eye(6); Q = np.full((6, 3), 0.5 / 18); C0 = np.ones((6, 3)); "
-            "sp2ot_objective(Q, C0, sp2ot_gradient(C0, A, 2.0, Q), 1.0, 0.5, 0.1)")
+            "plan = TransportPlan(Q, entropic_objective(Q, C0, 0.5 / 3, 1.0, 0.1), 0, True); "
+            "sp2ot_objective(plan, C0, C0, sp2ot_gradient(C0, A, 2.0, Q), 0.1)")
     assert loaded_modules(code) == "[]"
 
 

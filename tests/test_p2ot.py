@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import _kernel_call, dead_cluster_pred, random_pred
 import sppot
 from sppot import oracle, p2ot
 from sppot.ot_core import (
+    DimensionMismatchError,
     NumericalOverflowError,
     ScalingConfig,
     prediction_cost,
@@ -282,6 +284,25 @@ class TestBaselineAgreement:
         prob = make_problem(20, 3, 0.5, seed=0, max_iter=50)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError, match="after 1 iterations"):
             solve_p2ot_gsa(prob, cost=np.full((20, 3), -1e3))
+
+    @pytest.mark.parametrize("solve", [solve_p2ot_fast, solve_p2ot_gsa])
+    @pytest.mark.parametrize("shape", [(20, 5), (21, 4)])
+    def test_cost_of_another_shape_rejected(self, solve, shape):
+        # the baseline failed on a NumPy broadcast error
+        prob = random_problem(20, 4, 0.5, seed=0)
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"cost shape {shape} differs from pred (20, 4)")):
+            solve(prob, cost=np.ones(shape))
+
+    @pytest.mark.parametrize("solve", [solve_p2ot_fast, solve_p2ot_gsa])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_rejected(self, solve, bad):
+        # the baseline raised NumericalOverflowError on NaN and -inf (with a RuntimeWarning on -inf),
+        # and on +inf returned converged=True with objective inf
+        prob = random_problem(20, 4, 0.5, seed=0)
+        C = prediction_cost(prob.pred)
+        C[3, 2] = bad
+        with pytest.raises(ValueError, match="cost matrix entries must be finite"):
+            solve(prob, cost=C)
 
     def test_agreement_exact_at_full_mass(self):
         # at rho = 1 the virtual column is empty, so the two entropic

@@ -6,7 +6,7 @@ import pytest
 from scipy import sparse
 
 from conftest import random_pred
-from sppot.ot_core import ScalingConfig, prediction_cost, weighted_kl_value, xlogx
+from sppot.ot_core import ScalingConfig, TransportPlan, entropic_objective, prediction_cost, weighted_kl_value, xlogx
 from sppot.p2ot import P2otProblem, solve_p2ot_fast
 from sppot.sp2ot import (
     Sp2otProblem,
@@ -25,6 +25,11 @@ def knn_like_adjacency(n, seed, k=4):
         cols = rng.choice([j for j in range(n) if j != i], size=min(k, n - 1), replace=False)
         A[i, cols] = rng.uniform(0.1, 1.0, size=cols.size)
     return A
+
+
+def inner_plan(Q, cost_in, lambda2, rho, eps):
+    """The plan of an inner P2OT solve on `cost_in`: its objective is `entropic_objective` there."""
+    return TransportPlan(Q, entropic_objective(Q, cost_in, rho / Q.shape[1], lambda2, eps), 0, True)
 
 
 def psd_adjacency(n, seed):
@@ -210,8 +215,9 @@ class TestDenseAndSparseAgree:
 
     def test_objective(self):
         C0 = prediction_cost(self.P)
-        dense = sp2ot_objective(self.Q, C0, sp2ot_gradient(C0, self.A, 3.0, self.Q), 1.0, 0.5, 0.1)
-        sp = sp2ot_objective(self.Q, C0, sp2ot_gradient(C0, sparse.csr_array(self.A), 3.0, self.Q), 1.0, 0.5, 0.1)
+        plan = inner_plan(self.Q, self.C, 1.0, 0.5, 0.1)
+        dense = sp2ot_objective(plan, C0, self.C, sp2ot_gradient(C0, self.A, 3.0, self.Q), 0.1)
+        sp = sp2ot_objective(plan, C0, self.C, sp2ot_gradient(C0, sparse.csr_array(self.A), 3.0, self.Q), 0.1)
         npt.assert_allclose(sp, dense, rtol=1e-12, atol=0)
 
     def test_gradient_rejects_non_square_dense(self):
@@ -260,7 +266,7 @@ class TestObjective:
         Q = rng.uniform(0.01, 0.05, size=(6, 3))
         A = np.zeros((6, 6))
         C0 = prediction_cost(P)
-        val = sp2ot_objective(Q, C0, sp2ot_gradient(C0, A, 0.0, Q), 1.0, 0.5, 0.1)
+        val = sp2ot_objective(inner_plan(Q, C0, 1.0, 0.5, 0.1), C0, C0, sp2ot_gradient(C0, A, 0.0, Q), 0.1)
         Pc = np.maximum(P, 1e-8)
         col = Q.sum(axis=0)
         slack = 1.0 / 6 - Q.sum(axis=1)
@@ -278,14 +284,16 @@ class TestObjective:
         Q = rng.uniform(0.01, 0.05, size=(6, 3))
         A = knn_like_adjacency(6, seed=7)
         C0 = prediction_cost(P)
-        with_sem = sp2ot_objective(Q, C0, sp2ot_gradient(C0, A, 2.0, Q), 1.0, 0.5, 0.1)
-        without = sp2ot_objective(Q, C0, sp2ot_gradient(C0, A, 0.0, Q), 1.0, 0.5, 0.1)
+        plan = inner_plan(Q, C0, 1.0, 0.5, 0.1)
+        with_sem = sp2ot_objective(plan, C0, C0, sp2ot_gradient(C0, A, 2.0, Q), 0.1)
+        without = sp2ot_objective(plan, C0, C0, sp2ot_gradient(C0, A, 0.0, Q), 0.1)
         assert with_sem < without  # similarity reward is subtracted
 
     @pytest.mark.parametrize("lambda2", [0.0, 1.0, np.inf])
     @pytest.mark.parametrize("fmt", ["dense", "csr", "csc", "coo"])
     def test_matches_the_written_out_formula(self, fmt, lambda2):
-        # <Q,C0> - lambda1 <Q, A Q> + lambda2 KL(col, rho/K) + eps (H(Q) + H(slack)), term by term
+        # <Q,C0> - lambda1 <Q, A Q> + lambda2 KL(col, rho/K) + eps (H(Q) + H(slack)), term by term, from
+        # the plan of an inner solve on the cost linearized at another plan, as in an outer step
         rng = np.random.default_rng(21)
         n, k, lam1, rho, eps = 40, 4, 3.0, 0.5, 0.1
         P = random_pred(n, k, seed=22)
@@ -298,7 +306,9 @@ class TestObjective:
                     + weighted_kl_value(Q.sum(axis=0), rho / k, lambda2)
                     + eps * np.sum(xlogx(Q)) + eps * np.sum(xlogx(slack)))
         graph = A if fmt == "dense" else sparse.csr_array(A).asformat(fmt)
-        val = sp2ot_objective(Q, C0, sp2ot_gradient(C0, graph, lam1, Q), lambda2, rho, eps)
+        cost_in = sp2ot_gradient(C0, graph, lam1, rng.uniform(0.0, 1.0 / (n * k), size=(n, k)))
+        plan = inner_plan(Q, cost_in, lambda2, rho, eps)
+        val = sp2ot_objective(plan, C0, cost_in, sp2ot_gradient(C0, graph, lam1, Q), eps)
         assert abs(val - expected) <= 1e-13 * abs(expected)
 
 
@@ -343,6 +353,16 @@ class TestSolve:
         sem, _ = solve_sp2ot(Sp2otProblem(P, A, 20.0, 1.0, 0.5, 0.1, inner=cfg))
         assert np.max(np.abs(base.coupling - sem.coupling)) > 1e-4
 
+    def test_inner_convergence_recorded(self):
+        n = 24
+        P, A = random_pred(n, 4, seed=9), knn_like_adjacency(n, seed=10)
+        _, trace = solve_sp2ot(Sp2otProblem(P, A, 5.0, 1.0, 0.5, 0.1, outer_tol=0.0, outer_max_iter=3))
+        assert trace.inner_converged == [True] * 3
+        # two sweeps cannot reach tol 1e-12
+        _, trace = solve_sp2ot(Sp2otProblem(P, A, 5.0, 1.0, 0.5, 0.1, outer_tol=0.0, outer_max_iter=3,
+                                            inner=ScalingConfig(0.1, 1e-12, 2)))
+        assert trace.inner_converged == [False] * 3
+
     def test_outer_iteration_cap(self):
         n = 12
         P = random_pred(n, 3, seed=15)
@@ -354,11 +374,12 @@ class TestSolve:
 
 class TestOneProductSite:
     def test_objective_reads_the_next_steps_cost(self, monkeypatch):
-        # the graph is multiplied once per outer step plus once before the loop, and the cost a
-        # plan's objective reads is the very array the next inner solve projects
+        # the graph is multiplied once per outer step plus once before the loop; a step's objective
+        # reads the plan and the cost of its inner solve, and its own cost is the very array the next
+        # inner solve projects
         from sppot import sp2ot
 
-        gradients, objective_costs, inner_costs = [], [], []
+        gradients, objective_args, inner_calls = [], [], []
 
         def spy(calls, real, pick):
             def wrapped(*args, **kwargs):
@@ -368,24 +389,30 @@ class TestOneProductSite:
             return wrapped
 
         monkeypatch.setattr(sp2ot, "sp2ot_gradient", spy(gradients, sp2ot.sp2ot_gradient, lambda out, a, k: out))
-        monkeypatch.setattr(sp2ot, "sp2ot_objective", spy(objective_costs, sp2ot.sp2ot_objective,
-                                                          lambda out, a, k: a[2]))
-        monkeypatch.setattr(sp2ot, "solve_p2ot_fast", spy(inner_costs, sp2ot.solve_p2ot_fast,
-                                                          lambda out, a, k: k["cost"]))
+        monkeypatch.setattr(sp2ot, "sp2ot_objective", spy(objective_args, sp2ot.sp2ot_objective,
+                                                          lambda out, a, k: a))
+        monkeypatch.setattr(sp2ot, "solve_p2ot_fast", spy(inner_calls, sp2ot.solve_p2ot_fast,
+                                                          lambda out, a, k: (out, k["cost"])))
         problem = Sp2otProblem(random_pred(30, 4, seed=0), knn_like_adjacency(30, seed=100, k=5), 20.0, 1.0,
                                0.5, 0.1, outer_tol=0.0, outer_max_iter=6)
         _, trace = solve_sp2ot(problem)
         steps = len(trace.objectives)
         assert steps == 6
-        assert len(gradients) == steps + 1 and len(objective_costs) == len(inner_costs) == steps
-        assert inner_costs[0] is gradients[0]
-        for step in range(steps - 1):
-            assert objective_costs[step] is inner_costs[step + 1] is gradients[step + 1]
+        assert len(gradients) == steps + 1 and len(objective_args) == len(inner_calls) == steps
+        assert inner_calls[0][1] is gradients[0]
+        for step, (plan, cost0, cost_in, cost, epsilon) in enumerate(objective_args):
+            assert plan is inner_calls[step][0] and cost_in is inner_calls[step][1]
+            assert cost0 is objective_args[0][1] and epsilon == problem.epsilon
+            assert cost is gradients[step + 1]
+            if step + 1 < steps:
+                assert cost is inner_calls[step + 1][1]
 
     def test_graph_arguments_rejected(self):
         Q, C0 = np.full((4, 2), 0.05), np.ones((4, 2))
         with pytest.raises(TypeError):
             sp2ot_objective(Q, C0, np.eye(4), 2.0, 1.0, 0.5, 0.1)
+        with pytest.raises(TypeError):  # the plan-array form that took lambda2 and rho
+            sp2ot_objective(Q, C0, C0, 1.0, 0.5, 0.1)
 
 
 class TestAscents:
@@ -465,9 +492,31 @@ class TestNewtonInnerSolves:
         assert len(plans) == len(trace.objectives) >= 5
         assert all(plan.converged for plan in plans)
         assert trace.inner_newton_steps == [plan.newton_steps for plan in plans]
+        assert trace.inner_converged == [plan.converged for plan in plans]
         # the first solve is cold; a warm one enters unless it converged within NEWTON_ENTRY sweeps
         assert entered == [i for i, plan in enumerate(plans[1:], 1) if plan.iterations > kernels.NEWTON_ENTRY]
         if rho < 0.9:
             assert entered == list(range(1, len(plans)))
         assert all(plan.iterations <= kernels.NEWTON_ENTRY + 1 for plan in plans[1:])  # plain: 2-121 sweeps
         assert trace.ascents <= plain.ascents  # 4 and 4, 0 and 0, 0 and 4 at rho 0.2, 0.5, 0.9
+
+
+class TestObjectiveOfASolve:
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.9])
+    def test_each_step_matches_the_written_out_formula(self, monkeypatch, rho):
+        # every outer objective, read from its inner plan, is the SP2OT objective of that plan
+        from sppot import sp2ot
+
+        problem = _knn_mixture_problem(rho)
+        plans, solve = [], sp2ot.solve_p2ot_fast
+        monkeypatch.setattr(sp2ot, "solve_p2ot_fast", lambda *args, **kw: plans.append(solve(*args, **kw)) or plans[-1])
+        _, trace = solve_sp2ot(problem)
+        assert len(plans) == len(trace.objectives) >= 2
+        C0, A = prediction_cost(problem.pred), problem.adjacency
+        N, K = C0.shape
+        for plan, objective in zip(plans, trace.objectives):
+            Q = plan.coupling
+            expected = (np.sum(Q * C0) - problem.lambda1 * np.sum(Q * (A @ Q))
+                        + weighted_kl_value(Q.sum(axis=0), rho / K, problem.lambda2)
+                        + problem.epsilon * (np.sum(xlogx(Q)) + np.sum(xlogx(1.0 / N - Q.sum(axis=1)))))
+            assert abs(objective - expected) <= 1e-13 * abs(expected)
