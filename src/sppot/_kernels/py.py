@@ -85,7 +85,19 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     a <- alpha/(M b); b <- w * (beta/(M^T a))^f, then the mass step below,
     with log-domain absorption of (a, b) into potentials (u, v) whenever
     either vector exceeds ABSORB_THRESHOLD. Targets in `beta` must be strictly
-    positive.
+    positive. Where every column is hard (f == 1, so w == 1), the update is
+    beta/(M^T a) itself, which the power and the product would return bit
+    for bit.
+
+    The absorption test reads max(b) every sweep but max(a), an N-vector,
+    only where a bound does not settle it. From the start until the first
+    absorption every kernel row holds an entry of exactly 1 (the start's
+    kernel, below), so each (M b)_i, a sum of nonnegative terms, is at least
+    min(b) in floating point and max(a) <= max(alpha)/min(b), rounded: where
+    that is within ABSORB_THRESHOLD, so is a. An absorption rebuilds the
+    kernel as exp((u - C + v)/eps), whose rows need not hold a 1, and from
+    then on the test reads max(a) every sweep. On the solve-p2ot workload
+    (seeds 201 and 207) the bound settles 6635 of 6639 tests.
 
     Column model. The soft columns (f < 1) are one contiguous run sharing
     one exponent, as `ot_core.solve_virtual` passes them (the K real columns
@@ -211,16 +223,21 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
 
     C and the kernel are held in Fortran order, where the two BLAS mat-vecs
     of a sweep over a tall, narrow matrix are fastest; the plan is returned
-    C-contiguous. M b and the row scaling a are written into two N-vectors
+    C-contiguous. M b, the row scaling a and M^T a are written into vectors
     allocated once a call, and the soft columns are read through a slice,
-    so a sweep allocates only K-vectors.
+    so a sweep allocates only K-vectors. The sweep's K-vector reductions
+    (the change, and min(b) and max(b) for the absorption test) are read
+    through `_min_max`, at a fraction of numpy's call cost.
 
-    Returns (Q, iterations, converged, col_potential, entropic, newton_steps).
-    iterations counts the plain sweeps, newton_steps the Newton steps (0
-    where the phase did not run). Q is the plan's first `n_real` columns
-    (default: all), formed as
-    a[:, None] * M[:, :n_real], then times b[:n_real]; the columns after
-    them (the virtual column) are never formed. col_potential = v + eps
+    Returns (Q, iterations, converged, col_potential, entropic, newton_steps,
+    col_mass). iterations counts the plain sweeps, newton_steps the Newton
+    steps (0 where the phase did not run). Q is the plan's first `n_real`
+    columns (default: all), formed as a[:, None] * M[:, :n_real], then
+    times b[:n_real], in those columns of the kernel buffer, and copied out
+    to C order (`_plan`); the columns after them (the virtual column) are
+    never formed. col_mass = b * (M^T a) over the same columns is the
+    plan's column sums as the last sweep computed them: equal to Q's up to
+    rounding. col_potential = v + eps
     log(b) is the final column potential, the `v0` that warm-starts a solve
     of a nearby problem. entropic is <Q, C> - eps H(Q) over the returned
     columns, with 0 log 0 := 0, read from the final scalings in O(N + K):
@@ -229,8 +246,9 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     offset is removed), so the term is sum_i U_i r_i + sum_j V_j c_j over
     the returned plan's row sums r and column sums c. An entry clamped at
     KERNEL_FLOOR is off that identity by at most ~1e-288. A non-finite
-    entry of the plan, in the columns not returned too, makes entropic
-    non-finite, so one scalar checks the whole plan.
+    entry of the plan makes entropic non-finite, so one scalar checks the
+    whole plan: the returned columns through their row sums, the others
+    through their mass b_j (M^T a)_j, which the last sweep computed.
     """
     C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
@@ -238,13 +256,17 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     u, v, M, warm = _start(C, v0, f, hard if upper is None else hard & ~upper, epsilon)
     newton = warm and upper is None and f.min() > 0  # f = 0 (lam = 0) fixes a soft potential at 0
     newton_steps = 0
-    w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
+    plain = hard.all()  # w = 1 and f = 1: the column update is beta/col, bit for bit
+    w = None if plain else np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
     soft = np.flatnonzero(~hard)  # one contiguous run (the column model), read through a slice
     m_soft = float(alpha.sum() - beta[hard].sum())
     soft = slice(soft[0], soft[-1] + 1) if soft.size and m_soft > 0 and upper is None else None  # None: no step
     cap = None if upper is None else _upper_cap(v, upper, epsilon)
+    alpha_max = float(alpha.max())
+    rows_at_one = True  # every kernel row's largest entry is 1, as the start builds it (see the docstring)
     a = np.ones(m)
-    Mb = np.empty(m)  # M b, written in place every sweep, as is a
+    Mb = np.empty(m)  # M b, written in place every sweep, as are a and col
+    col = np.empty(n)
     b = np.ones(n)
     step = np.ones(n)  # the last move of the absolute column scaling, as a ratio: the momentum
     last_plain = step  # the last sweep's b_plain / b
@@ -252,12 +274,13 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        np.divide(alpha, np.matmul(M, b, out=Mb), out=a)
-        col = M.T @ a
-        b_new = w * (beta / col) ** f
+        np.divide(alpha, np.dot(M, b, out=Mb), out=a)
+        np.dot(M.T, a, out=col)
+        b_new = beta / col if plain else w * (beta / col) ** f
         _project(b_new, col, cap, upper, soft, m_soft)
         ratio = b_new / b
-        err = float(np.abs(ratio - 1.0).max())
+        low, high = _min_max(ratio)
+        err = max(high - 1.0, 1.0 - low)  # max|ratio - 1|, bit for bit; NaN where ratio holds one
         # a non-finite change: the scalings have under- or overflowed
         if err < tol or not math.isfinite(err) or it == max_iter:
             b = b_new
@@ -277,10 +300,13 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
             b, newton_steps = _newton(M, alpha, beta, f, v, b, epsilon, tol)
             if newton_steps:
                 momentum, step, last_plain = _Momentum(), np.ones(n), np.ones(n)
-        if b.max() > ABSORB_THRESHOLD or a.max() > ABSORB_THRESHOLD:
+        b_min, b_max = _min_max(b)
+        if b_max > ABSORB_THRESHOLD or (_may_exceed(alpha_max, b_min, rows_at_one) and a.max() > ABSORB_THRESHOLD):
+            rows_at_one = False
             u += epsilon * np.log(a)
             v += epsilon * np.log(b)
-            w = np.where(hard, 1.0, w * b ** (f - 1.0))
+            if w is not None:
+                w = np.where(hard, 1.0, w * b ** (f - 1.0))
             # the start's floored kernel, exp((u - C + v)/eps), in M's own buffer and in that operation order
             np.subtract(u[:, None], C, out=M)
             M += v
@@ -290,17 +316,39 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
             if upper is not None:
                 cap = _upper_cap(v, upper, epsilon)
     k = n if n_real is None else n_real
-    Q = np.multiply(a[:, None], M[:, :k], order="C")
-    Q *= b[:k]
+    Q = _plan(a, M[:, :k], b[:k])
+    col_mass = b[:k] * col[:k]
     with np.errstate(divide="ignore", invalid="ignore"):
         potential = v + epsilon * np.log(b)
-        entropic = _entropic_term(Q, u + epsilon * np.log(a), potential[:k], b[:k] * col[:k])
-        if k < n and not math.isfinite(float(a @ (M[:, k:] @ b[k:]))):  # the unformed columns' mass
+        entropic = _entropic_term(Q, u + epsilon * np.log(a), potential[:k], col_mass)
+        if k < n and not math.isfinite(float(b[k:] @ col[k:])):  # the unformed columns' mass
             entropic = math.nan
         if soft is not None:  # remove the offset the mass step leaves (see the docstring)
             lam = epsilon * f[soft] / (1.0 - f[soft])
             potential -= np.mean(potential[soft] - lam * np.log(beta[soft] / (b[soft] * col[soft])))
-    return Q, it, converged, potential, entropic, newton_steps
+    return Q, it, converged, potential, entropic, newton_steps, col_mass
+
+
+def _may_exceed(alpha_max, b_min, rows_at_one):
+    """False where a = alpha/(M b) certainly lies under ABSORB_THRESHOLD without reading it.
+
+    While every kernel row holds an entry of 1 (`rows_at_one`), each (M b)_i,
+    a sum of nonnegative terms one of which is at least min(b), is at least
+    min(b) in floating point too, so max(a) <= max(alpha)/min(b), rounded.
+    """
+    return not (rows_at_one and b_min > 0 and alpha_max / b_min <= ABSORB_THRESHOLD)
+
+
+def _min_max(x):
+    """min and max of the nonnegative K-vector `x`, both NaN where it holds a NaN, as numpy's reductions give them.
+
+    Read through a list of floats, which at K+1 entries costs a fraction of
+    two reduction calls. A sum of nonnegative floats is NaN only where one is.
+    """
+    xs = x.tolist()
+    if math.isnan(sum(xs)):
+        return math.nan, math.nan
+    return min(xs), max(xs)
 
 
 def _newton(M, alpha, beta, f, v, b, epsilon, tol):
@@ -392,13 +440,28 @@ def _newton(M, alpha, beta, f, v, b, epsilon, tol):
     return b, steps
 
 
+def _plan(a, M, b):
+    """diag(a) M diag(b), C-contiguous and its own array, formed in M's columns, which it overwrites.
+
+    a[:, None] * M, then times b, as the plan is defined; the products run
+    down M's Fortran-order columns, and one copy takes them to C order. At
+    5632 x 10 that takes about half the time of a broadcast that writes C
+    order from M (100 against 200 us on a 2-core x86-64 VM).
+    """
+    np.multiply(a[:, None], M, out=M)
+    M *= b
+    return M.copy(order="C")
+
+
 def _entropic_term(Q, U, V, c):
     """sum_i U_i r_i + sum_j V_j c_j, r the row sums of Q, with 0 log 0 := 0 on empty rows and columns.
 
     A non-finite entry of Q makes its row sum, and so the term, non-finite.
+    U is overwritten.
     """
     r = Q @ np.ones(Q.shape[1])
-    return float(np.where(r == 0, 0.0, U) @ r + np.where(c == 0, 0.0, V) @ c)
+    U[r == 0] = 0.0
+    return float(U.dot(r) + np.where(c == 0, 0.0, V) @ c)
 
 
 def _project(b, col, cap, upper, soft, m_soft):
@@ -410,7 +473,7 @@ def _project(b, col, cap, upper, soft, m_soft):
     if upper is not None:
         b[upper] = np.minimum(cap, b[upper])
     if soft is not None:
-        soft_mass = float(b[soft] @ col[soft])
+        soft_mass = float(b[soft].dot(col[soft]))  # the method: a third of the call cost of @ on a K-vector
         if 0.0 < soft_mass < math.inf:
             b[soft] *= m_soft / soft_mass
 
@@ -485,10 +548,23 @@ def _start(C, v0, f, lift, epsilon):
             v0 = None
     if v0 is None:
         v = np.zeros(C.shape[1])
-    shifted = np.subtract(v[None, :], C, out=workspace("kernel", C.shape))  # it becomes the kernel in place
-    row_max = shifted.max(axis=1)  # the row potential is u0 = min_j (C_ij - v_j) = -row_max
-    shifted -= row_max[:, None]
-    col_max = shifted.max(axis=0)  # <= 0, as every row's largest entry is 0
+    shifted = workspace("kernel", C.shape)  # it becomes the kernel in place
+    if v0 is None:  # (0 - C) less its row maxima is, bit for bit, C's row minima less C: one pass
+        u = C.min(axis=1)  # the row potential u0 = min_j (C_ij - v_j)
+        np.subtract(u[:, None], C, out=shifted)
+    else:
+        np.subtract(v[None, :], C, out=shifted)
+        row_max = shifted.max(axis=1)
+        shifted -= row_max[:, None]
+        u = -row_max
+    # each column's largest entry, <= 0 as every row's largest is 0: all of them for a warm
+    # start's check below, else the lift's columns only (0 stands in for the others)
+    if v0 is not None or lift.all():
+        col_max = shifted.max(axis=0)
+    else:
+        col_max = np.zeros(C.shape[1])
+        for j in np.flatnonzero(lift):
+            col_max[j] = shifted[:, j].max()
     low = lift & (col_max / epsilon < LOG_FLOOR)
     if low.any():
         lifted = np.where(low, -col_max, 0.0)
@@ -497,7 +573,7 @@ def _start(C, v0, f, lift, epsilon):
         col_max += lifted
     if v0 is not None and col_max.min() / epsilon < LOG_FLOOR:
         return _start(C, None, f, lift, epsilon)
-    return -row_max, v, _floored_exp(shifted, epsilon), v0 is not None
+    return u, v, _floored_exp(shifted, epsilon), v0 is not None
 
 
 def _floored_exp(M, epsilon):
@@ -509,7 +585,9 @@ def _floored_exp(M, epsilon):
     """
     M /= epsilon
     np.exp(M, out=M)
-    return np.maximum(M, KERNEL_FLOOR, out=M)
+    if M.min() < KERNEL_FLOOR:  # else the floor moves no entry; the reduction costs half its pass
+        np.maximum(M, KERNEL_FLOOR, out=M)
+    return M
 
 
 def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
@@ -560,6 +638,4 @@ def gsa_total_mass(C, alpha, beta, f, rho, epsilon, tol, max_iter):
         if err < tol or not math.isfinite(err):
             converged = err < tol
             break
-    Q = np.multiply(s * a[:, None], M, order="C")
-    Q *= b
-    return Q, it, converged
+    return _plan(s * a, M, b), it, converged

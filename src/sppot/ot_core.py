@@ -24,6 +24,7 @@ support log-domain absorption of the scaling vectors to avoid overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,10 +185,13 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     virtual column appended, which holds the unselected 1-rho mass under a
     hard equality; at rho = 1 its target is 0, so it is left out. It is
     written straight into this thread's cost buffer (`kernels.workspace`),
-    and the kernel forms only the plan's real columns, so the plan is the
-    only N x K array the solve keeps. The objective is the kernel's
-    entropic term, read from the final scalings, plus the column penalty:
-    `entropic_objective` of the plan up to rounding. `init`, the
+    and the kernel forms only the plan's real columns, in its own kernel
+    buffer, and copies them out, so the plan is the only N x K array the
+    solve keeps. The objective is the kernel's entropic term, read from the
+    final scalings, plus the column penalty on the column sums the kernel's
+    last sweep computed: `entropic_objective` of the plan up to rounding
+    (those sums and the plan's own agree to ~1e-14 relative; the penalty is
+    zero on hard columns). `init`, the
     `col_potential` of an earlier plan, warm-starts the kernel; an `init`
     whose length is not the extension's column count (K+1 for rho < 1, K at
     rho = 1) is ignored. A warm start without `upper` may end with the
@@ -212,7 +216,8 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     C0 = np.asarray(C0, dtype=float)
     if C0.ndim != 2 or C0.shape[0] < 1 or C0.shape[1] < 1:
         raise DimensionMismatchError(f"cost matrix must be 2-D and nonempty, got shape {C0.shape}")
-    if not np.all(np.isfinite(C0)):
+    # NaN propagates through both reductions: two passes, no N x K mask
+    if not (math.isfinite(C0.min()) and math.isfinite(C0.max())):
         raise ValueError("cost matrix entries must be finite")
     N, K = C0.shape
     if upper is not None:
@@ -232,10 +237,10 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     if upper is not None and K * upper > rho * (1 + MASS_RTOL):
         beta[:K] = upper
         up_col = np.arange(n) < K
-    Q, iters, converged, v, entropic, newton_steps = kernels.scaling_weighted_kl(
+    Q, iters, converged, v, entropic, newton_steps, col_mass = kernels.scaling_weighted_kl(
         C, np.full(N, 1.0 / N), beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, init, up_col, n_real=K)
     _check_finite(entropic, iters, cfg.epsilon)  # non-finite where any entry of the plan is
-    obj = entropic + weighted_kl_value(np.ones(N) @ Q, rho / K, lam)
+    obj = entropic + weighted_kl_value(col_mass, rho / K, lam)
     return TransportPlan(Q, obj, iters, converged, v if upper is None else None, newton_steps)
 
 

@@ -1,0 +1,41 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _run(pair, side, p50, rss=40.0, correct=True, failed=0, workload="solve-p2ot", trace=0):
+    return {"workload": workload, "trace": trace, "pair": pair, "side": side, "correct": correct, "failed": failed,
+            "metrics": {"op_ms_p50": {"value": p50, "unit": "ms"}, "peak_rss_mb": {"value": rss, "unit": "MB"},
+                        "unranked": {"value": 1.0, "unit": "x"}}}
+
+
+def test_seeds_and_run_order():
+    assert bench_pairs.parse_seeds("301-303,305") == [301, 302, 303, 305]
+    assert bench_pairs.run_order(0) == ("parent", "change") and bench_pairs.run_order(1) == ("change", "parent")
+
+
+def test_every_benchmark_metric_has_a_direction():
+    directions = bench_pairs.metric_directions(ROOT / "BENCHMARK.json")
+    assert directions["op_ms_p50"] == "lower" and directions["kernels.gflop_per_s"] == "higher"
+
+
+def test_summary_counts_the_pairs_the_change_wins():
+    runs = [_run(0, "parent", 2.0), _run(0, "change", 1.8), _run(1, "change", 2.1), _run(1, "parent", 2.0),
+            _run(2, "parent", 2.2), _run(2, "change", 2.0, rss=41.0, failed=1),
+            _run(0, "parent", 80.0, workload="solve-sp2ot")]  # a pair with one side only
+    summary = bench_pairs.summarize(runs, {"op_ms_p50": "lower", "peak_rss_mb": "lower"})
+    p2ot = summary["solve-p2ot/trace0"]
+    assert p2ot["correct"] and p2ot["failed"] == 1
+    p50 = p2ot["metrics"]["op_ms_p50"]
+    assert p50["pairs"] == 3 and p50["change_wins"] == 2 and p50["better"] == "lower"
+    assert p50["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.1, "n": 3}
+    assert p50["change"]["median"] == pytest.approx(2.0)
+    assert p2ot["metrics"]["peak_rss_mb"]["change_wins"] == 0  # 41 against 40 is worse, 40 against 40 no win
+    assert "change_wins" not in p2ot["metrics"]["unranked"]  # no direction: medians only
+    assert summary["solve-sp2ot/trace0"]["metrics"] == {}

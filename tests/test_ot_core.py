@@ -851,16 +851,34 @@ class TestAbsorption:
     # At eps 0.002 and threshold 10 the balanced solve absorbs 71 times, 13 of
     # them triggered by the row scaling alone; P2OT 38 and 3, SLA 29 and 29.
     # Against threshold inf (no absorption) each takes the same sweeps.
+    @staticmethod
+    def _solve(monkeypatch, name, threshold):
+        monkeypatch.setattr(kernels, "ABSORB_THRESHOLD", threshold)
+        P = random_pred(200, 6, seed=44, temperature=0.3)
+        cfg = ScalingConfig(epsilon=0.002, tol=1e-12, max_iter=3000)
+        return solve_sla(P, 0.4, 0.1, cfg) if name == "sla" else solve_virtual_named(name, P, cfg)
+
     @pytest.mark.parametrize("name", ["balanced", "p2ot", "sla"])
     def test_row_absorptions_leave_the_iterates_unchanged(self, monkeypatch, name):
-        P = random_pred(200, 6, seed=44, temperature=0.3)
+        _assert_absorption_leaves_the_iterates_unchanged(
+            monkeypatch, 10.0, lambda threshold: self._solve(monkeypatch, name, threshold))
 
-        def solve(threshold):
-            monkeypatch.setattr(kernels, "ABSORB_THRESHOLD", threshold)
-            cfg = ScalingConfig(epsilon=0.002, tol=1e-12, max_iter=3000)
-            return solve_sla(P, 0.4, 0.1, cfg) if name == "sla" else solve_virtual_named(name, P, cfg)
+    @pytest.mark.parametrize("name, absorptions", [("balanced", 71), ("p2ot", 38), ("sla", 29)])
+    def test_absorbs_as_often_as_stated(self, monkeypatch, name, absorptions):
+        # every kernel build after the start's is an absorption; a bound that
+        # skipped reading the row scaling where it crossed the threshold would drop some
+        builds = []
+        build = kernels._floored_exp
+        monkeypatch.setattr(kernels, "_floored_exp", lambda M, eps: builds.append(1) or build(M, eps))
+        self._solve(monkeypatch, name, 10.0)
+        assert len(builds) == 1 + absorptions
 
-        _assert_absorption_leaves_the_iterates_unchanged(monkeypatch, 10.0, solve)
+
+@pytest.mark.parametrize("x", [[0.5, 2.0, 1.0], [1.0, np.inf, 0.0], [1.0, np.nan, 3.0], [np.inf, np.nan]])
+def test_min_max_reads_as_numpy_does(x):
+    # the sweep's change and absorption test read K-vectors through it: NaN must propagate
+    x = np.array(x)
+    npt.assert_array_equal(kernels._min_max(x), (x.min(), x.max()))
 
 
 MOMENTUM_FAMILY = {
@@ -895,7 +913,7 @@ class TestMomentum:
         cfg = ScalingConfig(epsilon=eps, tol=tol, max_iter=30000)
         P = random_pred(300, 4, seed=61, temperature=temperature)
         args, kwargs = _kernel_call(monkeypatch, lambda: MOMENTUM_FAMILY[name](P, rho, cfg))
-        Q, iters, converged, v, entropic, _ = kernels.scaling_weighted_kl(*args, **kwargs)
+        Q, iters, converged, v, entropic, *_ = kernels.scaling_weighted_kl(*args, **kwargs)
         again = kernels.scaling_weighted_kl(*args, **kwargs)
         assert again[1] == iters
         for x, y in zip(again, (Q, iters, converged, v, entropic)):
@@ -1148,11 +1166,14 @@ def _p2ot_solve(P):
 
 
 def _assert_owns_its_arrays(plan):
-    """Neither the plan nor its potential is a view of this thread's workspace."""
-    for slot in ("kernel", "cost"):
-        buf = getattr(kernels._buffers, slot)
-        assert not np.shares_memory(plan.coupling, buf)
-        assert not np.shares_memory(plan.col_potential, buf)
+    """Neither the plan nor its potential is a view of this thread's workspace, in any slot it has made.
+
+    The kernel forms the plan in its own buffer and then copies it out."""
+    for slot in ("kernel", "cost", "newton"):
+        buf = getattr(kernels._buffers, slot, None)  # "newton" exists once a warm start has run the phase
+        if buf is not None:
+            assert not np.shares_memory(plan.coupling, buf)
+            assert not np.shares_memory(plan.col_potential, buf)
 
 
 class TestWorkspace:
@@ -1181,6 +1202,17 @@ class TestWorkspace:
                 npt.assert_array_equal(plan.coupling, ref.coupling)
                 npt.assert_array_equal(plan.col_potential, ref.col_potential)
                 assert plan.iterations == ref.iterations and plan.objective == ref.objective
+
+    def test_a_warm_solve_owns_its_arrays(self):
+        P = random_pred(512, 10, seed=63)
+        C = prediction_cost(P)
+        cfg = ScalingConfig(epsilon=0.1)
+        cold = ot_core.solve_virtual(C, 0.5, 1.0, cfg)
+        warm = ot_core.solve_virtual(1.01 * C, 0.5, 1.0, cfg, init=cold.col_potential)
+        assert warm.newton_steps > 0  # so this thread holds all three slots
+        assert all(getattr(kernels._buffers, slot, None) is not None for slot in ("kernel", "cost", "newton"))
+        for plan in (cold, warm):
+            _assert_owns_its_arrays(plan)
 
     def test_a_shape_change_gives_the_plans_of_fresh_processes(self, tmp_path):
         # the workspace is replaced at 5632 rows and kept at 512, whose solve uses its front
