@@ -256,8 +256,8 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     u, v, M, warm = _start(C, v0, f, hard if upper is None else hard & ~upper, epsilon)
     newton = warm and upper is None and f.min() > 0  # f = 0 (lam = 0) fixes a soft potential at 0
     newton_steps = 0
-    plain = hard.all()  # w = 1 and f = 1: the column update is beta/col, bit for bit
-    w = None if plain else np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
+    all_hard = hard.all()  # w = 1 and f = 1: the column update is beta/col, bit for bit
+    w = None if all_hard else np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
     soft = np.flatnonzero(~hard)  # one contiguous run (the column model), read through a slice
     m_soft = float(alpha.sum() - beta[hard].sum())
     soft = slice(soft[0], soft[-1] + 1) if soft.size and m_soft > 0 and upper is None else None  # None: no step
@@ -276,7 +276,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     for it in range(1, max_iter + 1):
         np.divide(alpha, np.dot(M, b, out=Mb), out=a)
         np.dot(M.T, a, out=col)
-        b_new = beta / col if plain else w * (beta / col) ** f
+        b_new = beta / col if all_hard else w * (beta / col) ** f
         _project(b_new, col, cap, upper, soft, m_soft)
         ratio = b_new / b
         low, high = _min_max(ratio)

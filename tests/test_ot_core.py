@@ -851,27 +851,24 @@ class TestAbsorption:
     # At eps 0.002 and threshold 10 the balanced solve absorbs 71 times, 13 of
     # them triggered by the row scaling alone; P2OT 38 and 3, SLA 29 and 29.
     # Against threshold inf (no absorption) each takes the same sweeps.
-    @staticmethod
-    def _solve(monkeypatch, name, threshold):
-        monkeypatch.setattr(kernels, "ABSORB_THRESHOLD", threshold)
+    @pytest.mark.parametrize("name, absorptions", [("balanced", 71), ("p2ot", 38), ("sla", 29)],
+                             ids=["balanced", "p2ot", "sla"])
+    def test_row_absorptions_leave_the_iterates_unchanged(self, monkeypatch, name, absorptions):
         P = random_pred(200, 6, seed=44, temperature=0.3)
-        cfg = ScalingConfig(epsilon=0.002, tol=1e-12, max_iter=3000)
-        return solve_sla(P, 0.4, 0.1, cfg) if name == "sla" else solve_virtual_named(name, P, cfg)
-
-    @pytest.mark.parametrize("name", ["balanced", "p2ot", "sla"])
-    def test_row_absorptions_leave_the_iterates_unchanged(self, monkeypatch, name):
-        _assert_absorption_leaves_the_iterates_unchanged(
-            monkeypatch, 10.0, lambda threshold: self._solve(monkeypatch, name, threshold))
-
-    @pytest.mark.parametrize("name, absorptions", [("balanced", 71), ("p2ot", 38), ("sla", 29)])
-    def test_absorbs_as_often_as_stated(self, monkeypatch, name, absorptions):
-        # every kernel build after the start's is an absorption; a bound that
-        # skipped reading the row scaling where it crossed the threshold would drop some
+        # every kernel build after the start's is an absorption; a bound that skipped
+        # reading the row scaling where it crossed the threshold would drop some
         builds = []
         build = kernels._floored_exp
         monkeypatch.setattr(kernels, "_floored_exp", lambda M, eps: builds.append(1) or build(M, eps))
-        self._solve(monkeypatch, name, 10.0)
-        assert len(builds) == 1 + absorptions
+
+        def solve(threshold):
+            monkeypatch.setattr(kernels, "ABSORB_THRESHOLD", threshold)
+            builds.clear()
+            cfg = ScalingConfig(epsilon=0.002, tol=1e-12, max_iter=3000)
+            return solve_sla(P, 0.4, 0.1, cfg) if name == "sla" else solve_virtual_named(name, P, cfg)
+
+        _assert_absorption_leaves_the_iterates_unchanged(monkeypatch, 10.0, solve)
+        assert len(builds) == 1 + absorptions  # those of the last solve, at threshold 10
 
 
 @pytest.mark.parametrize("x", [[0.5, 2.0, 1.0], [1.0, np.inf, 0.0], [1.0, np.nan, 3.0], [np.inf, np.nan]])
