@@ -473,7 +473,7 @@ def _project(b, col, cap, upper, soft, m_soft):
     if upper is not None:
         b[upper] = np.minimum(cap, b[upper])
     if soft is not None:
-        soft_mass = float(b[soft].dot(col[soft]))  # the method: a third of the call cost of @ on a K-vector
+        soft_mass = float(b[soft].dot(col[soft]))  # the method: ~0.6 us less per call than @ on a K-vector
         if 0.0 < soft_mass < math.inf:
             b[soft] *= m_soft / soft_mass
 
