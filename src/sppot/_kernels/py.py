@@ -101,7 +101,8 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
 
     Column model. The soft columns (f < 1) are one contiguous run sharing
     one exponent, as `ot_core.solve_virtual` passes them (the K real columns
-    at lam/(lam+eps), then the hard virtual column); the kernel relies on it.
+    at lam/(lam+eps), then the hard virtual column); the kernel relies on it,
+    and derives the model once a solve: the hard mask, the run and its lam.
 
     Upper-bounded columns. `upper` (default None: none) is a boolean column
     mask; a masked column holds a mass of at most beta_j, and its entry of f
@@ -252,15 +253,17 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     """
     C = np.asfortranarray(C, dtype=np.float64)
     m, n = C.shape
-    hard = f == 1.0
+    hard = f == 1.0  # the column model: the hard mask, the soft run as a slice and its KL weight
+    soft = np.flatnonzero(~hard)
+    soft = slice(soft[0], soft[-1] + 1) if soft.size else slice(0, 0)
+    lam = epsilon * f[soft] / (1.0 - f[soft])
     u, v, M, warm = _start(C, v0, f, hard if upper is None else hard & ~upper, epsilon)
     newton = warm and upper is None and f.min() > 0  # f = 0 (lam = 0) fixes a soft potential at 0
     newton_steps = 0
     all_hard = hard.all()  # w = 1 and f = 1: the column update is beta/col, bit for bit
     w = None if all_hard else np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
-    soft = np.flatnonzero(~hard)  # one contiguous run (the column model), read through a slice
     m_soft = float(alpha.sum() - beta[hard].sum())
-    soft = slice(soft[0], soft[-1] + 1) if soft.size and m_soft > 0 and upper is None else None  # None: no step
+    stepped = soft if lam.size and m_soft > 0 and upper is None else None  # the mass step's columns; None: no step
     cap = None if upper is None else _upper_cap(v, upper, epsilon)
     alpha_max = float(alpha.max())
     rows_at_one = True  # every kernel row's largest entry is 1, as the start builds it (see the docstring)
@@ -277,7 +280,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
         np.divide(alpha, np.dot(M, b, out=Mb), out=a)
         np.dot(M.T, a, out=col)
         b_new = beta / col if all_hard else w * (beta / col) ** f
-        _project(b_new, col, cap, upper, soft, m_soft)
+        _project(b_new, col, cap, upper, stepped, m_soft)
         ratio = b_new / b
         low, high = _min_max(ratio)
         err = max(high - 1.0, 1.0 - low)  # max|ratio - 1|, bit for bit; NaN where ratio holds one
@@ -292,12 +295,12 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
         elif weights is not None:
             relax, inertia = weights
             b_new = b * ratio**relax * step**inertia
-            _project(b_new, col, cap, upper, soft, m_soft)
+            _project(b_new, col, cap, upper, stepped, m_soft)
         last_plain = ratio
         step = b_new / b
         b = b_new
         if newton and it == NEWTON_ENTRY:  # the momentum starts afresh from Newton's iterate
-            b, newton_steps = _newton(M, alpha, beta, f, v, b, epsilon, tol)
+            b, newton_steps = _newton(M, alpha, beta, v, b, epsilon, tol, hard, soft, lam)
             if newton_steps:
                 momentum, step, last_plain = _Momentum(), np.ones(n), np.ones(n)
         b_min, b_max = _min_max(b)
@@ -323,8 +326,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
         entropic = _entropic_term(Q, u + epsilon * np.log(a), potential[:k], col_mass)
         if k < n and not math.isfinite(float(b[k:] @ col[k:])):  # the unformed columns' mass
             entropic = math.nan
-        if soft is not None:  # remove the offset the mass step leaves (see the docstring)
-            lam = epsilon * f[soft] / (1.0 - f[soft])
+        if stepped is not None:  # remove the offset the mass step leaves (see the docstring)
             potential -= np.mean(potential[soft] - lam * np.log(beta[soft] / (b[soft] * col[soft])))
     return Q, it, converged, potential, entropic, newton_steps, col_mass
 
@@ -351,7 +353,7 @@ def _min_max(x):
     return min(xs), max(xs)
 
 
-def _newton(M, alpha, beta, f, v, b, epsilon, tol):
+def _newton(M, alpha, beta, v, b, epsilon, tol, hard, soft, lam):
     """Damped Newton steps on the column potentials from the column scaling `b`; returns (b, steps).
 
     The rows are eliminated in closed form (a = alpha/(M b)), which leaves
@@ -361,7 +363,8 @@ def _newton(M, alpha, beta, f, v, b, epsilon, tol):
         F = -eps sum_i alpha_i log (M b)_i + sum_hard beta_j V_j
             - sum_soft lam beta_j s_j,   s_j = exp(-V_j/lam),
 
-    with lam = eps f/(1-f), up to a constant. Its gradient is the column
+    with lam = eps f/(1-f) (`hard`, `soft`, `lam`: the solve's column model),
+    up to a constant. Its gradient is the column
     residual beta s - c, with c = b * (M^T a) the column masses and s = 1 on
     the hard columns; its negative Hessian is H/eps, with
 
@@ -387,9 +390,6 @@ def _newton(M, alpha, beta, f, v, b, epsilon, tol):
     decides `converged`.
     """
     n = b.size
-    hard = f == 1.0
-    soft = np.flatnonzero(~hard)
-    lam = epsilon * f[soft] / (1.0 - f[soft])
     free = slice(0, n - 1 if hard.all() else n)  # the potentials that move: all but a pinned gauge column
     W = workspace("newton", M.shape)
     steps = 0
@@ -406,8 +406,9 @@ def _newton(M, alpha, beta, f, v, b, epsilon, tol):
             np.multiply(M, b, out=W)  # W_ij = sqrt(alpha_i) Q_ij / alpha_i
             W *= (np.sqrt(alpha) / Mb)[:, None]
             H = -(W.T @ W)
-            H.flat[:: n + 1] += c
-            H[soft, soft] += epsilon * target[soft] / lam
+            diagonal = H.reshape(-1)[:: n + 1]  # a view: H is its own contiguous array
+            diagonal += c
+            diagonal[soft] += epsilon * target[soft] / lam
             x = np.zeros(n)
             try:
                 x[free] = np.linalg.solve(H[free, free], g[free])

@@ -160,6 +160,8 @@ def pseudo_label_quality(plan: np.ndarray, labels: np.ndarray) -> dict:
     assignment on the selected samples (`metrics.LabelAssignment`), over the
     clusters and classes they hold; a cluster matched to no class is wrong.
     Returns a dict keyed by `QUALITY_FIELDS`, all NaN when no row carries mass.
+    A kernel-backed plan gives every row mass above 0 (the kernel floor), so
+    in every epoch record of `train` every row is selected: precision = recall.
     """
     Q = np.asarray(plan, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -178,6 +180,7 @@ def pseudo_label_quality(plan: np.ndarray, labels: np.ndarray) -> dict:
 
 
 _DEFAULTS = default_hyperparameters()
+VIEW_NOISE_SCALE = 0.1  # each training view's Gaussian feature noise, in feature standard deviations
 
 
 @dataclass
@@ -197,7 +200,6 @@ class TrainConfig:
     knn_k: int = _DEFAULTS["k"]
     temperature: float = 0.5
     learning_rate: float = 1.0
-    noise_scale: float = 0.1
     tol: float = _DEFAULTS["tol"]
     max_iter: int = _DEFAULTS["max_iter"]
     seed: int = 0
@@ -273,8 +275,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
     scfg = ot_core.ScalingConfig(epsilon=cfg.epsilon, tol=cfg.tol, max_iter=cfg.max_iter)
 
     iters_per_epoch = max(1, N // cfg.batch_size)
-    total_steps = cfg.epochs * iters_per_epoch
-    schedule = Schedule(cfg.schedule_kind, cfg.rho0, total_steps)
+    schedule = Schedule(cfg.schedule_kind, cfg.rho0, cfg.epochs * iters_per_epoch)
 
     history = RunHistory()
     step = 0
@@ -282,9 +283,9 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
     for epoch in range(1, cfg.epochs + 1):
         for it in range(iters_per_epoch):
             step += 1
-            rho = rho_at(schedule, min(step, schedule.total_steps))
+            rho = rho_at(schedule, step)
             batch = rng.choice(N, size=min(cfg.batch_size, N), replace=False)
-            noise = rng.normal(size=(2, batch.size, D)) * (cfg.noise_scale * feat_std)
+            noise = rng.normal(size=(2, batch.size, D)) * (VIEW_NOISE_SCALE * feat_std)
             X1 = X[batch] + noise[0]
             X2 = X[batch] + noise[1]
             P1 = predict_probs(model, X1)
@@ -320,7 +321,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
         P_full = predict_probs(model, X)
         predicted = np.argmax(P_full, axis=1)
         record = metrics_mod.evaluate(predicted, dataset.labels)
-        rho_epoch = rho_at(schedule, min(step, schedule.total_steps))
+        rho_epoch = rho_at(schedule, step)
         try:
             full = _solve_pseudo_labels(P_full, rho_epoch, cfg, A, scfg, full_potential)
         except (ot_core.NumericalOverflowError, ot_core.InfeasibleProblemError) as exc:

@@ -246,7 +246,7 @@ def sp2ot_solve(pred_path, graph_path, lambda1, lambda2, rho, eps, out_path, str
                 "inner_converged": trace.inner_converged,
                 "inner_newton_steps": trace.inner_newton_steps,
                 "plan_changes": trace.frobenius_changes,
-                "ascents": trace.ascents,
+                "ascents": trace.ascents(problem.inner.tol),
             },
             config,
             seed=None,

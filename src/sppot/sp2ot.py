@@ -82,21 +82,18 @@ class PmdTrace:
     inner_converged: list[bool] = field(default_factory=list)
     frobenius_changes: list[float] = field(default_factory=list)
 
-    @property
-    def ascents(self) -> int:  # outer steps whose objective rose by more than 1e-12 over the previous one
-        return sum(b > a + 1e-12 for a, b in zip(self.objectives, self.objectives[1:]))
+    def ascents(self, tol: float) -> int:  # rises over tol * max(|F_t|, |F_t+1|); inner solves to tol may make less
+        return sum(b - a > tol * max(abs(a), abs(b)) for a, b in zip(self.objectives, self.objectives[1:]))
 
 
 def sp2ot_gradient(cost0: np.ndarray, adjacency, lambda1: float, plan: np.ndarray) -> np.ndarray:
-    """Gradient of the smooth part: C0 - lambda1 (A Q + A^T Q).
+    """Gradient of the smooth part: C0 - lambda1 (A Q + A^T Q), a new array (C0 bit for bit at lambda1 = 0).
 
     `adjacency` is multiplied as given: O(nnz K) for the CSR graph of
     `Sp2otProblem.adjacency`, O(N^2 K) for a dense array.
     """
     C0 = np.asarray(cost0, dtype=float)
     Q = np.asarray(plan, dtype=float)
-    if lambda1 == 0:
-        return C0.copy()
     return C0 - lambda1 * (adjacency @ Q + adjacency.T @ Q)
 
 
@@ -154,8 +151,8 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
         trace.frobenius_changes.append(change)
         if not semantic_on or change < problem.outer_tol:
             break
-    if trace.ascents:
+    if ascents := trace.ascents(problem.inner.tol):
         log.warning("objective increased in %d of %d outer steps (largest rise %.3e); adjacency may not be PSD",
-                    trace.ascents, len(trace.objectives), float(np.max(np.diff(trace.objectives))))
+                    ascents, len(trace.objectives), float(np.max(np.diff(trace.objectives))))
     return TransportPlan(Q, trace.objectives[-1], sum(trace.inner_iterations), plan.converged, plan.col_potential,
                          sum(trace.inner_newton_steps)), trace

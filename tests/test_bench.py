@@ -1,3 +1,4 @@
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -230,6 +231,14 @@ class TestTrainConfig:
     def test_overrides(self):
         tc = TrainConfig(solver="UOT", epochs=3, epsilon=0.2)
         assert tc.solver == "UOT" and tc.epochs == 3 and tc.epsilon == 0.2
+
+    def test_every_field_but_solver_and_seed_is_a_config_key(self):
+        # a value no config can set is a constant of the harness, not a field
+        from sppot.cli import SCHEDULE_SCHEMA, TRAIN_SCHEMA
+
+        renames = {"eps": "epsilon", "kind": "schedule_kind"}  # as `cli._run_from_config` maps the keys
+        keys = {renames.get(key, key) for schema in (TRAIN_SCHEMA, SCHEDULE_SCHEMA) for key in schema["properties"]}
+        assert {f.name for f in dataclasses.fields(TrainConfig)} - {"solver", "seed"} == keys
 
 
 @pytest.fixture(scope="module")

@@ -564,9 +564,9 @@ class _NewtonSpy:
         self.calls = []
         real = kernels._newton
 
-        def spy(M, alpha, beta, f, v, b, *rest):
+        def spy(M, alpha, beta, v, b, *rest):
             entry = b.copy()
-            out = real(M, alpha, beta, f, v, b, *rest)
+            out = real(M, alpha, beta, v, b, *rest)
             self.calls.append((entry, out[0].copy(), out[1]))
             return out
 
