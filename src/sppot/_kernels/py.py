@@ -363,8 +363,7 @@ def _newton(M, alpha, beta, v, b, epsilon, tol, hard, soft, lam):
         F = -eps sum_i alpha_i log (M b)_i + sum_hard beta_j V_j
             - sum_soft lam beta_j s_j,   s_j = exp(-V_j/lam),
 
-    with lam = eps f/(1-f) (`hard`, `soft`, `lam`: the solve's column model),
-    up to a constant. Its gradient is the column
+    with lam = eps f/(1-f), up to a constant. Its gradient is the column
     residual beta s - c, with c = b * (M^T a) the column masses and s = 1 on
     the hard columns; its negative Hessian is H/eps, with
 

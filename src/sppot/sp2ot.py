@@ -82,7 +82,7 @@ class PmdTrace:
     inner_converged: list[bool] = field(default_factory=list)
     frobenius_changes: list[float] = field(default_factory=list)
 
-    def ascents(self, tol: float) -> int:  # rises over tol * max(|F_t|, |F_t+1|); inner solves to tol may make less
+    def ascents(self, tol: float) -> int:  # rises above tol * max(|F_t|, |F_t+1|); a smaller one may be inner inexactness
         return sum(b - a > tol * max(abs(a), abs(b)) for a, b in zip(self.objectives, self.objectives[1:]))
 
 
