@@ -292,10 +292,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
             P2 = predict_probs(model, X2)
             M1, M2, idx = buffer.concat(P1, P2, batch)
             assert idx.shape[0] == M1.shape[0] == M2.shape[0]
-            A_sub = None
-            if A is not None:  # rows and columns idx (repeats allowed), read by both views' solves
-                A_sub = A[idx][:, idx]
-                A_sub.sort_indices()  # once: each view's Sp2otProblem copy then finds it canonical
+            A_sub = None if A is None else A[np.ix_(idx, idx)]  # rows and columns idx (repeats allowed), for both views
             try:
                 plan1 = _solve_pseudo_labels(M1, rho, cfg, A_sub, scfg, step_potential)
                 step_potential = plan1.col_potential

@@ -6,9 +6,9 @@ part f(Q) = <Q, C0> - lambda1 <A, Q Q^T>, C0 = -log P (whose gradient serves
 as the cost) with a KL projection onto the partial-transport polytope,
 realized by the fast virtual-column solver. When A is PSD, f is concave on
 the feasible set and each outer step is a majorization-minimization descent
-step. `Sp2otProblem` converts the graph to canonical CSR once, and is the
-only part of this module that loads `scipy.sparse`; `sp2ot_gradient` alone
-multiplies it. Each step's objective takes its P2OT part from the inner plan.
+step. `Sp2otProblem` holds the graph as CSR, as given, and is the only part
+of this module that loads `scipy.sparse`; `sp2ot_gradient` alone multiplies
+it. Each step's objective takes its P2OT part from the inner plan.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class Sp2otProblem:
     pred: np.ndarray
-    # N x N finite nonnegative weights, dense ndarray or scipy sparse; stored as a canonical
-    # CSR copy (sorted indices, duplicates summed) without explicit zeros. A dense matrix is
-    # scanned once (`graph.dense_to_csr`, O(N^2)); a sparse one is copied in O(nnz). Diagonal
-    # and asymmetric entries are kept.
+    # N x N finite nonnegative weights, dense ndarray or scipy sparse, held as CSR and never
+    # written to: a float64 CSR as given, sharing its arrays (products sum its duplicates and
+    # explicit zeros in stored order), another sparse format converted in O(nnz), a dense one
+    # scanned once (`graph.dense_to_csr`, O(N^2)). Diagonal and asymmetric entries are kept.
     adjacency: sparse.csr_array
     lambda1: float
     lambda2: float
@@ -48,11 +48,9 @@ class Sp2otProblem:
 
         P = np.asarray(self.pred, dtype=float)
         if sparse.issparse(self.adjacency):
-            A = sparse.csr_array(self.adjacency, dtype=float, copy=True)  # never alias the caller's arrays
+            A = sparse.csr_array(self.adjacency, dtype=float)
         else:
-            A = dense_to_csr(self.adjacency)  # owns its arrays
-        A.eliminate_zeros()
-        A.sum_duplicates()  # fixes the summation order of every product with A
+            A = dense_to_csr(self.adjacency)
         if A.shape != (P.shape[0], P.shape[0]):
             raise ValueError("adjacency must be N x N for N samples")
         if not np.all(np.isfinite(A.data)):
@@ -110,7 +108,9 @@ def sp2ot_objective(plan: TransportPlan, cost0, cost_in, cost, epsilon) -> float
     1/2 <Q, (A + A^T) Q>, the semantic term is 1/2 <Q, cost - C0>.
     """
     Q = plan.coupling
-    val = plan.objective + 0.5 * float(np.vdot(Q, cost0) + np.vdot(Q, cost)) - float(np.vdot(Q, cost_in))
+    # einsum, not np.vdot: a BLAS ddot here had a tail of milliseconds after its threads slept
+    val = plan.objective + 0.5 * float(np.einsum("ij,ij->", Q, cost0) + np.einsum("ij,ij->", Q, cost))
+    val -= float(np.einsum("ij,ij->", Q, cost_in))
     return val + epsilon * float(np.sum(xlogx(1.0 / Q.shape[0] - Q @ np.ones(Q.shape[1]))))  # row sums as a BLAS mat-vec
 
 
@@ -137,7 +137,7 @@ def solve_sp2ot(problem: Sp2otProblem) -> tuple[TransportPlan, PmdTrace]:
     Q = np.full(C0.shape, problem.rho / C0.size)
     trace = PmdTrace()
     plan = None
-    semantic_on = problem.lambda1 != 0 and problem.adjacency.nnz > 0
+    semantic_on = problem.lambda1 != 0 and problem.adjacency.data.any()  # explicit zeros leave it off
     C = sp2ot_gradient(C0, problem.adjacency, problem.lambda1, Q)
     for _ in range(problem.outer_max_iter):
         plan = solve_p2ot_fast(problem.projection, cost=C, init=None if plan is None else plan.col_potential)

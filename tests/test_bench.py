@@ -4,6 +4,8 @@ from collections import deque
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
+from scipy.sparse import _compressed as scipy_compressed
 
 from sppot import bench, sp2ot
 from sppot.bench import (
@@ -280,7 +282,7 @@ class TestTrain:
         cfg = TrainConfig(solver=solver, epochs=1, batch_size=30, buffer_size=60, knn_k=5, seed=1)
         assert len(train(tiny_dataset, cfg).epochs) == 1
 
-    def test_sp2ot_step_views_share_one_sorted_slice(self, tiny_dataset, monkeypatch):
+    def test_sp2ot_step_views_share_one_slice(self, tiny_dataset, monkeypatch):
         graphs, step_indices, received = [], [], []
         real_build, real_concat, real_problem = bench.build_knn_graph, MemoryBuffer.concat, sp2ot.Sp2otProblem
 
@@ -294,7 +296,7 @@ class TestTrain:
             return out
 
         def problem(pred, adjacency, *args, **kwargs):
-            received.append((adjacency, adjacency.has_sorted_indices))
+            received.append(adjacency)
             return real_problem(pred, adjacency, *args, **kwargs)
 
         monkeypatch.setattr(bench, "build_knn_graph", build)
@@ -305,13 +307,28 @@ class TestTrain:
 
         (graph,) = graphs
         A = graph.adjacency
-        steps = [(adjacency, is_sorted) for adjacency, is_sorted in received if adjacency is not A]
+        steps = [adjacency for adjacency in received if adjacency is not A]
         assert len(steps) == 2 * len(step_indices) == 12
         assert any(np.unique(idx).size < idx.size for idx in step_indices)  # the buffer repeats samples
-        for (first, first_sorted), (second, _), idx in zip(steps[::2], steps[1::2], step_indices):
+        for first, second, idx in zip(steps[::2], steps[1::2], step_indices):
             assert first is second
-            assert first_sorted
             npt.assert_array_equal(first.toarray(), A.toarray()[np.ix_(idx, idx)])
+
+    def test_sp2ot_train_sorts_no_graph(self, tiny_dataset, monkeypatch):
+        # each step's slice and both views' problems take the graph's storage as it comes
+        calls = []
+        real_sort = scipy_compressed.csr_sort_indices
+
+        def spy(*args):
+            calls.append(args[0])
+            return real_sort(*args)
+
+        monkeypatch.setattr(scipy_compressed, "csr_sort_indices", spy)
+        cfg = TrainConfig(solver="SP2OT", epochs=2, batch_size=30, buffer_size=30, knn_k=5, seed=2, lambda1_0=10.0)
+        assert len(train(tiny_dataset, cfg).epochs) == 2
+        assert calls == []
+        sparse.csr_array(([1.0, 2.0], [1, 0], [0, 2]), shape=(1, 2)).sort_indices()
+        assert calls == [1]  # the spy sees scipy's sorts
 
     def test_rho_follows_schedule(self, tiny_dataset):
         cfg = TrainConfig(

@@ -33,6 +33,35 @@ def inner_plan(Q, cost_in, lambda2, rho, eps):
     return TransportPlan(Q, entropic_objective(Q, cost_in, rho / Q.shape[1], lambda2, eps), 0, True)
 
 
+def unsorted_csr_with_duplicate_and_zero(n, seed):
+    """Three CSR forms of one random graph: `A` stores every row's columns descending, row 0's
+    first edge as two duplicate entries, and an explicit zero on node 2's diagonal;
+    `without_zero` is `A`'s storage less that zero; `summed` is the canonical, zero-free
+    matrix of both."""
+    dense = knn_like_adjacency(n, seed)
+    indptr, indices, data = [0], [], []
+    for i, row in enumerate(dense):
+        cols = np.flatnonzero(row)[::-1]
+        vals = row[cols]
+        if i == 0:  # 0.3 v + 0.7 v, a sum that can round away from v
+            cols, vals = np.r_[cols[:1], cols], np.r_[0.3 * vals[:1], 0.7 * vals[:1], vals[1:]]
+        if i == 2:
+            cols, vals = np.r_[cols[:1], 2, cols[1:]], np.r_[vals[:1], 0.0, vals[1:]]
+        indices.extend(cols)
+        data.extend(vals)
+        indptr.append(len(indices))
+    A = sparse.csr_array((np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+                         shape=(n, n))
+    zero = indptr[2] + 1
+    without_zero = sparse.csr_array((np.delete(A.data, zero), np.delete(A.indices, zero),
+                                     A.indptr - (np.arange(n + 1) > 2)), shape=(n, n))
+    summed = A.copy()
+    summed.sum_duplicates()
+    summed.eliminate_zeros()
+    assert not A.has_sorted_indices and A.nnz == summed.nnz + 2 == without_zero.nnz + 1
+    return A, without_zero, summed
+
+
 def psd_adjacency(n, seed):
     rng = np.random.default_rng(seed)
     G = np.abs(rng.normal(size=(n, n)))
@@ -59,22 +88,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             Sp2otProblem(random_pred(4, 2, 0), sparse.csr_array((4, 5)), 1.0, 1.0, 0.5, 0.1)
 
-    def test_stored_as_csr_without_explicit_zeros(self):
-        A = sparse.csr_array(([0.0, 2.0], ([0, 1], [1, 0])), shape=(3, 3))
-        problem = Sp2otProblem(random_pred(3, 2, 0), A, 1.0, 1.0, 0.5, 0.1)
-        assert problem.adjacency.format == "csr" and problem.adjacency.nnz == 1
-        assert A.nnz == 2  # the caller's matrix is left as it was
-        dense = Sp2otProblem(random_pred(3, 2, 0), A.toarray(), 1.0, 1.0, 0.5, 0.1)
-        assert dense.adjacency.format == "csr" and dense.adjacency.nnz == 1
-
-    def test_stored_in_canonical_form(self):
-        # row 0 holds unsorted columns and a duplicate
-        A = sparse.csr_array(([1.0, 2.0, 0.5], [2, 0, 2], [0, 3, 3, 3]), shape=(3, 3))
-        problem = Sp2otProblem(random_pred(3, 2, 0), A, 1.0, 1.0, 0.5, 0.1)
-        assert problem.adjacency.has_canonical_format
-        npt.assert_array_equal(problem.adjacency.indices, [0, 2])
-        npt.assert_array_equal(problem.adjacency.data, [2.0, 1.5])
-        npt.assert_array_equal(A.indices, [2, 0, 2])  # the caller's matrix is left as it was
+    def test_csr_held_as_given_and_left_unchanged(self):
+        A, _, _ = unsorted_csr_with_duplicate_and_zero(8, seed=5)
+        before = [a.copy() for a in (A.data, A.indices, A.indptr)]
+        problem = Sp2otProblem(random_pred(8, 2, 0), A, 5.0, 1.0, 0.5, 0.1)
+        held = problem.adjacency
+        for mine, theirs in ((held.data, A.data), (held.indices, A.indices), (held.indptr, A.indptr)):
+            assert np.shares_memory(mine, theirs)
+        assert held.format == "csr" and held.nnz == A.nnz
+        solve_sp2ot(problem)
+        for after, was in zip((A.data, A.indices, A.indptr), before):
+            assert after.dtype == was.dtype and np.array_equal(after, was)
+        # a dense graph is still scanned into the CSR of its nonzeros
+        dense = Sp2otProblem(random_pred(8, 2, 0), A.toarray(), 5.0, 1.0, 0.5, 0.1).adjacency
+        assert dense.format == "csr" and dense.has_canonical_format and np.all(dense.data != 0)
 
     def test_inner_epsilon_must_be_epsilon(self):
         # the objective is evaluated at `epsilon`, the inner solves run at inner.epsilon
@@ -234,6 +261,22 @@ class TestDenseAndSparseAgree:
         assert d_plan.objective == s_plan.objective
         assert d_trace.objectives == s_trace.objectives
         assert d_trace.inner_iterations == s_trace.inner_iterations
+
+    def test_unsorted_duplicate_and_zero_give_the_summed_gradient(self):
+        A, _, summed = unsorted_csr_with_duplicate_and_zero(30, seed=21)
+        held = Sp2otProblem(self.P, A, 3.0, 1.0, 0.5, 0.1).adjacency
+        npt.assert_allclose(sp2ot_gradient(self.C, held, 3.0, self.Q), sp2ot_gradient(self.C, summed, 3.0, self.Q),
+                            rtol=1e-12, atol=0)
+
+    def test_explicit_zero_leaves_the_solve_bit_identical(self):
+        A, without_zero, _ = unsorted_csr_with_duplicate_and_zero(30, seed=21)
+        cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
+        (plan, trace), (ref_plan, ref_trace) = (solve_sp2ot(Sp2otProblem(self.P, G, 5.0, 1.0, 0.5, 0.1, inner=cfg))
+                                                for G in (A, without_zero))
+        assert len(trace.objectives) > 1
+        assert np.array_equal(plan.coupling, ref_plan.coupling)
+        assert plan.objective == ref_plan.objective and trace.objectives == ref_trace.objectives
+        assert trace.inner_iterations == ref_trace.inner_iterations and plan.converged == ref_plan.converged
 
     def test_explicit_zeros_leave_semantic_term_off(self):
         A = sparse.csr_array(([0.0, 0.0], ([0, 1], [1, 0])), shape=(30, 30))
