@@ -285,33 +285,26 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
             step += 1
             rho = rho_at(schedule, step)
             batch = rng.choice(N, size=min(cfg.batch_size, N), replace=False)
-            noise = rng.normal(size=(2, batch.size, D)) * (VIEW_NOISE_SCALE * feat_std)
-            X1 = X[batch] + noise[0]
-            X2 = X[batch] + noise[1]
-            P1 = predict_probs(model, X1)
-            P2 = predict_probs(model, X2)
+            views = X[batch] + rng.normal(size=(2, batch.size, D)) * (VIEW_NOISE_SCALE * feat_std)
+            P1, P2 = probs = [predict_probs(model, V) for V in views]
             M1, M2, idx = buffer.concat(P1, P2, batch)
             assert idx.shape[0] == M1.shape[0] == M2.shape[0]
             A_sub = None if A is None else A[np.ix_(idx, idx)]  # rows and columns idx (repeats allowed), for both views
             try:
-                plan1 = _solve_pseudo_labels(M1, rho, cfg, A_sub, scfg, step_potential)
-                step_potential = plan1.col_potential
-                plan2 = _solve_pseudo_labels(M2, rho, cfg, A_sub, scfg, step_potential)
-                step_potential = plan2.col_potential
+                q = []
+                for M in (M1, M2):  # view 1's potential warm-starts view 2, and view 2's the next step
+                    plan = _solve_pseudo_labels(M, rho, cfg, A_sub, scfg, step_potential)
+                    step_potential = plan.col_potential
+                    q.append(plan.coupling[:batch.size])
             except (ot_core.NumericalOverflowError, ot_core.InfeasibleProblemError) as exc:
                 log.warning("solver failed at epoch %d iter %d: %s", epoch, it, exc)
                 continue
-            nb = batch.size
-            q1, q2 = plan1.coupling[:nb], plan2.coupling[:nb]
-            loss = swapped_loss(q1, q2, P1, P2)
+            loss = swapped_loss(q[0], q[1], P1, P2)
             history.loss_trace.append((epoch, it, loss, loss / rho, rho))
 
-            # gradient of the swapped loss wrt prototypes
-            w1 = q1.sum(axis=1, keepdims=True)
-            w2 = q2.sum(axis=1, keepdims=True)
-            dZ1 = w2 * P1 - q2
-            dZ2 = w1 * P2 - q1
-            grad = (dZ1.T @ X1 + dZ2.T @ X2) / model.temperature
+            # gradient of the swapped loss wrt prototypes: each view's scores against the other view's labels
+            dZ = [q_other.sum(axis=1, keepdims=True) * P - q_other for P, q_other in zip(probs, q[::-1])]
+            grad = (dZ[0].T @ views[0] + dZ[1].T @ views[1]) / model.temperature
             model.prototypes -= model.learning_rate * grad
             buffer.push(P1, P2, batch)
 

@@ -1,9 +1,13 @@
 """Independent verification solvers.
 
-Projected gradient descent on the entropic convex programs (with Euclidean
-alternating projections onto the transport constraints) and an exact LP
-reference for tiny instances. Deliberately slow and simple; these exist to
-cross-check the scaling solvers, not to compete with them.
+Projected gradient descent on the two entropic programs the scaling solvers
+are checked against: partial transport (row caps and a total mass, with an
+optional soft column KL and slack entropy), projected exactly through its
+dual, and balanced transport (row and column sums), projected by Dykstra's
+scheme. And an exact LP reference for tiny instances, its constraint rows
+taken from two Kronecker-product tables (one per row, one per column).
+Deliberately slow and simple; these exist to cross-check the scaling
+solvers, not to compete with them.
 """
 
 from __future__ import annotations
@@ -62,12 +66,9 @@ def _row_thresholds(Y, sums, lo):
     return (css[np.arange(len(count)), count - 1] - budget) / count
 
 
-def _project_rows(Y, sums, lo, equality):
-    """Row-wise projection onto {x >= lo, sum(x) = s_i}, or sum(x) <= s_i
-    when `equality` is False (then the shift is never negative)."""
+def _project_rows(Y, sums, lo):
+    """Row-wise projection onto {x >= lo, sum(x) = s_i}."""
     tau = _row_thresholds(Y, sums, lo)
-    if not equality:
-        tau = np.maximum(tau, 0.0)
     # shifted by lo, so that every clamped entry is lo exactly
     return np.maximum(Y - lo - tau[:, None], 0.0) + lo
 
@@ -118,41 +119,22 @@ def _project_cap_mass(Y, caps, mass, lo):
 
 
 def _project_feasible(Q, row_eq, row_cap, col_eq, total_mass):
-    """Exact Euclidean projection onto the intersection of the requested
-    constraint sets. The row-cap + total-mass pair (the partial-transport
-    feasible set) has a direct dual solution; other combinations use
+    """Exact Euclidean projection onto the feasible set of one of the two
+    programs. The partial program's row caps and total mass have a direct
+    dual solution; the balanced program's row and column equalities use
     Dykstra's cyclic scheme (plain alternating projections find a feasible
     point, not the nearest one, which biases gradient steps)."""
-    n, k = Q.shape
-    if row_cap is not None and total_mass is not None and row_eq is None and col_eq is None:
-        return _project_cap_mass(Q, row_cap, total_mass, DELTA)
-    sets = []
-    if row_eq is not None:
-        sets.append(("row_eq", row_eq))
     if row_cap is not None:
-        sets.append(("row_cap", row_cap))
-    if col_eq is not None:
-        sets.append(("col_eq", col_eq))
-    if total_mass is not None:
-        sets.append(("mass", total_mass))
-    if not sets:
-        return np.maximum(Q, DELTA)
-    corrections = [np.zeros_like(Q) for _ in sets]
+        return _project_cap_mass(Q, row_cap, total_mass, DELTA)
+    row_fix = col_fix = np.zeros_like(Q)  # Dykstra's corrections of the row and the column step
     for _ in range(PROJ_ROUNDS):
-        Q_prev_round = Q.copy()
-        for idx, (kind, target) in enumerate(sets):
-            Y = Q + corrections[idx]
-            if kind == "row_eq":
-                Q = _project_rows(Y, target, DELTA, equality=True)
-            elif kind == "row_cap":
-                Q = _project_rows(Y, target, DELTA, equality=False)
-            elif kind == "col_eq":
-                Q = _project_rows(Y.T, target, DELTA, equality=True).T
-            else:
-                # affine set {sum Q = target}: projection is a uniform shift;
-                # nonnegativity is carried by the row/column sets
-                Q = Y + (target - Y.sum()) / (n * k)
-            corrections[idx] = Y - Q
+        Q_prev_round = Q
+        Y = Q + row_fix
+        Q = _project_rows(Y, row_eq, DELTA)
+        row_fix = Y - Q
+        Y = Q + col_fix
+        Q = _project_rows(Y.T, col_eq, DELTA).T
+        col_fix = Y - Q
         if float(np.max(np.abs(Q - Q_prev_round))) <= PROJ_TOL:
             break
     return Q
@@ -190,30 +172,36 @@ def pgd_entropic(
 ) -> OracleResult:
     """Projected gradient descent with backtracking on the entropic objective.
 
-    Constraint options: hard row sums (`row_eq`), row caps (`row_cap`),
-    hard column sums (`col_eq`), a soft column KL penalty
-    (`col_kl = (target, lam)`), and a total-mass equality. With
-    `slack_entropy`, the row slacks cap - row_sum also carry an entropy
-    term, matching the virtual-column solver's implicit objective.
+    Two programs are accepted. Partial: row caps (`row_cap`) and a
+    total-mass equality (`total_mass`), optionally with a soft column KL
+    penalty (`col_kl = (target, lam)`) and, with `slack_entropy`, an
+    entropy term on the row slacks cap - row_sum, matching the
+    virtual-column solver's implicit objective. Balanced: hard row sums
+    (`row_eq`) and hard column sums (`col_eq`). Any other combination
+    raises ValueError.
 
     The step length is found by backtracking from `cfg.step_size` until the
     quadratic sufficient-decrease condition holds; a fixed step cannot work
     here because the entropy gradient is unbounded near zero entries.
     Raises OracleFailure if the gradient-mapping norm never reaches tol.
     """
-    if slack_entropy and row_cap is None:
-        raise ValueError("slack_entropy requires row_cap")
+    partial = row_cap is not None and total_mass is not None and row_eq is None and col_eq is None
+    balanced = (row_eq is not None and col_eq is not None and row_cap is None and total_mass is None
+                and col_kl is None and not slack_entropy)
+    if not (partial or balanced):
+        raise ValueError(
+            "pgd_entropic solves two programs: partial (row_cap and total_mass, optionally col_kl and "
+            "slack_entropy) or balanced (row_eq and col_eq)"
+        )
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0 for a strictly convex objective")
     cfg = cfg or OracleConfig()
     C = np.asarray(cost, dtype=float)
     n, k = C.shape
-    if total_mass is not None:
+    if partial:
         Q = np.full((n, k), total_mass / (n * k))
-    elif row_eq is not None:
-        Q = np.tile((row_eq / k)[:, None], (1, k))
     else:
-        Q = np.full((n, k), 1.0 / (n * k))
+        Q = np.tile((row_eq / k)[:, None], (1, k))
     Q = _project_feasible(Q, row_eq, row_cap, col_eq, total_mass)
 
     slack_cap = row_cap if slack_entropy else None
@@ -262,6 +250,14 @@ def pgd_entropic(
     return OracleResult(Q, objective(Q), it, converged, trace)
 
 
+def _stack(blocks):
+    """The constraint rows and right-hand sides of the (table, bounds) pairs whose bounds are set."""
+    blocks = [(table, bounds) for table, bounds in blocks if bounds is not None]
+    if not blocks:
+        return None, None
+    return np.vstack([table for table, _ in blocks]), np.concatenate([np.asarray(b, dtype=float) for _, b in blocks])
+
+
 def lp_exact_tiny(
     cost: np.ndarray,
     *,
@@ -279,47 +275,12 @@ def lp_exact_tiny(
     # imported when called: scipy.optimize would add ~0.3 s to every `import sppot`
     from scipy.optimize import linprog
 
-    A_eq, b_eq, A_ub, b_ub = [], [], [], []
-
-    def row_indicator(i):
-        z = np.zeros((n, k))
-        z[i, :] = 1.0
-        return z.ravel()
-
-    def col_indicator(j):
-        z = np.zeros((n, k))
-        z[:, j] = 1.0
-        return z.ravel()
-
-    if row_eq is not None:
-        for i in range(n):
-            A_eq.append(row_indicator(i))
-            b_eq.append(row_eq[i])
-    if row_cap is not None:
-        for i in range(n):
-            A_ub.append(row_indicator(i))
-            b_ub.append(row_cap[i])
-    if col_eq is not None:
-        for j in range(k):
-            A_eq.append(col_indicator(j))
-            b_eq.append(col_eq[j])
-    if col_cap is not None:
-        for j in range(k):
-            A_ub.append(col_indicator(j))
-            b_ub.append(col_cap[j])
-    if total_mass is not None:
-        A_eq.append(np.ones(n * k))
-        b_eq.append(total_mass)
-
-    res = linprog(
-        C.ravel(),
-        A_eq=np.asarray(A_eq) if A_eq else None,
-        b_eq=np.asarray(b_eq) if b_eq else None,
-        A_ub=np.asarray(A_ub) if A_ub else None,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        bounds=(0, None),
-        method="highs",
-    )
+    rows = np.kron(np.eye(n), np.ones(k))  # rows[i] sums row i of the flattened plan
+    cols = np.kron(np.ones(n), np.eye(k))  # cols[j] sums column j
+    mass = None if total_mass is None else [total_mass]
+    A_eq, b_eq = _stack([(rows, row_eq), (cols, col_eq), (np.ones((1, n * k)), mass)])
+    A_ub, b_ub = _stack([(rows, row_cap), (cols, col_cap)])
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     if not res.success:
         raise ValueError(f"LP infeasible or failed: {res.message}")
     return OracleResult(res.x.reshape(n, k), float(res.fun), int(res.nit), True)

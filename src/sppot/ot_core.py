@@ -121,13 +121,14 @@ def entropic_objective(plan: np.ndarray, cost: np.ndarray, target, lam: float, e
     C = np.asarray(cost, dtype=float)
     if Q.shape != C.shape:
         raise DimensionMismatchError("plan and cost shapes differ")
-    val = float(np.vdot(Q, C))
+    # einsum, not np.vdot: a BLAS ddot here had a tail of milliseconds after its threads slept
+    val = float(np.einsum("ij,ij->", Q, C))
     # a BLAS mat-vec with a ones vector: several times faster than Q.sum on a tall, narrow Q
     val += weighted_kl_value(np.ones(Q.shape[0]) @ Q, target, lam)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_q = np.log(Q)
     np.copyto(log_q, 0.0, where=Q <= 0)  # 0 log 0 := 0, as in xlogx; a NaN entry already makes <Q,C> NaN
-    val += epsilon * float(np.vdot(Q, log_q))
+    val += epsilon * float(np.einsum("ij,ij->", Q, log_q))
     return val
 
 

@@ -412,6 +412,47 @@ class TestTrain:
                 assert np.isnan(rec[key])
             assert np.isfinite(rec["acc"])
 
+    def test_step_whose_solve_fails_is_skipped(self, tiny_dataset, monkeypatch, caplog):
+        from sppot import ot_core
+
+        real_solve, real_concat, real_push = bench._solve_pseudo_labels, MemoryBuffer.concat, MemoryBuffer.push
+        calls, concatenated, pushed = [], [], []
+
+        def solve(M, rho, cfg, A_sub, scfg, init):
+            calls.append(init)
+            if len(calls) == 4:  # view 2 of the second step
+                raise ot_core.NumericalOverflowError("non-finite plan")
+            plan = real_solve(M, rho, cfg, A_sub, scfg, init)
+            calls[-1] = (init, plan.col_potential)
+            return plan
+
+        def concat(self, p1, p2, indices):
+            concatenated.append(indices.copy())
+            return real_concat(self, p1, p2, indices)
+
+        def push(self, p1, p2, indices):
+            pushed.append(indices.copy())
+            return real_push(self, p1, p2, indices)
+
+        monkeypatch.setattr(bench, "_solve_pseudo_labels", solve)
+        monkeypatch.setattr(MemoryBuffer, "concat", concat)
+        monkeypatch.setattr(MemoryBuffer, "push", push)
+        cfg = TrainConfig(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=9)
+        with caplog.at_level("WARNING", logger=bench.log.name):
+            history = train(tiny_dataset, cfg)
+
+        steps = 2 * (tiny_dataset.n // 30)
+        assert len(history.epochs) == 2
+        assert [(epoch, it) for epoch, it, *_ in history.loss_trace] == [
+            (epoch, it) for epoch in (1, 2) for it in range(3) if (epoch, it) != (1, 1)
+        ]
+        assert "solver failed at epoch 1 iter 1" in caplog.text
+        assert len(concatenated) == steps and len(pushed) == steps - 1
+        for want, got in zip(concatenated[:1] + concatenated[2:], pushed):
+            npt.assert_array_equal(got, want)
+        # view 1 of the failed step had already moved the potential the next step starts from
+        assert calls[4][0] is calls[2][1]
+
     def test_learning_improves_over_init(self, tiny_dataset):
         cfg = TrainConfig(solver="P2OT", epochs=6, batch_size=30, buffer_size=60, knn_k=5, seed=6)
         history = train(tiny_dataset, cfg)

@@ -297,6 +297,28 @@ class TestSp2otSolve:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "rho must be in (0, 1]" in err[0], err
 
+    def test_strict_nonconvergence_exits_2(self, tmp_path, monkeypatch):
+        # the command has no iteration budget to cut, so the solve reports its last inner solve unconverged
+        from sppot import sp2ot
+
+        real = sp2ot.solve_sp2ot
+
+        def unconverged(problem):
+            plan, trace = real(problem)
+            plan.converged = False
+            return plan, trace
+
+        monkeypatch.setattr(sp2ot, "solve_sp2ot", unconverged)
+        pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)
+        gpath = tmp_path / "graph.csv"
+        io_mod.write_triplets_csv(gpath, [0, 1, 2], [1, 2, 3], [1.0, 0.5, 0.25])
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sp2ot", "solve", "--pred", str(pred), "--graph", str(gpath),
+                  "--lambda1", "1.0", "--rho", "0.5", "--strict", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_out_of_range_edge_exits_1(self, tmp_path):
         pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)
         gpath = tmp_path / "graph.csv"

@@ -52,21 +52,16 @@ def row_cap_constraints(caps):
 class TestSimplexProjection:
     def test_equality_sum_and_bound(self):
         v = np.array([0.5, -0.2, 0.1])
-        out = _project_rows(v[None, :], [0.3], 0.0, equality=True)[0]
+        out = _project_rows(v[None, :], [0.3], 0.0)[0]
         npt.assert_allclose(out.sum(), 0.3, atol=1e-12)
         assert np.all(out >= 0)
-
-    def test_inequality_noop_when_inside(self):
-        v = np.array([0.05, 0.05])
-        out = _project_rows(v[None, :], [1.0], 0.0, equality=False)[0]
-        npt.assert_allclose(out, v)
 
     def test_matches_qp(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             v = rng.normal(size=5)
             s = float(rng.uniform(0.1, 1.0))
-            out = _project_rows(v[None, :], [s], 0.0, equality=True)[0]
+            out = _project_rows(v[None, :], [s], 0.0)[0]
             ref = qp_projection(
                 v[None, :],
                 lambda shape: [{"type": "eq", "fun": lambda x: np.sum(x) - s}],
@@ -75,7 +70,7 @@ class TestSimplexProjection:
 
     def test_floor_respected(self):
         v = np.array([-1.0, -1.0, 2.0])
-        out = _project_rows(v[None, :], [0.5], 0.01, equality=True)[0]
+        out = _project_rows(v[None, :], [0.5], 0.01)[0]
         assert np.all(out >= 0.01 - 1e-15)
         npt.assert_allclose(out.sum(), 0.5, atol=1e-12)
 
@@ -85,24 +80,14 @@ class TestRowProjections:
         rng = np.random.default_rng(1)
         Q = rng.normal(size=(4, 3))
         sums = np.array([0.2, 0.4, 0.1, 0.3])
-        out = _project_rows(Q, sums, 1e-12, equality=True)
+        out = _project_rows(Q, sums, 1e-12)
         npt.assert_allclose(out.sum(axis=1), sums, atol=1e-10)
 
-    def test_rows_capped_matches_qp(self):
-        rng = np.random.default_rng(2)
-        Y = rng.normal(size=(6, 4))
-        caps = rng.uniform(0.1, 0.5, size=6)
-        out = _project_rows(Y.copy(), caps, 0.0, equality=False)
-        ref = qp_projection(Y, row_cap_constraints(caps))
-        npt.assert_allclose(out, ref, atol=1e-6)
-        assert np.all(out.sum(axis=1) <= caps + 1e-12)
-
-    @pytest.mark.parametrize("equality", [True, False])
-    def test_sum_at_most_floor_puts_row_at_floor(self, equality):
+    def test_sum_at_most_floor_puts_row_at_floor(self):
         lo = 1e-3
         Y = np.array([[0.4, -0.1, 0.2], [0.3, 0.3, -0.2], [0.1, 0.5, 0.0]])
         sums = np.array([3 * lo, 2 * lo, 0.0])
-        npt.assert_array_equal(_project_rows(Y, sums, lo, equality), np.full((3, 3), lo))
+        npt.assert_array_equal(_project_rows(Y, sums, lo), np.full((3, 3), lo))
 
 
 class TestCapMassProjection:
@@ -194,6 +179,19 @@ class TestPgd:
     def test_slack_entropy_requires_row_cap(self):
         with pytest.raises(ValueError):
             pgd_entropic(np.zeros((2, 2)), 0.5, slack_entropy=True)
+
+    @pytest.mark.parametrize("constraints", [
+        {},  # no program
+        {"row_cap": np.full(2, 0.5)},  # partial without its mass
+        {"row_eq": np.full(2, 0.5)},  # balanced without its columns
+        {"row_cap": np.full(2, 0.5), "total_mass": 0.5, "col_eq": np.full(2, 0.25)},
+        {"row_eq": np.full(2, 0.5), "col_eq": np.full(2, 0.5), "total_mass": 1.0},
+        {"row_eq": np.full(2, 0.5), "col_eq": np.full(2, 0.5), "col_kl": (np.full(2, 0.5), 1.0)},
+        {"row_eq": np.full(2, 0.5), "col_eq": np.full(2, 0.5), "slack_entropy": True},
+    ])
+    def test_only_the_partial_and_balanced_programs_are_accepted(self, constraints):
+        with pytest.raises(ValueError, match="partial .* or balanced"):
+            pgd_entropic(np.zeros((2, 2)), 0.5, **constraints)
 
     def test_oracle_objective_slack_term(self):
         Q = np.full((2, 2), 0.1)

@@ -545,6 +545,27 @@ class TestWarmStart:
         npt.assert_array_equal(warm.col_potential, cold.col_potential)
         assert warm.iterations == cold.iterations
 
+    def test_init_leaving_a_soft_column_under_the_floor_is_a_cold_start(self, monkeypatch):
+        # soft column 0 sits 26/eps under the others: its kernel entries fall under
+        # KERNEL_FLOOR in every row, and a soft column is not lifted, so the start
+        # rejects the init and builds the cold kernel
+        cfg = ScalingConfig(epsilon=0.01)
+        C = prediction_cost(random_pred(60, 4, seed=3))
+        cold = ot_core.solve_virtual(C, 0.5, 1.0, cfg)
+        starts = []
+        real = kernels._start
+
+        def spy(C, v0, *rest):
+            starts.append(v0)
+            return real(C, v0, *rest)
+
+        monkeypatch.setattr(kernels, "_start", spy)
+        warm = ot_core.solve_virtual(C, 0.5, 1.0, cfg, init=np.array([-13.0, 13.0, 13.0, 13.0, 0.0]))
+        assert len(starts) == 2 and starts[0] is not None and starts[1] is None
+        npt.assert_array_equal(warm.coupling, cold.coupling)
+        assert warm.iterations == cold.iterations
+        assert warm.newton_steps == 0
+
     def test_col_potential_length(self):
         from sppot import p2ot
 
