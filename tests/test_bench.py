@@ -416,14 +416,14 @@ class TestTrain:
         from sppot import ot_core
 
         real_solve, real_concat, real_push = bench._solve_pseudo_labels, MemoryBuffer.concat, MemoryBuffer.push
-        calls, concatenated, pushed = [], [], []
+        inits, potentials, concatenated, pushed = [], [], [], []
 
         def solve(M, rho, cfg, A_sub, scfg, init):
-            calls.append(init)
-            if len(calls) == 4:  # view 2 of the second step
+            inits.append(init)
+            if len(inits) == 4:  # view 2 of the second step
                 raise ot_core.NumericalOverflowError("non-finite plan")
             plan = real_solve(M, rho, cfg, A_sub, scfg, init)
-            calls[-1] = (init, plan.col_potential)
+            potentials.append(plan.col_potential)
             return plan
 
         def concat(self, p1, p2, indices):
@@ -451,7 +451,7 @@ class TestTrain:
         for want, got in zip(concatenated[:1] + concatenated[2:], pushed):
             npt.assert_array_equal(got, want)
         # view 1 of the failed step had already moved the potential the next step starts from
-        assert calls[4][0] is calls[2][1]
+        assert inits[4] is potentials[2]
 
     def test_learning_improves_over_init(self, tiny_dataset):
         cfg = TrainConfig(solver="P2OT", epochs=6, batch_size=30, buffer_size=60, knn_k=5, seed=6)
