@@ -103,48 +103,35 @@ def swapped_loss(q1, q2, p1, p2) -> float:
 class MemoryBuffer:
     """FIFO store of paired two-view predictions with their sample indices.
 
-    Rows live in preallocated ring arrays of `capacity` rows (allocated at
-    the first push, which fixes the row width); `_head` is the next slot to
-    write, and once the ring is full also the oldest row.
+    Holds the newest `capacity` rows pushed, oldest first, as three
+    index-aligned arrays: the view-1 predictions, the view-2 predictions and
+    the int64 sample indices. A capacity of 0 or less stores nothing.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._p1 = self._p2 = None
-        self._idx = np.empty(max(capacity, 0), dtype=np.int64)
-        self._head = 0
-        self._size = 0
+        self._p1 = self._p2 = None  # set at the first push, which fixes the row width
+        self._idx = np.empty(0, dtype=np.int64)
 
     def __len__(self):
-        return self._size
-
-    def _oldest_first(self, ring):
-        return ring[self._head:self._size], ring[:self._head]
+        return len(self._idx)
 
     def concat(self, p1, p2, indices):
         """Current batch first, then stored rows oldest to newest; rows stay index-aligned."""
-        if not self._size:
+        if not len(self):
             return p1.copy(), p2.copy(), np.asarray(indices).copy()
-        m1 = np.concatenate([p1, *self._oldest_first(self._p1)])
-        m2 = np.concatenate([p2, *self._oldest_first(self._p2)])
-        idx = np.concatenate([indices, *self._oldest_first(self._idx)])
-        return m1, m2, idx
+        return np.concatenate([p1, self._p1]), np.concatenate([p2, self._p2]), np.concatenate([indices, self._idx])
 
     def push(self, p1, p2, indices):
         cap = self.capacity
         if cap <= 0:
             return
         if self._p1 is None:
-            self._p1 = np.empty((cap, p1.shape[1]), dtype=p1.dtype)
-            self._p2 = np.empty((cap, p2.shape[1]), dtype=p2.dtype)
-        p1, p2, indices = p1[-cap:], p2[-cap:], indices[-cap:]  # only the newest `cap` rows survive
-        n = len(indices)
-        first = min(n, cap - self._head)  # rows before the write wraps to slot 0
-        for ring, rows in ((self._p1, p1), (self._p2, p2), (self._idx, indices)):
-            ring[self._head:self._head + first] = rows[:first]
-            ring[:n - first] = rows[first:]
-        self._head = (self._head + n) % cap
-        self._size = min(self._size + n, cap)
+            self._p1, self._p2 = p1[:0], p2[:0]
+        drop = max(len(self) + min(len(indices), cap) - cap, 0)  # oldest rows that fall out
+        self._p1 = np.concatenate([self._p1[drop:], p1[-cap:]])
+        self._p2 = np.concatenate([self._p2[drop:], p2[-cap:]])
+        self._idx = np.concatenate([self._idx[drop:], indices[-cap:]])
 
 
 QUALITY_FIELDS = ("precision", "recall", "weighted_precision", "weighted_recall")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ot_core import weighted_kl_value, xlogx
+from .ot_core import MASS_RTOL, weighted_kl_value, xlogx
 
 
 class OracleFailure(RuntimeError):
@@ -168,7 +168,6 @@ def pgd_entropic(
     total_mass: float | None = None,
     slack_entropy: bool = False,
     cfg: OracleConfig | None = None,
-    track_objective: bool = False,
 ) -> OracleResult:
     """Projected gradient descent with backtracking on the entropic objective.
 
@@ -177,13 +176,16 @@ def pgd_entropic(
     penalty (`col_kl = (target, lam)`) and, with `slack_entropy`, an
     entropy term on the row slacks cap - row_sum, matching the
     virtual-column solver's implicit objective. Balanced: hard row sums
-    (`row_eq`) and hard column sums (`col_eq`). Any other combination
-    raises ValueError.
+    (`row_eq`) and hard column sums (`col_eq`), whose totals must agree
+    to a relative `MASS_RTOL`. Any other combination, or balanced sums
+    that disagree, raises ValueError.
 
     The step length is found by backtracking from `cfg.step_size` until the
     quadratic sufficient-decrease condition holds; a fixed step cannot work
     here because the entropy gradient is unbounded near zero entries.
-    Raises OracleFailure if the gradient-mapping norm never reaches tol.
+    The objective is recorded at iteration 1 and every 50th iteration in
+    `objective_trace`. Raises OracleFailure if the gradient-mapping norm
+    never reaches tol.
     """
     partial = row_cap is not None and total_mass is not None and row_eq is None and col_eq is None
     balanced = (row_eq is not None and col_eq is not None and row_cap is None and total_mass is None
@@ -193,6 +195,8 @@ def pgd_entropic(
             "pgd_entropic solves two programs: partial (row_cap and total_mass, optionally col_kl and "
             "slack_entropy) or balanced (row_eq and col_eq)"
         )
+    if balanced and not np.isclose(np.sum(row_eq), np.sum(col_eq), rtol=MASS_RTOL, atol=0.0):
+        raise ValueError(f"row_eq sums to {np.sum(row_eq)!r} and col_eq to {np.sum(col_eq)!r}: no plan meets both")
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0 for a strictly convex objective")
     cfg = cfg or OracleConfig()
@@ -240,14 +244,14 @@ def pgd_entropic(
         gap = float(np.max(np.abs(diff))) / eta
         Q = Q_new
         f_val = f_new
-        if track_objective and (it % 50 == 0 or it == 1):
+        if it % 50 == 0 or it == 1:
             trace.append(f_val)
         if gap <= cfg.tol:
             converged = True
             break
     if not converged:
         raise OracleFailure(f"PGD gradient mapping {gap:.3e} > tol {cfg.tol:.1e} after {it} iterations")
-    return OracleResult(Q, objective(Q), it, converged, trace)
+    return OracleResult(Q, f_val, it, converged, trace)
 
 
 def _stack(blocks):

@@ -247,6 +247,7 @@ class TestSp2otSolve:
         assert len(newton) == len(summary["inner_iterations"]) == len(objs)
         assert newton[0] == 0 and all(isinstance(steps, int) and steps >= 0 for steps in newton)  # the first is cold
         assert summary["inner_converged"] == [True] * len(objs)
+        assert len(summary["plan_changes"]) == len(objs)
 
     def test_nonfinite_edge_exits_1(self, runner, tmp_path):
         pred = write_pred(tmp_path / "pred.csv", n=4, k=2, seed=3)

@@ -170,11 +170,19 @@ class TestPgd:
             col_kl=(np.full(3, 0.5 / 3), 1.0),
             total_mass=0.5,
             cfg=OracleConfig(step_size=0.5, tol=1e-6, max_iter=100000),
-            track_objective=True,
         )
         trace = res.objective_trace
+        assert len(trace) == 1 + res.iterations // 50  # iteration 1, then every 50th
         assert len(trace) >= 2
         assert trace[-1] <= trace[0] + 1e-12
+        assert res.objective == oracle_objective(res.plan, C, 0.5, (np.full(3, 0.5 / 3), 1.0))
+
+    def test_balanced_sums_that_disagree_are_rejected(self):
+        # rows carry mass 1 and columns 1.5: no plan meets both, and Dykstra's
+        # rounds would stop on their change with the rows off their targets
+        with pytest.raises(ValueError, match="row_eq sums to .* col_eq"):
+            pgd_entropic(np.zeros((4, 3)), 0.5, row_eq=np.full(4, 0.25), col_eq=np.full(3, 0.5),
+                         cfg=OracleConfig(max_iter=200))
 
     def test_slack_entropy_requires_row_cap(self):
         with pytest.raises(ValueError):

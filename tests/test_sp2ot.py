@@ -415,6 +415,16 @@ class TestSolve:
         _, trace = solve_sp2ot(problem)
         assert len(trace.objectives) == 4
 
+    def test_outer_stop_fires_once_the_change_is_under_outer_tol(self):
+        n = 40
+        A = np.eye(n, k=1) + np.eye(n, k=-1)  # a path graph
+        problem = Sp2otProblem(random_pred(n, 4, seed=0), A, 0.1, 1.0, 0.5, 0.1, outer_max_iter=50,
+                               inner=ScalingConfig(epsilon=0.1, tol=1e-9))
+        _, trace = solve_sp2ot(problem)
+        *before, last = trace.frobenius_changes
+        assert len(trace.objectives) < problem.outer_max_iter
+        assert last < problem.outer_tol <= before[-1]  # the stop ends the loop at its first change under tol
+
 
 class TestOneProductSite:
     def test_objective_reads_the_next_steps_cost(self, monkeypatch):
