@@ -549,22 +549,11 @@ def _start(C, v0, f, lift, epsilon):
     if v0 is None:
         v = np.zeros(C.shape[1])
     shifted = workspace("kernel", C.shape)  # it becomes the kernel in place
-    if v0 is None:  # (0 - C) less its row maxima is, bit for bit, C's row minima less C: one pass
-        u = C.min(axis=1)  # the row potential u0 = min_j (C_ij - v_j)
-        np.subtract(u[:, None], C, out=shifted)
-    else:
-        np.subtract(v[None, :], C, out=shifted)
-        row_max = shifted.max(axis=1)
-        shifted -= row_max[:, None]
-        u = -row_max
-    # each column's largest entry, <= 0 as every row's largest is 0: all of them for a warm
-    # start's check below, else the lift's columns only (0 stands in for the others)
-    if v0 is not None or lift.all():
-        col_max = shifted.max(axis=0)
-    else:
-        col_max = np.zeros(C.shape[1])
-        for j in np.flatnonzero(lift):
-            col_max[j] = shifted[:, j].max()
+    np.subtract(v[None, :], C, out=shifted)
+    row_max = shifted.max(axis=1)
+    shifted -= row_max[:, None]
+    u = -row_max  # the row potential u0 = min_j (C_ij - v_j)
+    col_max = shifted.max(axis=0)  # each column's largest entry, <= 0 as every row's largest is 0
     low = lift & (col_max / epsilon < LOG_FLOOR)
     if low.any():
         lifted = np.where(low, -col_max, 0.0)

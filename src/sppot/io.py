@@ -60,6 +60,8 @@ def read_matrix_csv(path) -> np.ndarray:
             rows, cols = (int(x) for x in header.split(","))
         except ValueError as exc:
             raise FormatError(f"bad matrix header {header!r}: expected 'rows,cols'") from exc
+        if rows < 0 or cols < 0:
+            raise FormatError(f"bad matrix header {header!r}: dimensions must be >= 0")
         data = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

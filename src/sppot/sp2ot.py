@@ -46,17 +46,6 @@ class Sp2otProblem:
     def __post_init__(self):
         from scipy import sparse  # here, not at import: P2OT and the OT family never load it
 
-        P = np.asarray(self.pred, dtype=float)
-        if sparse.issparse(self.adjacency):
-            A = sparse.csr_array(self.adjacency, dtype=float)
-        else:
-            A = dense_to_csr(self.adjacency)
-        if A.shape != (P.shape[0], P.shape[0]):
-            raise ValueError("adjacency must be N x N for N samples")
-        if not np.all(np.isfinite(A.data)):
-            raise ValueError("adjacency entries must be finite")
-        if np.any(A.data < 0):
-            raise ValueError("adjacency entries must be nonnegative")
         if not (self.lambda1 >= 0 and self.lambda2 >= 0):  # NaN fails too
             raise ValueError("lambda1 and lambda2 must be >= 0")
         if not self.outer_max_iter >= 1:
@@ -65,11 +54,24 @@ class Sp2otProblem:
             raise ValueError("outer_tol must be >= 0")
         if self.inner is not None and self.inner.epsilon != self.epsilon:
             raise ValueError(f"inner.epsilon {self.inner.epsilon} differs from epsilon {self.epsilon}")
-        object.__setattr__(self, "pred", P)
-        object.__setattr__(self, "adjacency", A)
         if self.inner is None:
             object.__setattr__(self, "inner", ScalingConfig(epsilon=self.epsilon))
-        object.__setattr__(self, "projection", P2otProblem(P, self.rho, self.lambda2, self.inner))
+        # pred, rho and lambda2 are checked here, before the graph's O(N^2) or O(nnz) conversion
+        projection = P2otProblem(self.pred, self.rho, self.lambda2, self.inner)
+        N = projection.pred.shape[0]
+        if sparse.issparse(self.adjacency):
+            A = sparse.csr_array(self.adjacency, dtype=float)
+        else:
+            A = dense_to_csr(self.adjacency)
+        if A.shape != (N, N):
+            raise ValueError("adjacency must be N x N for N samples")
+        if not np.all(np.isfinite(A.data)):
+            raise ValueError("adjacency entries must be finite")
+        if np.any(A.data < 0):
+            raise ValueError("adjacency entries must be nonnegative")
+        object.__setattr__(self, "pred", projection.pred)
+        object.__setattr__(self, "adjacency", A)
+        object.__setattr__(self, "projection", projection)
 
 
 @dataclass

@@ -41,6 +41,13 @@ class TestMatrixCsv:
         with pytest.raises(FormatError):
             read_matrix_csv(p)
 
+    @pytest.mark.parametrize("header", ["0,-1", "-1,2"])
+    def test_negative_dimension_rejected(self, tmp_path, header):
+        p = tmp_path / "m.csv"
+        p.write_text(header + "\n")
+        with pytest.raises(FormatError, match="bad matrix header"):
+            read_matrix_csv(p)
+
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,3\n1.0,2.0\n")

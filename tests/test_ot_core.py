@@ -545,6 +545,24 @@ class TestWarmStart:
         npt.assert_array_equal(warm.col_potential, cold.col_potential)
         assert warm.iterations == cold.iterations
 
+    @pytest.mark.parametrize("name, eps, dead", [(name, 0.1, False) for name in sorted(SOLVES)]
+                             + [("balanced", 1e-2, True)])  # the lift raises the dead column's potential
+    def test_a_start_from_zeros_builds_the_cold_start(self, monkeypatch, name, eps, dead):
+        P = random_pred(60, 5, seed=39)
+        if dead:
+            P = dead_cluster_pred(P)
+        rho, lam = SOLVES[name]
+        C, _, _, f, *_ = _virtual_kernel_args(monkeypatch, P, rho, lam, ScalingConfig(epsilon=eps))
+        lift = f == 1.0
+        u, v, M, warm = kernels._start(C, None, f, lift, eps)
+        M = M.copy()  # the kernel is this thread's buffer, which the next start overwrites
+        u0, v0, M0, warm0 = kernels._start(C, np.zeros(f.size), f, lift, eps)
+        assert warm0 and not warm
+        npt.assert_array_equal(u0, u)
+        npt.assert_array_equal(v0, v)
+        npt.assert_array_equal(M0, M)
+        assert (v[0] > 0) == dead
+
     def test_init_leaving_a_soft_column_under_the_floor_is_a_cold_start(self, monkeypatch):
         # soft column 0 sits 26/eps under the others: its kernel entries fall under
         # KERNEL_FLOOR in every row, and a soft column is not lifted, so the start

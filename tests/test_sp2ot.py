@@ -156,9 +156,11 @@ class TestValidation:
         (random_pred(4, 2, 0), np.nan, "rho must be in (0, 1]"),
         (0.6 * random_pred(4, 2, 0), 0.5, "pred rows must sum to 1 within 1e-6"),
         (np.full(4, 0.25), 0.5, "pred must be a 2-D probability matrix"),
+        (np.array(1.0), 0.5, "pred must be a 2-D probability matrix"),
+        (np.full(3, 1 / 3), 0.5, "pred must be a 2-D probability matrix"),  # its length does not match the graph
     ])
     def test_projection_inputs_rejected_at_construction(self, pred, rho, message):
-        # these used to pass construction and raise only when solve_sp2ot built its inner P2OT problem
+        # construction checks pred and rho, as the inner P2OT problem does, before it reads the graph
         with pytest.raises(ValueError, match=re.escape(message)):
             Sp2otProblem(pred, np.eye(4), 1.0, 1.0, rho, 0.1)
 
