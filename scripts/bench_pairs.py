@@ -54,17 +54,27 @@ def metric_directions(benchmark_json):
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
+def metric_bounds(benchmark_json):
+    """{metric name: bound}, the largest relative worsening BENCHMARK.json allows each bounded metric."""
+    spec = json.loads(Path(benchmark_json).read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"] + spec["per_layer"] if "bound" in m}
+
+
 def _spread(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs, directions):
+def summarize(runs, directions, bounds=None):
     """Per workload, trace setting and metric: each side's median and quartiles, and the pairs the change wins.
 
     A pair counts when both of its sides report the metric; the change wins
     it when its value is better in the metric's direction. Quartiles are
-    `statistics.quantiles(..., n=4, method="inclusive")`.
+    `statistics.quantiles(..., n=4, method="inclusive")`. A metric with a
+    bound in `bounds` is `unresolved` when the parent's quartile distance
+    exceeds the bound times the parent's median and not every change run is
+    better than every parent run: the runs spread too widely to tell a
+    change within the bound.
     """
     groups = {}
     for run in runs:
@@ -88,6 +98,11 @@ def summarize(runs, directions):
                 sign = 1 if better == "lower" else -1
                 entry["better"] = better
                 entry["change_wins"] = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+                if name in (bounds or {}):
+                    parent = entry["parent"]
+                    separated = all(sign * (c - p) < 0 for p in values["parent"] for c in values["change"])
+                    entry["unresolved"] = (parent["q3"] - parent["q1"] > bounds[name] * abs(parent["median"])
+                                           and not separated)
             out[name] = entry
         summary[group] = {"correct": all(run["correct"] for run in members),
                           "failed": sum(run["failed"] for run in members), "metrics": out}
@@ -149,7 +164,8 @@ def main(argv=None):
                     "operation_ms_median": {label: statistics.median(op["ms"])
                                             for label, op in record["operations"].items()},
                 })
-                doc["summary"] = summarize(doc["runs"], metric_directions(ROOT / "BENCHMARK.json"))
+                doc["summary"] = summarize(doc["runs"], metric_directions(ROOT / "BENCHMARK.json"),
+                                           metric_bounds(ROOT / "BENCHMARK.json"))
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
                 value = record["metrics"].get("op_ms_p50", {}).get("value")
                 print(f"pair {pair} seed {seed} {side}: correct {record['correct']} failed {record['failed']} "

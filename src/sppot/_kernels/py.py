@@ -11,7 +11,8 @@ Each sweep is two BLAS mat-vecs over the N x K kernel, which both hold in
 Fortran order; the recursion's step and its momentum cost O(K) more.
 
 One floored exponentiation, `_floored_exp`, builds every kernel: the
-recursion's start, each of its absorptions, and the baseline's.
+recursion's, through `_frame` at its start and at each of its absorptions,
+and the baseline's.
 
 The recursion allocates only the plan it returns. Each thread keeps
 Fortran-order N x n float64 buffers (`workspace`): the kernel, which the
@@ -90,14 +91,12 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     for bit.
 
     The absorption test reads max(b) every sweep but max(a), an N-vector,
-    only where a bound does not settle it. From the start until the first
-    absorption every kernel row holds an entry of exactly 1 (the start's
-    kernel, below), so each (M b)_i, a sum of nonnegative terms, is at least
-    min(b) in floating point and max(a) <= max(alpha)/min(b), rounded: where
-    that is within ABSORB_THRESHOLD, so is a. An absorption rebuilds the
-    kernel as exp((u - C + v)/eps), whose rows need not hold a 1, and from
-    then on the test reads max(a) every sweep. On the solve-p2ot workload
-    (seeds 201 and 207) the bound settles 6635 of 6639 tests.
+    only where a bound does not settle it. Every kernel row holds an entry
+    of exactly 1 (the frame, below), so each (M b)_i, a sum of nonnegative
+    terms, is at least min(b) in floating point and max(a) <=
+    max(alpha)/min(b), rounded: where that is within ABSORB_THRESHOLD, so is
+    a. On the solve-p2ot workload (seeds 201 and 207) the bound settles 6635
+    of 6639 tests.
 
     Column model. The soft columns (f < 1) are one contiguous run sharing
     one exponent, as `ot_core.solve_virtual` passes them (the K real columns
@@ -179,34 +178,34 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     start rejects and SLA never enter, so their sweeps are those of the
     recursion alone.
 
-    The solve starts from the column potential `v0` (default zeros) and the
-    row potential u0_i = min_j (C_ij - v0_j), so the first kernel
-    M = exp((u0 - C + v0)/eps) has largest entry 1 in every row and cannot
-    overflow, whatever the cost or `v0`. The row scaling absorbs u0 exactly:
-    from v0 = 0 the iterates are those of a start from exp(-C/eps), unless
-    a column is lifted. A hard column that is not upper-bounded and has
-    every kernel entry under the floor (a cluster that no row predicts, at
-    small eps) is lifted: its start potential rises until its largest entry
-    is 1. The column scaling takes the difference up, so the fixed point is
-    the same. Other columns start as they are: a soft or upper-bounded
+    The frame. The solve holds a column potential v, from which the start
+    and every absorption build what the sweep reads: `_frame` the row
+    potential u_i = min_j (C_ij - v_j) and the kernel M = exp((u - C +
+    v)/eps), as v - C less its row maxima, divided by eps, exponentiated and
+    floored at KERNEL_FLOOR (`_floored_exp`) in this thread's kernel buffer
+    (`workspace`); `_column_weights` the soft columns' weights
+    w = exp(v (f-1)/eps) and the upper-bounded columns' caps. Every kernel
+    row holds an entry of exactly 1, so no kernel overflows, whatever the
+    cost or v. The solve starts from v = v0 (default zeros); an absorption
+    moves v to v + eps log(b), resets b to 1 and builds the frame again, and
+    the next sweep's row scaling takes up the change of u (Schmitzer,
+    "Stabilized sparse scaling algorithms for entropy regularized transport
+    problems", SIAM J. Sci. Comput. 2019). From v0 = 0 the iterates are
+    those of a start from exp(-C/eps), unless a column is lifted: a hard
+    column that is not upper-bounded and has every kernel entry under the
+    floor (a cluster that no row predicts, at small eps) has its potential
+    raised until its largest entry is 1, and the column scaling takes the
+    difference up, so the fixed point is the same. A soft or upper-bounded
     column with every entry at the floor climbs off it through the
-    absorptions, and at eps 1e-3 a soft one overflows first. Soft columns
-    (f < 1) start from the weight w0 = exp(v0 (f-1)/eps). A `v0` the
-    recursion could not recover from is ignored, and the solve starts from
-    zeros: one of the wrong length or not finite, whose soft-column weights
-    lie beyond ABSORB_THRESHOLD in either direction, or that leaves a column with every
-    kernel entry under the floor that the lift does not raise.
-    Every kernel is built in place in this thread's kernel buffer
-    (`workspace`) by one floored exponentiation, `_floored_exp`: its
-    argument is divided by eps, exponentiated and floored at KERNEL_FLOOR.
-    The start's argument is v0 - C less its row maxima (plus any lift), an
-    absorption's is (u - C) + v, in that order, so a stabilized absorption
-    rebuilds the kernel the start would (Schmitzer, "Stabilized sparse
-    scaling algorithms for entropy regularized transport problems", SIAM J.
-    Sci. Comput. 2019). The floor keeps a column whose entries all
-    underflow nonzero, so its update never divides by a zero mass; where
-    no entry falls under it, it moves no iterate. The plan is the only
-    N x K array a solve allocates.
+    absorptions, and at eps 1e-3 a soft one overflows first. The floor keeps
+    a column whose entries all underflow nonzero, so its update never
+    divides by a zero mass; where no entry falls under it, it moves no
+    iterate. A `v0` the recursion could not recover from is ignored, and
+    the solve starts from zeros: one of the wrong length or not finite,
+    whose soft-column weights lie beyond ABSORB_THRESHOLD in either
+    direction, or that leaves a column with every kernel entry under the
+    floor that the lift does not raise. The plan is the only N x K array a
+    solve allocates.
 
     The loop stops once the largest relative change of the column scaling,
     max|b_plain/b - 1|, falls below `tol`; the measure does not depend on the
@@ -257,16 +256,14 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     soft = np.flatnonzero(~hard)
     soft = slice(soft[0], soft[-1] + 1) if soft.size else slice(0, 0)
     lam = epsilon * f[soft] / (1.0 - f[soft])
-    u, v, M, warm = _start(C, v0, f, hard if upper is None else hard & ~upper, epsilon)
+    lift = hard if upper is None else hard & ~upper
+    u, v, M, warm = _start(C, v0, f, lift, epsilon)
+    w, cap = _column_weights(v, f, hard, upper, epsilon)
     newton = warm and upper is None and f.min() > 0  # f = 0 (lam = 0) fixes a soft potential at 0
     newton_steps = 0
-    all_hard = hard.all()  # w = 1 and f = 1: the column update is beta/col, bit for bit
-    w = None if all_hard else np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
     m_soft = float(alpha.sum() - beta[hard].sum())
     stepped = soft if lam.size and m_soft > 0 and upper is None else None  # the mass step's columns; None: no step
-    cap = None if upper is None else _upper_cap(v, upper, epsilon)
     alpha_max = float(alpha.max())
-    rows_at_one = True  # every kernel row's largest entry is 1, as the start builds it (see the docstring)
     a = np.ones(m)
     Mb = np.empty(m)  # M b, written in place every sweep, as are a and col
     col = np.empty(n)
@@ -279,7 +276,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     for it in range(1, max_iter + 1):
         np.divide(alpha, np.dot(M, b, out=Mb), out=a)
         np.dot(M.T, a, out=col)
-        b_new = beta / col if all_hard else w * (beta / col) ** f
+        b_new = beta / col if w is None else w * (beta / col) ** f  # all hard: w = 1 and f = 1, bit for bit
         _project(b_new, col, cap, upper, stepped, m_soft)
         ratio = b_new / b
         low, high = _min_max(ratio)
@@ -304,20 +301,11 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
             if newton_steps:
                 momentum, step, last_plain = _Momentum(), np.ones(n), np.ones(n)
         b_min, b_max = _min_max(b)
-        if b_max > ABSORB_THRESHOLD or (_may_exceed(alpha_max, b_min, rows_at_one) and a.max() > ABSORB_THRESHOLD):
-            rows_at_one = False
-            u += epsilon * np.log(a)
+        if b_max > ABSORB_THRESHOLD or (_may_exceed(alpha_max, b_min) and a.max() > ABSORB_THRESHOLD):
             v += epsilon * np.log(b)
-            if w is not None:
-                w = np.where(hard, 1.0, w * b ** (f - 1.0))
-            # the start's floored kernel, exp((u - C + v)/eps), in M's own buffer and in that operation order
-            np.subtract(u[:, None], C, out=M)
-            M += v
-            _floored_exp(M, epsilon)
-            a.fill(1.0)
+            u, M, _ = _frame(C, v, lift, epsilon)
+            w, cap = _column_weights(v, f, hard, upper, epsilon)
             b = np.ones(n)
-            if upper is not None:
-                cap = _upper_cap(v, upper, epsilon)
     k = n if n_real is None else n_real
     Q = _plan(a, M[:, :k], b[:k])
     col_mass = b[:k] * col[:k]
@@ -331,14 +319,14 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     return Q, it, converged, potential, entropic, newton_steps, col_mass
 
 
-def _may_exceed(alpha_max, b_min, rows_at_one):
+def _may_exceed(alpha_max, b_min):
     """False where a = alpha/(M b) certainly lies under ABSORB_THRESHOLD without reading it.
 
-    While every kernel row holds an entry of 1 (`rows_at_one`), each (M b)_i,
-    a sum of nonnegative terms one of which is at least min(b), is at least
-    min(b) in floating point too, so max(a) <= max(alpha)/min(b), rounded.
+    Every kernel row holds an entry of 1 (`_frame`), so each (M b)_i, a sum
+    of nonnegative terms one of which is at least min(b), is at least min(b)
+    in floating point too, and max(a) <= max(alpha)/min(b), rounded.
     """
-    return not (rows_at_one and b_min > 0 and alpha_max / b_min <= ABSORB_THRESHOLD)
+    return not (b_min > 0 and alpha_max / b_min <= ABSORB_THRESHOLD)
 
 
 def _min_max(x):
@@ -523,21 +511,10 @@ class _Momentum:
         return self.current
 
 
-def _upper_cap(v, upper, epsilon):
-    """exp(-v/eps) on the upper-bounded columns: the largest scaling their prox allows."""
-    with np.errstate(over="ignore"):
-        return np.exp(-v[upper] / epsilon)
-
-
 def _start(C, v0, f, lift, epsilon):
     """Row potential, column potential and kernel a solve starts from, the kernel in this thread's buffer,
-    and whether `v0` was accepted (a warm start).
-
-    From `v0` when it has one entry per column and the recursion can recover
-    from it (see `scaling_weighted_kl`), else from zeros. The kernel is `_floored_exp`
-    of v - C less its row maxima. A column in the boolean mask `lift` whose
-    every kernel entry would fall under the floor has its potential raised
-    so that its largest entry is 1.
+    and whether `v0` was accepted (a warm start): the `_frame` of `v0` where it has one entry per column
+    and the recursion can recover from it (see `scaling_weighted_kl`), else of zeros.
     """
     if v0 is not None and np.shape(v0) != f.shape:
         v0 = None
@@ -548,21 +525,43 @@ def _start(C, v0, f, lift, epsilon):
             v0 = None
     if v0 is None:
         v = np.zeros(C.shape[1])
-    shifted = workspace("kernel", C.shape)  # it becomes the kernel in place
-    np.subtract(v[None, :], C, out=shifted)
-    row_max = shifted.max(axis=1)
-    shifted -= row_max[:, None]
-    u = -row_max  # the row potential u0 = min_j (C_ij - v_j)
-    col_max = shifted.max(axis=0)  # each column's largest entry, <= 0 as every row's largest is 0
+    u, M, col_max = _frame(C, v, lift, epsilon)
+    if v0 is not None and col_max.min() / epsilon < LOG_FLOOR:
+        return _start(C, None, f, lift, epsilon)
+    return u, v, M, v0 is not None
+
+
+def _frame(C, v, lift, epsilon):
+    """Row potential, kernel (in this thread's buffer) and each column's largest exponent, of the column potential `v`.
+
+    The one build of the recursion's kernel: `_floored_exp` of v - C less its
+    row maxima. A column in the boolean mask `lift` whose every entry would
+    fall under the floor has its potential raised, in `v`, until its largest
+    entry is 1.
+    """
+    M = workspace("kernel", C.shape)  # the argument, which becomes the kernel in place
+    np.subtract(v[None, :], C, out=M)
+    row_max = M.max(axis=1)
+    M -= row_max[:, None]
+    col_max = M.max(axis=0)  # each column's largest entry, <= 0 as every row's largest is 0
     low = lift & (col_max / epsilon < LOG_FLOOR)
     if low.any():
         lifted = np.where(low, -col_max, 0.0)
         v += lifted
-        shifted += lifted[None, :]
+        M += lifted[None, :]
         col_max += lifted
-    if v0 is not None and col_max.min() / epsilon < LOG_FLOOR:
-        return _start(C, None, f, lift, epsilon)
-    return u, v, _floored_exp(shifted, epsilon), v0 is not None
+    return -row_max, _floored_exp(M, epsilon), col_max
+
+
+def _column_weights(v, f, hard, upper, epsilon):
+    """(w, cap) of the column potential `v`: the soft-column weights exp(v (f-1)/eps), 1 on the hard columns
+    (None where every column is hard), and exp(-v/eps) on the upper-bounded columns, the largest scaling
+    their prox allows (None where `upper` is None)."""
+    w = None if hard.all() else np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
+    if upper is None:
+        return w, None
+    with np.errstate(over="ignore"):
+        return w, np.exp(-v[upper] / epsilon)
 
 
 def _floored_exp(M, epsilon):

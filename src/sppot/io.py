@@ -74,6 +74,8 @@ def read_matrix_csv(path) -> np.ndarray:
                 data.append([float(p) for p in parts])
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-numeric value") from exc
+    if cols == 0:  # its rows are the empty lines the loop skips: the header alone gives the shape
+        return np.empty((rows, 0))
     if len(data) != rows:
         raise FormatError(f"expected {rows} data rows, got {len(data)}")
     return np.asarray(data, dtype=float).reshape(rows, cols)

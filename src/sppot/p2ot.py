@@ -58,6 +58,8 @@ class P2otProblem:
         # with the row sums as one mat-vec; a NaN row fails the comparison
         if not np.all(np.abs(P @ np.ones(P.shape[1]) - 1.0) <= 1e-6 + 1e-5):
             raise ValueError("pred rows must sum to 1 within 1e-6")
+        if P.size and P.min() < 0:  # an empty pred keeps the errors it meets further on
+            raise ValueError("pred entries must be >= 0")
         if not 0 < self.rho <= 1:
             raise ValueError("rho must be in (0, 1]")
         if not self.lam >= 0:  # NaN fails too

@@ -39,3 +39,20 @@ def test_summary_counts_the_pairs_the_change_wins():
     assert p2ot["metrics"]["peak_rss_mb"]["change_wins"] == 0  # 41 against 40 is worse, 40 against 40 no win
     assert "change_wins" not in p2ot["metrics"]["unranked"]  # no direction: medians only
     assert summary["solve-sp2ot/trace0"]["metrics"] == {}
+
+
+def test_bounded_metrics_are_marked_unresolved_where_the_parent_spreads_wider_than_the_bound():
+    assert bench_pairs.metric_bounds(ROOT / "BENCHMARK.json")["op_ms_p50"] == 0.25
+    # parent op_ms_p50 quartiles 2.0-3.0 around a median of 2.5: a spread of 1.0 over the bound's 0.625
+    parent_p50 = [1.0, 2.0, 2.5, 3.0, 4.0]
+    mixed = [3.5, 1.5, 2.0, 2.6, 3.0]  # not every change run beats every parent run
+    separated = [0.5, 0.6, 0.7, 0.8, 0.9]  # every change run beats every parent run
+    rss = [40.0, 40.1, 40.0, 40.2, 40.0]  # parent quartiles 40.0-40.1, inside 5% of 40.0
+    for change_p50, unresolved in ((mixed, True), (separated, False)):
+        runs = [_run(i, side, p50, rss=r) for i, (p, c, r) in enumerate(zip(parent_p50, change_p50, rss))
+                for side, p50 in (("parent", p), ("change", c))]
+        metrics = bench_pairs.summarize(runs, {"op_ms_p50": "lower", "peak_rss_mb": "lower", "unranked": "higher"},
+                                        {"op_ms_p50": 0.25, "peak_rss_mb": 0.05})["solve-p2ot/trace0"]["metrics"]
+        assert metrics["op_ms_p50"]["unresolved"] is unresolved
+        assert metrics["peak_rss_mb"]["unresolved"] is False  # a spread within the bound is resolved
+        assert "unresolved" not in metrics["unranked"]  # a per-layer metric has no bound

@@ -95,6 +95,18 @@ class TestP2otSolve:
         assert exc.value.code == 1
         assert not out.exists()
 
+    def test_negative_entry_exits_1_without_output(self, runner, tmp_path):
+        # the row [1.5, -0.5] sums to 1: the command exited 0 with converged=True
+        P = random_pred(6, 2, seed=0)
+        P[3] = [1.5, -0.5]
+        pred = tmp_path / "pred.csv"
+        io_mod.write_matrix_csv(pred, P)
+        out = tmp_path / "o.csv"
+        result = runner.invoke(cli, ["p2ot", "solve", "--pred", str(pred), "--rho", "0.5", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "pred entries must be >= 0" in result.output
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_nan_tol_exits_1_without_output(self, runner, tmp_path):
         # a NaN tol never stops the loop: the solve ran to max_iter and exited 0
         pred = write_pred(tmp_path / "pred.csv")

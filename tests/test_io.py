@@ -74,6 +74,20 @@ class TestMatrixCsv:
         write_matrix_bin(tmp_path / "m.bin", np.zeros((0, 3)))
         assert read_matrix_bin(tmp_path / "m.bin").shape == (0, 3)
 
+    def test_no_columns_round_trips(self, tmp_path):
+        # the writer gives each of the N rows an empty line, which the reader used to skip and then
+        # refuse the file for holding no data rows; the binary pair returns the same (2, 0)
+        write_matrix_csv(tmp_path / "m.csv", np.zeros((2, 0)))
+        assert read_matrix_csv(tmp_path / "m.csv").shape == (2, 0)
+        write_matrix_bin(tmp_path / "m.bin", np.zeros((2, 0)))
+        assert read_matrix_bin(tmp_path / "m.bin").shape == (2, 0)
+
+    def test_value_under_a_no_column_header_rejected(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("2,0\n\n1.0\n")
+        with pytest.raises(FormatError, match="line 3: expected 0 values, got 1"):
+            read_matrix_csv(p)
+
 
 class TestMatrixBin:
     def test_roundtrip_exact(self, tmp_path):

@@ -711,8 +711,9 @@ class TestSlaStopping:
 
 def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter):
     """The scaling kernel's loop without the mass step: the same start,
-    momentum and log-domain absorption with its floored kernel, and the
-    unshifted column potential."""
+    momentum and log-domain absorption, which builds the frame of the
+    absorbed column potential as the start does, and the unshifted column
+    potential."""
     from sppot._kernels import py as kernels
 
     C = np.asfortranarray(C)
@@ -738,11 +739,10 @@ def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter):
             b_new = b * ratio ** weights[0] * step ** weights[1]
         last_plain, step, b = ratio, b_new / b, b_new
         if max(a.max(), b.max()) > threshold:
-            u += eps * np.log(a)
             v += eps * np.log(b)
-            w = np.where(hard, 1.0, w * b ** (f - 1.0))
-            M = np.maximum(np.exp((u[:, None] - C + v[None, :]) / eps), kernels.KERNEL_FLOOR)
-            a, b = np.ones(m), np.ones(n)
+            u, M, _ = kernels._frame(C, v, hard, eps)
+            w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / eps))
+            b = np.ones(n)
     Q = np.multiply(a[:, None], M, order="C")
     Q *= b
     return Q, it, err < tol, v + eps * np.log(b)
@@ -851,63 +851,68 @@ class TestColumnModel:
         assert soft.size == (K if name in ("uot", "p2ot", "sp2ot-inner") else 0)
 
 
-class _AbsorptionSpy:
-    """numpy as the kernel module sees it, except that `log` records the
-    largest entry of each vector it is given. An absorption takes the logs
-    of the row scaling a (length `m`) and then of the column scaling b, so
-    `absorbed` pairs (max(a), max(b)) of every absorption."""
+def _record_absorptions(monkeypatch):
+    """A list that collects (max(a), max(b)) of every absorption the kernel makes from here on.
 
-    def __init__(self, m):
-        self.m = m
-        self.logs = []
+    An absorption builds the frame of the absorbed column potential; the
+    wrapper reads the loop's row and column scalings from its locals there.
+    The start's build, which `_start` calls, is not recorded."""
+    absorbed = []
+    build = kernels._frame
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+    def spy(*args):
+        loop = sys._getframe(1)
+        if loop.f_code.co_name == "scaling_weighted_kl":
+            absorbed.append((float(loop.f_locals["a"].max()), float(loop.f_locals["b"].max())))
+        return build(*args)
 
-    def log(self, x, *args, **kwargs):
-        self.logs.append((np.size(x), float(np.max(x))))
-        return np.log(x, *args, **kwargs)
-
-    @property
-    def absorbed(self):
-        return [(a_max, b_max) for (size, a_max), (_, b_max) in zip(self.logs, self.logs[1:]) if size == self.m]
+    monkeypatch.setattr(kernels, "_frame", spy)
+    return absorbed
 
 
-def _assert_absorption_leaves_the_iterates_unchanged(monkeypatch, threshold, solve):
-    """`solve(threshold)` takes the sweeps and gives the plan of `solve(np.inf)`,
-    which never absorbs, and the row scaling alone triggers some of its absorptions."""
-    ref = solve(np.inf)
-    spy = _AbsorptionSpy(ref.coupling.shape[0])
-    monkeypatch.setattr(kernels, "np", spy)
-    plan = solve(threshold)
-    monkeypatch.setattr(kernels, "np", np)
-    assert ref.converged and plan.iterations == ref.iterations
-    npt.assert_allclose(plan.coupling, ref.coupling, rtol=0, atol=1e-12 * ref.coupling.max())
-    assert any(a_max > threshold >= b_max for a_max, b_max in spy.absorbed)
+ABSORPTION_SOLVES = ["balanced", "p2ot", "sla"]
+
+
+def _absorbing_solve(monkeypatch, name, threshold):
+    """The eps-0.002 solve of `name` on a peaked 200 x 6 posterior, at absorption threshold `threshold`."""
+    monkeypatch.setattr(kernels, "ABSORB_THRESHOLD", threshold)
+    P = random_pred(200, 6, seed=44, temperature=0.3)
+    cfg = ScalingConfig(epsilon=0.002, tol=1e-12, max_iter=3000)
+    return solve_sla(P, 0.4, 0.1, cfg) if name == "sla" else solve_virtual_named(name, P, cfg)
 
 
 class TestAbsorption:
-    # At eps 0.002 and threshold 10 the balanced solve absorbs 71 times, 13 of
-    # them triggered by the row scaling alone; P2OT 38 and 3, SLA 29 and 29.
-    # Against threshold inf (no absorption) each takes the same sweeps.
-    @pytest.mark.parametrize("name, absorptions", [("balanced", 71), ("p2ot", 38), ("sla", 29)],
-                             ids=["balanced", "p2ot", "sla"])
-    def test_row_absorptions_leave_the_iterates_unchanged(self, monkeypatch, name, absorptions):
-        P = random_pred(200, 6, seed=44, temperature=0.3)
+    # At eps 0.002 and threshold 10 the balanced solve absorbs 65 times, P2OT 37 and
+    # SLA 9; the row scaling alone triggers none of the first two's absorptions (every
+    # kernel row holds a 1, so a stays under max(alpha)/min(b)) and all 9 of SLA's,
+    # whose caps hold b down. Against threshold inf (no absorption) each takes the same sweeps.
+    @pytest.mark.parametrize("name, absorptions, row_triggered", [("balanced", 65, 0), ("p2ot", 37, 0), ("sla", 9, 9)],
+                             ids=ABSORPTION_SOLVES)
+    def test_absorptions_leave_the_iterates_unchanged(self, monkeypatch, name, absorptions, row_triggered):
+        ref = _absorbing_solve(monkeypatch, name, np.inf)
         # every kernel build after the start's is an absorption; a bound that skipped
         # reading the row scaling where it crossed the threshold would drop some
         builds = []
         build = kernels._floored_exp
         monkeypatch.setattr(kernels, "_floored_exp", lambda M, eps: builds.append(1) or build(M, eps))
+        absorbed = _record_absorptions(monkeypatch)
+        plan = _absorbing_solve(monkeypatch, name, 10.0)
+        assert ref.converged and plan.iterations == ref.iterations
+        npt.assert_allclose(plan.coupling, ref.coupling, rtol=0, atol=1e-12 * ref.coupling.max())
+        assert len(builds) == 1 + absorptions == 1 + len(absorbed)
+        assert sum(a_max > 10.0 >= b_max for a_max, b_max in absorbed) == row_triggered
 
-        def solve(threshold):
-            monkeypatch.setattr(kernels, "ABSORB_THRESHOLD", threshold)
-            builds.clear()
-            cfg = ScalingConfig(epsilon=0.002, tol=1e-12, max_iter=3000)
-            return solve_sla(P, 0.4, 0.1, cfg) if name == "sla" else solve_virtual_named(name, P, cfg)
-
-        _assert_absorption_leaves_the_iterates_unchanged(monkeypatch, 10.0, solve)
-        assert len(builds) == 1 + absorptions  # those of the last solve, at threshold 10
+    @pytest.mark.parametrize("name", ABSORPTION_SOLVES)
+    def test_every_kernel_row_holds_a_one(self, monkeypatch, name):
+        # the absorption test's bound max(a) <= max(alpha)/min(b) rests on it: the start's
+        # kernel and every absorption's have largest entry exactly 1 in every row
+        row_maxima = []
+        build = kernels._floored_exp
+        monkeypatch.setattr(kernels, "_floored_exp", lambda M, eps: row_maxima.append(build(M, eps).max(axis=1)) or M)
+        plan = _absorbing_solve(monkeypatch, name, 10.0)
+        assert plan.converged and len(row_maxima) > 1
+        for maxima in row_maxima:
+            npt.assert_array_equal(maxima, 1.0)
 
 
 @pytest.mark.parametrize("x", [[0.5, 2.0, 1.0], [1.0, np.inf, 0.0], [1.0, np.nan, 3.0], [np.inf, np.nan]])

@@ -52,6 +52,13 @@ class TestValidation:
             with pytest.raises(ValueError, match="rows must sum to 1"):
                 P2otProblem(P, 0.5, 1.0, ScalingConfig(epsilon=0.1))
 
+    def test_rejects_negative_entries(self):
+        # the row [1.5, -0.5] sums to 1, and the solve used to return converged=True
+        P = random_pred(6, 2, seed=0)
+        P[3] = [1.5, -0.5]
+        with pytest.raises(ValueError, match="pred entries must be >= 0"):
+            P2otProblem(P, 0.5, 1.0, ScalingConfig(epsilon=0.1))
+
     def test_rejects_bad_rho(self):
         P = random_pred(4, 2, 0)
         for rho in (0.0, -0.1, 1.1):
