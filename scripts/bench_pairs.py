@@ -69,12 +69,15 @@ def summarize(runs, directions, bounds=None):
     """Per workload, trace setting and metric: each side's median and quartiles, and the pairs the change wins.
 
     A pair counts when both of its sides report the metric; the change wins
-    it when its value is better in the metric's direction. Quartiles are
+    it when its value is better in the metric's direction, and a tie counts
+    for neither side. Quartiles are
     `statistics.quantiles(..., n=4, method="inclusive")`. A metric with a
-    bound in `bounds` is `unresolved` when the parent's quartile distance
-    exceeds the bound times the parent's median and not every change run is
-    better than every parent run: the runs spread too widely to tell a
-    change within the bound.
+    direction is a `gain` when the change wins at least 9 in 10 of the pairs
+    and its median is better than the parent's by more than the parent's
+    quartile distance. A metric with a bound in `bounds` is `unresolved`
+    when the parent's quartile distance exceeds the bound times the
+    parent's median and not every change run is better than every parent
+    run: the runs spread too widely to tell a change within the bound.
     """
     groups = {}
     for run in runs:
@@ -98,8 +101,10 @@ def summarize(runs, directions, bounds=None):
                 sign = 1 if better == "lower" else -1
                 entry["better"] = better
                 entry["change_wins"] = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+                parent = entry["parent"]
+                entry["gain"] = (10 * entry["change_wins"] >= 9 * len(both)
+                                 and sign * (parent["median"] - entry["change"]["median"]) > parent["q3"] - parent["q1"])
                 if name in (bounds or {}):
-                    parent = entry["parent"]
                     separated = all(sign * (c - p) < 0 for p in values["parent"] for c in values["change"])
                     entry["unresolved"] = (parent["q3"] - parent["q1"] > bounds[name] * abs(parent["median"])
                                            and not separated)

@@ -11,8 +11,8 @@ Each sweep is two BLAS mat-vecs over the N x K kernel, which both hold in
 Fortran order; the recursion's step and its momentum cost O(K) more.
 
 One floored exponentiation, `_floored_exp`, builds every kernel: the
-recursion's, through `_frame` at its start and at each of its absorptions,
-and the baseline's.
+baseline's, and the recursion's in the one `_frame` call that builds all a
+sweep reads, at its start and at each of its absorptions.
 
 The recursion allocates only the plan it returns. Each thread keeps
 Fortran-order N x n float64 buffers (`workspace`): the kernel, which the
@@ -179,16 +179,17 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     recursion alone.
 
     The frame. The solve holds a column potential v, from which the start
-    and every absorption build what the sweep reads: `_frame` the row
-    potential u_i = min_j (C_ij - v_j) and the kernel M = exp((u - C +
-    v)/eps), as v - C less its row maxima, divided by eps, exponentiated and
-    floored at KERNEL_FLOOR (`_floored_exp`) in this thread's kernel buffer
-    (`workspace`); `_column_weights` the soft columns' weights
-    w = exp(v (f-1)/eps) and the upper-bounded columns' caps. Every kernel
-    row holds an entry of exactly 1, so no kernel overflows, whatever the
-    cost or v. The solve starts from v = v0 (default zeros); an absorption
-    moves v to v + eps log(b), resets b to 1 and builds the frame again, and
-    the next sweep's row scaling takes up the change of u (Schmitzer,
+    and every absorption build what the sweep reads with one `_frame` call:
+    the row potential u_i = min_j (C_ij - v_j); the kernel
+    M = exp((u - C + v)/eps), as v - C less its row maxima, divided by eps,
+    exponentiated and floored at KERNEL_FLOOR (`_floored_exp`) in this
+    thread's kernel buffer (`workspace`); the soft columns' weights
+    w = exp(v (f-1)/eps); and the caps, exp(-v/eps) on the upper-bounded
+    columns and inf on the others. Every kernel row holds an entry of
+    exactly 1, so no kernel overflows, whatever the cost or v. The solve
+    starts from v = v0 (default zeros); an absorption moves v to
+    v + eps log(b), resets b to 1 and builds the frame again, and the next
+    sweep's row scaling takes up the change of u (Schmitzer,
     "Stabilized sparse scaling algorithms for entropy regularized transport
     problems", SIAM J. Sci. Comput. 2019). From v0 = 0 the iterates are
     those of a start from exp(-C/eps), unless a column is lifted: a hard
@@ -256,9 +257,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     soft = np.flatnonzero(~hard)
     soft = slice(soft[0], soft[-1] + 1) if soft.size else slice(0, 0)
     lam = epsilon * f[soft] / (1.0 - f[soft])
-    lift = hard if upper is None else hard & ~upper
-    u, v, M, warm = _start(C, v0, f, lift, epsilon)
-    w, cap = _column_weights(v, f, hard, upper, epsilon)
+    u, v, M, w, cap, warm = _start(C, v0, f, hard, upper, epsilon)
     newton = warm and upper is None and f.min() > 0  # f = 0 (lam = 0) fixes a soft potential at 0
     newton_steps = 0
     m_soft = float(alpha.sum() - beta[hard].sum())
@@ -277,7 +276,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
         np.divide(alpha, np.dot(M, b, out=Mb), out=a)
         np.dot(M.T, a, out=col)
         b_new = beta / col if w is None else w * (beta / col) ** f  # all hard: w = 1 and f = 1, bit for bit
-        _project(b_new, col, cap, upper, stepped, m_soft)
+        _project(b_new, col, cap, stepped, m_soft)
         ratio = b_new / b
         low, high = _min_max(ratio)
         err = max(high - 1.0, 1.0 - low)  # max|ratio - 1|, bit for bit; NaN where ratio holds one
@@ -292,7 +291,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
         elif weights is not None:
             relax, inertia = weights
             b_new = b * ratio**relax * step**inertia
-            _project(b_new, col, cap, upper, stepped, m_soft)
+            _project(b_new, col, cap, stepped, m_soft)
         last_plain = ratio
         step = b_new / b
         b = b_new
@@ -303,8 +302,7 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
         b_min, b_max = _min_max(b)
         if b_max > ABSORB_THRESHOLD or (_may_exceed(alpha_max, b_min) and a.max() > ABSORB_THRESHOLD):
             v += epsilon * np.log(b)
-            u, M, _ = _frame(C, v, lift, epsilon)
-            w, cap = _column_weights(v, f, hard, upper, epsilon)
+            u, M, w, cap, _ = _frame(C, v, f, hard, upper, epsilon)
             b = np.ones(n)
     k = n if n_real is None else n_real
     Q = _plan(a, M[:, :k], b[:k])
@@ -452,14 +450,14 @@ def _entropic_term(Q, U, V, c):
     return float(U.dot(r) + np.where(c == 0, 0.0, V) @ c)
 
 
-def _project(b, col, cap, upper, soft, m_soft):
+def _project(b, col, cap, soft, m_soft):
     """Cap the upper-bounded columns of `b` and take the mass step, in place.
 
-    `cap` and `upper` are None where no column is upper-bounded, `soft` where
-    the mass step is skipped; `col` is the sweep's M^T a.
+    `cap` is None where no column is upper-bounded (see `_frame`), `soft`
+    where the mass step is skipped; `col` is the sweep's M^T a.
     """
-    if upper is not None:
-        b[upper] = np.minimum(cap, b[upper])
+    if cap is not None:
+        np.minimum(b, cap, out=b)
     if soft is not None:
         soft_mass = float(b[soft].dot(col[soft]))  # the method: ~0.6 us less per call than @ on a K-vector
         if 0.0 < soft_mass < math.inf:
@@ -511,10 +509,9 @@ class _Momentum:
         return self.current
 
 
-def _start(C, v0, f, lift, epsilon):
-    """Row potential, column potential and kernel a solve starts from, the kernel in this thread's buffer,
-    and whether `v0` was accepted (a warm start): the `_frame` of `v0` where it has one entry per column
-    and the recursion can recover from it (see `scaling_weighted_kl`), else of zeros.
+def _start(C, v0, f, hard, upper, epsilon):
+    """(u, v, M, w, cap, warm): the `_frame` of `v0` where it has one entry per column and the recursion
+    can recover from it (see `scaling_weighted_kl`), else of zeros, and whether `v0` was accepted.
     """
     if v0 is not None and np.shape(v0) != f.shape:
         v0 = None
@@ -525,43 +522,38 @@ def _start(C, v0, f, lift, epsilon):
             v0 = None
     if v0 is None:
         v = np.zeros(C.shape[1])
-    u, M, col_max = _frame(C, v, lift, epsilon)
+    u, M, w, cap, col_max = _frame(C, v, f, hard, upper, epsilon)
     if v0 is not None and col_max.min() / epsilon < LOG_FLOOR:
-        return _start(C, None, f, lift, epsilon)
-    return u, v, M, v0 is not None
+        return _start(C, None, f, hard, upper, epsilon)
+    return u, v, M, w, cap, v0 is not None
 
 
-def _frame(C, v, lift, epsilon):
-    """Row potential, kernel (in this thread's buffer) and each column's largest exponent, of the column potential `v`.
+def _frame(C, v, f, hard, upper, epsilon):
+    """(u, M, w, cap, col_max) of the column potential `v`: all a sweep reads, and each column's largest exponent.
 
-    The one build of the recursion's kernel: `_floored_exp` of v - C less its
-    row maxima. A column in the boolean mask `lift` whose every entry would
-    fall under the floor has its potential raised, in `v`, until its largest
-    entry is 1.
+    M is `_floored_exp` of v - C less its row maxima, in this thread's
+    buffer. A hard column that is not upper-bounded and whose every entry
+    would fall under the floor has its potential raised, in `v`, until its
+    largest entry is 1; w and cap (see "The frame" in `scaling_weighted_kl`)
+    are of the lifted `v`, w None where every column is hard, cap where
+    `upper` is None.
     """
     M = workspace("kernel", C.shape)  # the argument, which becomes the kernel in place
     np.subtract(v[None, :], C, out=M)
     row_max = M.max(axis=1)
     M -= row_max[:, None]
     col_max = M.max(axis=0)  # each column's largest entry, <= 0 as every row's largest is 0
+    lift = hard if upper is None else hard & ~upper
     low = lift & (col_max / epsilon < LOG_FLOOR)
     if low.any():
         lifted = np.where(low, -col_max, 0.0)
         v += lifted
         M += lifted[None, :]
         col_max += lifted
-    return -row_max, _floored_exp(M, epsilon), col_max
-
-
-def _column_weights(v, f, hard, upper, epsilon):
-    """(w, cap) of the column potential `v`: the soft-column weights exp(v (f-1)/eps), 1 on the hard columns
-    (None where every column is hard), and exp(-v/eps) on the upper-bounded columns, the largest scaling
-    their prox allows (None where `upper` is None)."""
     w = None if hard.all() else np.where(hard, 1.0, np.exp(v * (f - 1.0) / epsilon))
-    if upper is None:
-        return w, None
     with np.errstate(over="ignore"):
-        return w, np.exp(-v[upper] / epsilon)
+        cap = None if upper is None else np.where(upper, np.exp(-v / epsilon), math.inf)
+    return -row_max, _floored_exp(M, epsilon), w, cap, col_max
 
 
 def _floored_exp(M, epsilon):

@@ -232,11 +232,11 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
     with `config.solver` per view, apply the swapped loss to the prototype
     weights. Per epoch: full-dataset metrics and pseudo-label quality.
 
-    Each solve is warm-started from the column potential of the one before:
-    the step solves share one running potential across both views and
-    consecutive steps, and the epoch-end full-dataset solve starts from the
-    previous epoch's. A failed epoch-end solve records NaN pseudo-label
-    quality for that epoch.
+    Every solve of a run starts from the last step solve's column
+    potential: the step solves share one running potential across both views
+    and consecutive steps, and the epoch-end full-dataset solve, at the last
+    step's rho over the same columns, starts from it without writing it back.
+    A failed epoch-end solve records NaN pseudo-label quality for that epoch.
     """
     cfg = config
     if cfg.solver not in SOLVER_CHOICES:
@@ -266,7 +266,7 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
 
     history = RunHistory()
     step = 0
-    step_potential = full_potential = None  # warm starts of the step and epoch-end solves
+    step_potential = None  # the last step solve's column potential, which every solve starts from
     for epoch in range(1, cfg.epochs + 1):
         for it in range(iters_per_epoch):
             step += 1
@@ -300,12 +300,12 @@ def train(dataset: SyntheticDataset, config: TrainConfig) -> RunHistory:
         record = metrics_mod.evaluate(predicted, dataset.labels)
         rho_epoch = rho_at(schedule, step)
         try:
-            full = _solve_pseudo_labels(P_full, rho_epoch, cfg, A, scfg, full_potential)
+            full = _solve_pseudo_labels(P_full, rho_epoch, cfg, A, scfg, step_potential)
         except (ot_core.NumericalOverflowError, ot_core.InfeasibleProblemError) as exc:
             log.warning("full-dataset solve failed at epoch %d: %s", epoch, exc)
             quality, max_share = dict.fromkeys(QUALITY_FIELDS, float("nan")), float("nan")
         else:
-            full_potential, Q_full = full.col_potential, full.coupling
+            Q_full = full.coupling
             quality = pseudo_label_quality(Q_full, dataset.labels)
             max_share = float(np.max(Q_full.sum(axis=0)) / max(Q_full.sum(), 1e-300))
         record.update(epoch=epoch, rho=rho_epoch, **quality, max_cluster_share=max_share)

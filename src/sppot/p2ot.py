@@ -54,11 +54,13 @@ class P2otProblem:
         P = np.asarray(self.pred, dtype=float)
         if P.ndim != 2:
             raise ValueError("pred must be a 2-D probability matrix")
+        if P.shape[0] == 0:  # no rows to label: every row check below would pass vacuously
+            raise ValueError("pred must have at least one row")
         # the tolerance of np.allclose(row sums, 1, atol=1e-6), its default rtol 1e-5 included,
         # with the row sums as one mat-vec; a NaN row fails the comparison
         if not np.all(np.abs(P @ np.ones(P.shape[1]) - 1.0) <= 1e-6 + 1e-5):
             raise ValueError("pred rows must sum to 1 within 1e-6")
-        if P.size and P.min() < 0:  # an empty pred keeps the errors it meets further on
+        if P.min() < 0:
             raise ValueError("pred entries must be >= 0")
         if not 0 < self.rho <= 1:
             raise ValueError("rho must be in (0, 1]")

@@ -386,11 +386,13 @@ class TestTrain:
         cfg = TrainConfig(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=8)
         train(tiny_dataset, cfg)
         steps = [c for c in calls if c[0] < tiny_dataset.n]
-        full = [c for c in calls if c[0] == tiny_dataset.n]
-        assert steps[0][1] is None and full[0][1] is None
+        assert steps[0][1] is None
         for before, after in zip(steps, steps[1:]):  # both views and consecutive steps share one potential
             assert after[1] is before[2]
-        assert full[1][1] is full[0][2]
+        ends = [i for i, c in enumerate(calls) if c[0] == tiny_dataset.n]
+        assert len(ends) == 2
+        for i in ends:  # each epoch-end solve starts from the step solve before it
+            assert calls[i - 1][0] < tiny_dataset.n and calls[i][1] is calls[i - 1][2]
 
     def test_failed_full_dataset_solve_records_nan_quality(self, tiny_dataset, monkeypatch):
         from sppot import ot_core, p2ot

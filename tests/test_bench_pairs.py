@@ -56,3 +56,20 @@ def test_bounded_metrics_are_marked_unresolved_where_the_parent_spreads_wider_th
         assert metrics["op_ms_p50"]["unresolved"] is unresolved
         assert metrics["peak_rss_mb"]["unresolved"] is False  # a spread within the bound is resolved
         assert "unresolved" not in metrics["unranked"]  # a per-layer metric has no bound
+
+
+@pytest.mark.parametrize("case, gain", [("met", True), ("too few wins", False), ("gap within spread", False)])
+def test_a_gain_needs_nine_in_ten_pairs_and_a_median_gap_over_the_parent_spread(case, gain):
+    parent = [2.0, 2.1, 2.0, 2.2, 2.1, 2.0, 2.1, 2.0, 2.1, 2.0]  # median 2.05, quartiles 2.0-2.1
+    change = {
+        "met": [p - 0.5 for p in parent[:9]] + [parent[9]],  # 9 wins and a tie, which counts for neither
+        "too few wins": [p - 0.5 for p in parent[:8]] + [p + 0.1 for p in parent[8:]],  # 8 wins of 10
+        "gap within spread": [p - 0.05 for p in parent],  # 10 wins, but the medians 0.05 apart
+    }[case]
+    runs = [_run(i, side, p50) for i, (p, c) in enumerate(zip(parent, change))
+            for side, p50 in (("parent", p), ("change", c))]
+    p50 = bench_pairs.summarize(runs, {"op_ms_p50": "lower"})["solve-p2ot/trace0"]["metrics"]["op_ms_p50"]
+    assert p50["change_wins"] == {"met": 9, "too few wins": 8, "gap within spread": 10}[case]
+    assert p50["gain"] is gain
+    higher = bench_pairs.summarize(runs, {"op_ms_p50": "higher"})["solve-p2ot/trace0"]["metrics"]["op_ms_p50"]
+    assert higher["gain"] is False  # the same runs read in the other direction lose

@@ -553,14 +553,16 @@ class TestWarmStart:
             P = dead_cluster_pred(P)
         rho, lam = SOLVES[name]
         C, _, _, f, *_ = _virtual_kernel_args(monkeypatch, P, rho, lam, ScalingConfig(epsilon=eps))
-        lift = f == 1.0
-        u, v, M, warm = kernels._start(C, None, f, lift, eps)
+        hard = f == 1.0
+        u, v, M, w, cap, warm = kernels._start(C, None, f, hard, None, eps)
         M = M.copy()  # the kernel is this thread's buffer, which the next start overwrites
-        u0, v0, M0, warm0 = kernels._start(C, np.zeros(f.size), f, lift, eps)
+        u0, v0, M0, w0, cap0, warm0 = kernels._start(C, np.zeros(f.size), f, hard, None, eps)
         assert warm0 and not warm
         npt.assert_array_equal(u0, u)
         npt.assert_array_equal(v0, v)
         npt.assert_array_equal(M0, M)
+        npt.assert_array_equal(w0, w)
+        assert cap is None and cap0 is None
         assert (v[0] > 0) == dead
 
     def test_init_leaving_a_soft_column_under_the_floor_is_a_cold_start(self, monkeypatch):
@@ -720,13 +722,12 @@ def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter):
     m, n = C.shape
     hard = f == 1.0
     threshold = kernels.ABSORB_THRESHOLD
-    u, v, M, _ = kernels._start(C, None, f, hard, eps)
-    w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / eps))
+    u, v, M, w, _, _ = kernels._start(C, None, f, hard, None, eps)
     a, b, step = np.ones(m), np.ones(n), np.ones(n)
     momentum = kernels._Momentum()
     for it in range(1, max_iter + 1):
         a = alpha / (M @ b)
-        b_new = w * (beta / (M.T @ a)) ** f
+        b_new = (1.0 if w is None else w) * (beta / (M.T @ a)) ** f  # w is None where every column is hard
         ratio = b_new / b
         err = float(np.abs(ratio - 1.0).max())
         if err < tol or not np.isfinite(err) or it == max_iter:
@@ -740,8 +741,7 @@ def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter):
         last_plain, step, b = ratio, b_new / b, b_new
         if max(a.max(), b.max()) > threshold:
             v += eps * np.log(b)
-            u, M, _ = kernels._frame(C, v, hard, eps)
-            w = np.where(hard, 1.0, np.exp(v * (f - 1.0) / eps))
+            u, M, w, _, _ = kernels._frame(C, v, f, hard, None, eps)
             b = np.ones(n)
     Q = np.multiply(a[:, None], M, order="C")
     Q *= b
@@ -1078,9 +1078,9 @@ class TestObjectiveFromScalings:
         start = kernels._start
 
         def zero_virtual_column(*args):
-            u, v, M, warm = start(*args)
+            u, v, M, w, cap, warm = start(*args)
             M[:, -1] = 0.0
-            return u, v, M, warm
+            return u, v, M, w, cap, warm
 
         monkeypatch.setattr(kernels, "_start", zero_virtual_column)
         with np.errstate(all="ignore"), pytest.raises(ot_core.NumericalOverflowError, match="after 1 iterations"):

@@ -52,6 +52,13 @@ class TestValidation:
             with pytest.raises(ValueError, match="rows must sum to 1"):
                 P2otProblem(P, 0.5, 1.0, ScalingConfig(epsilon=0.1))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+    def test_rejects_a_pred_with_no_rows(self, shape):
+        # it used to construct: solve_p2ot_gsa then raised a bare ZeroDivisionError and
+        # solve_p2ot_fast a DimensionMismatchError
+        with pytest.raises(ValueError, match="pred must have at least one row"):
+            P2otProblem(np.zeros(shape), 0.5, 1.0, ScalingConfig(epsilon=0.1))
+
     def test_rejects_negative_entries(self):
         # the row [1.5, -0.5] sums to 1, and the solve used to return converged=True
         P = random_pred(6, 2, seed=0)
@@ -179,9 +186,9 @@ class TestFastSolver:
         start = kernels._start
 
         def nan_start(*args):
-            u, v, M, warm = start(*args)
+            u, v, M, w, cap, warm = start(*args)
             M[0, 0] = np.nan
-            return u, v, M, warm
+            return u, v, M, w, cap, warm
 
         monkeypatch.setattr(kernels, "_start", nan_start)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
