@@ -17,8 +17,8 @@ sweep reads, at its start and at each of its absorptions.
 The recursion allocates only the plan it returns. Each thread keeps
 Fortran-order N x n float64 buffers (`workspace`): the kernel, which the
 start and every absorption write in place, the extended cost, which
-`ot_core.solve_virtual` writes into, and, once a warm start has run the
-Newton phase, its scaled copy of the kernel. A buffer is kept while the
+`ot_core.solve_virtual` writes into, and, once a solve has run the Newton
+phase, its scaled copy of the kernel. A buffer is kept while the
 shape fits it and replaced by one of the shape's size when it does not, so
 a thread holds at most its largest solve's three buffers, a solve no larger
 than an earlier one maps no fresh N x n memory, and threads never share a
@@ -49,11 +49,11 @@ MOMENTUM_WARMUP = 3
 MOMENTUM_MIN_RATE = 0.3
 MOMENTUM_RESTART = 2.0
 
-# Damped Newton on the column potentials (see `_newton`): the plain sweep of a
-# warm start after which it runs, the most steps it takes, the relative column
-# residual, as a fraction of tol, at which it hands back to the sweep, the
-# Armijo fraction of its line search, the most halvings of one search, and the
-# largest change of any log(b_j) in one step.
+# Damped Newton on the column potentials (see `_newton`): the plain sweep after
+# which it runs, the most steps it takes, the relative column residual, as a
+# fraction of tol, at which it hands back to the sweep, the Armijo fraction of
+# its line search, the most halvings of one search, and the largest change of
+# any log(b_j) in one step.
 NEWTON_ENTRY = 3
 NEWTON_MAX_STEPS = 20
 NEWTON_STOP = 0.1
@@ -160,23 +160,23 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     recursion's fixed point. Its decisions depend on the changes alone, so
     a repeated call repeats its sweeps exactly.
 
-    Newton phase. A solve whose `v0` the start accepts (a warm start), with
-    no upper-bounded column and every f > 0, that has not converged after
-    NEWTON_ENTRY plain sweeps takes damped Newton steps on the column
-    potentials there (`_newton`): the semi-dual in the kernel frame, with M
-    kept and b the scaling, whose gradient is the column residual
-    beta s - c and whose (K+1) x (K+1) Hessian costs one N x n scaled copy
-    of M (Brauer, Clason, Lorenz & Wirth, 2017; Tang et al., "Accelerating
-    Sinkhorn algorithm with sparse Newton iterations", ICLR 2024). From a
-    warm start Newton takes a few steps where the plain recursion contracts
-    slowly: the 270 warm SP2OT inner solves of solve-sp2ot seeds 201-210 at
-    eps = 0.1, which took 7-187 sweeps, take 4 sweeps and 1-5 Newton steps.
-    The phase then hands its iterate back to the plain sweep, with the
-    momentum started afresh (kept when the phase took no step), and the
-    sweep's stop rule decides `converged`, so it means what it means
-    without the phase; absorption works as before. A cold start, a `v0` the
-    start rejects and SLA never enter, so their sweeps are those of the
-    recursion alone.
+    Newton phase. A solve with no upper-bounded column and every f > 0 that
+    has not converged after NEWTON_ENTRY plain sweeps takes damped Newton
+    steps on the column potentials there (`_newton`), whether it started
+    from `v0` or from zeros: the semi-dual in the kernel frame, with M kept
+    and b the scaling, whose gradient is the column residual beta s - c and
+    whose (K+1) x (K+1) Hessian costs one N x n scaled copy of M (Brauer,
+    Clason, Lorenz & Wirth, 2017; Tang et al., "Accelerating Sinkhorn
+    algorithm with sparse Newton iterations", ICLR 2024). Newton takes a
+    few steps where the plain recursion contracts slowly: the 48 cold
+    P2OT solves of solve-p2ot seeds 201 and 207, which took 1225 sweeps,
+    take 192 sweeps and 178 Newton steps. The phase then hands its iterate
+    back to the plain sweep, with the momentum started afresh (kept when
+    the phase took no step), and the sweep's stop rule decides
+    `converged`, so it means what it means without the phase; absorption
+    works as before. An upper-bounded solve (SLA, unless every bound binds
+    and it is solved as partial OT) never enters, so its sweeps are those
+    of the recursion alone.
 
     The frame. The solve holds a column potential v, from which the start
     and every absorption build what the sweep reads with one `_frame` call:
@@ -257,8 +257,8 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     soft = np.flatnonzero(~hard)
     soft = slice(soft[0], soft[-1] + 1) if soft.size else slice(0, 0)
     lam = epsilon * f[soft] / (1.0 - f[soft])
-    u, v, M, w, cap, warm = _start(C, v0, f, hard, upper, epsilon)
-    newton = warm and upper is None and f.min() > 0  # f = 0 (lam = 0) fixes a soft potential at 0
+    u, v, M, w, cap = _start(C, v0, f, hard, upper, epsilon)
+    newton = upper is None and f.min() > 0  # f = 0 (lam = 0) fixes a soft potential at 0
     newton_steps = 0
     m_soft = float(alpha.sum() - beta[hard].sum())
     stepped = soft if lam.size and m_soft > 0 and upper is None else None  # the mass step's columns; None: no step
@@ -510,8 +510,8 @@ class _Momentum:
 
 
 def _start(C, v0, f, hard, upper, epsilon):
-    """(u, v, M, w, cap, warm): the `_frame` of `v0` where it has one entry per column and the recursion
-    can recover from it (see `scaling_weighted_kl`), else of zeros, and whether `v0` was accepted.
+    """(u, v, M, w, cap): the `_frame` of `v0` where it has one entry per column and the recursion can
+    recover from it (see `scaling_weighted_kl`), else of zeros, so a rejected `v0` is the cold start.
     """
     if v0 is not None and np.shape(v0) != f.shape:
         v0 = None
@@ -525,7 +525,7 @@ def _start(C, v0, f, hard, upper, epsilon):
     u, M, w, cap, col_max = _frame(C, v, f, hard, upper, epsilon)
     if v0 is not None and col_max.min() / epsilon < LOG_FLOOR:
         return _start(C, None, f, hard, upper, epsilon)
-    return u, v, M, w, cap, v0 is not None
+    return u, v, M, w, cap
 
 
 def _frame(C, v, f, hard, upper, epsilon):

@@ -190,6 +190,7 @@ def p2ot_solve(pred_path, rho, lam, eps, tol, max_iter, out_path, strict):
             {
                 "objective": plan.objective,
                 "iterations": plan.iterations,
+                "newton_steps": plan.newton_steps,
                 "converged": plan.converged,
                 "residuals": residuals,
             },
@@ -197,7 +198,8 @@ def p2ot_solve(pred_path, rho, lam, eps, tol, max_iter, out_path, strict):
             seed=None,
         ),
     )
-    click.echo(f"objective={plan.objective:.6f} iterations={plan.iterations} converged={plan.converged}")
+    click.echo(f"objective={plan.objective:.6f} iterations={plan.iterations} newton_steps={plan.newton_steps} "
+               f"converged={plan.converged}")
     click.echo(f"max_row_excess={residuals['max_row_excess']:.3e} total_mass_gap={residuals['total_mass_gap']:.3e}")
 
 

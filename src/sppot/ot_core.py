@@ -96,7 +96,7 @@ class TransportPlan:
     # as `init=` to warm-start a nearby solve. None where a solver has none.
     col_potential: np.ndarray | None = None
     # the kernel's Newton steps (summed over the inner solves for SP2OT); 0 where
-    # its Newton phase did not run, as on every cold start
+    # its Newton phase did not run, as in SLA and every solve that converged first
     newton_steps: int = 0
 
     def row_marginal(self) -> np.ndarray:
@@ -195,8 +195,8 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     zero on hard columns). `init`, the
     `col_potential` of an earlier plan, warm-starts the kernel; an `init`
     whose length is not the extension's column count (K+1 for rho < 1, K at
-    rho = 1) is ignored. A warm start without `upper` may end with the
-    kernel's Newton phase, whose steps the plan counts in `newton_steps`.
+    rho = 1) is ignored. A solve without `upper`, warm or cold, may end with
+    the kernel's Newton phase, whose steps the plan counts in `newton_steps`.
 
     `upper` (SLA; lam must be np.inf) bounds each real column's mass by
     `upper` instead of pinning it at rho/K. It must be > 0, and K * upper

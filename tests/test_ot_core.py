@@ -422,6 +422,12 @@ def _reference_cold_kernel(C, alpha, beta, f, eps, tol, max_iter):
     return a[:, None] * M * b[None, :], it
 
 
+def _sweep_kernel(monkeypatch, *args, **kwargs):
+    """The kernel's outputs with no Newton step: the sweeps alone."""
+    monkeypatch.setattr(kernels, "NEWTON_MAX_STEPS", 0)
+    return kernels.scaling_weighted_kl(*args, **kwargs)
+
+
 def _virtual_kernel_args(monkeypatch, P, rho, lam, cfg):
     """(C, alpha, beta, f, eps, tol, max_iter) of the kernel call of the virtual-column solve at (rho, lam)."""
     args, _ = _kernel_call(monkeypatch, lambda: ot_core.solve_virtual(prediction_cost(P), rho, lam, cfg))
@@ -481,11 +487,9 @@ class TestKernelLayout:
     def test_cold_start_follows_the_unshifted_recursion(self, monkeypatch):
         # the row shift u0 = min_j C_ij is absorbed by the row scaling, so a
         # cold solve takes the sweeps of a start from exp(-C/eps)
-        from sppot._kernels import py as kernels
-
         cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=5000)
         args = _virtual_kernel_args(monkeypatch, random_pred(60, 5, seed=32, temperature=0.5), 0.5, 1.0, cfg)
-        Q, iters, converged, *_ = kernels.scaling_weighted_kl(*args)
+        Q, iters, converged, *_ = _sweep_kernel(monkeypatch, *args)
         ref, ref_iters = _reference_cold_kernel(*args)
         assert converged and iters == ref_iters
         npt.assert_allclose(Q, ref, rtol=0, atol=1e-12 * ref.max())
@@ -502,7 +506,9 @@ class TestWarmStart:
         cold = solve_virtual_named(name, P_next, cfg)
         warm = solve_virtual_named(name, P_next, cfg, init=previous.col_potential)
         assert cold.converged and warm.converged
-        assert warm.iterations < cold.iterations
+        # both starts take the Newton phase after the same plain sweeps
+        assert warm.iterations == cold.iterations == kernels.NEWTON_ENTRY + 1
+        assert warm.newton_steps > 0 and cold.newton_steps > 0
         rho = SOLVES[name][0]
         for plan in (cold, warm):
             assert np.all(plan.row_marginal() <= (1 + tol) / 300)
@@ -554,10 +560,9 @@ class TestWarmStart:
         rho, lam = SOLVES[name]
         C, _, _, f, *_ = _virtual_kernel_args(monkeypatch, P, rho, lam, ScalingConfig(epsilon=eps))
         hard = f == 1.0
-        u, v, M, w, cap, warm = kernels._start(C, None, f, hard, None, eps)
+        u, v, M, w, cap = kernels._start(C, None, f, hard, None, eps)
         M = M.copy()  # the kernel is this thread's buffer, which the next start overwrites
-        u0, v0, M0, w0, cap0, warm0 = kernels._start(C, np.zeros(f.size), f, hard, None, eps)
-        assert warm0 and not warm
+        u0, v0, M0, w0, cap0 = kernels._start(C, np.zeros(f.size), f, hard, None, eps)
         npt.assert_array_equal(u0, u)
         npt.assert_array_equal(v0, v)
         npt.assert_array_equal(M0, M)
@@ -568,7 +573,7 @@ class TestWarmStart:
     def test_init_leaving_a_soft_column_under_the_floor_is_a_cold_start(self, monkeypatch):
         # soft column 0 sits 26/eps under the others: its kernel entries fall under
         # KERNEL_FLOOR in every row, and a soft column is not lifted, so the start
-        # rejects the init and builds the cold kernel
+        # rejects the init and builds the cold kernel, Newton phase and all
         cfg = ScalingConfig(epsilon=0.01)
         C = prediction_cost(random_pred(60, 4, seed=3))
         cold = ot_core.solve_virtual(C, 0.5, 1.0, cfg)
@@ -584,7 +589,7 @@ class TestWarmStart:
         assert len(starts) == 2 and starts[0] is not None and starts[1] is None
         npt.assert_array_equal(warm.coupling, cold.coupling)
         assert warm.iterations == cold.iterations
-        assert warm.newton_steps == 0
+        assert warm.newton_steps == cold.newton_steps > 0
 
     def test_col_potential_length(self):
         from sppot import p2ot
@@ -621,16 +626,18 @@ def _warm_pair(name, cfg, temperature=1.0):
 
 
 class TestNewtonPhase:
-    # A warm start that has not converged after NEWTON_ENTRY plain sweeps takes
-    # Newton steps on the column potentials, then one plain sweep, whose stop
-    # rule decides `converged`.
+    # A solve without an upper bound that has not converged after NEWTON_ENTRY plain
+    # sweeps takes Newton steps on the column potentials, from a warm start or a cold
+    # one, then one plain sweep, whose stop rule decides `converged`.
     @pytest.mark.parametrize("eps, temperature", [(0.1, 1.0), (0.01, 0.3)])
     @pytest.mark.parametrize("name", sorted(SOLVES))
     def test_warm_solves_end_no_further_from_the_reference_than_the_kernel(self, monkeypatch, name, eps,
                                                                           temperature):
         cfg = ScalingConfig(epsilon=eps, tol=1e-6, max_iter=20000)
         init, P = _warm_pair(name, cfg, temperature)
-        cold = solve_virtual_named(name, P, cfg)
+        with monkeypatch.context() as sweeps_only:
+            sweeps_only.setattr(kernels, "NEWTON_MAX_STEPS", 0)
+            cold = solve_virtual_named(name, P, cfg)
         ref = solve_virtual_named(name, P, ScalingConfig(epsilon=eps, tol=1e-12, max_iter=200000))
         spy = _NewtonSpy(monkeypatch)
         warm = solve_virtual_named(name, P, cfg, init=init)
@@ -680,23 +687,39 @@ class TestNewtonPhase:
         assert plan.converged and ref.converged
         npt.assert_allclose(plan.coupling, ref.coupling, rtol=0, atol=1e-7 * ref.coupling.max())
 
-    def test_sla_cold_and_rejected_starts_never_enter(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [1301, 1302])  # 1301 found the cell; 1302, the same recipe, is held out
+    def test_a_cold_solve_the_sweeps_alone_leave_unconverged_converges(self, monkeypatch, seed):
+        # POT at rho 0.9 on a peaked posterior at eps 1e-2: the sweeps alone stop at max_iter
+        # unconverged, and given the sweeps to converge at this tol end 5e-5 of the reference's
+        # largest entry off it. The Newton phase converges it within 10 tol of that entry.
+        P = random_pred(2048, 10, seed=seed, temperature=0.3)
+        cfg = ScalingConfig(epsilon=1e-2, tol=1e-6, max_iter=1000)
+        with monkeypatch.context() as sweeps_only:
+            sweeps_only.setattr(kernels, "NEWTON_MAX_STEPS", 0)
+            assert not solve_pot(P, 0.9, cfg).converged
+        plan = solve_pot(P, 0.9, cfg)
+        assert plan.converged and plan.newton_steps > 0
+        ref = _log_domain_reference(prediction_cost(P), 0.9, np.inf, cfg.epsilon)
+        assert np.abs(plan.coupling - ref).max() <= 10 * cfg.tol * ref.max()
+
+    def test_sla_never_enters_and_a_rejected_start_is_the_cold_start(self, monkeypatch):
         cfg = ScalingConfig(epsilon=0.1, tol=1e-9, max_iter=20000)
         init, P = _warm_pair("pot", cfg)
         C = prediction_cost(P)
         spy = _NewtonSpy(monkeypatch)
-        plans = [solve_virtual_named(name, P, cfg) for name in SOLVES]
-        plans.append(ot_core.solve_virtual(C, 0.4, np.inf, cfg, init=init, upper=0.1))  # SLA, a warm start
-        plans.append(solve_sla(P, 0.4, 0.1, cfg))
-        cold = solve_virtual_named("pot", P, cfg)
+        sla = [ot_core.solve_virtual(C, 0.4, np.inf, cfg, init=init, upper=0.1),  # a warm start
+               solve_sla(P, 0.4, 0.1, cfg)]
+        assert spy.calls == [] and all(plan.newton_steps == 0 for plan in sla)
+        cold = {name: solve_virtual_named(name, P, cfg) for name in SOLVES}
+        assert [steps for _, _, steps in spy.calls] == [plan.newton_steps for plan in cold.values()]
+        assert all(plan.converged and plan.newton_steps > 0 for plan in cold.values())
+        cold_pot = cold["pot"]
         for rejected in (init[:-1], np.where(np.arange(init.size) == 2, np.nan, init)):  # wrong length, non-finite
             plan = solve_virtual_named("pot", P, cfg, init=rejected)
-            npt.assert_array_equal(plan.coupling, cold.coupling)
-            npt.assert_array_equal(plan.col_potential, cold.col_potential)
-            assert plan.iterations == cold.iterations
-            plans.append(plan)
-        assert spy.calls == []
-        assert all(plan.newton_steps == 0 for plan in plans)
+            npt.assert_array_equal(plan.coupling, cold_pot.coupling)
+            npt.assert_array_equal(plan.col_potential, cold_pot.col_potential)
+            assert plan.iterations == cold_pot.iterations
+            assert plan.newton_steps == cold_pot.newton_steps
 
 
 class TestSlaStopping:
@@ -722,7 +745,7 @@ def _step_free_kernel(C, alpha, beta, f, eps, tol, max_iter):
     m, n = C.shape
     hard = f == 1.0
     threshold = kernels.ABSORB_THRESHOLD
-    u, v, M, w, _, _ = kernels._start(C, None, f, hard, None, eps)
+    u, v, M, w, _ = kernels._start(C, None, f, hard, None, eps)
     a, b, step = np.ones(m), np.ones(n), np.ones(n)
     momentum = kernels._Momentum()
     for it in range(1, max_iter + 1):
@@ -765,16 +788,14 @@ class TestMassStep:
         cfg = ScalingConfig(epsilon=eps, tol=1e-8, max_iter=3000)
         rho, lam = SOLVES[name]
         args = _virtual_kernel_args(monkeypatch, random_pred(200, 6, seed=40, temperature=0.5), rho, lam, cfg)
-        for x, y in zip(kernels.scaling_weighted_kl(*args), _step_free_kernel(*args)):
+        for x, y in zip(_sweep_kernel(monkeypatch, *args), _step_free_kernel(*args)):
             npt.assert_array_equal(x, y)
 
-    def test_hard_targets_over_row_mass_take_no_step(self):
+    def test_hard_targets_over_row_mass_take_no_step(self, monkeypatch):
         # no feasible plan: the hard columns leave the soft ones a mass of -0.1
-        from sppot._kernels import py as kernels
-
         C, alpha, beta, f = _hard_targets_over_row_mass()
         args = (C, alpha, beta, f, 0.1, 1e-6, 1000)
-        out = kernels.scaling_weighted_kl(*args)
+        out = _sweep_kernel(monkeypatch, *args)
         for x, y in zip(out, _step_free_kernel(*args)):
             npt.assert_array_equal(x, y)
 
@@ -787,7 +808,7 @@ class TestMassStep:
         cfg = ScalingConfig(epsilon=0.1, tol=1e-13, max_iter=20000)
         rho, lam = SOLVES[name]
         args = _virtual_kernel_args(monkeypatch, random_pred(300, 6, seed=42), rho, lam, cfg)
-        Q, iters, converged, v, *_ = kernels.scaling_weighted_kl(*args)
+        Q, iters, converged, v, *_ = _sweep_kernel(monkeypatch, *args)
         ref_Q, ref_iters, ref_converged, ref_v = _step_free_kernel(*args)
         assert converged and ref_converged and iters < ref_iters
         npt.assert_allclose(Q, ref_Q, rtol=0, atol=1e-10 * ref_Q.max())
@@ -886,9 +907,11 @@ class TestAbsorption:
     # SLA 9; the row scaling alone triggers none of the first two's absorptions (every
     # kernel row holds a 1, so a stays under max(alpha)/min(b)) and all 9 of SLA's,
     # whose caps hold b down. Against threshold inf (no absorption) each takes the same sweeps.
+    # The counts are the sweeps' own: the Newton phase ends P2OT's solve after 3 absorptions.
     @pytest.mark.parametrize("name, absorptions, row_triggered", [("balanced", 65, 0), ("p2ot", 37, 0), ("sla", 9, 9)],
                              ids=ABSORPTION_SOLVES)
     def test_absorptions_leave_the_iterates_unchanged(self, monkeypatch, name, absorptions, row_triggered):
+        monkeypatch.setattr(kernels, "NEWTON_MAX_STEPS", 0)  # the sweeps alone
         ref = _absorbing_solve(monkeypatch, name, np.inf)
         # every kernel build after the start's is an absorption; a bound that skipped
         # reading the row scaling where it crossed the threshold would drop some
@@ -1004,12 +1027,14 @@ class TestMomentum:
 
 
 class TestSweepBudget:
-    # A count, not a clock: the sweeps that every kernel-backed solver takes on
-    # seeded 1000x10 flat and peaked posteriors at the benchmark's settings
-    # (eps 0.1, tol 1e-6, the solve-p2ot rhos). 1333 with the momentum, 3574
-    # without; the ceiling is the measured count + 10%, so a change that drops
-    # the acceleration fails here.
-    CEILING = 1466
+    # A count, not a clock: the sweeps and Newton steps that every kernel-backed
+    # solver takes on seeded 1000x10 flat and peaked posteriors at the benchmark's
+    # settings (eps 0.1, tol 1e-6, the solve-p2ot rhos). 424 sweeps and 108 Newton
+    # steps; 1241 and 108 without the momentum, 1333 and 0 without the Newton
+    # phase. Each ceiling is the measured count + 10%, so a change that drops
+    # either acceleration fails here.
+    CEILING = 466
+    NEWTON_CEILING = 118
 
     def test_total_sweeps_stay_under_the_ceiling(self):
         from sppot import p2ot
@@ -1028,6 +1053,7 @@ class TestSweepBudget:
                           solve_sla(P, rho, 1.0 / k, cfg)]
         assert all(plan.converged for plan in plans)
         assert sum(plan.iterations for plan in plans) <= self.CEILING
+        assert sum(plan.newton_steps for plan in plans) <= self.NEWTON_CEILING
 
 
 # MOMENTUM_FAMILY at K = 10 columns, with SLA's bound at 1.2 rho/K, where it
@@ -1078,9 +1104,9 @@ class TestObjectiveFromScalings:
         start = kernels._start
 
         def zero_virtual_column(*args):
-            u, v, M, w, cap, warm = start(*args)
+            u, v, M, w, cap = start(*args)
             M[:, -1] = 0.0
-            return u, v, M, w, cap, warm
+            return u, v, M, w, cap
 
         monkeypatch.setattr(kernels, "_start", zero_virtual_column)
         with np.errstate(all="ignore"), pytest.raises(ot_core.NumericalOverflowError, match="after 1 iterations"):

@@ -174,21 +174,26 @@ class TestFastSolver:
     def test_non_finite_plan_raises(self, monkeypatch):
         # at eps = 1e-4 and rho < 1 the zero-cost virtual column is every
         # row's cheapest, so the real columns of the kernel underflow and the
-        # plan turns NaN. The solvers raise instead of returning the plan.
+        # plan of the sweeps alone turns NaN after 7 of them. The solvers
+        # raise instead of returning the plan. The Newton phase converges
+        # this instance, so it takes no step here.
         # Balanced OT on a cluster that no row predicts no longer turns NaN
         # (the start lifts that column, see the test below), so a kernel
         # entry is set to NaN there.
         from sppot._kernels import py as kernels
 
         prob = random_problem(512, 10, 0.5, seed=0, epsilon=1e-4)
+        plan = solve_p2ot_fast(prob)
+        assert plan.converged and plan.newton_steps > 0 and np.all(np.isfinite(plan.coupling))
+        monkeypatch.setattr(kernels, "NEWTON_MAX_STEPS", 0)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
             solve_p2ot_fast(prob)
         start = kernels._start
 
         def nan_start(*args):
-            u, v, M, w, cap, warm = start(*args)
+            u, v, M, w, cap = start(*args)
             M[0, 0] = np.nan
-            return u, v, M, w, cap, warm
+            return u, v, M, w, cap
 
         monkeypatch.setattr(kernels, "_start", nan_start)
         with np.errstate(all="ignore"), pytest.raises(NumericalOverflowError):
@@ -211,6 +216,7 @@ class TestFastSolver:
         from sppot._kernels import py as kernels
 
         prob = random_problem(512, 10, 0.5, seed=0, epsilon=1e-4)
+        monkeypatch.setattr(kernels, "NEWTON_MAX_STEPS", 0)  # the sweeps alone turn NaN (see above)
         real = kernels.scaling_weighted_kl
         iterations = []
 
@@ -229,9 +235,10 @@ class TestFastSolver:
         # this instance used to turn NaN: exp(-C/eps) underflowed in rows
         # whose cheapest cost is far from 0. The start from potentials puts
         # 1 at every row's largest kernel entry, so the plan stays finite. The
-        # momentum makes it converge within max_iter (the plain recursion
-        # takes over 10,000 sweeps), to the objective of a long plain solve;
-        # cut short, it reports honestly that it did not converge
+        # Newton phase makes it converge within max_iter (4 sweeps and 8
+        # Newton steps; the plain recursion takes over 10,000 sweeps), to the
+        # objective of a long plain solve; cut short before the phase, it
+        # reports honestly that it did not converge
         from sppot._kernels import py as kernels
 
         prob = random_problem(512, 10, 1.0, seed=0, epsilon=1e-3)
@@ -239,9 +246,11 @@ class TestFastSolver:
         assert np.all(np.isfinite(plan.coupling))
         assert plan.converged
         assert np.abs(plan.row_marginal() * 512 - 1.0).max() <= prob.cfg.tol
-        cut = solve_p2ot_fast(P2otProblem(prob.pred, prob.rho, prob.lam, replace(prob.cfg, max_iter=100)))
+        cut = solve_p2ot_fast(P2otProblem(prob.pred, prob.rho, prob.lam,
+                                          replace(prob.cfg, max_iter=kernels.NEWTON_ENTRY)))
         assert np.all(np.isfinite(cut.coupling))
         assert not cut.converged
+        monkeypatch.setattr(kernels, "NEWTON_MAX_STEPS", 0)  # the sweeps alone
         monkeypatch.setattr(kernels, "MOMENTUM_MIN_RATE", 1.0)  # no rate qualifies: the plain recursion
         plain = solve_p2ot_fast(P2otProblem(prob.pred, prob.rho, prob.lam, replace(prob.cfg, tol=1e-9, max_iter=50000)))
         assert plain.converged and plain.iterations > 10000
