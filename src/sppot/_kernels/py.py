@@ -169,10 +169,10 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     Clason, Lorenz & Wirth, 2017; Tang et al., "Accelerating Sinkhorn
     algorithm with sparse Newton iterations", ICLR 2024). Newton takes a
     few steps where the plain recursion contracts slowly: the 48 cold
-    P2OT solves of solve-p2ot seeds 201 and 207, which took 1225 sweeps,
-    take 192 sweeps and 178 Newton steps. The phase then hands its iterate
-    back to the plain sweep, with the momentum started afresh (kept when
-    the phase took no step), and the sweep's stop rule decides
+    P2OT solves of solve-p2ot seeds 201 and 207 take 192 sweeps and 178
+    Newton steps, where the sweeps alone take 1225. The phase then hands
+    its iterate back to the plain sweep, with the momentum started afresh
+    (kept when the phase took no step), and the sweep's stop rule decides
     `converged`, so it means what it means without the phase; absorption
     works as before. An upper-bounded solve (SLA, unless every bound binds
     and it is solved as partial OT) never enters, so its sweeps are those
