@@ -204,9 +204,13 @@ def scaling_weighted_kl(C, alpha, beta, f, epsilon, tol, max_iter, v0=None, uppe
     iterate. A `v0` the recursion could not recover from is ignored, and
     the solve starts from zeros: one of the wrong length or not finite,
     whose soft-column weights lie beyond ABSORB_THRESHOLD in either
-    direction, or that leaves a column with every kernel entry under the
-    floor that the lift does not raise. The plan is the only N x K array a
-    solve allocates.
+    direction, whose largest upper-bounded potential lies further than
+    eps log(ABSORB_THRESHOLD) from 0 (the cap keeps each such potential at
+    most 0, a column whose bound is slack holds 0, and a binding one may lie
+    far under it, so every upper-bounded solution has largest potential 0
+    there), or that leaves a column with every kernel entry under the floor
+    that the lift does not raise. The plan is the only N x K array a solve
+    allocates.
 
     The loop stops once the largest relative change of the column scaling,
     max|b_plain/b - 1|, falls below `tol`; the measure does not depend on the
@@ -520,6 +524,8 @@ def _start(C, v0, f, hard, upper, epsilon):
         log_w = v * (f - 1.0) / epsilon
         if not np.all(np.isfinite(v)) or np.any(np.abs(log_w) > math.log(ABSORB_THRESHOLD)):
             v0 = None
+        elif upper is not None and abs(v[upper].max()) / epsilon > math.log(ABSORB_THRESHOLD):
+            v0 = None  # an upper-bounded solution's largest potential is 0 there
     if v0 is None:
         v = np.zeros(C.shape[1])
     u, M, w, cap, col_max = _frame(C, v, f, hard, upper, epsilon)

@@ -203,7 +203,7 @@ class RunHistory:
 
 
 def _solve_pseudo_labels(P, rho, cfg: TrainConfig, A_sub, scfg, init=None) -> ot_core.TransportPlan:
-    """One `cfg.solver` pseudo-label solve; `init` warm-starts OT, UOT, POT and P2OT (the others ignore it)."""
+    """One `cfg.solver` pseudo-label solve; `init` warm-starts every solver but SP2OT, which ignores it."""
     choice = cfg.solver
     if choice == "OT":
         return ot_core.solve_balanced_ot(P, scfg, init)
@@ -213,7 +213,7 @@ def _solve_pseudo_labels(P, rho, cfg: TrainConfig, A_sub, scfg, init=None) -> ot
         return ot_core.solve_pot(P, rho, scfg, init)
     if choice == "SLA":
         upper = cfg.sla_upper if cfg.sla_upper is not None else 1.0 / P.shape[1]
-        return ot_core.solve_sla(P, rho, upper, scfg)
+        return ot_core.solve_sla(P, rho, upper, scfg, init)
     if choice == "P2OT":
         return p2ot.solve_p2ot_fast(p2ot.P2otProblem(P, rho, cfg.lambda2, scfg), init=init)
     if choice == "SP2OT":

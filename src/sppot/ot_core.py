@@ -93,7 +93,7 @@ class TransportPlan:
     iterations: int
     converged: bool
     # final column potential of the solved (virtual-column) problem; pass it
-    # as `init=` to warm-start a nearby solve. None where a solver has none.
+    # as `init=` to warm-start a nearby solve. None from the GSA baseline.
     col_potential: np.ndarray | None = None
     # the kernel's Newton steps (summed over the inner solves for SP2OT); 0 where
     # its Newton phase did not run, as in SLA and every solve that converged first
@@ -202,8 +202,10 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
     `upper` instead of pinning it at rho/K. It must be > 0, and K * upper
     must reach rho (to 1e-12), else InfeasibleProblemError. When
     K * upper <= rho (1 + MASS_RTOL) every bound binds, so the program is
-    partial OT's and the columns are solved as hard ones. Such a plan
-    carries no column potential.
+    partial OT's and the columns are solved as hard ones. Otherwise an
+    `init` whose largest upper-bounded entry is far from 0, where every
+    such solution holds it, is a cold start (see
+    `kernels.scaling_weighted_kl`).
 
     Raises ValueError on rho outside (0, 1], a negative or NaN lam, a
     non-finite cost entry or a bad `upper`, DimensionMismatchError unless
@@ -242,7 +244,7 @@ def solve_virtual(C0: np.ndarray, rho: float, lam: float, cfg: ScalingConfig,
         C, np.full(N, 1.0 / N), beta, f, cfg.epsilon, cfg.tol, cfg.max_iter, init, up_col, n_real=K)
     _check_finite(entropic, iters, cfg.epsilon)  # non-finite where any entry of the plan is
     obj = entropic + weighted_kl_value(col_mass, rho / K, lam)
-    return TransportPlan(Q, obj, iters, converged, v if upper is None else None, newton_steps)
+    return TransportPlan(Q, obj, iters, converged, v, newton_steps)
 
 
 def _check_finite(Q, iters: int, epsilon: float) -> None:
@@ -269,13 +271,14 @@ def solve_pot(pred: np.ndarray, rho: float, cfg: ScalingConfig, init: np.ndarray
     return solve_virtual(prediction_cost(pred), rho, np.inf, cfg, init)
 
 
-def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig) -> TransportPlan:
+def solve_sla(pred: np.ndarray, rho: float, upper: float, cfg: ScalingConfig,
+              init: np.ndarray | None = None) -> TransportPlan:
     """Upper-bounded selective assignment: row sums <= 1/N, column sums <= upper,
     total mass rho. Degenerates to a single dominant cluster when the bound
     is slack relative to rho.
 
     `solve_virtual` with partial OT's extension and the real columns
-    upper-bounded instead of pinned to rho/K. The plan carries no column
-    potential.
+    upper-bounded instead of pinned to rho/K. `init` warm-starts it as it
+    does `solve_virtual`.
     """
-    return solve_virtual(prediction_cost(pred), rho, np.inf, cfg, upper=upper)
+    return solve_virtual(prediction_cost(pred), rho, np.inf, cfg, init, upper)

@@ -357,7 +357,7 @@ class TestTrain:
             for key in a:
                 npt.assert_array_equal(a[key], b[key])  # nan-aware equality
 
-    @pytest.mark.parametrize("solver", ["OT", "UOT", "POT", "P2OT"])
+    @pytest.mark.parametrize("solver", ["OT", "UOT", "POT", "SLA", "P2OT"])
     def test_repeated_runs_are_identical(self, tiny_dataset, solver):
         # the warm-start potentials live in the call, so a second run starts
         # from the same state as the first
@@ -370,21 +370,33 @@ class TestTrain:
             for key in a:
                 npt.assert_array_equal(a[key], b[key])
 
-    def test_steps_and_epochs_are_warm_started(self, tiny_dataset, monkeypatch):
-        from sppot import p2ot
+    @pytest.mark.parametrize("solver", ["P2OT", "SLA"])
+    def test_steps_and_epochs_are_warm_started(self, tiny_dataset, monkeypatch, solver):
+        from sppot import ot_core, p2ot
 
-        real = p2ot.solve_p2ot_fast
         calls = []
+        if solver == "P2OT":
+            real_p2ot = p2ot.solve_p2ot_fast
 
-        def spy(problem, cost=None, init=None):
-            plan = real(problem, cost, init)
-            calls.append((problem.pred.shape[0], init, plan.col_potential))
-            return plan
+            def spy(problem, cost=None, init=None):
+                plan = real_p2ot(problem, cost, init)
+                calls.append((problem.pred.shape[0], init, plan.col_potential))
+                return plan
 
-        monkeypatch.setattr(p2ot, "solve_p2ot_fast", spy)
+            monkeypatch.setattr(p2ot, "solve_p2ot_fast", spy)
+        else:
+            real_sla = ot_core.solve_sla
+
+            def spy(pred, rho, upper, cfg, init=None):
+                plan = real_sla(pred, rho, upper, cfg, init)
+                calls.append((pred.shape[0], init, plan.col_potential))
+                return plan
+
+            monkeypatch.setattr(ot_core, "solve_sla", spy)
         # a step solves at most 60 rows (batch + buffer), the epoch end all 90
-        cfg = TrainConfig(solver="P2OT", epochs=2, batch_size=30, buffer_size=30, seed=8)
+        cfg = TrainConfig(solver=solver, epochs=2, batch_size=30, buffer_size=30, seed=8)
         train(tiny_dataset, cfg)
+        assert all(potential is not None for *_, potential in calls)
         steps = [c for c in calls if c[0] < tiny_dataset.n]
         assert steps[0][1] is None
         for before, after in zip(steps, steps[1:]):  # both views and consecutive steps share one potential

@@ -337,7 +337,7 @@ class TestSla:
         ref = solve_pot(P, rho, cfg) if rho < 1 else solve_balanced_ot(P, cfg)
         assert np.array_equal(sla.coupling, ref.coupling)
         assert sla.iterations == ref.iterations and sla.objective == ref.objective
-        assert sla.col_potential is None
+        assert np.array_equal(sla.col_potential, ref.col_potential)
 
     def test_upper_bound_needs_hard_columns(self):
         # the kernel's upper-bound prox holds only for columns with exponent 1
@@ -454,6 +454,17 @@ def solve_virtual_named(name, P, cfg, init=None):
     return ot_core.solve_virtual(prediction_cost(P), rho, lam, cfg, init)
 
 
+# SOLVES and SLA at rho 0.4 with its bound at 1.2 rho/K, where some bounds bind and some are slack
+WARM_SOLVES = {**SOLVES, "sla": (0.4, np.inf)}
+
+
+def solve_warm_named(name, P, cfg, init=None):
+    if name == "sla":
+        rho, _ = WARM_SOLVES[name]
+        return solve_sla(P, rho, 1.2 * rho / P.shape[1], cfg, init)
+    return solve_virtual_named(name, P, cfg, init)
+
+
 class TestKernelLayout:
     def test_c_and_fortran_order_input_agree_exactly(self, monkeypatch):
         from sppot._kernels import py as kernels
@@ -496,20 +507,22 @@ class TestKernelLayout:
 
 
 class TestWarmStart:
-    @pytest.mark.parametrize("name", sorted(SOLVES))
+    @pytest.mark.parametrize("name", sorted(WARM_SOLVES))
     def test_warm_and_cold_agree(self, name):
         tol = 1e-9
         cfg = ScalingConfig(epsilon=0.1, tol=tol, max_iter=20000)
         P = random_pred(300, 6, seed=33)
         P_next = _nearby(P, seed=34)
-        previous = solve_virtual_named(name, P, cfg)
-        cold = solve_virtual_named(name, P_next, cfg)
-        warm = solve_virtual_named(name, P_next, cfg, init=previous.col_potential)
+        previous = solve_warm_named(name, P, cfg)
+        cold = solve_warm_named(name, P_next, cfg)
+        warm = solve_warm_named(name, P_next, cfg, init=previous.col_potential)
         assert cold.converged and warm.converged
-        # both starts take the Newton phase after the same plain sweeps
-        assert warm.iterations == cold.iterations == kernels.NEWTON_ENTRY + 1
-        assert warm.newton_steps > 0 and cold.newton_steps > 0
-        rho = SOLVES[name][0]
+        if name == "sla":  # an upper-bounded solve takes no Newton phase
+            assert warm.newton_steps == cold.newton_steps == 0
+        else:  # both starts take the Newton phase after the same plain sweeps
+            assert warm.iterations == cold.iterations == kernels.NEWTON_ENTRY + 1
+            assert warm.newton_steps > 0 and cold.newton_steps > 0
+        rho = WARM_SOLVES[name][0]
         for plan in (cold, warm):
             assert np.all(plan.row_marginal() <= (1 + tol) / 300)
             assert abs(plan.total_mass() - rho) <= tol
@@ -520,33 +533,37 @@ class TestWarmStart:
         npt.assert_allclose(warm.col_marginal(), cold.col_marginal(), rtol=0, atol=1e2 * tol)
         assert abs(warm.objective - cold.objective) <= 1e2 * tol * abs(cold.objective)
 
-    @pytest.mark.parametrize("name", sorted(SOLVES))
+    @pytest.mark.parametrize("name", sorted(WARM_SOLVES))
     @pytest.mark.parametrize("value", [1e3, -1e3])
     def test_far_off_init_still_gives_a_feasible_plan(self, name, value):
         tol = 1e-9
         cfg = ScalingConfig(epsilon=0.1, tol=tol, max_iter=20000)
         P = random_pred(200, 5, seed=35)
-        rho, _ = SOLVES[name]
+        rho, _ = WARM_SOLVES[name]
         n_cols = 5 if rho == 1 else 6
         alternating = np.where(np.arange(n_cols) % 2, value, -value)
+        cold = solve_warm_named(name, P, cfg)
         for init in (np.full(n_cols, value), alternating):
-            plan = solve_virtual_named(name, P, cfg, init=init)
+            plan = solve_warm_named(name, P, cfg, init=init)
             assert np.all(np.isfinite(plan.coupling))
             assert plan.converged
             assert np.all(plan.row_marginal() <= (1 + tol) / 200)
             assert abs(plan.total_mass() - rho) <= tol
-            if np.isinf(SOLVES[name][1]):
+            if name == "sla":  # its largest upper-bounded potential is 1e4 eps from 0: the cold start
+                npt.assert_array_equal(plan.coupling, cold.coupling)
+                assert plan.iterations == cold.iterations
+            elif np.isinf(SOLVES[name][1]):
                 npt.assert_allclose(plan.col_marginal(), np.full(5, rho / 5), rtol=0, atol=tol)
 
-    @pytest.mark.parametrize("name", sorted(SOLVES))
+    @pytest.mark.parametrize("name", sorted(WARM_SOLVES))
     def test_mismatched_init_is_a_cold_start(self, name):
         # a potential from the other side of rho = 1 (K+1 columns against K)
         cfg = ScalingConfig(epsilon=0.1, tol=1e-8, max_iter=5000)
         P = random_pred(50, 4, seed=36)
-        rho, _ = SOLVES[name]
+        rho, _ = WARM_SOLVES[name]
         init = np.full(4 if rho < 1 else 5, 0.3)
-        cold = solve_virtual_named(name, P, cfg)
-        warm = solve_virtual_named(name, P, cfg, init=init)
+        cold = solve_warm_named(name, P, cfg)
+        warm = solve_warm_named(name, P, cfg, init=init)
         npt.assert_array_equal(warm.coupling, cold.coupling)
         npt.assert_array_equal(warm.col_potential, cold.col_potential)
         assert warm.iterations == cold.iterations
@@ -599,7 +616,7 @@ class TestWarmStart:
         assert solve_pot(P, 0.5, cfg).col_potential.shape == (5,)
         assert solve_balanced_ot(P, cfg).col_potential.shape == (4,)
         assert solve_uot(P, 1.0, cfg).col_potential.shape == (4,)
-        assert solve_sla(P, 0.5, 0.25, cfg).col_potential is None
+        assert solve_sla(P, 0.5, 0.25, cfg).col_potential.shape == (5,)
         assert p2ot.solve_p2ot_gsa(p2ot.P2otProblem(P, 0.5, 1.0, cfg)).col_potential is None
 
 
